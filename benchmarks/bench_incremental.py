@@ -8,8 +8,7 @@ by the ΔQ rules of :mod:`repro.relational.delta` at O(Δ · answer) cost; the
 baseline re-executes the compiled plan from scratch against the mutated
 state.
 
-One benchmark, three family-tree sizes (the rest of the suite lives in
-``bench_perf_substrates.py``):
+Two benchmarks (the rest of the suite lives in ``bench_perf_substrates.py``):
 
 * repeat-query-after-k-row-delta: the paper's grandfather and
   more-than-one-son queries over growing family trees, an 8-row insert-only
@@ -19,6 +18,13 @@ One benchmark, three family-tree sizes (the rest of the suite lives in
   (gated ratio ``speedup_delta_repeat``) and that the answer cache really
   reported ``delta-maintained`` — a silent fall back to full recompute would
   otherwise time two identical code paths.
+
+* guarded-repeat-after-k-row-delta: the same delta and queries through the
+  default path — an ``incremental=True`` :class:`~repro.api.Session` running
+  ``strategy="auto"`` against a plain session running ``"auto"`` — at the
+  largest size.  The equality guard and the answer share one evaluation,
+  so the answer cache maintains both; the ratio is reported as
+  ``guarded_delta_repeat_ratio`` (not gated).
 
 Each timed round gets a fresh answer cache warmed on the *base* state in
 untimed setup: after one maintained execution the cache is stamped with the
@@ -30,10 +36,11 @@ import time
 
 import pytest
 
+from repro.api import Session
 from repro.domains.equality import EqualityDomain
 from repro.engine.answer_cache import AnswerCache
 from repro.engine.plans import IncrementalAlgebraPlan
-from repro.experiments.corpora import family_state
+from repro.experiments.corpora import family_schema, family_state
 from repro.experiments.exp01_intro_queries import (
     grandfather_query,
     more_than_one_son_query,
@@ -125,3 +132,45 @@ def test_perf_incremental_delta_repeat(benchmark, generations):
             f"full re-execution at {state.total_rows()} rows; the ISSUE "
             "requires >=5x"
         )
+
+
+def test_perf_guarded_delta_repeat(benchmark):
+    """The default guarded path after the same 8-row insert: an incremental
+    session's repeat answers vs a plain session's, both ``strategy="auto"``."""
+    state = family_state(generations=_GENERATIONS[-1], sons_per_father=2)
+    mutated = state.apply(_insert_only_delta(state))
+    queries = [more_than_one_son_query(), grandfather_query()]
+
+    def fresh_warm_session():
+        session = Session("equality", family_schema(), incremental=True)
+        for query in queries:
+            session.run(query, state)
+        return (session,), {}
+
+    def run_repeat(session):
+        return [session.run(query, mutated) for query in queries]
+
+    fast = benchmark.pedantic(
+        run_repeat, setup=fresh_warm_session, iterations=1, rounds=5
+    )
+    for result in fast:
+        assert "delta-maintained" in result.plan.explain(), result.plan.explain()
+    plain = Session("equality", family_schema())
+    full = [plain.run(query, mutated) for query in queries]  # warm caches
+    full_seconds = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        full = [plain.run(query, mutated) for query in queries]
+        full_seconds = min(full_seconds, time.perf_counter() - started)
+    for fast_result, full_result in zip(fast, full):
+        assert fast_result.answer.rows() == full_result.answer.rows()
+        assert fast_result.verdict == full_result.verdict
+    ratio = full_seconds / benchmark.stats.stats.min
+    benchmark.extra_info["rows"] = state.total_rows()
+    benchmark.extra_info["full_seconds"] = full_seconds
+    benchmark.extra_info["guarded_delta_repeat_ratio"] = ratio
+    print(
+        f"\n[incremental, guarded auto] rows={state.total_rows()} "
+        f"full={full_seconds:.5f}s maintained={benchmark.stats.stats.min:.5f}s "
+        f"ratio={ratio:.1f}x"
+    )

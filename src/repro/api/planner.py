@@ -28,7 +28,7 @@ from ..engine.plan_cache import PlanCache
 from ..engine.plans import STRATEGIES, Plan, plan_for_strategy
 from ..relational.state import Element
 from ..safety.effective_syntax import EffectiveSyntax
-from ..safety.relative_safety import RelativeSafetyDecider
+from ..safety.relative_safety import EqualityRelativeSafety, RelativeSafetyDecider
 
 __all__ = ["Planner", "PlanError"]
 
@@ -101,10 +101,11 @@ class Planner:
             and self._safety is not None
             and (self._finite_is_di or self._finite_carrier)
         ):
-            # Section 2: over this domain every finite query is
-            # domain-independent, so once the guard certifies finiteness,
-            # active-domain evaluation is exact — and far cheaper than the
-            # Section 1.1 enumeration.  The same ladder is exact for domains
+            # Section 2: over this domain the guard's fresh-element
+            # evaluation (the active domain plus rank+1 fresh elements) also
+            # yields the exact answer, so GuardedPlan runs the algebra ladder
+            # once for both — far cheaper than the Section 1.1 enumeration
+            # (FreshElementProbe).  The same ladder is exact for domains
             # whose *carrier* is finite: the active domain is extended with
             # the whole carrier, so evaluation ranges over every element the
             # semantics ranges over.  When the domain additionally supports
@@ -133,8 +134,9 @@ class Planner:
                 )
             else:
                 basis = (
-                    f"over {self._domain.name!r} every finite query is "
-                    "domain-independent"
+                    f"over {self._domain.name!r} the answer is the evaluation "
+                    "over the active domain plus rank+1 fresh elements, minus "
+                    "the rows that mention them"
                 )
             if self._answer_cache is not None and self._compilable:
                 # An incremental session: answers are materialised once and
@@ -194,13 +196,19 @@ class Planner:
                     "guard-certified finite queries",
                     cancel_token=cancel_token,
                 )
+            if isinstance(self._safety, EqualityRelativeSafety):
+                consequence = (
+                    "one run of the inner plan over the active domain plus "
+                    "rank+1 fresh elements yields both the verdict and the answer"
+                )
+            else:
+                consequence = "provably infinite answers are rejected before evaluation"
             return GuardedPlan(
                 inner=inner,
                 syntax=self._syntax,
                 safety=self._safety,
                 reason=f"relative safety over {self._domain.name!r} is decidable "
-                f"via {self._safety.name!r}, so provably infinite answers are "
-                "rejected before evaluation",
+                f"via {self._safety.name!r}, so {consequence}",
             )
         return plan_for_strategy(
             strategy,

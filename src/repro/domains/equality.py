@@ -1,9 +1,14 @@
 """The pure-equality domain.
 
 "The simplest possible example to start with is an infinite domain with the
-only domain relation of equality" (Section 2).  Over this domain every finite
-query is domain-independent, the relative safety problem is decidable, and an
-effective syntax exists (restrict all answers to the active domain).
+only domain relation of equality" (Section 2).  Over this domain the relative
+safety problem is decidable, an effective syntax exists (restrict all answers
+to the active domain), and every query can be answered exactly: its answer is
+the evaluation over the active domain plus rank+1 fresh elements, minus the
+rows that mention them (the query is infinite iff such rows exist).  A finite
+query need not be domain-independent —
+``F(x, y) & exists z. ~(exists w. (F(z, w) | F(w, z)))`` returns every
+``F`` row, yet nothing over the active domain alone.
 
 The carrier is the set of natural numbers by default (any countably infinite
 set works); the only relation is equality, which the logic provides anyway, so

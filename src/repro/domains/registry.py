@@ -53,10 +53,12 @@ class DomainEntry:
     #: database schema), or ``None`` when no effective syntax exists
     #: (Theorem 3.1)
     syntax_factory: Optional[Callable[[object], object]] = None
-    #: True when every finite query over the domain is domain-independent
-    #: (Section 2: the pure-equality domain).  The planner then answers
-    #: guard-certified finite queries by active-domain evaluation, which is
-    #: exact and far cheaper than enumeration.
+    #: True for the pure-equality domain of Section 2, where one evaluation
+    #: over the active domain plus rank+1 fresh elements decides finiteness
+    #: *and* yields the exact answer (the rows mentioning no fresh element).
+    #: The planner then answers guarded queries on the algebra ladder, which
+    #: is far cheaper than enumeration.  (The name predates the finding that
+    #: finite equality queries need not be domain-independent.)
     finite_implies_domain_independent: bool = False
     #: True when the domain's predicate atoms can be evaluated pointwise, so
     #: queries compile to relational algebra

@@ -1,7 +1,7 @@
 """Per-session answer caching with delta maintenance.
 
 The :class:`AnswerCache` stores one :class:`~repro.relational.delta.MaterializedPlan`
-per (query, schema, domain, extras) key — the whole operator-by-operator row
+per (query, schema, domain, extras, probed) key — the whole operator-by-operator row
 materialisation of the last execution, stamped with the state fingerprint it
 answers for.  A repeat query then costs:
 

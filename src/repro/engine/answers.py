@@ -83,11 +83,17 @@ class FiniteAnswer(Answer):
 
 @dataclass(frozen=True)
 class InfiniteAnswer(Answer):
-    """The answer is certified infinite; ``sample`` holds finitely many rows of it."""
+    """The answer is certified infinite; ``sample`` holds finitely many rows of it.
+
+    ``witnesses`` holds the rows that certified infiniteness, when the
+    certificate is a set of rows (the Section 2 fresh-element probe's rows
+    mentioning a fresh element); they are evidence, not part of ``rows()``.
+    """
 
     sample: Relation
     reason: str = ""
     method: str = ""  # type: ignore
+    witnesses: Tuple[Row, ...] = ()
 
     @property
     def is_finite(self) -> Optional[bool]:

@@ -23,7 +23,8 @@ the paper's evaluation disciplines across three execution substrates:
   by a :class:`~repro.engine.budget.Budget`;
 * :class:`GuardedPlan` — wraps an inner plan with an effective-syntax
   restriction and/or a relative-safety check, rejecting provably infinite
-  answers before evaluation starts.
+  answers; over pure equality the check and the answer share one run of the
+  inner plan (:class:`~repro.safety.relative_safety.FreshElementProbe`).
 
 Every plan carries an :meth:`~Plan.explain` describing *why* the strategy was
 chosen (theory decidability, availability of a safety decider, explicit user
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from typing import AbstractSet, ClassVar, Optional, Tuple, Union
 
 from ..domains.base import Domain, TheoryUndecidableError
 from ..logic.analysis import free_variables
@@ -43,17 +44,23 @@ from ..relational.bounds import NarrowingStats
 from ..relational.calculus import evaluate_query_active_domain
 from ..relational.columnar import (
     HAVE_NUMPY,
+    CodedRows,
     VectorizationError,
     encode_cache_info,
-    run_plan_vectorized,
+    execute_vectorized,
     vectorization_obstacle,
 )
 from ..relational.compile import CompilationError, CompiledQuery, compile_query
-from ..relational.parallel import DEFAULT_MORSEL_ROWS, MorselStats, run_plan_parallel
-from ..relational.state import DatabaseState, Element, Relation
+from ..relational.parallel import DEFAULT_MORSEL_ROWS, MorselStats, execute_parallel
+from ..relational.state import DatabaseState, Element, Relation, Row
 from ..safety.classes import FinitenessStatus, SafetyVerdict
 from ..safety.effective_syntax import EffectiveSyntax
-from ..safety.relative_safety import RelativeSafetyDecider, RelativeSafetyUndecidable
+from ..safety.relative_safety import (
+    EqualityRelativeSafety,
+    FreshElementProbe,
+    RelativeSafetyDecider,
+    RelativeSafetyUndecidable,
+)
 from .answer_cache import AnswerCache
 from .answers import Answer, FiniteAnswer, InfiniteAnswer
 from .breaker import SubstrateBreaker, default_breaker
@@ -101,6 +108,52 @@ def decide_or_semidecide(
         return SafetyVerdict.unknown(
             method=getattr(safety, "name", "relative-safety"), details=str(error)
         )
+
+
+def _probed(
+    extras: Tuple[Element, ...], probe: Optional[FreshElementProbe]
+) -> Tuple[Element, ...]:
+    """The extra elements of one execution: the plan's own, plus the fresh
+    elements of a fused guard evaluation."""
+    return extras if probe is None else extras + probe.fresh
+
+
+def _finish(
+    result: Union[Relation, AbstractSet[Row], CodedRows],
+    arity: int,
+    method: str,
+    probe: Optional[FreshElementProbe],
+) -> Answer:
+    """The answer behind one rung's result rows.
+
+    Without a probe the rows are the answer.  With one they were computed
+    over the universe enlarged by the probe's fresh elements: rows
+    mentioning the probe element make the answer infinite (they become the
+    witnesses), and otherwise the rows mentioning no fresh element are the
+    exact finite answer.  Columnar results split on their codes, so an
+    infinite verdict decodes only its witness rows.
+    """
+    if probe is None:
+        if isinstance(result, CodedRows):
+            result = result.decode()
+        if not isinstance(result, Relation):
+            result = Relation(arity, result)
+        return FiniteAnswer(result, method=method)
+    if isinstance(result, CodedRows):
+        witnesses, rows = result.split(probe.fresh)
+    else:
+        witnesses, rows = probe.split(
+            result.rows if isinstance(result, Relation) else result
+        )
+    if witnesses:
+        return InfiniteAnswer(
+            Relation(arity, []),
+            reason="rejected by the relative-safety guard: " + probe.INFINITE_DETAILS,
+            method=probe.method,
+            witnesses=tuple(sorted(witnesses)),
+        )
+    return FiniteAnswer(Relation(arity, rows), method=method)
+
 
 #: the strategy names understood by :func:`plan_for_strategy`
 STRATEGIES = (
@@ -170,7 +223,15 @@ class ActiveDomainPlan(Plan):
 
     strategy = "active-domain"
 
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
+    def execute(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        probe: Optional[FreshElementProbe] = None,
+    ) -> Answer:
+        """Run the plan; a ``probe`` adds its fresh elements to the universe
+        and splits the rows into a verdict and an answer (see
+        :class:`~repro.safety.relative_safety.FreshElementProbe`)."""
         stats = NarrowingStats()
         self.last_interruption = None
         try:
@@ -178,7 +239,7 @@ class ActiveDomainPlan(Plan):
                 query,
                 state,
                 interpretation=self.domain,
-                extra_elements=self.extra_elements,
+                extra_elements=_probed(self.extra_elements, probe),
                 stats=stats,
                 deadline=self._start_deadline(),
             )
@@ -186,7 +247,7 @@ class ActiveDomainPlan(Plan):
             self._record_interruption(error)
             raise
         self.last_narrowing = stats.describe() if stats.enabled else None
-        return FiniteAnswer(relation, method="active-domain")
+        return _finish(relation, relation.arity, "active-domain", probe)
 
     def explain(self) -> str:
         text = super().explain()
@@ -230,30 +291,39 @@ class CompiledAlgebraPlan(Plan):
     #: component of the plan-cache key separating execution substrates
     _substrate: ClassVar[str] = "compiled"
 
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
+    def execute(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        probe: Optional[FreshElementProbe] = None,
+    ) -> Answer:
+        """Run the ladder once; a ``probe`` adds its fresh elements to the
+        universe and splits the rows into a verdict and an answer (see
+        :class:`~repro.safety.relative_safety.FreshElementProbe`)."""
         self.last_interruption = None
         deadline = self._start_deadline()
         try:
-            return self._execute_with(query, state, deadline)
+            return self._execute_with(query, state, deadline, probe)
         except EvaluationInterrupted as error:
             self._record_interruption(error)
             raise
 
     def _execute_with(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
     ) -> Answer:
         try:
             compiled = self._compiled(query, state)
         except CompilationError as error:
             self.fallback_reason = str(error)
             self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
+            return self._tree_walk_answer(query, state, deadline, probe)
         self.fallback_reason = None
         self.last_summary = compiled.summary()
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
+        return self._set_executor_answer(compiled, state, deadline, probe)
 
     def _breaker(self) -> SubstrateBreaker:
         return self.breaker if self.breaker is not None else default_breaker()
@@ -262,17 +332,32 @@ class CompiledAlgebraPlan(Plan):
         self,
         query: Formula,
         state: DatabaseState,
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
     ) -> Answer:
-        """The tree-walking fallback shared by both algebra substrates."""
+        """The tree-walking fallback shared by every algebra substrate."""
         relation = evaluate_query_active_domain(
             query,
             state,
             interpretation=self.domain,
-            extra_elements=self.extra_elements,
+            extra_elements=_probed(self.extra_elements, probe),
             deadline=deadline,
         )
-        return FiniteAnswer(relation, method="active-domain")
+        return _finish(relation, relation.arity, "active-domain", probe)
+
+    def _set_executor_answer(
+        self,
+        compiled: CompiledQuery,
+        state: DatabaseState,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
+    ) -> Answer:
+        """The reference set-at-a-time rung shared by every algebra substrate."""
+        relation = compiled.execute(
+            state, self.domain, _probed(self.extra_elements, probe),
+            deadline=deadline,
+        )
+        return _finish(relation, relation.arity, "compiled-algebra", probe)
 
     def _compiled(self, query: Formula, state: DatabaseState) -> CompiledQuery:
         """Compile ``query`` for the state's schema, via the cache if present.
@@ -345,7 +430,11 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
     _substrate: ClassVar[str] = "vectorized"
 
     def _execute_with(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
     ) -> Answer:
         try:
             compiled, obstacle = self._vectorized(query, state)
@@ -355,7 +444,7 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
                 "evaluator instead"
             )
             self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
+            return self._tree_walk_answer(query, state, deadline, probe)
         self.last_summary = compiled.summary()
         breaker = self._breaker()
         if obstacle is None and not breaker.allow("vectorized"):
@@ -365,11 +454,10 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
             )
         elif obstacle is None:
             try:
-                rows = run_plan_vectorized(
+                coded = execute_vectorized(
                     compiled.plan,
                     state,
-                    compiled.universe(state, self.extra_elements),
-                    self.domain,
+                    compiled.universe(state, _probed(self.extra_elements, probe)),
                     deadline=deadline,
                 )
             except VectorizationError as error:
@@ -386,15 +474,11 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
             else:
                 breaker.record_success("vectorized")
                 self.fallback_reason = None
-                relation = Relation(len(compiled.output), rows)
-                return FiniteAnswer(relation, method="vectorized")
+                return _finish(coded, len(compiled.output), "vectorized", probe)
         self.fallback_reason = (
             obstacle + "; executed by the set-at-a-time executor instead"
         )
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
+        return self._set_executor_answer(compiled, state, deadline, probe)
 
     def _vectorized(
         self, query: Formula, state: DatabaseState
@@ -465,7 +549,11 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
     _substrate: ClassVar[str] = "parallel"
 
     def _execute_with(  # noqa: C901 - the ladder is one deliberate sequence
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
     ) -> Answer:
         self.last_morsels = None
         try:
@@ -476,11 +564,11 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
                 "evaluator instead"
             )
             self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
+            return self._tree_walk_answer(query, state, deadline, probe)
         self.last_summary = compiled.summary()
         breaker = self._breaker()
         if obstacle is None:
-            universe = compiled.universe(state, self.extra_elements)
+            universe = compiled.universe(state, _probed(self.extra_elements, probe))
             size = state.total_rows() + len(universe)
             # Rung 1: the worker pool — skipped for tiny states and while
             # the parallel breaker is open.
@@ -500,11 +588,10 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
             if pool_skip is None:
                 stats = MorselStats()
                 try:
-                    rows = run_plan_parallel(
+                    coded = execute_parallel(
                         compiled.plan,
                         state,
                         universe,
-                        self.domain,
                         morsel_rows=self.morsel_rows,
                         stats=stats,
                         deadline=deadline,
@@ -524,8 +611,7 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
                     breaker.record_success("parallel")
                     self.fallback_reason = None
                     self.last_morsels = stats.describe()
-                    relation = Relation(len(compiled.output), rows)
-                    return FiniteAnswer(relation, method="parallel")
+                    return _finish(coded, len(compiled.output), "parallel", probe)
             # Rung 2: the single-threaded vectorized kernels.
             if obstacle is None:
                 assert pool_skip is not None
@@ -536,9 +622,8 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
                     )
                 else:
                     try:
-                        rows = run_plan_vectorized(
-                            compiled.plan, state, universe, self.domain,
-                            deadline=deadline,
+                        coded = execute_vectorized(
+                            compiled.plan, state, universe, deadline=deadline
                         )
                     except VectorizationError as error:
                         obstacle = str(error)
@@ -554,16 +639,14 @@ class ParallelAlgebraPlan(VectorizedAlgebraPlan):
                     else:
                         breaker.record_success("vectorized")
                         self.fallback_reason = pool_skip
-                        relation = Relation(len(compiled.output), rows)
-                        return FiniteAnswer(relation, method="vectorized")
+                        return _finish(
+                            coded, len(compiled.output), "vectorized", probe
+                        )
         # Rung 3: the reference set-at-a-time executor (never demoted).
         self.fallback_reason = (
             obstacle + "; executed by the set-at-a-time executor instead"
         )
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
+        return self._set_executor_answer(compiled, state, deadline, probe)
 
     def explain(self) -> str:
         text = super().explain()
@@ -580,7 +663,8 @@ class IncrementalAlgebraPlan(CompiledAlgebraPlan):
     :class:`CompiledAlgebraPlan` executes is *materialised* — every
     operator's output retained — and stored in an
     :class:`~repro.engine.answer_cache.AnswerCache` keyed by (query, schema,
-    domain, extras) and stamped with the state fingerprint.  A repeat query
+    domain, extras, whether a fresh-element probe enlarged the universe) and
+    stamped with the state fingerprint.  A repeat query
     against the same state is O(answer); against a state mutated through
     :meth:`~repro.relational.state.DatabaseState.apply` the materialisation
     is patched by the ΔQ rules of :mod:`repro.relational.delta` at
@@ -606,7 +690,11 @@ class IncrementalAlgebraPlan(CompiledAlgebraPlan):
     _substrate: ClassVar[str] = "compiled"
 
     def _execute_with(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional[Deadline],
+        probe: Optional[FreshElementProbe],
     ) -> Answer:
         try:
             compiled = self._compiled(query, state)
@@ -617,22 +705,27 @@ class IncrementalAlgebraPlan(CompiledAlgebraPlan):
                 "recomputed in full: compilation failed, answered by the "
                 "tree-walking active-domain evaluator"
             )
-            return self._tree_walk_answer(query, state, deadline)
+            return self._tree_walk_answer(query, state, deadline, probe)
         self.fallback_reason = None
         self.last_summary = compiled.summary()
         if self.answer_cache is None:
             self.last_decision = "recomputed in full: no answer cache configured"
-            relation = compiled.execute(
-                state, self.domain, self.extra_elements, deadline=deadline
-            )
-            return FiniteAnswer(relation, method="compiled-algebra")
-        key = (query, state.schema, self.domain.name, self.extra_elements)
+            return self._set_executor_answer(compiled, state, deadline, probe)
+        # A probed entry materialises the enlarged universe, so ΔQ maintains
+        # verdict and answer together.  Its key leaves the fresh elements
+        # out: a delta that stores a current fresh element makes the next
+        # probe keep the others and add one, which only *grows* the
+        # universe — maintained like any other active-domain growth.
+        extras = _probed(self.extra_elements, probe)
+        key = (
+            query, state.schema, self.domain.name, self.extra_elements,
+            probe is not None,
+        )
         rows, decision = self.answer_cache.answer(
-            key, compiled, state, self.extra_elements, self.domain, deadline
+            key, compiled, state, extras, self.domain, deadline
         )
         self.last_decision = decision
-        relation = Relation(len(compiled.output), rows)
-        return FiniteAnswer(relation, method="incremental")
+        return _finish(rows, len(compiled.output), "incremental", probe)
 
     def explain(self) -> str:
         text = super().explain()
@@ -706,7 +799,12 @@ class GuardedOutcome:
 @dataclass(frozen=True)
 class GuardedPlan(Plan):
     """Apply an effective-syntax restriction and/or a relative-safety check,
-    then delegate to an inner plan."""
+    then delegate to an inner plan.
+
+    With the Section 2 fresh-element decider and an active-domain inner plan
+    the two are fused: the inner plan runs once over the universe enlarged
+    by the decider's probe elements, and the rows split into the verdict and
+    the exact answer.  Every other decider runs first, on its own."""
 
     inner: Plan
     syntax: Optional[EffectiveSyntax] = None
@@ -728,6 +826,16 @@ class GuardedPlan(Plan):
             rewritten = True
 
         verdict: Optional[SafetyVerdict] = None
+        if isinstance(self.safety, EqualityRelativeSafety) and isinstance(
+            self.inner, (ActiveDomainPlan, CompiledAlgebraPlan)
+        ):
+            # Section 2, fused: one run of the inner ladder over the universe
+            # enlarged by rank+1 fresh elements yields both the verdict and
+            # the exact answer (FreshElementProbe).
+            probe = self.safety.probe(admitted, state, self.inner.extra_elements)
+            answer = self.inner.execute(admitted, state, probe=probe)
+            witnesses = answer.witnesses if isinstance(answer, InfiniteAnswer) else ()
+            return GuardedOutcome(answer, admitted, probe.verdict(witnesses), rewritten)
         if self.safety is not None:
             verdict = decide_or_semidecide(self.safety, admitted, state, self.budget.fuel)
             if verdict.status is FinitenessStatus.INFINITE:

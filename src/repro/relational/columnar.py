@@ -101,6 +101,8 @@ __all__ = [
     "encode_cache",
     "encode_cache_info",
     "vectorization_obstacle",
+    "CodedRows",
+    "execute_vectorized",
     "run_plan_vectorized",
 ]
 
@@ -997,10 +999,49 @@ def _prepare_columns(
     return ElementCodec.for_universe(tuple(universe)), None
 
 
-def _decode_table(codec: ElementCodec, table: _Table) -> Set[Row]:
-    """The set of decoded rows behind one executed code table."""
-    decode = codec.decode
-    return {tuple(decode(code) for code in row) for row in table.codes.tolist()}
+class CodedRows:
+    """An executed code table and its codec, decoded only on request.
+
+    :meth:`split` separates rows by the elements they mention *before*
+    decoding, so a caller that needs only some of the rows (the rows
+    mentioning a fresh element, say) never decodes the rest.
+
+    >>> codec = ElementCodec.for_universe(["a", "b", "z"])
+    >>> coded = CodedRows(codec, codec.encode_rows([("a",), ("b",)], 1))
+    >>> sorted(coded.decode())
+    [('a',), ('b',)]
+    >>> hits, rest = coded.split(["z"])
+    >>> hits, sorted(rest)
+    (set(), [('a',), ('b',)])
+    >>> coded.split(["b"])
+    ({('b',)}, set())
+    """
+
+    def __init__(self, codec: ElementCodec, codes: Any):
+        self.codec = codec
+        #: the deduplicated ``(rows, arity)`` int64 code table
+        self.codes = codes
+
+    def decode(self, codes: Any = None) -> Set[Row]:
+        """The decoded rows (of ``codes``, a slice of the table, if given)."""
+        decode = self.codec.decode
+        codes = self.codes if codes is None else codes
+        return {tuple(decode(code) for code in row) for row in codes.tolist()}
+
+    def split(self, elements: Sequence[Element]) -> Tuple[Set[Row], Set[Row]]:
+        """``(hits, rest)``: the decoded rows mentioning ``elements[0]`` —
+        and, when there are none, the decoded rows mentioning no element of
+        ``elements`` (elements outside the codec mention no row)."""
+        codes = self.codes
+        marks = [self.codec.encode(e) for e in elements if self.codec.encodable(e)]
+        if not marks or not codes.size:
+            return set(), self.decode()
+        if self.codec.encodable(elements[0]):
+            hits = (codes == marks[0]).any(axis=1)
+            if hits.any():
+                return self.decode(codes[hits]), set()
+        clean = ~np.isin(codes, np.array(marks, dtype=np.int64)).any(axis=1)
+        return set(), self.decode(codes[clean])
 
 
 def run_plan_vectorized(
@@ -1034,6 +1075,21 @@ def run_plan_vectorized(
     >>> sorted(run_plan_vectorized(AdomScan(("x",)), state, ["b", "a"]))
     [('a',), ('b',)]
     """
+    return execute_vectorized(
+        node, state, adom, cache=cache, use_cache=use_cache, deadline=deadline
+    ).decode()
+
+
+def execute_vectorized(
+    node: PlanNode,
+    state: DatabaseState,
+    adom: Sequence[Element],
+    *,
+    cache: Optional[EncodeCache] = None,
+    use_cache: bool = True,
+    deadline: "Optional[Deadline]" = None,
+) -> CodedRows:
+    """:func:`run_plan_vectorized`, stopping short of decoding the result."""
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
         raise VectorizationError(obstacle)
@@ -1043,4 +1099,4 @@ def run_plan_vectorized(
     table = _ColumnarExecutor(state, adom, codec, store, deadline).run(node)
     if deadline is not None:
         deadline.check("decode")
-    return _decode_table(codec, table)
+    return CodedRows(codec, table.codes)

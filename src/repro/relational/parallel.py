@@ -78,10 +78,10 @@ except ImportError:  # pragma: no cover
 
 from ..testing import faults
 from .columnar import (
+    CodedRows,
     EncodeCache,
     VectorizationError,
     _ColumnarExecutor,
-    _decode_table,
     _prepare_columns,
     vectorization_obstacle,
 )
@@ -98,6 +98,7 @@ __all__ = [
     "worker_pool",
     "worker_pool_info",
     "shutdown_worker_pool",
+    "execute_parallel",
     "run_plan_parallel",
 ]
 
@@ -485,6 +486,25 @@ def run_plan_parallel(
     ...                          morsel_rows=1))
     [(1,), (2,), (3,)]
     """
+    return execute_parallel(
+        node, state, adom, morsel_rows=morsel_rows, pool=pool, stats=stats,
+        cache=cache, use_cache=use_cache, deadline=deadline,
+    ).decode()
+
+
+def execute_parallel(
+    node: PlanNode,
+    state: DatabaseState,
+    adom: Sequence[Element],
+    *,
+    morsel_rows: int = DEFAULT_MORSEL_ROWS,
+    pool: Optional[ThreadPoolExecutor] = None,
+    stats: Optional[MorselStats] = None,
+    cache: Optional[EncodeCache] = None,
+    use_cache: bool = True,
+    deadline: "Optional[Deadline]" = None,
+) -> CodedRows:
+    """:func:`run_plan_parallel`, stopping short of decoding the result."""
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
         raise VectorizationError(obstacle)
@@ -510,4 +530,4 @@ def run_plan_parallel(
     table = executor.run(node)
     if deadline is not None:
         deadline.check("decode")
-    return _decode_table(codec, table)
+    return CodedRows(codec, table.codes)

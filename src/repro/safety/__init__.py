@@ -37,6 +37,7 @@ from .reductions import (
 )
 from .relative_safety import (
     EqualityRelativeSafety,
+    FreshElementProbe,
     OrderedRelativeSafety,
     RelativeSafetyDecider,
     RelativeSafetyUndecidable,
@@ -49,7 +50,8 @@ __all__ = [
     "finitize", "finitization_bound_part", "split_finitization", "is_finitization_of",
     "EffectiveSyntax", "ActiveDomainSyntax", "FinitizationSyntax",
     "ExtendedActiveDomainSyntax",
-    "RelativeSafetyDecider", "EqualityRelativeSafety", "OrderedRelativeSafety",
+    "RelativeSafetyDecider", "EqualityRelativeSafety", "FreshElementProbe",
+    "OrderedRelativeSafety",
     "SuccessorRelativeSafety", "TraceRelativeSafety", "RelativeSafetyUndecidable",
     "active_domain_formula", "fact_2_1_query", "check_domain_independence",
     "answer_over_universe",

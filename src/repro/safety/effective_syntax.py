@@ -76,9 +76,11 @@ class EffectiveSyntax(ABC):
 class ActiveDomainSyntax(EffectiveSyntax):
     """Restrict every free variable to the active domain.
 
-    Over the pure-equality domain every finite query is domain-independent
-    (Section 2), so conjoining the active-domain guard ``Δ(x_i)`` for every
-    free variable both forces finiteness and preserves finite queries.
+    Over the pure-equality domain a finite query's answer rows mention only
+    active-domain elements — stored values and query constants (Section 2: a
+    row with an outside element has infinitely many symmetric copies), so conjoining the active-domain guard
+    ``Δ(x_i)`` for every free variable forces finiteness and keeps every
+    finite query's answer.
     """
 
     name = "active-domain-restriction"

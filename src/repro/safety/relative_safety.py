@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..domains.base import Domain
 from ..domains.presburger import PresburgerDomain
@@ -47,8 +47,7 @@ from ..logic.formulas import (
 from ..logic.substitution import fresh_variables
 from ..logic.terms import Const, Var
 from ..relational.active_domain import active_domain
-from ..relational.calculus import evaluate_query
-from ..relational.state import DatabaseState
+from ..relational.state import DatabaseState, Element, Row
 from ..relational.translate import expand_database_atoms
 from ..turing.machine import run_machine
 from ..turing.encoding import decode_machine
@@ -58,6 +57,7 @@ from .finitization import finitize
 __all__ = [
     "RelativeSafetyDecider",
     "EqualityRelativeSafety",
+    "FreshElementProbe",
     "OrderedRelativeSafety",
     "DenseOrderRelativeSafety",
     "FiniteCarrierSafety",
@@ -81,71 +81,105 @@ class RelativeSafetyDecider(ABC):
         """Return a verdict on the finiteness of ``query`` in ``state``."""
 
 
+@dataclass(frozen=True)
+class FreshElementProbe:
+    """The fresh elements of one Section 2 evaluation, and how to read it.
+
+    ``fresh`` holds rank+1 carrier elements outside the active domain, the
+    query constants and the caller's extra elements; the first of them is
+    the *probe element*.  Every permutation of the elements outside the
+    active domain, the constants and the extras is an automorphism of the
+    state, so one evaluation over the universe enlarged by ``fresh`` settles
+    both questions at once:
+
+    * some row mentions the probe element ⇒ infinitely many rows exist (move
+      the probe element anywhere outside the active domain) — those rows
+      are the witnesses;
+    * otherwise no row mentions any fresh element, and the rows are the
+      exact answer: rank+1 fresh elements are enough for every quantifier to
+      meet an element outside the active domain when it needs one.
+    """
+
+    fresh: Tuple[Element, ...]
+
+    method: ClassVar[str] = "equality-fresh-element"
+    INFINITE_DETAILS: ClassVar[str] = (
+        "a tuple containing a fresh element satisfies the query; "
+        "by symmetry infinitely many do"
+    )
+    FINITE_DETAILS: ClassVar[str] = (
+        "no tuple containing a fresh element satisfies the query"
+    )
+
+    def split(self, rows: Iterable[Row]) -> Tuple[Set[Row], Set[Row]]:
+        """``(witnesses, answer)``: the rows mentioning the probe element,
+        and — when there are none — the rows mentioning no fresh element.
+
+        >>> FreshElementProbe((7, 8)).split([(1, 7), (2, 3)])
+        ({(1, 7)}, set())
+        >>> FreshElementProbe((7, 8)).split([(2, 3)])
+        (set(), {(2, 3)})
+        """
+        rows = list(rows)
+        probe = self.fresh[0]
+        witnesses = {row for row in rows if probe in row}
+        if witnesses:
+            return witnesses, set()
+        fresh = set(self.fresh)
+        return set(), {row for row in rows if fresh.isdisjoint(row)}
+
+    def verdict(self, witnesses: Iterable[Row]) -> SafetyVerdict:
+        """The verdict a probed evaluation with these witness rows certifies."""
+        witnesses = tuple(sorted(witnesses))
+        if witnesses:
+            return SafetyVerdict.infinite(
+                method=self.method, details=self.INFINITE_DETAILS,
+                witnesses=witnesses,
+            )
+        return SafetyVerdict.finite(method=self.method, details=self.FINITE_DETAILS)
+
+
 class EqualityRelativeSafety(RelativeSafetyDecider):
     """Relative safety over the pure-equality domain (Section 2).
 
     A query is finite in a state iff no tuple containing an element outside
     the active domain satisfies it; by the symmetry of the domain it suffices
-    to test tuples built from the active domain plus a single fresh element.
+    to test tuples built from the active domain plus fresh elements (see
+    :class:`FreshElementProbe`).  The guarded default path does not call
+    :meth:`decide`: it runs the answering plan itself over the enlarged
+    universe and splits the rows (:class:`~repro.engine.plans.GuardedPlan`).
     """
 
-    name = "equality-fresh-element"
+    name = FreshElementProbe.method
 
     def __init__(self, domain):
         self._domain = domain
-        # Compiled probe plans, memoised per (query, schema): a CompiledQuery
-        # is state-independent, so entries never go stale.  Imported lazily —
-        # repro.engine imports this module at package-init time.
-        from ..engine.plan_cache import PlanCache
 
-        self._probe_plans = PlanCache(maxsize=64)
-
-    def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
-        base = sorted(active_domain(state, query), key=repr)
-        rank = quantifier_depth(query)
-        fresh = self._domain.fresh_elements(rank + 1, avoid=base)
+    def probe(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        extra_elements: Iterable[Element] = (),
+    ) -> FreshElementProbe:
+        """rank+1 carrier elements outside the active domain, the query
+        constants and ``extra_elements``."""
+        avoid = active_domain(state, query) | frozenset(extra_elements)
+        fresh = self._domain.fresh_elements(quantifier_depth(query) + 1, avoid=avoid)
         if not fresh:
             raise RuntimeError("the carrier is too small to supply fresh elements")
-        probe = fresh[0]
-        universe = list(base) + fresh
-        # The probe evaluation is itself an active-domain query over the
-        # enlarged universe, so it benefits from the compiled algebra backend
-        # exactly like ordinary evaluation does; the tree walker remains the
-        # fallback for queries that do not compile.
-        compiled = self._compiled_probe(query, state.schema)
-        if compiled is None:
-            answer = evaluate_query(
-                query, universe, state=state, interpretation=self._domain
-            )
-        else:
-            answer = compiled.execute(state, self._domain, extra_elements=fresh)
-        escaping = [row for row in answer.rows if probe in row]
-        if escaping:
-            return SafetyVerdict.infinite(
-                method=self.name,
-                details="a tuple containing a fresh element satisfies the query; "
-                "by symmetry infinitely many do",
-                witnesses=tuple(sorted(escaping)),
-            )
-        return SafetyVerdict.finite(
-            method=self.name,
-            details="no tuple containing a fresh element satisfies the query",
+        return FreshElementProbe(tuple(fresh))
+
+    def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+        # Imported lazily — repro.engine imports this module at package-init
+        # time.  The plan compiles to the set executor (the tree walker when
+        # compilation bails) and splits its rows with the probe.
+        from ..engine.plans import CompiledAlgebraPlan
+
+        probe = self.probe(query, state)
+        answer = CompiledAlgebraPlan(domain=self._domain).execute(
+            query, state, probe=probe
         )
-
-    def _compiled_probe(self, query: Formula, schema):
-        """The memoised compiled plan for ``query``, or ``None`` when the
-        query has no algebra translation (failures are memoised too)."""
-        from ..relational.compile import CompilationError, compile_query
-
-        key = (query, schema)
-        if key in self._probe_plans:
-            return self._probe_plans.get(key)
-        try:
-            compiled = compile_query(query, schema, self._domain)
-        except CompilationError:
-            compiled = None
-        self._probe_plans.put(key, compiled)
-        return compiled
+        return probe.verdict(getattr(answer, "witnesses", ()))
 
 
 class OrderedRelativeSafety(RelativeSafetyDecider):

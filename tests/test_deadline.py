@@ -119,6 +119,29 @@ def test_generous_time_limit_does_not_interrupt(strategy):
     assert frozenset(result.answer.rows()) == frozenset({(1, 2), (2, 3)})
 
 
+def test_equality_guard_honours_the_time_limit():
+    # The fresh-element guard is the inner plan's own evaluation over the
+    # enlarged universe, so it runs under the plan's Deadline; it used to be
+    # a separate, un-checkpointed pass taking ~1 s on this 65,534-row tree.
+    from repro.domains.packs import get_pack
+    from repro.experiments.corpora import family_state
+
+    corpus = get_pack("equality").corpora()[0]
+    query = next(q.query for q in corpus.queries if q.name == "more-than-one-son")
+    state = family_state(generations=15)
+    budget = Budget(time_limit=0.01)
+    # One untimed run pays the per-state memos (fingerprint, encoded
+    # columns) that any first query on a new state computes.
+    with pytest.raises(DeadlineExceeded):
+        Session("equality", corpus.schema).run(query, state, budget=budget)
+    session = Session("equality", corpus.schema)
+    started = time.perf_counter()
+    with pytest.raises(DeadlineExceeded):
+        session.run(query, state, budget=budget)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.25, f"the guarded query took {elapsed:.2f}s to notice"
+
+
 # ---------------------------------------------------------------------------
 # Cancellation through the session API
 # ---------------------------------------------------------------------------
