@@ -8,9 +8,9 @@ request into a concrete :class:`~repro.engine.plans.Plan`:
   enumeration (decidable theory) or active-domain semantics (otherwise);
 * ``"guarded"`` — like ``"auto"`` but fails loudly when no guard exists
   (e.g. the trace domain, Theorems 3.1/3.3);
-* ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"parallel"`` /
-  ``"enumeration"`` — force a bare strategy, bypassing the guards (useful for
-  studying budget exhaustion on infinite queries, or for benchmarking one
+* ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"incremental"``
+  / ``"enumeration"`` — force a bare strategy, bypassing the guards (useful
+  for studying budget exhaustion on infinite queries, or for benchmarking one
   execution substrate directly).
 
 Every returned plan answers :meth:`~repro.engine.plans.Plan.explain` with the
@@ -25,7 +25,9 @@ from ..domains.base import Domain
 from ..engine.answer_cache import AnswerCache
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
-from ..engine.plans import STRATEGIES, Plan, plan_for_strategy
+from ..engine.plans import (
+    PLAN_TABLE, STRATEGIES, GuardedPlan, Plan, build_plan, plan_for_strategy,
+)
 from ..relational.state import Element
 from ..safety.effective_syntax import EffectiveSyntax
 from ..safety.relative_safety import EqualityRelativeSafety, RelativeSafetyDecider
@@ -49,7 +51,6 @@ class Planner:
         finite_is_domain_independent: bool = False,
         supports_compiled_algebra: bool = False,
         supports_vectorized: bool = False,
-        supports_parallel: bool = False,
         finite_carrier: bool = False,
         plan_cache: Optional[PlanCache] = None,
         answer_cache: Optional[AnswerCache] = None,
@@ -60,7 +61,6 @@ class Planner:
         self._finite_is_di = finite_is_domain_independent
         self._compilable = supports_compiled_algebra
         self._vectorizable = supports_vectorized
-        self._parallelizable = supports_parallel
         self._finite_carrier = finite_carrier
         self._plan_cache = plan_cache
         self._answer_cache = answer_cache
@@ -108,23 +108,11 @@ class Planner:
             # (FreshElementProbe).  The same ladder is exact for domains
             # whose *carrier* is finite: the active domain is extended with
             # the whole carrier, so evaluation ranges over every element the
-            # semantics ranges over.  When the domain additionally supports
-            # the compiled relational-algebra backend, prefer it: same
-            # active-domain answer, computed set-at-a-time — when its
-            # carriers also encode to int64 columns, prefer the vectorized
-            # columnar executor over the set executor — and when the registry
-            # additionally flags the domain parallel-capable, put the
-            # morsel-parallel substrate on top of the ladder (its size
-            # heuristic keeps small states single-threaded).
-            from ..engine.plans import (
-                ActiveDomainPlan,
-                CompiledAlgebraPlan,
-                GuardedPlan,
-                IncrementalAlgebraPlan,
-                ParallelAlgebraPlan,
-                VectorizedAlgebraPlan,
-            )
-
+            # semantics ranges over.  The inner plan is the first strategy the
+            # domain supports, in this order: an incremental session's answer
+            # cache beats the columnar kernels on the repeat-query path, the
+            # kernels beat the set executor, and the set executor beats the
+            # tree walker.
             extras = tuple(extra_elements)
             if self._finite_carrier:
                 extras += tuple(self._domain.carrier_elements())
@@ -138,64 +126,24 @@ class Planner:
                     "over the active domain plus rank+1 fresh elements, minus "
                     "the rows that mention them"
                 )
-            if self._answer_cache is not None and self._compilable:
-                # An incremental session: answers are materialised once and
-                # patched by ΔQ rules across mutations, so answer reuse beats
-                # even the columnar substrates on the repeat-query path.
-                inner: Plan = IncrementalAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    answer_cache=self._answer_cache,
-                    reason=f"{basis} and the session opted into incremental "
-                    "evaluation, so guard-certified answers are materialised "
-                    "once and patched by ΔQ rules when the state mutates",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable and self._vectorizable and self._parallelizable:
-                inner = ParallelAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis} and carriers encode to int64 columns, "
-                    "so guard-certified queries are answered by the vectorized "
-                    "columnar executor, morsel-parallel on large states "
-                    "(exact, set semantics)",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable and self._vectorizable:
-                inner = VectorizedAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis} and carriers encode to int64 columns, "
-                    "so guard-certified queries are answered by the vectorized "
-                    "NumPy columnar executor (exact, set semantics)",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable:
-                inner = CompiledAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis}, so guard-certified queries are "
-                    "answered by the compiled relational-algebra backend "
-                    "(set-at-a-time, exact)",
-                    cancel_token=cancel_token,
-                )
-            else:
-                inner = ActiveDomainPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    reason=f"{basis}, so active-domain evaluation is exact for "
-                    "guard-certified finite queries",
-                    cancel_token=cancel_token,
-                )
+            supported = (
+                ("incremental", self._answer_cache is not None and self._compilable),
+                ("vectorized", self._compilable and self._vectorizable),
+                ("compiled", self._compilable),
+                ("active-domain", True),
+            )
+            chosen = next(name for name, ok in supported if ok)
+            inner = build_plan(
+                chosen,
+                f"{basis}, so guard-certified queries are answered exactly "
+                f"by strategy {chosen!r}: {PLAN_TABLE[chosen][1]}",
+                domain=self._domain,
+                budget=budget if budget is not None else Budget(),
+                extra_elements=extras,
+                cache=self._plan_cache,
+                answer_cache=self._answer_cache,
+                cancel_token=cancel_token,
+            )
             if isinstance(self._safety, EqualityRelativeSafety):
                 consequence = (
                     "one run of the inner plan over the active domain plus "

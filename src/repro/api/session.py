@@ -161,9 +161,9 @@ class Session:
         self._safety = safety if guard else None
         self._syntax = syntax if guard else None
         # The plan cache makes repeated queries skip calculus→algebra
-        # compilation; it is keyed by (formula, schema fingerprint, domain,
-        # substrate), so states may vary freely between calls and the two
-        # algebra substrates never collide.  Passing ``plan_cache=`` shares
+        # compilation; it is keyed by (formula, schema fingerprint, domain),
+        # so states may vary freely between calls and every algebra plan
+        # shares one entry per query.  Passing ``plan_cache=`` shares
         # one (thread-safe) cache across sessions — the serving layer uses
         # this so every session warms every other's plans.
         self._plan_cache = (
@@ -187,9 +187,6 @@ class Session:
             ),
             supports_vectorized=(
                 entry is not None and entry.supports_vectorized
-            ),
-            supports_parallel=(
-                entry is not None and entry.supports_parallel
             ),
             finite_carrier=(
                 entry is not None and entry.finite_carrier

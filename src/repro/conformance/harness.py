@@ -7,8 +7,8 @@ runs seven families of checks — no per-domain test code required:
    its declared truth value.
 2. **substrate-equivalence** — on the canonical state and on randomized
    states (including the empty and one-row edge states), every claimed
-   execution substrate (compiled set algebra, vectorized columnar,
-   morsel-parallel) returns exactly the tree walker's active-domain answer,
+   execution substrate (compiled set algebra, vectorized columnar) returns
+   exactly the tree walker's active-domain answer,
    and each claimed substrate actually engages (produces its own method
    string, not just a fallback's) at least once.
 3. **guard-soundness** — for packs that declare a relative-safety guard, the
@@ -24,7 +24,11 @@ runs seven families of checks — no per-domain test code required:
    :meth:`~repro.relational.state.DatabaseState.apply` and answered by the
    incremental substrate (:class:`~repro.engine.plans.IncrementalAlgebraPlan`)
    matches a rebuilt-from-scratch evaluation after every mutation, and the
-   ΔQ maintenance path genuinely engages at least once.
+   ΔQ maintenance path genuinely engages at least once.  Where ``auto`` in
+   an incremental session guards that substrate (a
+   :class:`~repro.engine.plans.GuardedPlan` over it), the session's verdicts
+   and rows across the same deltas also match a plain session's ``auto`` on
+   the rebuilt state, again with at least one delta-maintained answer.
 6. **bench-smoke** — all queries on a ``bench_size``-row random state finish
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
@@ -35,8 +39,8 @@ runs seven families of checks — no per-domain test code required:
    fallback ladder absorbed the fault) or fails *cleanly* with a structured
    error — never a hang (a watchdog bounds each run), never wrong rows.
 
-The vectorized and parallel substrates are checked only when NumPy is
-available; their *claims* checks are skipped (not failed) without it.
+The vectorized substrate is checked only when NumPy is available; its
+*claims* check is skipped (not failed) without it.
 
 ``run_pack_conformance(..., checks=("faults",))`` (CLI: ``--checks``)
 restricts a run to named check families — the chaos CI job runs the
@@ -53,11 +57,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from ..domains.base import Domain
 from ..domains.packs import DomainPack, available_packs, get_pack
 from ..engine.budget import Budget
-from ..engine.plans import (
-    CompiledAlgebraPlan,
-    ParallelAlgebraPlan,
-    VectorizedAlgebraPlan,
-)
+from ..engine.plans import CompiledAlgebraPlan, VectorizedAlgebraPlan
 from ..logic.formulas import ForAll, Not, walk_formulas
 from ..relational.calculus import evaluate_query_active_domain
 from ..relational.columnar import HAVE_NUMPY
@@ -168,19 +168,6 @@ def _substrate_plans(pack: DomainPack, domain: Domain, extras):
         plans.append((
             "vectorized",
             VectorizedAlgebraPlan(domain=domain, budget=Budget(), extra_elements=extras),
-        ))
-    if pack.supports_parallel and HAVE_NUMPY:
-        # threshold 1 forces the worker pool even on tiny states, so the
-        # parallel path itself (not its small-state shortcut) is what runs
-        plans.append((
-            "parallel",
-            ParallelAlgebraPlan(
-                domain=domain,
-                budget=Budget(),
-                extra_elements=extras,
-                parallel_threshold=1,
-                morsel_rows=3,
-            ),
         ))
     return plans
 
@@ -442,8 +429,9 @@ def _check_delta_equivalence(
         return CheckResult(
             "delta-equivalence", True, "skipped: no state factory declared"
         )
+    from ..api.session import Session
     from ..engine.answer_cache import AnswerCache
-    from ..engine.plans import IncrementalAlgebraPlan
+    from ..engine.plans import GuardedPlan, IncrementalAlgebraPlan
 
     extras = _carrier_extras(pack, domain)
     problems: List[str] = []
@@ -451,7 +439,12 @@ def _check_delta_equivalence(
     maintained = 0
     cached_plans = 0
     insert_only_steps = 0
+    guarded_maintained: Optional[int] = None
     for corpus in corpora:
+        auto = Session(pack.name, corpus.schema, incremental=True).plan()
+        guards_incremental = isinstance(auto, GuardedPlan) and isinstance(
+            auto.inner, IncrementalAlgebraPlan
+        )
         for seed in seeds:
             rng = random.Random(f"delta/{pack.name}/{corpus.name}/{seed}")
             state = corpus.state_factory(rng, 3)
@@ -463,6 +456,12 @@ def _check_delta_equivalence(
                 extra_elements=extras,
                 answer_cache=cache,
             )
+            # (guarded incremental session, plain session), compared on
+            # every step when auto guards the incremental plan
+            sessions = (
+                Session(pack.name, corpus.schema, incremental=True),
+                Session(pack.name, corpus.schema),
+            ) if guards_incremental else None
             for step in range(5):
                 if step:
                     delta = _random_delta(
@@ -485,8 +484,26 @@ def _check_delta_equivalence(
                             f"incremental answer {len(got)} row(s) != rebuilt "
                             f"{len(expected)}"
                         )
+                    if sessions is not None:
+                        executions += 1
+                        guarded, plain = sessions
+                        rebuilt = DatabaseState(state.schema, dict(state.relations))
+                        mine = _verdict_and_rows(guarded.run(pq.query, state))
+                        theirs = _verdict_and_rows(plain.run(pq.query, rebuilt))
+                        if mine != theirs:
+                            problems.append(
+                                f"{corpus.name}/{pq.name} seed={seed} "
+                                f"step={step}: guarded incremental session "
+                                f"answered {mine[:2]} with {len(mine[2])} "
+                                f"row(s), plain session {theirs[:2]} with "
+                                f"{len(theirs[2])}"
+                            )
             maintained += cache.info().maintained
             cached_plans += len(cache)
+            if sessions is not None:
+                guarded_maintained = (
+                    guarded_maintained or 0
+                ) + sessions[0].answer_cache_info().maintained
     # The ΔQ path must genuinely engage somewhere: with at least one
     # effective insert-only delta and at least one compilable (cached) query,
     # zero maintained answers means every repeat fell back to re-execution.
@@ -495,14 +512,27 @@ def _check_delta_equivalence(
             "no answer was ever delta-maintained "
             "(every mutated repeat fell back to full re-execution)"
         )
+    if insert_only_steps and guarded_maintained == 0:
+        problems.append(
+            "no guarded answer was ever delta-maintained "
+            "(every mutated repeat of the auto plan fell back to full "
+            "re-execution)"
+        )
     if problems:
         return CheckResult("delta-equivalence", False, "; ".join(problems[:8]))
-    return CheckResult(
-        "delta-equivalence",
-        True,
+    detail = (
         f"{executions} post-mutation execution(s) matched rebuilt states "
-        f"({maintained} delta-maintained)",
+        f"({maintained} delta-maintained"
     )
+    if guarded_maintained is not None:
+        detail += f", {guarded_maintained} through the guarded auto plan"
+    return CheckResult("delta-equivalence", True, detail + ")")
+
+
+def _verdict_and_rows(result) -> Tuple[Optional[str], Optional[bool], frozenset]:
+    """A session result's guard verdict, finiteness, and rows."""
+    verdict = result.verdict.status.value if result.verdict is not None else None
+    return verdict, result.answer.is_finite, frozenset(result.answer.rows())
 
 
 #: seconds the faults check allows one injected-fault scenario before
@@ -584,15 +614,6 @@ def _check_faults(
                     VectorizedAlgebraPlan(
                         domain=domain, budget=Budget(), extra_elements=extras,
                         cache=cache, breaker=breaker,
-                    ),
-                ))
-            if pack.supports_parallel and HAVE_NUMPY:
-                plans.append((
-                    "parallel",
-                    ParallelAlgebraPlan(
-                        domain=domain, budget=Budget(), extra_elements=extras,
-                        cache=cache, breaker=breaker,
-                        parallel_threshold=1, morsel_rows=3,
                     ),
                 ))
             plans.append((

@@ -104,7 +104,6 @@ class DomainPack:
     finite_implies_domain_independent: bool = False
     supports_compiled_algebra: bool = False
     supports_vectorized: bool = False
-    supports_parallel: bool = False
     ordered_carrier: bool = False
     finite_carrier: bool = False
     #: pytest marker slug: tests for this pack carry ``pack_<marker>``
@@ -134,7 +133,6 @@ class DomainPack:
             finite_implies_domain_independent=self.finite_implies_domain_independent,
             supports_compiled_algebra=self.supports_compiled_algebra,
             supports_vectorized=self.supports_vectorized,
-            supports_parallel=self.supports_parallel,
             ordered_carrier=self.ordered_carrier,
             finite_carrier=self.finite_carrier,
         )
@@ -790,7 +788,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             finite_implies_domain_independent=True,
             supports_compiled_algebra=True,
             supports_vectorized=True,
-            supports_parallel=True,
             marker="equality",
             corpora_factory=_family_corpus,
         ),
@@ -803,7 +800,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             syntax_factory=_finitization_syntax,
             supports_compiled_algebra=True,
             supports_vectorized=True,
-            supports_parallel=True,
             ordered_carrier=True,
             marker="nat_order",
             corpora_factory=_ordered_corpus,
@@ -818,7 +814,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             syntax_factory=_finitization_syntax,
             supports_compiled_algebra=True,
             supports_vectorized=True,
-            supports_parallel=True,
             ordered_carrier=True,
             marker="presburger",
             corpora_factory=_presburger_naturals_corpus,
@@ -833,7 +828,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             syntax_factory=_finitization_syntax_integers,
             supports_compiled_algebra=True,
             supports_vectorized=True,
-            supports_parallel=True,
             ordered_carrier=True,
             marker="integers",
             corpora_factory=_integers_corpus,
@@ -892,7 +886,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             syntax_factory=_finitization_syntax_integers,
             supports_compiled_algebra=True,
             supports_vectorized=True,
-            supports_parallel=True,
             ordered_carrier=True,
             marker="zdiff",
             corpora_factory=_difference_corpus,

@@ -74,13 +74,6 @@ class DomainEntry:
     #: the set executor transparently when a specific plan or carrier resists
     #: vectorization, with the reason recorded in ``explain()``.
     supports_vectorized: bool = False
-    #: True when vectorized plans may additionally run morsel-parallel on the
-    #: process-wide worker pool (:mod:`repro.relational.parallel`).  The
-    #: planner then puts strategy ``"parallel"`` at the top of the fallback
-    #: ladder (parallel → vectorized → set executor → tree walker); a size
-    #: heuristic keeps small states single-threaded either way.  Requires
-    #: ``supports_vectorized``.
-    supports_parallel: bool = False
     #: True when the carrier is totally ordered by the standard integer
     #: comparison *and* the domain's ``<``/``<=``/``>``/``>=`` predicates
     #: have exactly that semantics.  The plan optimizer

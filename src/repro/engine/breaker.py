@@ -1,12 +1,15 @@
 """Per-substrate failure breakers for the transparent fallback ladder.
 
-The accelerated execution substrates (``"parallel"``, ``"vectorized"``) sit
-above the reference implementations (set executor, tree walker) in the
-fallback ladder.  A *fault* — any unexpected exception out of an accelerated
-substrate, e.g. an injected kernel failure or a broken worker pool — already
-degrades one query transparently; the breaker makes *repeated* faults cheap
-by demoting the substrate for a cooldown, so a persistently broken
-accelerator stops being retried on every request.
+The accelerated rungs of the algebra fallback ladder (``"vectorized"``,
+``"answer-cache"``) sit above the reference implementations (set executor,
+tree walker).  A *fault* — any unexpected exception out of an accelerated
+rung, e.g. an injected kernel failure — already degrades one query
+transparently; the breaker makes *repeated* faults cheap by demoting the
+rung for a cooldown, so a persistently broken accelerator stops being
+retried on every request.  The ladder wraps every rung the same way, by
+name: :meth:`SubstrateBreaker.allow` before it runs, then
+:meth:`~SubstrateBreaker.record_success` or
+:meth:`~SubstrateBreaker.record_fault`.
 
 Classic three-state circuit breaker, per substrate name:
 

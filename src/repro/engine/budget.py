@@ -216,7 +216,7 @@ class Deadline(BudgetClock):
 
     * :meth:`check` — raise :class:`Cancelled` when the token tripped, then
       :class:`DeadlineExceeded` when the wall clock expired; called between
-      operators / kernel stages / morsel dispatch waves;
+      operators and kernel stages;
     * :meth:`tick` — a strided :meth:`check` for per-candidate loops (the
       tree walker's grids, interval pads): only every ``stride``-th call pays
       the ``time.monotonic()`` read, so instrumentation stays cheap.

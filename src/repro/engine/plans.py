@@ -10,14 +10,13 @@ the paper's evaluation disciplines across three execution substrates:
   domain-independent queries);
 * :class:`CompiledAlgebraPlan` — the same active-domain answer via the
   calculus→algebra compiler and the set-at-a-time executor (hash joins,
-  antijoins, selection pushdown);
-* :class:`VectorizedAlgebraPlan` — the same algebra plans lowered to
-  vectorized NumPy column kernels, with a transparent fallback ladder
-  (vectorized → set executor → tree walker) recorded in ``explain()``;
-* :class:`ParallelAlgebraPlan` — the same vectorized kernels partitioned
-  into morsels and run on a shared worker pool, with a size heuristic so
-  small states stay single-threaded (ladder: parallel → vectorized → set
-  executor → tree walker);
+  antijoins, selection pushdown).  It owns the one fallback ladder every
+  algebra plan runs: compile (or tree-walk when compilation bails), try the
+  accelerated rungs the class names, finish on the set executor;
+* :class:`VectorizedAlgebraPlan` — the ladder with the ``"vectorized"``
+  rung: the algebra plan lowered to NumPy column kernels;
+* :class:`IncrementalAlgebraPlan` — the ladder with the ``"answer-cache"``
+  rung: materialised answers patched by ΔQ rules across state mutations;
 * :class:`EnumerationPlan` — the Section 1.1 enumeration algorithm, complete
   for arbitrary finite queries over a domain with a decidable theory, bounded
   by a :class:`~repro.engine.budget.Budget`;
@@ -34,8 +33,10 @@ request), so the choice is auditable rather than buried in a string flag.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import AbstractSet, ClassVar, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import (
+    AbstractSet, Any, Callable, ClassVar, Dict, Optional, Tuple, Type, Union,
+)
 
 from ..domains.base import Domain, TheoryUndecidableError
 from ..logic.analysis import free_variables
@@ -48,10 +49,8 @@ from ..relational.columnar import (
     VectorizationError,
     encode_cache_info,
     execute_vectorized,
-    vectorization_obstacle,
 )
 from ..relational.compile import CompilationError, CompiledQuery, compile_query
-from ..relational.parallel import DEFAULT_MORSEL_ROWS, MorselStats, execute_parallel
 from ..relational.state import DatabaseState, Element, Relation, Row
 from ..safety.classes import FinitenessStatus, SafetyVerdict
 from ..safety.effective_syntax import EffectiveSyntax
@@ -72,13 +71,14 @@ __all__ = [
     "ActiveDomainPlan",
     "CompiledAlgebraPlan",
     "VectorizedAlgebraPlan",
-    "ParallelAlgebraPlan",
     "IncrementalAlgebraPlan",
     "EnumerationPlan",
     "GuardedPlan",
     "GuardedOutcome",
+    "build_plan",
     "plan_for_strategy",
     "decide_or_semidecide",
+    "PLAN_TABLE",
     "STRATEGIES",
 ]
 
@@ -157,8 +157,8 @@ def _finish(
 
 #: the strategy names understood by :func:`plan_for_strategy`
 STRATEGIES = (
-    "auto", "active-domain", "compiled", "vectorized", "parallel",
-    "incremental", "enumeration", "guarded",
+    "auto", "active-domain", "compiled", "vectorized", "incremental",
+    "enumeration", "guarded",
 )
 
 
@@ -264,9 +264,19 @@ class CompiledAlgebraPlan(Plan):
     :class:`ActiveDomainPlan`, but via the
     :mod:`repro.relational.compile` → :mod:`repro.relational.exec` pipeline
     (hash joins, antijoins, selection pushdown) instead of tuple-at-a-time
-    tree walking.  When compilation bails (function symbols, exotic terms)
-    the plan falls back to the tree-walking evaluator transparently and
-    :meth:`explain` records why.
+    tree walking.
+
+    Every algebra plan runs the one fallback ladder defined here:
+
+    1. compile through the plan cache; a :class:`CompilationError` falls
+       back to the tree-walking evaluator;
+    2. try each accelerated rung named in :attr:`rungs`, in order — a rung
+       the breaker demotes is skipped, a static obstacle
+       (:class:`VectorizationError`) or a fault steps down to the next;
+    3. finish on the set-at-a-time executor, which is never demoted.
+
+    Subclasses only name their rungs.  :meth:`explain` records why the last
+    execution stepped down, if it did.
     """
 
     domain: Domain
@@ -279,17 +289,17 @@ class CompiledAlgebraPlan(Plan):
     )
     #: cooperative cancellation flag checked at the substrate checkpoints
     cancel_token: Optional[CancelToken] = None
-    #: failure breaker demoting faulty accelerated substrates (the shared
+    #: failure breaker demoting faulty accelerated rungs (the shared
     #: process-wide default when ``None``)
     breaker: Optional[SubstrateBreaker] = None
-    #: why the last execution fell back to the tree walker, if it did
+    #: why the last execution stepped down the ladder, if it did
     fallback_reason: Optional[str] = None
     #: operator census of the last compiled plan, for explain()
     last_summary: Optional[str] = None
 
     strategy = "compiled-algebra"
-    #: component of the plan-cache key separating execution substrates
-    _substrate: ClassVar[str] = "compiled"
+    #: the accelerated rungs tried, in order, above the set executor
+    rungs: ClassVar[Tuple[str, ...]] = ()
 
     def execute(
         self,
@@ -315,68 +325,79 @@ class CompiledAlgebraPlan(Plan):
         deadline: Optional[Deadline],
         probe: Optional[FreshElementProbe],
     ) -> Answer:
+        extras = _probed(self.extra_elements, probe)
         try:
             compiled = self._compiled(query, state)
         except CompilationError as error:
-            self.fallback_reason = str(error)
+            self.fallback_reason = (
+                f"{error}; answered by the tree-walking active-domain "
+                "evaluator instead"
+            )
             self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline, probe)
-        self.fallback_reason = None
+            relation = evaluate_query_active_domain(
+                query, state, interpretation=self.domain,
+                extra_elements=extras, deadline=deadline,
+            )
+            return _finish(relation, relation.arity, "active-domain", probe)
         self.last_summary = compiled.summary()
-        return self._set_executor_answer(compiled, state, deadline, probe)
+        breaker = self._breaker()
+        obstacle: Optional[str] = None
+        for rung in self.rungs:
+            if not breaker.allow(rung):
+                obstacle = (
+                    f"the {rung} substrate is demoted by its failure breaker "
+                    f"({breaker.describe(rung)})"
+                )
+                continue
+            try:
+                answer = _RUNGS[rung](self, query, compiled, state, deadline, probe)
+            except VectorizationError as error:
+                obstacle = str(error)
+            except EvaluationInterrupted:
+                raise
+            except Exception as error:
+                breaker.record_fault(rung, error)
+                obstacle = (
+                    f"the {rung} substrate faulted "
+                    f"({type(error).__name__}: {error}); breaker "
+                    + breaker.state(rung)
+                )
+            else:
+                breaker.record_success(rung)
+                self.fallback_reason = None
+                return answer
+        self.fallback_reason = (
+            None if obstacle is None
+            else obstacle + "; executed by the set-at-a-time executor instead"
+        )
+        relation = compiled.execute(state, self.domain, extras, deadline=deadline)
+        return _finish(relation, relation.arity, "compiled-algebra", probe)
 
     def _breaker(self) -> SubstrateBreaker:
         return self.breaker if self.breaker is not None else default_breaker()
 
-    def _tree_walk_answer(
-        self,
-        query: Formula,
-        state: DatabaseState,
-        deadline: Optional[Deadline],
-        probe: Optional[FreshElementProbe],
-    ) -> Answer:
-        """The tree-walking fallback shared by every algebra substrate."""
-        relation = evaluate_query_active_domain(
-            query,
-            state,
-            interpretation=self.domain,
-            extra_elements=_probed(self.extra_elements, probe),
-            deadline=deadline,
-        )
-        return _finish(relation, relation.arity, "active-domain", probe)
-
-    def _set_executor_answer(
-        self,
-        compiled: CompiledQuery,
-        state: DatabaseState,
-        deadline: Optional[Deadline],
-        probe: Optional[FreshElementProbe],
-    ) -> Answer:
-        """The reference set-at-a-time rung shared by every algebra substrate."""
-        relation = compiled.execute(
-            state, self.domain, _probed(self.extra_elements, probe),
-            deadline=deadline,
-        )
-        return _finish(relation, relation.arity, "compiled-algebra", probe)
-
     def _compiled(self, query: Formula, state: DatabaseState) -> CompiledQuery:
         """Compile ``query`` for the state's schema, via the cache if present.
 
-        Compilation *failures* are cached too (as the raised error), so a hot
-        loop over a non-compilable query pays the formula walk only once.
+        Every algebra plan shares one cache entry per (query, schema,
+        domain).  Compilation *failures* are cached too, as their message,
+        so a hot loop over a non-compilable query pays the formula walk only
+        once; each raise is a fresh error, because re-raising one cached
+        instance would grow its traceback — and keep every queried state
+        alive through it — and share one exception across serving threads.
         """
         if self.cache is None:
             return compile_query(query, state.schema, self.domain)
-        key = (query, state.schema, self.domain.name, self._substrate)
+        key = (query, state.schema, self.domain.name)
         cached = self.cache.get(key)
         if cached is None:
             try:
                 cached = compile_query(query, state.schema, self.domain)
             except CompilationError as error:
-                cached = error
+                cached = str(error)
             self.cache.put(key, cached)
-        if isinstance(cached, CompilationError):
-            raise cached
+        if isinstance(cached, str):
+            raise CompilationError(cached)
         return cached
 
     def explain(self) -> str:
@@ -384,40 +405,31 @@ class CompiledAlgebraPlan(Plan):
         if self.last_summary:
             text += f" (last plan: {self.last_summary})"
         if self.fallback_reason:
-            text += self._fallback_note()
+            text += "; fell back: " + self.fallback_reason
         if self.last_interruption:
             text += f"; interrupted: {self.last_interruption}"
-        for substrate in ("parallel", "vectorized"):
-            if self._breaker().state(substrate) != "closed":
-                text += (
-                    f"; {substrate} breaker "
-                    + self._breaker().describe(substrate)
-                )
+        breaker = self._breaker()
+        for rung in self.rungs:
+            if breaker.state(rung) != "closed":
+                text += f"; {rung} breaker {breaker.describe(rung)}"
         if self.cache is not None:
             text += f"; plan cache {self.cache.info()}"
         return text
-
-    def _fallback_note(self) -> str:
-        return (
-            "; fell back to the tree-walking active-domain evaluator: "
-            + (self.fallback_reason or "")
-        )
 
 
 @dataclass(eq=False)
 class VectorizedAlgebraPlan(CompiledAlgebraPlan):
     """Compile to relational algebra and execute on NumPy column arrays.
 
-    The third execution substrate: the same algebra plan a
+    The ladder with the ``"vectorized"`` rung: the same algebra plan a
     :class:`CompiledAlgebraPlan` interprets set-at-a-time is lowered to the
     vectorized columnar executor (:mod:`repro.relational.columnar`) —
     ``int64`` code columns, sort-based joins via ``np.searchsorted``,
     antijoin membership masks, adom padding as broadcasts.  The answer is
     always exactly the active-domain answer; when a plan or carrier resists
     vectorization (a domain predicate without a kernel, a non-integer carrier
-    under a domain predicate, numpy missing) execution falls back to the set
-    executor, and when compilation itself bails it falls all the way back to
-    the tree walker — either way :meth:`explain` records the reason.
+    under a domain predicate, numpy missing) the ladder steps down to the set
+    executor, and :meth:`explain` records the reason.
     """
 
     reason: str = (
@@ -427,87 +439,7 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
     )
 
     strategy = "vectorized"
-    _substrate: ClassVar[str] = "vectorized"
-
-    def _execute_with(
-        self,
-        query: Formula,
-        state: DatabaseState,
-        deadline: Optional[Deadline],
-        probe: Optional[FreshElementProbe],
-    ) -> Answer:
-        try:
-            compiled, obstacle = self._vectorized(query, state)
-        except CompilationError as error:
-            self.fallback_reason = (
-                str(error) + "; answered by the tree-walking active-domain "
-                "evaluator instead"
-            )
-            self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline, probe)
-        self.last_summary = compiled.summary()
-        breaker = self._breaker()
-        if obstacle is None and not breaker.allow("vectorized"):
-            obstacle = (
-                "the vectorized substrate is demoted by its failure breaker "
-                f"({breaker.describe('vectorized')})"
-            )
-        elif obstacle is None:
-            try:
-                coded = execute_vectorized(
-                    compiled.plan,
-                    state,
-                    compiled.universe(state, _probed(self.extra_elements, probe)),
-                    deadline=deadline,
-                )
-            except VectorizationError as error:
-                obstacle = str(error)
-            except EvaluationInterrupted:
-                raise
-            except Exception as error:
-                breaker.record_fault("vectorized", error)
-                obstacle = (
-                    "the vectorized substrate faulted "
-                    f"({type(error).__name__}: {error}); breaker "
-                    + breaker.state("vectorized")
-                )
-            else:
-                breaker.record_success("vectorized")
-                self.fallback_reason = None
-                return _finish(coded, len(compiled.output), "vectorized", probe)
-        self.fallback_reason = (
-            obstacle + "; executed by the set-at-a-time executor instead"
-        )
-        return self._set_executor_answer(compiled, state, deadline, probe)
-
-    def _vectorized(
-        self, query: Formula, state: DatabaseState
-    ) -> Tuple[CompiledQuery, Optional[str]]:
-        """The compiled plan plus its *static* vectorization obstacle.
-
-        Both are state-independent, so the pair is what the plan cache
-        stores under this substrate's key — which is why the ``"vectorized"``
-        and ``"compiled"`` cache entries genuinely differ.  Compilation
-        failures are cached as the raised error, like the parent's.
-        """
-        if self.cache is None:
-            compiled = compile_query(query, state.schema, self.domain)
-            return compiled, vectorization_obstacle(compiled.plan)
-        key = (query, state.schema, self.domain.name, self._substrate)
-        cached = self.cache.get(key)
-        if cached is None:
-            try:
-                compiled = compile_query(query, state.schema, self.domain)
-                cached = (compiled, vectorization_obstacle(compiled.plan))
-            except CompilationError as error:
-                cached = error
-            self.cache.put(key, cached)
-        if isinstance(cached, CompilationError):
-            raise cached
-        return cached
-
-    def _fallback_note(self) -> str:
-        return "; fell back: " + (self.fallback_reason or "")
+    rungs: ClassVar[Tuple[str, ...]] = ("vectorized",)
 
     def explain(self) -> str:
         text = super().explain()
@@ -517,150 +449,11 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
 
 
 @dataclass(eq=False)
-class ParallelAlgebraPlan(VectorizedAlgebraPlan):
-    """Run the vectorized kernels morsel-parallel on a shared worker pool.
-
-    The fourth execution substrate, and the top of the transparent fallback
-    ladder (parallel → vectorized → set executor → tree walker).  The same
-    algebra plan a :class:`VectorizedAlgebraPlan` lowers to NumPy kernels is
-    partitioned into fixed-size row chunks ("morsels") and dispatched to the
-    process-wide thread pool of :mod:`repro.relational.parallel` — NumPy
-    releases the GIL inside its kernels, so the chunks genuinely run on
-    multiple cores.  Tiny states skip the pool: below
-    ``parallel_threshold`` total input rows the plan answers through the
-    single-threaded vectorized path, because thread dispatch would cost more
-    than it saves.  :meth:`explain` records worker counts, morsel counts,
-    and per-stage merge statistics of the last parallel execution.
-    """
-
-    reason: str = (
-        "the query compiles to relational algebra, lowers to vectorized "
-        "NumPy kernels, and runs them morsel-parallel on the shared worker "
-        "pool; small states stay single-threaded"
-    )
-    #: rows per morsel handed to the worker pool
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
-    #: total input rows (stored + active domain) below which the pool is skipped
-    parallel_threshold: int = 2048
-    #: morsel/merge accounting of the last parallel execution, for explain()
-    last_morsels: Optional[str] = None
-
-    strategy = "parallel"
-    _substrate: ClassVar[str] = "parallel"
-
-    def _execute_with(  # noqa: C901 - the ladder is one deliberate sequence
-        self,
-        query: Formula,
-        state: DatabaseState,
-        deadline: Optional[Deadline],
-        probe: Optional[FreshElementProbe],
-    ) -> Answer:
-        self.last_morsels = None
-        try:
-            compiled, obstacle = self._vectorized(query, state)
-        except CompilationError as error:
-            self.fallback_reason = (
-                str(error) + "; answered by the tree-walking active-domain "
-                "evaluator instead"
-            )
-            self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline, probe)
-        self.last_summary = compiled.summary()
-        breaker = self._breaker()
-        if obstacle is None:
-            universe = compiled.universe(state, _probed(self.extra_elements, probe))
-            size = state.total_rows() + len(universe)
-            # Rung 1: the worker pool — skipped for tiny states and while
-            # the parallel breaker is open.
-            pool_skip: Optional[str] = None
-            if size < self.parallel_threshold:
-                pool_skip = (
-                    f"state too small for the pool ({size} < "
-                    f"{self.parallel_threshold} rows); ran the "
-                    "single-threaded vectorized kernels instead"
-                )
-            elif not breaker.allow("parallel"):
-                pool_skip = (
-                    "the parallel substrate is demoted by its failure "
-                    f"breaker ({breaker.describe('parallel')}); ran the "
-                    "single-threaded vectorized kernels instead"
-                )
-            if pool_skip is None:
-                stats = MorselStats()
-                try:
-                    coded = execute_parallel(
-                        compiled.plan,
-                        state,
-                        universe,
-                        morsel_rows=self.morsel_rows,
-                        stats=stats,
-                        deadline=deadline,
-                    )
-                except VectorizationError as error:
-                    obstacle = str(error)
-                except EvaluationInterrupted:
-                    raise
-                except Exception as error:
-                    breaker.record_fault("parallel", error)
-                    pool_skip = (
-                        "the parallel substrate faulted "
-                        f"({type(error).__name__}: {error}); demoted to the "
-                        "single-threaded vectorized kernels"
-                    )
-                else:
-                    breaker.record_success("parallel")
-                    self.fallback_reason = None
-                    self.last_morsels = stats.describe()
-                    return _finish(coded, len(compiled.output), "parallel", probe)
-            # Rung 2: the single-threaded vectorized kernels.
-            if obstacle is None:
-                assert pool_skip is not None
-                if not breaker.allow("vectorized"):
-                    obstacle = (
-                        "the vectorized substrate is demoted by its failure "
-                        f"breaker ({breaker.describe('vectorized')})"
-                    )
-                else:
-                    try:
-                        coded = execute_vectorized(
-                            compiled.plan, state, universe, deadline=deadline
-                        )
-                    except VectorizationError as error:
-                        obstacle = str(error)
-                    except EvaluationInterrupted:
-                        raise
-                    except Exception as error:
-                        breaker.record_fault("vectorized", error)
-                        obstacle = (
-                            "the vectorized substrate faulted "
-                            f"({type(error).__name__}: {error}); breaker "
-                            + breaker.state("vectorized")
-                        )
-                    else:
-                        breaker.record_success("vectorized")
-                        self.fallback_reason = pool_skip
-                        return _finish(
-                            coded, len(compiled.output), "vectorized", probe
-                        )
-        # Rung 3: the reference set-at-a-time executor (never demoted).
-        self.fallback_reason = (
-            obstacle + "; executed by the set-at-a-time executor instead"
-        )
-        return self._set_executor_answer(compiled, state, deadline, probe)
-
-    def explain(self) -> str:
-        text = super().explain()
-        if self.last_morsels:
-            text += "; morsels: " + self.last_morsels
-        return text
-
-
-@dataclass(eq=False)
 class IncrementalAlgebraPlan(CompiledAlgebraPlan):
     """Answer from a per-session answer cache, patched by state deltas.
 
-    The write-path substrate: the same compiled algebra plan a
-    :class:`CompiledAlgebraPlan` executes is *materialised* — every
+    The ladder with the ``"answer-cache"`` rung: the same compiled algebra
+    plan a :class:`CompiledAlgebraPlan` executes is *materialised* — every
     operator's output retained — and stored in an
     :class:`~repro.engine.answer_cache.AnswerCache` keyed by (query, schema,
     domain, extras, whether a fresh-element probe enlarged the universe) and
@@ -672,68 +465,83 @@ class IncrementalAlgebraPlan(CompiledAlgebraPlan):
     execution.  :meth:`explain` records which of the three happened (and
     why) after every execution.
 
-    Plan compilation is shared with the ``"compiled"`` substrate's cache
-    entries (the algebra plan is identical); only the answer materialisation
-    is new.
+    Plan compilation shares the other algebra plans' cache entries (the
+    algebra plan is identical); only the answer materialisation is new.
     """
 
-    answer_cache: Optional[AnswerCache] = None
+    answer_cache: AnswerCache = field(default_factory=AnswerCache)
     reason: str = (
         "the session opted into incremental evaluation, so answers are "
         "materialised once and patched by ΔQ rules when the state mutates"
     )
-    #: what the answer cache did on the last execution, and why
-    last_decision: Optional[str] = None
+    #: the answer cache's own decision on its last run
+    _decision: Optional[str] = field(default=None, init=False, repr=False)
 
     strategy = "incremental"
-    #: shares the set-at-a-time substrate's compiled-plan cache entries
-    _substrate: ClassVar[str] = "compiled"
+    rungs: ClassVar[Tuple[str, ...]] = ("answer-cache",)
 
-    def _execute_with(
-        self,
-        query: Formula,
-        state: DatabaseState,
-        deadline: Optional[Deadline],
-        probe: Optional[FreshElementProbe],
-    ) -> Answer:
-        try:
-            compiled = self._compiled(query, state)
-        except CompilationError as error:
-            self.fallback_reason = str(error)
-            self.last_summary = None
-            self.last_decision = (
-                "recomputed in full: compilation failed, answered by the "
-                "tree-walking active-domain evaluator"
-            )
-            return self._tree_walk_answer(query, state, deadline, probe)
-        self.fallback_reason = None
-        self.last_summary = compiled.summary()
-        if self.answer_cache is None:
-            self.last_decision = "recomputed in full: no answer cache configured"
-            return self._set_executor_answer(compiled, state, deadline, probe)
-        # A probed entry materialises the enlarged universe, so ΔQ maintains
-        # verdict and answer together.  Its key leaves the fresh elements
-        # out: a delta that stores a current fresh element makes the next
-        # probe keep the others and add one, which only *grows* the
-        # universe — maintained like any other active-domain growth.
-        extras = _probed(self.extra_elements, probe)
-        key = (
-            query, state.schema, self.domain.name, self.extra_elements,
-            probe is not None,
-        )
-        rows, decision = self.answer_cache.answer(
-            key, compiled, state, extras, self.domain, deadline
-        )
-        self.last_decision = decision
-        return _finish(rows, len(compiled.output), "incremental", probe)
+    @property
+    def last_decision(self) -> Optional[str]:
+        """What the answer cache did on the last execution, and why."""
+        if self.fallback_reason is not None:
+            return "recomputed in full: " + self.fallback_reason
+        return self._decision
 
     def explain(self) -> str:
         text = super().explain()
-        if self.answer_cache is not None:
-            text += f"; answer cache {self.answer_cache.info()}"
+        text += f"; answer cache {self.answer_cache.info()}"
         if self.last_decision:
             text += f"; last answer: {self.last_decision}"
         return text
+
+
+def _vectorized_rung(
+    plan: CompiledAlgebraPlan,
+    query: Formula,
+    compiled: CompiledQuery,
+    state: DatabaseState,
+    deadline: Optional[Deadline],
+    probe: Optional[FreshElementProbe],
+) -> Answer:
+    """The NumPy column kernels; raises :class:`VectorizationError` on a
+    plan or carrier they cannot run."""
+    universe = compiled.universe(state, _probed(plan.extra_elements, probe))
+    coded = execute_vectorized(compiled.plan, state, universe, deadline=deadline)
+    return _finish(coded, len(compiled.output), "vectorized", probe)
+
+
+def _answer_cache_rung(
+    plan: IncrementalAlgebraPlan,
+    query: Formula,
+    compiled: CompiledQuery,
+    state: DatabaseState,
+    deadline: Optional[Deadline],
+    probe: Optional[FreshElementProbe],
+) -> Answer:
+    """The answer cache: a hit, a ΔQ-maintained entry, or a materialising run.
+
+    A probed entry materialises the enlarged universe, so ΔQ maintains
+    verdict and answer together.  Its key leaves the fresh elements out: a
+    delta that stores a current fresh element makes the next probe keep the
+    others and add one, which only *grows* the universe — maintained like
+    any other active-domain growth.
+    """
+    key = (
+        query, state.schema, plan.domain.name, plan.extra_elements,
+        probe is not None,
+    )
+    rows, plan._decision = plan.answer_cache.answer(
+        key, compiled, state, _probed(plan.extra_elements, probe), plan.domain,
+        deadline,
+    )
+    return _finish(rows, len(compiled.output), "incremental", probe)
+
+
+#: the accelerated ladder rungs, by the names plans list in ``rungs``
+_RUNGS: Dict[str, Callable[..., Answer]] = {
+    "vectorized": _vectorized_rung,
+    "answer-cache": _answer_cache_rung,
+}
 
 
 @dataclass(eq=False)
@@ -864,6 +672,44 @@ class GuardedPlan(Plan):
         return text + "; inner " + self.inner.explain()
 
 
+#: the strategies that name one plan: strategy → (plan class, what it does)
+PLAN_TABLE: Dict[str, Tuple[Type[Plan], str]] = {
+    "active-domain": (ActiveDomainPlan, "every answer is finite by construction"),
+    "compiled": (
+        CompiledAlgebraPlan,
+        "compiles to relational algebra and runs it set-at-a-time",
+    ),
+    "vectorized": (
+        VectorizedAlgebraPlan,
+        "lowers the algebra plan to vectorized NumPy column kernels",
+    ),
+    "incremental": (
+        IncrementalAlgebraPlan,
+        "materialises answers and patches them by ΔQ rules when the state "
+        "mutates",
+    ),
+    "enumeration": (
+        EnumerationPlan,
+        "the Section 1.1 enumeration algorithm answers any finite query; "
+        "requires a decidable domain theory",
+    ),
+}
+
+
+def build_plan(strategy: str, reason: str, **options: Any) -> Plan:
+    """Construct the :data:`PLAN_TABLE` plan class of ``strategy``.
+
+    Each option the class declares is passed on; the rest are dropped, and
+    ``None`` keeps the class default.
+    """
+    cls: Any = PLAN_TABLE[strategy][0]
+    names = {f.name for f in fields(cls) if f.init}
+    return cls(reason=reason, **{
+        name: value for name, value in options.items()
+        if name in names and value is not None
+    })
+
+
 def plan_for_strategy(
     strategy: str,
     domain: Domain,
@@ -879,111 +725,49 @@ def plan_for_strategy(
 ) -> Plan:
     """Build the :class:`Plan` for a strategy name.
 
-    This is the planner behind the legacy string-flag API.  ``"auto"`` picks
-    enumeration when the domain theory is decidable and active-domain
+    This is the planner behind the legacy string-flag API.  A strategy of
+    :data:`PLAN_TABLE` builds its plan and bypasses the guards.  ``"auto"``
+    picks enumeration when the domain theory is decidable and active-domain
     semantics otherwise, and wraps the choice in a :class:`GuardedPlan` when a
     syntax or safety guard is supplied.  A ``cancel_token`` aborts the
     execution cooperatively from another thread; ``breaker`` overrides the
     process-wide default substrate failure breaker.
     """
-    budget = budget if budget is not None else Budget()
-    if strategy == "active-domain":
-        inner: Plan = ActiveDomainPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            reason="requested explicitly; every answer is finite by construction",
-            cancel_token=cancel_token,
+    options = dict(
+        domain=domain,
+        budget=budget if budget is not None else Budget(),
+        extra_elements=tuple(extra_elements),
+        cache=cache,
+        answer_cache=answer_cache,
+        cancel_token=cancel_token,
+        breaker=breaker,
+    )
+    if strategy in PLAN_TABLE:
+        return build_plan(
+            strategy, "requested explicitly; " + PLAN_TABLE[strategy][1], **options
         )
-    elif strategy == "compiled":
-        inner = CompiledAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            reason="requested explicitly; compiles to relational algebra and "
-            "falls back to tree walking when compilation bails",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "vectorized":
-        inner = VectorizedAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            reason="requested explicitly; lowers the algebra plan to NumPy "
-            "column kernels, falling back to the set executor (and, when "
-            "compilation bails, the tree walker)",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "parallel":
-        inner = ParallelAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            reason="requested explicitly; runs the vectorized NumPy kernels "
-            "morsel-parallel on the shared worker pool (small states stay "
-            "single-threaded), falling back to the set executor (and, when "
-            "compilation bails, the tree walker)",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "incremental":
-        inner = IncrementalAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            answer_cache=answer_cache if answer_cache is not None else AnswerCache(),
-            reason="requested explicitly; materialises answers and patches "
-            "them by ΔQ rules when the state mutates, falling back to a full "
-            "re-execution (and, when compilation bails, the tree walker)",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "enumeration":
-        inner = EnumerationPlan(
-            domain=domain,
-            budget=budget,
-            reason="requested explicitly; requires a decidable domain theory",
-            cancel_token=cancel_token,
-        )
-    elif strategy in ("auto", "guarded"):
-        if domain.has_decidable_theory:
-            inner = EnumerationPlan(
-                domain=domain,
-                budget=budget,
-                reason=f"the first-order theory of {domain.name!r} is decidable, so "
-                "the Section 1.1 enumeration algorithm answers any finite query",
-                cancel_token=cancel_token,
-            )
-        else:
-            inner = ActiveDomainPlan(
-                domain=domain,
-                budget=budget,
-                extra_elements=tuple(extra_elements),
-                reason=f"the theory of {domain.name!r} has no decision procedure; "
-                "falling back to active-domain semantics",
-                cancel_token=cancel_token,
-            )
-    else:
+    if strategy not in ("auto", "guarded"):
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-    if strategy == "guarded" and syntax is None and safety is None:
-        raise ValueError(
-            "strategy 'guarded' requires an effective syntax and/or a "
-            "relative-safety decider"
+    if domain.has_decidable_theory:
+        inner = build_plan(
+            "enumeration",
+            f"the first-order theory of {domain.name!r} is decidable, so "
+            "the Section 1.1 enumeration algorithm answers any finite query",
+            **options,
+        )
+    else:
+        inner = build_plan(
+            "active-domain",
+            f"the theory of {domain.name!r} has no decision procedure; "
+            "falling back to active-domain semantics",
+            **options,
         )
     if syntax is None and safety is None:
-        return inner
-    if strategy in (
-        "active-domain", "compiled", "vectorized", "parallel", "incremental",
-        "enumeration",
-    ):
-        # Explicit single-strategy requests bypass the guards.
+        if strategy == "guarded":
+            raise ValueError(
+                "strategy 'guarded' requires an effective syntax and/or a "
+                "relative-safety decider"
+            )
         return inner
     parts = []
     if safety is not None:

@@ -126,10 +126,10 @@ class VectorizationError(ValueError):
 def vectorization_obstacle(plan: PlanNode) -> Optional[str]:
     """The *static* reason ``plan`` cannot run vectorized, or ``None``.
 
-    This is state-independent (it depends only on the operators in the plan),
-    so :class:`~repro.engine.plans.VectorizedAlgebraPlan` caches it alongside
-    the compiled plan.  Carrier-dependent obstacles (e.g. a domain predicate
-    over a dictionary-encoded carrier) surface later, at execution time.
+    This is state-independent (it depends only on the operators in the plan)
+    and cheap, so :func:`execute_vectorized` checks it before encoding
+    anything.  Carrier-dependent obstacles (e.g. a domain predicate over a
+    dictionary-encoded carrier) surface later, during execution.
 
     >>> from repro.relational.exec import Select, Literal, DomainCondition, AttrRef
     >>> vectorization_obstacle(Literal(("x",), ((1,),))) is None
@@ -648,69 +648,8 @@ class _ColumnarExecutor:
         if isinstance(node, UnionAll):
             parts = [self.run(part).codes for part in node.parts]
             stacked = np.concatenate(parts, axis=0) if parts else np.empty((0, 0))
-            return _Table(node.attrs, self._unique_rows(stacked))
+            return _Table(node.attrs, self._k.unique_rows(stacked))
         raise TypeError(f"not a plan node: {node!r}")
-
-    # -- kernel hooks --------------------------------------------------------
-    #
-    # Every data-sized kernel invocation goes through one of these methods so
-    # the morsel-parallel executor (:mod:`repro.relational.parallel`) can
-    # override *how* a kernel runs — chunked across a worker pool — without
-    # touching the operator semantics above.  Each hook is a pure function of
-    # its array arguments.
-
-    def _unique_rows(self, codes: Any) -> Any:
-        """Deduplicate a code table (the set-semantics boundary kernel)."""
-        return self._k.unique_rows(codes)
-
-    def _join_codes(
-        self,
-        left_codes: Any,
-        right_codes: Any,
-        left_key: Sequence[int],
-        right_key: Sequence[int],
-        rest: Sequence[int],
-    ) -> Any:
-        """The joined code table of two tables on the given key columns."""
-        li, ri = self._k.join_indices(
-            left_codes[:, left_key], right_codes[:, right_key]
-        )
-        return np.concatenate(
-            [left_codes[li], right_codes[ri][:, rest]], axis=1
-        )
-
-    def _membership(self, left_keys: Any, right_keys: Any) -> Any:
-        """Which rows of ``left_keys`` appear in ``right_keys`` (semijoin mask)."""
-        return self._k.membership_mask(left_keys, right_keys)
-
-    def _pad_codes(self, codes: Any, values: Any) -> Any:
-        """Cross product of a code table with one pad column over ``values``."""
-        return self._k.cross_pad_arrays(codes, values)
-
-    def _interval_pad_codes(
-        self, codes: Any, values_sorted: Any, starts: Any, ends: Any
-    ) -> Any:
-        """Append per-row slices of the sorted adom (the IntervalJoin kernel)."""
-        return self._k.interval_pad(codes, values_sorted, starts, ends)
-
-    def _union_mask(self, starts: Any, ends: Any, size: int) -> Any:
-        """Cover mask of the union of index ranges (IntervalUnionScan kernel)."""
-        return self._k.range_union_mask(starts, ends, size)
-
-    def _select_mask(
-        self, table: "_Table", conditions: Tuple[Any, ...]
-    ) -> Any:
-        """The boolean keep-mask of a Select's conditions over one table."""
-        mask = np.ones(table.codes.shape[0], dtype=bool)
-        for condition in conditions:
-            if isinstance(condition, Comparison):
-                hits = self._column(table, condition.left) == self._column(
-                    table, condition.right
-                )
-            else:
-                hits = self._domain_mask(table, condition)
-            mask &= ~hits if condition.negated else hits
-        return mask
 
     # -- leaves -------------------------------------------------------------
 
@@ -739,7 +678,7 @@ class _ColumnarExecutor:
             else:
                 first_seen[name] = index
         output = [first_seen[name] for name in node.attrs]
-        return _Table(node.attrs, self._unique_rows(codes[mask][:, output]))
+        return _Table(node.attrs, self._k.unique_rows(codes[mask][:, output]))
 
     # -- filters ------------------------------------------------------------
 
@@ -757,7 +696,15 @@ class _ColumnarExecutor:
 
     def _select(self, node: Select) -> _Table:
         table = self.run(node.source)
-        mask = self._select_mask(table, node.conditions)
+        mask = np.ones(table.codes.shape[0], dtype=bool)
+        for condition in node.conditions:
+            if isinstance(condition, Comparison):
+                hits = self._column(table, condition.left) == self._column(
+                    table, condition.right
+                )
+            else:
+                hits = self._domain_mask(table, condition)
+            mask &= ~hits if condition.negated else hits
         result = _Table(table.attrs, table.codes[mask])
         return self._permute(result, node.attrs)
 
@@ -784,7 +731,7 @@ class _ColumnarExecutor:
     def _project(self, node: Project) -> _Table:
         table = self.run(node.source)
         columns = [table.attrs.index(name) for name in node.attrs]
-        return _Table(node.attrs, self._unique_rows(table.codes[:, columns]))
+        return _Table(node.attrs, self._k.unique_rows(table.codes[:, columns]))
 
     def _permute(self, table: _Table, attrs: Tuple[str, ...]) -> _Table:
         if table.attrs == attrs:
@@ -819,9 +766,10 @@ class _ColumnarExecutor:
         left_key = [left.attrs.index(name) for name in shared]
         right_key = [right.attrs.index(name) for name in shared]
         rest = [right.attrs.index(name) for name in right_only]
-        joined = self._join_codes(
-            left.codes, right.codes, left_key, right_key, rest
+        li, ri = self._k.join_indices(
+            left.codes[:, left_key], right.codes[:, right_key]
         )
+        joined = np.concatenate([left.codes[li], right.codes[ri][:, rest]], axis=1)
         # A natural join of deduplicated tables is itself duplicate-free.
         return _Table(left.attrs + tuple(right_only), joined)
 
@@ -837,7 +785,7 @@ class _ColumnarExecutor:
             return left
         left_key = [left.attrs.index(name) for name in shared]
         right_key = [right.attrs.index(name) for name in shared]
-        mask = self._membership(
+        mask = self._k.membership_mask(
             left.codes[:, left_key], right.codes[:, right_key]
         )
         return _Table(left.attrs, left.codes[~mask])
@@ -846,7 +794,7 @@ class _ColumnarExecutor:
         table = self.run(node.source)
         codes = table.codes
         for _ in node.pad:
-            codes = self._pad_codes(codes, self._adom)
+            codes = self._k.cross_pad_arrays(codes, self._adom)
         return _Table(node.attrs, codes)
 
     # -- interval operators (ordered domains only) --------------------------
@@ -888,7 +836,7 @@ class _ColumnarExecutor:
         table = self.run(node.source)
         adom = self._sorted_adom()
         starts, ends = self._row_ranges(node, table)
-        codes = self._interval_pad_codes(table.codes, adom, starts, ends)
+        codes = self._k.interval_pad(table.codes, adom, starts, ends)
         # Distinct source rows × distinct adom values stay distinct.
         return _Table(node.attrs, codes)
 
@@ -900,7 +848,7 @@ class _ColumnarExecutor:
         table = self.run(node.source)
         adom = self._sorted_adom()
         starts, ends = self._row_ranges(node, table)
-        mask = self._union_mask(starts, ends, int(adom.shape[0]))
+        mask = self._k.range_union_mask(starts, ends, int(adom.shape[0]))
         return _Table(node.attrs, adom[mask].reshape(-1, 1))
 
     def _range_scan(self, node: RangeScan) -> _Table:
@@ -971,32 +919,6 @@ def _plan_constants(plan: PlanNode) -> Set[Element]:
                 if isinstance(bound, Bound) and isinstance(bound.ref, ConstRef)
             )
     return constants
-
-
-def _prepare_columns(
-    node: PlanNode,
-    state: DatabaseState,
-    adom: Sequence[Element],
-    *,
-    cache: Optional[EncodeCache] = None,
-    use_cache: bool = True,
-) -> Tuple[ElementCodec, Optional[Dict[str, Any]]]:
-    """The codec and (cached) relation-column store for one execution.
-
-    Shared by :func:`run_plan_vectorized` and the morsel-parallel entry point
-    (:func:`repro.relational.parallel.run_plan_parallel`), so both substrates
-    amortise encoding through the same per-state cache and always agree on
-    the element→code mapping.
-    """
-    universe = set(adom) | set(state.elements()) | _plan_constants(node)
-    if use_cache:
-        shared = cache if cache is not None else _ENCODE_CACHE
-        # The cache owns the codec choice: for dictionary carriers it hands
-        # out the state's monotonically *growing* codec, so a codec change
-        # (new constants) reuses the already-encoded columns.
-        codec = shared.codec_for(state, tuple(universe))
-        return codec, shared.columns_for(state, codec)
-    return ElementCodec.for_universe(tuple(universe)), None
 
 
 class CodedRows:
@@ -1093,9 +1015,17 @@ def execute_vectorized(
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
         raise VectorizationError(obstacle)
-    codec, store = _prepare_columns(
-        node, state, adom, cache=cache, use_cache=use_cache
-    )
+    universe = tuple(set(adom) | set(state.elements()) | _plan_constants(node))
+    store: Optional[Dict[str, Any]] = None
+    if use_cache:
+        shared = cache if cache is not None else _ENCODE_CACHE
+        # The cache owns the codec choice: for dictionary carriers it hands
+        # out the state's monotonically *growing* codec, so a codec change
+        # (new constants) reuses the already-encoded columns.
+        codec = shared.codec_for(state, universe)
+        store = shared.columns_for(state, codec)
+    else:
+        codec = ElementCodec.for_universe(universe)
     table = _ColumnarExecutor(state, adom, codec, store, deadline).run(node)
     if deadline is not None:
         deadline.check("decode")

@@ -50,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=defaults.workers)
     parser.add_argument(
-        "--morsel-workers", type=int, default=None, metavar="N",
-        help="threads in the process-wide morsel pool used by the parallel "
-        "substrate (default: REPRO_PARALLEL_WORKERS env or the core count)",
-    )
-    parser.add_argument(
         "--plan-cache-size", type=int, default=defaults.plan_cache_size
     )
     parser.add_argument(
@@ -88,7 +83,6 @@ def policy_from_args(args: argparse.Namespace) -> ServerPolicy:
         burst=args.burst,
         max_inflight=args.max_inflight,
         workers=args.workers,
-        morsel_workers=args.morsel_workers,
         plan_cache_size=args.plan_cache_size,
         plan_store_path=args.plan_store,
         shutdown_grace=args.shutdown_grace,

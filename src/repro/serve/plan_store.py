@@ -1,7 +1,7 @@
 """The on-disk plan store: compiled plans that survive process restarts.
 
 A :class:`~repro.relational.compile.CompiledQuery` is a pure function of its
-plan-cache key — ``(formula, schema, domain name, substrate)`` — and contains
+plan-cache key — ``(formula, schema, domain name)`` — and contains
 only frozen dataclasses, so it pickles cleanly and can be reloaded by a
 different process.  :class:`PlanStore` keeps one pickle file per key under a
 directory; :class:`PersistentPlanCache` layers it *under* the in-memory

@@ -54,13 +54,6 @@ class ServerPolicy:
     #: worker threads executing queries (distinct sessions run concurrently;
     #: one session's queries serialize on its lock)
     workers: int = 8
-    #: worker threads in the process-wide *morsel* pool the parallel
-    #: substrate dispatches NumPy kernels to (:mod:`repro.relational.parallel`).
-    #: ``None`` keeps the library default (``REPRO_PARALLEL_WORKERS`` env or
-    #: the machine's core count).  This pool is deliberately distinct from
-    #: ``workers``: request threads *block on* morsel futures, so sharing one
-    #: pool would deadlock the moment every worker held a query.
-    morsel_workers: Optional[int] = None
 
     # -- shared / persistent plan cache -------------------------------------
     #: entries in the process-wide shared plan cache
@@ -111,13 +104,6 @@ class ServerPolicy:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
-        if self.morsel_workers is not None and (
-            not isinstance(self.morsel_workers, int) or self.morsel_workers <= 0
-        ):
-            raise ValueError(
-                "morsel_workers must be a positive integer or None, "
-                f"got {self.morsel_workers!r}"
-            )
 
     def clamp(self, requested: Optional[Budget] = None) -> Budget:
         """The budget a request actually runs under.

@@ -42,7 +42,6 @@ from ..domains.base import Domain
 from ..engine.breaker import configure_default_breaker, default_breaker
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
-from ..relational.parallel import configure_worker_pool, worker_pool_info
 from ..relational.schema import DatabaseSchema
 from ..relational.state import DatabaseState, Delta
 from .plan_store import PersistentPlanCache, PlanStore
@@ -153,13 +152,6 @@ class SessionManager:
         configure_default_breaker(
             policy.breaker_threshold, policy.breaker_cooldown
         )
-        # Pin the process-wide morsel pool when the operator set a count.
-        # The pool is shared library infrastructure (not owned by this
-        # manager): request threads block on morsel futures, so it must stay
-        # distinct from the request executor above, and shutdown() leaves it
-        # alone for other library users in the process.
-        if policy.morsel_workers is not None:
-            configure_worker_pool(policy.morsel_workers)
 
     # -- shared infrastructure ----------------------------------------------
 
@@ -485,7 +477,6 @@ class SessionManager:
                 "invalidated": encode_info.invalidated,
                 "grown_columns": encode_info.grown_columns,
             },
-            "parallel": worker_pool_info(),
         }
 
     def shutdown(self, grace: Optional[float] = None) -> Dict[str, Any]:

@@ -3,10 +3,8 @@
 The production code paths carry **named injection points** — one-line hooks
 that are no-ops until a :class:`FaultPlan` is activated:
 
-* ``"kernel-entry"`` — the vectorized/parallel columnar executor, before
-  each operator's kernel dispatch;
-* ``"pool-submit"`` — the morsel-parallel executor, before each wave of
-  worker-pool submissions;
+* ``"kernel-entry"`` — the vectorized columnar executor, before each
+  operator's kernel dispatch;
 * ``"plan-store-io"`` — the on-disk plan store, around pickle read/write
   (the only point where ``"corrupt-pickle"`` mangles bytes instead of
   raising);
@@ -21,8 +19,8 @@ enumerates one seeded plan per (point, kind) pair — the fixed matrix the
 ``faults`` conformance check and the chaos CI job run over.
 
 Everything is deterministic given the seed and the execution, and the whole
-module is thread-safe: hooks fire on the coordinating thread, but counters
-are locked anyway so worker-thread hooks stay correct.
+module is thread-safe: counters are locked, so hooks firing on concurrent
+serving threads stay correct.
 
 >>> plan = FaultPlan([FaultSpec("kernel-entry", "exception", after=1)])
 >>> with inject(plan):
@@ -59,7 +57,6 @@ __all__ = [
 #: every named injection point wired into the production code paths
 INJECTION_POINTS: Tuple[str, ...] = (
     "kernel-entry",
-    "pool-submit",
     "plan-store-io",
     "maintenance-rule",
 )

@@ -24,7 +24,7 @@ from repro.domains.registry import (
 )
 from repro.engine import QueryEngine
 from repro.engine.answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
-from repro.engine.plans import plan_for_strategy
+from repro.engine.plans import STRATEGIES, plan_for_strategy
 from repro.experiments.corpora import family_schema, family_state, numeric_schema
 from repro.logic.builders import atom, var
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -218,6 +218,14 @@ def test_plan_objects_replace_strategy_strings():
     assert "active-domain" in forced.explain()
     with pytest.raises(PlanError):
         session.plan("mystery")
+
+
+def test_removed_parallel_strategy_lists_the_remaining_ones():
+    with pytest.raises(PlanError) as excinfo:
+        connect("eq").plan("parallel")
+    for strategy in STRATEGIES:
+        assert repr(strategy) in str(excinfo.value)
+    assert "parallel" not in STRATEGIES
 
 
 def test_planner_guarded_strategy_requires_a_guard():

@@ -23,7 +23,7 @@ from repro.engine.budget import (
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 #: every non-enumeration strategy (the classes that used to ignore the limit)
-STRATEGIES = ("active-domain", "compiled", "vectorized", "parallel", "incremental")
+STRATEGIES = ("active-domain", "compiled", "vectorized", "incremental")
 
 #: a state large enough that a 4-way self-join cannot finish in 10 ms
 BIG_ROWS = 20_000

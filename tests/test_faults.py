@@ -4,7 +4,7 @@ import pytest
 
 from repro import Budget
 from repro.engine.breaker import SubstrateBreaker, default_breaker
-from repro.engine.plans import ParallelAlgebraPlan, VectorizedAlgebraPlan
+from repro.engine.plans import VectorizedAlgebraPlan
 from repro.relational.columnar import HAVE_NUMPY
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
@@ -59,7 +59,8 @@ def test_seeded_plans_and_the_matrix_are_deterministic():
     second = [(p.label, p.specs) for p in FaultPlan.matrix("ci")]
     assert first == second
     # one plan per applicable (point, kind) pair
-    assert len(first) == 2 * 3 + 3  # exception/delay everywhere + corrupt on io
+    # exception/delay at each point + corrupt on io
+    assert len(first) == 2 * len(faults.INJECTION_POINTS) + 1
     points = {spec.point for _, specs in first for spec in specs}
     assert points == set(faults.INJECTION_POINTS)
 
@@ -110,14 +111,14 @@ def test_breaker_opens_after_threshold_and_recovers_via_probe():
 def test_half_open_probe_failure_reopens_immediately():
     clock = FakeClock()
     breaker = SubstrateBreaker(threshold=1, cooldown=5.0, clock=clock)
-    breaker.record_fault("parallel")
-    assert breaker.state("parallel") == "open"
+    breaker.record_fault("vectorized")
+    assert breaker.state("vectorized") == "open"
     clock.now = 5.0
-    assert breaker.allow("parallel")  # the probe
-    breaker.record_fault("parallel")  # probe fails: open again, fresh cooldown
-    assert breaker.state("parallel") == "open"
+    assert breaker.allow("vectorized")  # the probe
+    breaker.record_fault("vectorized")  # probe fails: open again, fresh cooldown
+    assert breaker.state("vectorized") == "open"
     clock.now = 9.0
-    assert not breaker.allow("parallel")
+    assert not breaker.allow("vectorized")
 
 
 def test_success_resets_the_consecutive_fault_count():
@@ -169,29 +170,52 @@ def test_injected_kernel_fault_falls_back_to_the_set_executor():
     assert breaker.snapshot()["substrates"]["vectorized"]["total_faults"] == 1
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="pool-submit lives in the parallel executor")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="kernel-entry lives in the columnar executor")
 def test_repeated_faults_demote_the_substrate_until_cooldown():
     from repro.logic.parser import parse_formula
 
     domain, state = nat_fixture()
     clock = FakeClock()
     breaker = SubstrateBreaker(threshold=2, cooldown=60.0, clock=clock)
-    plan = ParallelAlgebraPlan(
-        domain=domain, budget=Budget(), breaker=breaker,
-        parallel_threshold=1, morsel_rows=2,
-    )
+    plan = VectorizedAlgebraPlan(domain=domain, budget=Budget(), breaker=breaker)
     query = parse_formula("F(x, y)")
     expected = frozenset({(1, 2), (2, 3), (3, 4)})
-    with inject(FaultPlan([FaultSpec("pool-submit", "exception", count=None)])):
+    spec = FaultSpec("kernel-entry", "exception", count=None)
+    with inject(FaultPlan([spec])) as fault_plan:
         for _ in range(2):  # two faults: the breaker trips
             answer = plan.execute(query, state)
             assert frozenset(answer.relation.rows) == expected
-        assert breaker.state("parallel") == "open"
-        # demoted: the pool is skipped up front, and explain says so
+        assert breaker.state("vectorized") == "open"
+        fired = fault_plan.fired()["kernel-entry"]
+        # demoted: the kernels are skipped up front, and explain says so
         answer = plan.execute(query, state)
         assert frozenset(answer.relation.rows) == expected
+        assert fault_plan.fired()["kernel-entry"] == fired
         assert "breaker" in (plan.fallback_reason or "")
-        assert "parallel breaker" in plan.explain()
+        assert "vectorized breaker" in plan.explain()
+    clock.now = 60.0  # the cooldown elapsed: the recovery probe succeeds
+    assert plan.execute(query, state).method == "vectorized"
+    assert breaker.state("vectorized") == "closed"
+
+
+def test_answer_cache_faults_step_down_like_any_rung(monkeypatch):
+    from repro.engine.answer_cache import AnswerCache
+    from repro.engine.plans import IncrementalAlgebraPlan
+    from repro.logic.parser import parse_formula
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("cache exploded")
+
+    domain, state = nat_fixture()
+    breaker = SubstrateBreaker(threshold=1, cooldown=60.0)
+    plan = IncrementalAlgebraPlan(domain=domain, breaker=breaker)
+    monkeypatch.setattr(AnswerCache, "answer", broken)
+    answer = plan.execute(parse_formula("F(x, y)"), state)
+    assert frozenset(answer.relation.rows) == frozenset({(1, 2), (2, 3), (3, 4)})
+    assert answer.method == "compiled-algebra"
+    assert breaker.state("answer-cache") == "open"
+    assert plan.last_decision.startswith("recomputed in full: the answer-cache")
+    assert "answer-cache breaker" in plan.explain()
 
 
 # ---------------------------------------------------------------------------

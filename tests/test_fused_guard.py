@@ -30,7 +30,6 @@ from repro.engine.plans import (
     CompiledAlgebraPlan,
     GuardedPlan,
     IncrementalAlgebraPlan,
-    ParallelAlgebraPlan,
     VectorizedAlgebraPlan,
 )
 from repro.experiments.corpora import family_schema, family_state
@@ -126,10 +125,6 @@ def _ladders(domain):
         "active-domain": lambda: ActiveDomainPlan(domain=domain),
         "compiled": lambda: CompiledAlgebraPlan(domain=domain),
         "vectorized": lambda: VectorizedAlgebraPlan(domain=domain),
-        # a zero threshold and tiny morsels put every run on the worker pool
-        "parallel": lambda: ParallelAlgebraPlan(
-            domain=domain, parallel_threshold=0, morsel_rows=4
-        ),
         "incremental": lambda: IncrementalAlgebraPlan(
             domain=domain, answer_cache=AnswerCache()
         ),

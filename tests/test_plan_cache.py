@@ -1,9 +1,14 @@
 """Tests for the LRU plan cache and the planner's compiled-backend selection."""
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
 from repro import Budget, connect
 from repro.domains.equality import EqualityDomain
+from repro.domains.successor import SuccessorDomain
 from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     STRATEGIES,
@@ -14,7 +19,9 @@ from repro.engine.plans import (
     plan_for_strategy,
 )
 from repro.domains.registry import get_entry
-from repro.experiments.corpora import family_schema, family_state
+from repro.experiments.corpora import family_schema, family_state, numeric_state
+from repro.logic.parser import parse_formula
+from repro.relational.compile import CompilationError
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +156,30 @@ def test_fallback_reason_is_recorded_and_cleared():
     assert "fell back" in plan.explain()
     session.execute(plan, "F(x, y)", state)
     assert plan.fallback_reason is None
+
+
+def test_cached_compilation_failure_keeps_no_state_alive():
+    # A cached failure used to be one exception instance re-raised on every
+    # hit: each raise grew its traceback by two frames, and those frames
+    # kept every queried state alive.
+    plan = CompiledAlgebraPlan(domain=SuccessorDomain(), cache=PlanCache())
+    query = parse_formula("exists y. (S(y) & x = succ(y))")
+    refs = []
+    for values in ([1, 2], [2, 3], [3, 4]):
+        state = numeric_state(values)
+        assert plan.execute(query, state).method == "active-domain"
+        refs.append(weakref.ref(state))
+        del state
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    state = numeric_state([1, 2])
+    depths = set()
+    for _ in range(100):
+        with pytest.raises(CompilationError) as excinfo:
+            plan._compiled(query, state)
+        depths.add(len(traceback.extract_tb(excinfo.value.__traceback__)))
+    assert len(depths) == 1
+    assert plan.cache.info().misses == 1  # the failure itself stays cached
 
 
 def test_plan_cache_size_is_configurable_per_session():

@@ -13,8 +13,12 @@ Four layers:
   carriers and empty relations (the corpora come from the pack registry, so
   a newly registered pack is covered without editing this file);
 * planner/session integration: strategy ``"vectorized"`` selection, the
-  extended plan-cache keys, and the recorded fallback ladder
-  (vectorized → set executor → tree walker).
+  shared plan-cache entry, and the recorded fallback ladder
+  (vectorized → set executor → tree walker);
+* the one ladder every algebra plan runs (compiled, vectorized,
+  incremental): the tree walker on a compile error, tiny and
+  dictionary-encoded states, breaker demotion and recovery by rung name,
+  and identical answers across repeated runs.
 """
 
 import random
@@ -31,10 +35,13 @@ from repro.domains import available_packs, get_pack
 from repro.domains.equality import EqualityDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
+from repro.engine.breaker import SubstrateBreaker
+from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     STRATEGIES,
     CompiledAlgebraPlan,
     GuardedPlan,
+    IncrementalAlgebraPlan,
     VectorizedAlgebraPlan,
     plan_for_strategy,
 )
@@ -236,9 +243,12 @@ def test_property_family_queries_on_string_carriers(seed, name, query):
     _assert_three_way_equivalent(query, _family(rows), EQ)
 
 
+@pytest.mark.parametrize("rows", [[], [(7, 7)]], ids=["empty", "one-element"])
 @pytest.mark.parametrize("name,query", _FAMILY_QUERIES, ids=lambda v: str(v))
-def test_property_family_queries_on_empty_relations(name, query):
-    _assert_three_way_equivalent(query, _family([]), EQ)
+def test_property_family_queries_on_empty_relations(name, query, rows):
+    # The empty and the one-element active domain are the smallest tables
+    # every kernel (join, antijoin, pad, dedupe) must handle.
+    _assert_three_way_equivalent(query, _family(rows), EQ)
 
 
 def _substrate_pack_names():
@@ -317,6 +327,7 @@ def test_succ_terms_fall_back_to_the_tree_walker():
     answer = plan.execute(query, state)
     assert set(answer.rows()) == expected.rows == {(3,)}
     assert answer.method == "active-domain"
+    assert "tree-walking" in plan.fallback_reason
     assert "fell back" in plan.explain()
 
 
@@ -354,15 +365,13 @@ def test_explicit_vectorized_strategy_reports_and_answers():
     assert "strategy 'vectorized'" in plan.explain()
 
 
-def test_plan_cache_keys_separate_compiled_and_vectorized_substrates():
-    session = connect("eq", family_schema())
+def test_algebra_plans_share_one_plan_cache_entry():
+    session = connect("eq", family_schema(), incremental=True)
     state = family_state(generations=1)
-    session.query("F(x, y)", state, strategy="vectorized")
-    session.query("F(x, y)", state, strategy="compiled")
+    for strategy in ("vectorized", "compiled", "incremental", "vectorized"):
+        session.query("F(x, y)", state, strategy=strategy)
     info = session.plan_cache_info()
-    assert info.size == 2 and info.misses == 2
-    session.query("F(x, y)", state, strategy="vectorized")
-    assert session.plan_cache_info().hits == 1
+    assert (info.size, info.misses, info.hits) == (1, 1, 3)
 
 
 def test_traces_fallback_is_recorded_in_explain():
@@ -408,3 +417,119 @@ def test_vectorized_plan_respects_extra_elements():
         domain=EQ, extra_elements=(99,)
     ).execute(query, state).rows()
     assert vectorized_rows == walker_rows
+
+
+# ---------------------------------------------------------------------------
+# The one fallback ladder, run by every algebra plan
+# ---------------------------------------------------------------------------
+
+#: strategy → (plan class, the method of an answer from its top rung)
+_ALGEBRA_PLANS = {
+    "compiled": (CompiledAlgebraPlan, "compiled-algebra"),
+    "vectorized": (VectorizedAlgebraPlan, "vectorized"),
+    "incremental": (IncrementalAlgebraPlan, "incremental"),
+}
+
+_LADDER_STATES = {
+    "empty": [],
+    "one-element": [(7, 7)],
+    "dictionary": [("ann", "bob"), ("bob", "cal"), ("bob", "dee")],
+    "three-generations": sorted(family_state(generations=3).relations["F"].rows),
+}
+
+
+def _algebra_plan(strategy, domain, breaker=None, **options):
+    """A plan of ``strategy`` with a private breaker unless one is given."""
+    cls = _ALGEBRA_PLANS[strategy][0]
+    if breaker is None:
+        breaker = SubstrateBreaker()
+    return cls(domain=domain, breaker=breaker, **options)
+
+
+@pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
+def test_ladder_tree_walks_on_a_compile_error(strategy):
+    query = parse_formula("exists y. (S(y) & x = succ(y))")
+    state = numeric_state([2, 3])
+    plan = _algebra_plan(strategy, SUCCESSOR)
+    answer = plan.execute(query, state)
+    assert answer.method == "active-domain"
+    assert set(answer.rows()) == {(3,)}
+    assert plan.fallback_reason.endswith(
+        "answered by the tree-walking active-domain evaluator instead"
+    )
+    assert plan.last_summary is None
+    assert "fell back" in plan.explain()
+
+
+@pytest.mark.parametrize("rows", sorted(_LADDER_STATES))
+@pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
+def test_ladder_answers_on_its_top_rung(strategy, rows):
+    # Empty and one-element adoms, dictionary-encoded string carriers and a
+    # full tree: every family query is answered by the plan's own top rung,
+    # with the tree walker's rows.
+    state = _family(_LADDER_STATES[rows])
+    plan = _algebra_plan(strategy, EQ)
+    for name, query in _FAMILY_QUERIES:
+        expected = evaluate_query_active_domain(query, state, interpretation=EQ)
+        answer = plan.execute(query, state)
+        assert answer.method == _ALGEBRA_PLANS[strategy][1], name
+        assert plan.fallback_reason is None, name
+        assert set(answer.rows()) == expected.rows, name
+
+
+@pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
+def test_demoted_rungs_finish_on_the_set_executor(strategy):
+    # The breaker demotes rungs by name; the set executor has no breaker, so
+    # the ladder still answers when every accelerated rung is open.
+    breaker = SubstrateBreaker(threshold=1, cooldown=60.0)
+    for rung in ("vectorized", "answer-cache"):
+        breaker.record_fault(rung, RuntimeError("boom"))
+    plan = _algebra_plan(strategy, EQ, breaker=breaker)
+    state = family_state(generations=2)
+    answer = plan.execute(parse_formula("F(x, y)"), state)
+    assert answer.method == "compiled-algebra"
+    assert set(answer.rows()) == state["F"].rows
+    if not plan.rungs:
+        assert plan.fallback_reason is None
+        return
+    (rung,) = plan.rungs
+    assert "demoted by its failure breaker" in plan.fallback_reason
+    assert f"{rung} breaker open" in plan.explain()
+
+
+@pytest.mark.parametrize("strategy", ["vectorized", "incremental"])
+def test_a_successful_half_open_probe_closes_the_breaker(strategy):
+    now = [0.0]
+    breaker = SubstrateBreaker(threshold=1, cooldown=10.0, clock=lambda: now[0])
+    plan = _algebra_plan(strategy, EQ, breaker=breaker)
+    (rung,) = plan.rungs
+    breaker.record_fault(rung, RuntimeError("boom"))
+    state = family_state(generations=2)
+    assert plan.execute(parse_formula("F(x, y)"), state).method == "compiled-algebra"
+    now[0] = 10.0  # the cooldown elapsed: the next execution is the probe
+    answer = plan.execute(parse_formula("F(x, y)"), state)
+    assert answer.method == _ALGEBRA_PLANS[strategy][1]
+    assert plan.fallback_reason is None
+    assert breaker.state(rung) == "closed"
+
+
+@pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
+def test_algebra_plans_repeat_identical_answers(strategy):
+    state = numeric_state([3 * i + 1 for i in range(40)])
+    query = parse_formula("exists y. (S(y) & x < y)")
+    expected = evaluate_query_active_domain(query, state, interpretation=PRESBURGER)
+    plan = _algebra_plan(strategy, PRESBURGER)
+    runs = [set(plan.execute(query, state).rows()) for _ in range(5)]
+    assert all(rows == expected.rows for rows in runs)
+
+
+def test_algebra_plans_share_one_cached_compile_failure():
+    cache = PlanCache()
+    query = parse_formula("exists y. (S(y) & x = succ(y))")
+    state = numeric_state([2, 3])
+    for strategy in ("compiled", "vectorized", "incremental"):
+        plan = _algebra_plan(strategy, SUCCESSOR, cache=cache)
+        assert plan.execute(query, state).method == "active-domain"
+        assert "tree-walking" in plan.fallback_reason
+    info = cache.info()
+    assert (info.size, info.misses, info.hits) == (1, 1, 2)

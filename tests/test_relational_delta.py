@@ -33,7 +33,6 @@ from repro.engine.plans import (
     STRATEGIES,
     CompiledAlgebraPlan,
     IncrementalAlgebraPlan,
-    ParallelAlgebraPlan,
     VectorizedAlgebraPlan,
     plan_for_strategy,
 )
@@ -361,11 +360,6 @@ def test_property_interleaved_deltas_equal_rebuilt(pack_name, seed):
     substrates = [CompiledAlgebraPlan(domain=domain, extra_elements=extras)]
     if HAVE_NUMPY and pack.supports_vectorized:
         substrates.append(VectorizedAlgebraPlan(domain=domain, extra_elements=extras))
-    if HAVE_NUMPY and pack.supports_parallel:
-        substrates.append(ParallelAlgebraPlan(
-            domain=domain, extra_elements=extras,
-            parallel_threshold=1, morsel_rows=3,
-        ))
     checked = 0
     for corpus in pack.corpora():
         if corpus.state_factory is None:

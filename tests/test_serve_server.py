@@ -208,6 +208,10 @@ def test_bad_requests_get_400(served):
     assert request(port, "POST", "/query", {
         "session": session, "query": "S(x)", "budget": {"nonsense": 1},
     })[0] == 400
+    # a strategy that no longer exists
+    assert request(port, "POST", "/query", {
+        "session": session, "query": "S(x)", "strategy": "parallel",
+    })[0] == 400
 
     # unknown domain / bad schema on connect
     assert request(port, "POST", "/connect", {"domain": "no-such"})[0] == 400
