@@ -18,7 +18,7 @@ Bench names are new, so the CI baseline gate records them without failing
 import pytest
 
 from repro.conformance import run_conformance, run_pack_conformance
-from repro.domains import available_packs, get_pack
+from repro.domains import available_domains, get_pack
 
 NEW_PACKS = (
     "rationals_with_order",
@@ -34,7 +34,7 @@ def test_bench_conformance_all_packs(benchmark):
         lambda: run_conformance(seeds=("bench",)), iterations=1, rounds=1
     )
     assert report.ok, report.describe()
-    assert len(report.reports) == len(available_packs())
+    assert len(report.reports) == len(available_domains())
 
 
 @pytest.mark.parametrize("pack_name", NEW_PACKS)

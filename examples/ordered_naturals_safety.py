@@ -13,8 +13,9 @@ This example works over the domain of Section 2.1:
 Run with:  python examples/ordered_naturals_safety.py
 """
 
+from repro import Budget, Session
 from repro.domains import NaturalOrderDomain, PresburgerDomain
-from repro.engine import FiniteAnswer, QueryEngine
+from repro.engine import FiniteAnswer
 from repro.experiments.corpora import numeric_schema, numeric_state, ordered_query_corpus
 from repro.logic import print_formula
 from repro.safety import OrderedRelativeSafety, fact_2_1_query, finitize
@@ -25,7 +26,7 @@ def main() -> None:
     schema = numeric_schema()
     state = numeric_state([2, 5, 9])
     domain = NaturalOrderDomain()
-    engine = QueryEngine(domain, schema)
+    session = Session(domain, schema, guard=False)
     decider = OrderedRelativeSafety(PresburgerDomain())
 
     # --- Fact 2.1 -----------------------------------------------------------
@@ -43,7 +44,10 @@ def main() -> None:
         verdict = decider.decide(corpus_query, state)
         line = f"    {name:28s} ground-truth finite={expected!s:5s} decided={verdict.status.value}"
         if verdict.is_finite:
-            result = engine.answer_by_enumeration(corpus_query, state, max_rows=50, max_candidates=200)
+            result = session.query(
+                corpus_query, state, strategy="enumeration",
+                budget=Budget(max_rows=50, max_candidates=200),
+            )
             if isinstance(result, FiniteAnswer):
                 line += f"  -> {len(result.relation)} rows via enumeration"
         print(line)

@@ -29,7 +29,7 @@ from . import domains, engine, logic, relational, safety, turing
 from . import api
 from . import serve
 from .api import Answer, Budget, Session, connect
-from .domains.registry import available_domains, get_domain
+from .domains.packs import available_domains, get_domain
 from .relational.state import Delta
 
 __version__ = "1.3.0"

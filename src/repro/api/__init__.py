@@ -11,14 +11,14 @@ The subsystem re-exports everything a caller needs: the session itself, the
 budget, the plan hierarchy, the answer hierarchy, and the domain registry.
 """
 
-from ..domains.registry import (
-    DomainEntry,
+from ..domains.packs import (
+    DomainPack,
     UnknownDomainError,
     available_domains,
     domain_aliases,
     get_domain,
-    get_entry,
-    register_domain,
+    get_pack,
+    register_pack,
     resolve_domain_name,
 )
 from ..engine.answer_cache import AnswerCache, AnswerCacheInfo
@@ -49,6 +49,6 @@ __all__ = [
     "PlanCache", "PlanCacheInfo",
     "AnswerCache", "AnswerCacheInfo", "Delta",
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",
-    "DomainEntry", "UnknownDomainError", "register_domain", "get_domain",
-    "get_entry", "resolve_domain_name", "available_domains", "domain_aliases",
+    "DomainPack", "UnknownDomainError", "register_pack", "get_domain",
+    "get_pack", "resolve_domain_name", "available_domains", "domain_aliases",
 ]

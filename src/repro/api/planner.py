@@ -4,8 +4,9 @@ Given a domain (plus optional guards), :class:`Planner` turns a strategy
 request into a concrete :class:`~repro.engine.plans.Plan`:
 
 * ``"auto"`` — the default pipeline: guard with the domain's relative-safety
-  decider / effective syntax when the registry provides one, then evaluate by
-  enumeration (decidable theory) or active-domain semantics (otherwise);
+  decider / effective syntax when its pack declares one, then evaluate on
+  the algebra ladder (where the guard makes it exact), by enumeration
+  (decidable theory) or by active-domain semantics (otherwise);
 * ``"guarded"`` — like ``"auto"`` but fails loudly when no guard exists
   (e.g. the trace domain, Theorems 3.1/3.3);
 * ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"incremental"``
@@ -25,9 +26,7 @@ from ..domains.base import Domain
 from ..engine.answer_cache import AnswerCache
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
-from ..engine.plans import (
-    PLAN_TABLE, STRATEGIES, GuardedPlan, Plan, build_plan, plan_for_strategy,
-)
+from ..engine.plans import PLAN_TABLE, STRATEGIES, GuardedPlan, Plan, build_plan
 from ..relational.state import Element
 from ..safety.effective_syntax import EffectiveSyntax
 from ..safety.relative_safety import EqualityRelativeSafety, RelativeSafetyDecider
@@ -40,7 +39,11 @@ class PlanError(ValueError):
 
 
 class Planner:
-    """Choose evaluation plans for one domain / guard configuration."""
+    """Choose evaluation plans for one domain / guard configuration.
+
+    What the planner may pick depends on the domain's capability attributes
+    (:class:`~repro.domains.base.Domain`) and on the guards it is given.
+    """
 
     def __init__(
         self,
@@ -48,20 +51,12 @@ class Planner:
         *,
         syntax: Optional[EffectiveSyntax] = None,
         safety: Optional[RelativeSafetyDecider] = None,
-        finite_is_domain_independent: bool = False,
-        supports_compiled_algebra: bool = False,
-        supports_vectorized: bool = False,
-        finite_carrier: bool = False,
         plan_cache: Optional[PlanCache] = None,
         answer_cache: Optional[AnswerCache] = None,
     ):
         self._domain = domain
         self._syntax = syntax
         self._safety = safety
-        self._finite_is_di = finite_is_domain_independent
-        self._compilable = supports_compiled_algebra
-        self._vectorizable = supports_vectorized
-        self._finite_carrier = finite_carrier
         self._plan_cache = plan_cache
         self._answer_cache = answer_cache
 
@@ -83,68 +78,74 @@ class Planner:
     ) -> Plan:
         """The plan for ``strategy``, with its :meth:`explain` filled in.
 
-        ``cancel_token`` makes the returned plan's execution cooperatively
-        cancellable from another thread (the serving layer's ``/cancel``).
+        A strategy of :data:`~repro.engine.plans.PLAN_TABLE` builds its plan
+        and bypasses the guards.  ``"auto"`` and ``"guarded"`` install the
+        guards around the best inner plan for the domain.  ``cancel_token``
+        makes the returned plan's execution cooperatively cancellable from
+        another thread (the serving layer's ``/cancel``).
         """
         if strategy not in STRATEGIES:
             raise PlanError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+        domain = self._domain
+        extras = tuple(extra_elements)
+        options = dict(
+            domain=domain,
+            budget=budget if budget is not None else Budget(),
+            extra_elements=extras,
+            cache=self._plan_cache,
+            answer_cache=self._answer_cache,
+            cancel_token=cancel_token,
+        )
+        if strategy in PLAN_TABLE:
+            return build_plan(
+                strategy, "requested explicitly; " + PLAN_TABLE[strategy][1], **options
+            )
         if strategy == "guarded" and not self.guarded:
             raise PlanError(
-                f"strategy 'guarded' requested, but domain {self._domain.name!r} "
+                f"strategy 'guarded' requested, but domain {domain.name!r} "
                 "has no registered relative-safety decider or effective syntax "
                 "(for the trace domain this is Theorems 3.1/3.3: neither exists)"
             )
-        if (
-            strategy in ("auto", "guarded")
-            and self._safety is not None
-            and (self._finite_is_di or self._finite_carrier)
-        ):
-            # Section 2: over this domain the guard's fresh-element
+        fused = isinstance(self._safety, EqualityRelativeSafety)
+        if self._safety is not None and (fused or domain.finite_carrier):
+            # Section 2: over pure equality the guard's fresh-element
             # evaluation (the active domain plus rank+1 fresh elements) also
             # yields the exact answer, so GuardedPlan runs the algebra ladder
             # once for both — far cheaper than the Section 1.1 enumeration
             # (FreshElementProbe).  The same ladder is exact for domains
             # whose *carrier* is finite: the active domain is extended with
             # the whole carrier, so evaluation ranges over every element the
-            # semantics ranges over.  The inner plan is the first strategy the
-            # domain supports, in this order: an incremental session's answer
-            # cache beats the columnar kernels on the repeat-query path, the
-            # kernels beat the set executor, and the set executor beats the
-            # tree walker.
-            extras = tuple(extra_elements)
-            if self._finite_carrier:
-                extras += tuple(self._domain.carrier_elements())
+            # semantics ranges over.  An incremental session's answer cache
+            # beats the columnar kernels on the repeat-query path, and the
+            # kernels beat the tree walker (the vectorized ladder steps down
+            # to the set executor on any obstacle).
+            if domain.finite_carrier:
+                options["extra_elements"] = extras + tuple(domain.carrier_elements())
                 basis = (
-                    f"the carrier of {self._domain.name!r} is finite, so "
+                    f"the carrier of {domain.name!r} is finite, so "
                     "evaluation over the whole carrier is exact"
                 )
             else:
                 basis = (
-                    f"over {self._domain.name!r} the answer is the evaluation "
+                    f"over {domain.name!r} the answer is the evaluation "
                     "over the active domain plus rank+1 fresh elements, minus "
                     "the rows that mention them"
                 )
-            supported = (
-                ("incremental", self._answer_cache is not None and self._compilable),
-                ("vectorized", self._compilable and self._vectorizable),
-                ("compiled", self._compilable),
-                ("active-domain", True),
-            )
-            chosen = next(name for name, ok in supported if ok)
+            if not domain.supports_compiled_algebra:
+                chosen = "active-domain"
+            elif self._answer_cache is not None:
+                chosen = "incremental"
+            else:
+                chosen = "vectorized"
             inner = build_plan(
                 chosen,
                 f"{basis}, so guard-certified queries are answered exactly "
                 f"by strategy {chosen!r}: {PLAN_TABLE[chosen][1]}",
-                domain=self._domain,
-                budget=budget if budget is not None else Budget(),
-                extra_elements=extras,
-                cache=self._plan_cache,
-                answer_cache=self._answer_cache,
-                cancel_token=cancel_token,
+                **options,
             )
-            if isinstance(self._safety, EqualityRelativeSafety):
+            if fused:
                 consequence = (
                     "one run of the inner plan over the active domain plus "
                     "rank+1 fresh elements yields both the verdict and the answer"
@@ -155,17 +156,38 @@ class Planner:
                 inner=inner,
                 syntax=self._syntax,
                 safety=self._safety,
-                reason=f"relative safety over {self._domain.name!r} is decidable "
+                reason=f"relative safety over {domain.name!r} is decidable "
                 f"via {self._safety.name!r}, so {consequence}",
             )
-        return plan_for_strategy(
-            strategy,
-            self._domain,
-            budget,
-            extra_elements=tuple(extra_elements),
-            syntax=self._syntax,
-            safety=self._safety,
-            cache=self._plan_cache,
-            answer_cache=self._answer_cache,
-            cancel_token=cancel_token,
+        if domain.has_decidable_theory:
+            inner = build_plan(
+                "enumeration",
+                f"the first-order theory of {domain.name!r} is decidable, so "
+                "the Section 1.1 enumeration algorithm answers any finite query",
+                **options,
+            )
+        else:
+            inner = build_plan(
+                "active-domain",
+                f"the theory of {domain.name!r} has no decision procedure; "
+                "falling back to active-domain semantics",
+                **options,
+            )
+        if not self.guarded:
+            return inner
+        parts = []
+        if self._safety is not None:
+            parts.append(
+                f"relative safety over {domain.name!r} is decidable via "
+                f"{self._safety.name!r}, so provably infinite answers are "
+                "rejected before evaluation"
+            )
+        if self._syntax is not None:
+            parts.append(
+                f"queries outside the effective syntax {self._syntax.name!r} "
+                "are restricted to it first"
+            )
+        return GuardedPlan(
+            inner=inner, syntax=self._syntax, safety=self._safety,
+            reason="; ".join(parts),
         )

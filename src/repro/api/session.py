@@ -1,8 +1,8 @@
 """The unified session API: compile → analyze → plan → execute.
 
 :func:`repro.connect` opens a :class:`Session` against a named domain (via
-the :mod:`repro.domains.registry`) and an optional database schema.  The
-session owns the whole pipeline the paper describes:
+the registry in :mod:`repro.domains.packs`) and an optional database
+schema.  The session owns the whole pipeline the paper describes:
 
 1. **compile** — accept a query as calculus text (parsed by
    :mod:`repro.logic.parser`) or as a :class:`~repro.logic.formulas.Formula`,
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import used only by annotations
     from ..relational.columnar import EncodeCacheInfo
 
 from ..domains.base import Domain
-from ..domains.registry import DomainEntry, get_entry
+from ..domains.packs import DomainPack, get_pack
 from ..engine.answer_cache import AnswerCache, AnswerCacheInfo
 from ..engine.answers import Answer
 from ..engine.budget import Budget, CancelToken
@@ -125,16 +125,19 @@ class Session:
         incremental: bool = False,
         answer_cache_size: int = 32,
     ):
-        entry: Optional[DomainEntry] = None
+        # The pack supplies the default guards; what the domain can do
+        # (compiled algebra, ordered or finite carrier) is read off the
+        # domain itself, so an unregistered instance keeps its capabilities.
+        pack: Optional[DomainPack] = None
         if isinstance(domain, str):
-            entry = get_entry(domain)
-            self._domain = entry.factory()
+            pack = get_pack(domain)
+            self._domain = pack.factory()
         else:
             self._domain = domain
             try:
-                entry = get_entry(domain.name)
+                pack = get_pack(domain.name)
             except LookupError:
-                entry = None
+                pack = None
         self._schema = schema if schema is not None else DatabaseSchema()
         self._budget = budget if budget is not None else Budget()
 
@@ -148,16 +151,16 @@ class Session:
                 "explicit restrict/syntax/safety arguments"
             )
         if guard:
-            if safety is None and entry is not None and entry.safety_factory is not None:
-                safety = entry.safety_factory(self._domain)
+            if safety is None and pack is not None and pack.safety_factory is not None:
+                safety = pack.safety_factory(self._domain)
             if syntax is None and restrict:
-                if entry is None or entry.syntax_factory is None:
+                if pack is None or pack.syntax_factory is None:
                     raise SessionError(
                         f"restrict=True, but domain {self._domain.name!r} has no "
                         "registered effective syntax (for the trace domain this "
                         "is Theorem 3.1: none exists)"
                     )
-                syntax = entry.syntax_factory(self._schema)
+                syntax = pack.syntax_factory(self._schema)
         self._safety = safety if guard else None
         self._syntax = syntax if guard else None
         # The plan cache makes repeated queries skip calculus→algebra
@@ -179,18 +182,6 @@ class Session:
             self._domain,
             syntax=self._syntax,
             safety=self._safety,
-            finite_is_domain_independent=(
-                entry is not None and entry.finite_implies_domain_independent
-            ),
-            supports_compiled_algebra=(
-                entry is not None and entry.supports_compiled_algebra
-            ),
-            supports_vectorized=(
-                entry is not None and entry.supports_vectorized
-            ),
-            finite_carrier=(
-                entry is not None and entry.finite_carrier
-            ),
             plan_cache=self._plan_cache,
             answer_cache=self._answer_cache,
         )

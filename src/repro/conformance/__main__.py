@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..domains.packs import available_packs
+from ..domains.packs import available_domains
 from .harness import CHECK_NAMES, run_conformance
 
 
@@ -24,7 +24,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "packs",
         nargs="*",
         help="packs to check (canonical names or aliases); default: all "
-        f"({', '.join(available_packs())})",
+        f"({', '.join(available_domains())})",
     )
     parser.add_argument(
         "--seeds",

@@ -6,15 +6,16 @@ runs seven families of checks — no per-domain test code required:
 1. **decision-procedure** — every declared ground-truth sentence decides to
    its declared truth value.
 2. **substrate-equivalence** — on the canonical state and on randomized
-   states (including the empty and one-row edge states), every claimed
-   execution substrate (compiled set algebra, vectorized columnar) returns
-   exactly the tree walker's active-domain answer,
-   and each claimed substrate actually engages (produces its own method
-   string, not just a fallback's) at least once.
+   states (including the empty and one-row edge states), both algebra
+   substrates (compiled set algebra, vectorized columnar) return exactly the
+   tree walker's active-domain answer on every pack, and where the domain
+   declares ``supports_compiled_algebra`` each actually engages (produces
+   its own method string, not just a fallback's) at least once.
 3. **guard-soundness** — for packs that declare a relative-safety guard, the
    guarded session's verdict on the canonical state matches each query's
    declared finiteness; guard-rejected queries never come back as silent
-   finite answers; and where the pack claims finite ⇒ domain-independent,
+   finite answers; and under the Section 2 fresh-element decider
+   (:class:`~repro.safety.relative_safety.EqualityRelativeSafety`), finite
    answers do not change under fresh extra elements.
 4. **edge-corpora** — queries run without error on empty and one-row states,
    duplicated rows do not change any answer, and the corpus exercises
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..domains.base import Domain
-from ..domains.packs import DomainPack, available_packs, get_pack
+from ..domains.packs import DomainPack, available_domains, get_pack
 from ..engine.budget import Budget
 from ..engine.plans import CompiledAlgebraPlan, VectorizedAlgebraPlan
 from ..logic.formulas import ForAll, Not, walk_formulas
@@ -64,6 +65,7 @@ from ..relational.columnar import HAVE_NUMPY
 from ..relational.compile import CompilationError, compile_query
 from ..relational.exec import ExecutionStats, run_plan
 from ..relational.state import DatabaseState, Element, Relation
+from ..safety.relative_safety import EqualityRelativeSafety
 
 __all__ = [
     "CheckResult",
@@ -141,9 +143,9 @@ class ConformanceReport:
 # ---------------------------------------------------------------------------
 
 
-def _carrier_extras(pack: DomainPack, domain: Domain) -> Tuple[Element, ...]:
+def _carrier_extras(domain: Domain) -> Tuple[Element, ...]:
     """The extra elements evaluation ranges over (the carrier, if finite)."""
-    return tuple(domain.carrier_elements()) if pack.finite_carrier else ()
+    return tuple(domain.carrier_elements()) if domain.finite_carrier else ()
 
 
 def _reference_rows(
@@ -156,20 +158,16 @@ def _reference_rows(
     return frozenset(relation.rows)
 
 
-def _substrate_plans(pack: DomainPack, domain: Domain, extras):
-    """The (name, plan) pairs for every substrate the pack claims."""
-    plans = []
-    if pack.supports_compiled_algebra:
-        plans.append((
-            "compiled-algebra",
-            CompiledAlgebraPlan(domain=domain, budget=Budget(), extra_elements=extras),
-        ))
-    if pack.supports_vectorized and HAVE_NUMPY:
-        plans.append((
-            "vectorized",
-            VectorizedAlgebraPlan(domain=domain, budget=Budget(), extra_elements=extras),
-        ))
-    return plans
+def _substrate_plans(domain: Domain, extras, **options):
+    """The (name, plan) pairs for both algebra substrates (vectorized only
+    with NumPy); every pack runs them, since each steps down on obstacles."""
+    classes = [("compiled-algebra", CompiledAlgebraPlan)]
+    if HAVE_NUMPY:
+        classes.append(("vectorized", VectorizedAlgebraPlan))
+    return [
+        (name, cls(domain=domain, budget=Budget(), extra_elements=extras, **options))
+        for name, cls in classes
+    ]
 
 
 def _conformance_states(
@@ -216,12 +214,8 @@ def _check_decision_procedure(pack: DomainPack, domain: Domain) -> CheckResult:
 def _check_substrate_equivalence(
     pack: DomainPack, domain: Domain, seeds: Sequence[str]
 ) -> CheckResult:
-    extras = _carrier_extras(pack, domain)
-    plans = _substrate_plans(pack, domain, extras)
-    if not plans:
-        return CheckResult(
-            "substrate-equivalence", True, "skipped: no algebra substrates claimed"
-        )
+    extras = _carrier_extras(domain)
+    plans = _substrate_plans(domain, extras)
     problems: List[str] = []
     engaged = {name: False for name, _ in plans}
     executions = 0
@@ -241,10 +235,11 @@ def _check_substrate_equivalence(
                             f"{substrate}: {len(got)} row(s) != tree walker's "
                             f"{len(expected)}"
                         )
-    # Every claimed substrate must have actually run its own executor at
-    # least once — a flag that only ever falls back is a false claim.
+    # Where the domain claims the compiled backend, every substrate must have
+    # actually run its own executor at least once — a claim that only ever
+    # falls back is false.
     for substrate, hit in engaged.items():
-        if not hit:
+        if domain.supports_compiled_algebra and not hit:
             problems.append(
                 f"claimed substrate {substrate!r} never engaged "
                 "(every execution fell back down the ladder)"
@@ -297,9 +292,10 @@ def _check_guard_soundness(
                     problems.append(
                         f"{corpus.name}/{pq.name}: rejection carries no explanation"
                     )
-            elif pack.finite_implies_domain_independent:
-                # Where finiteness implies domain independence, enlarging the
-                # evaluation universe must not change the answer.
+            elif isinstance(session.safety, EqualityRelativeSafety):
+                # The fresh-element decider certifies the answer over the
+                # active domain plus fresh elements, so enlarging the
+                # evaluation universe must not change it.
                 fresh = _fresh_elements(domain, corpus.canonical_state, count=3)
                 enlarged = session.query(
                     pq.query, state=corpus.canonical_state, extra_elements=fresh
@@ -333,7 +329,7 @@ def _fresh_elements(
 def _check_edge_corpora(
     pack: DomainPack, domain: Domain, seeds: Sequence[str]
 ) -> CheckResult:
-    extras = _carrier_extras(pack, domain)
+    extras = _carrier_extras(domain)
     problems: List[str] = []
     saw_factory = False
     saw_shape = False
@@ -418,7 +414,7 @@ def _check_delta_equivalence(
 ) -> CheckResult:
     """Interleaved insert/delete deltas answered incrementally must match a
     rebuilt-from-scratch evaluation after every mutation."""
-    if not pack.supports_compiled_algebra:
+    if not domain.supports_compiled_algebra:
         return CheckResult(
             "delta-equivalence",
             True,
@@ -433,7 +429,7 @@ def _check_delta_equivalence(
     from ..engine.answer_cache import AnswerCache
     from ..engine.plans import GuardedPlan, IncrementalAlgebraPlan
 
-    extras = _carrier_extras(pack, domain)
+    extras = _carrier_extras(domain)
     problems: List[str] = []
     executions = 0
     maintained = 0
@@ -553,10 +549,6 @@ def _check_faults(
     :class:`~repro.engine.budget.EvaluationInterrupted`).  Wrong rows, an
     unstructured crash, or blowing the watchdog fail the check.
     """
-    if not pack.supports_compiled_algebra:
-        return CheckResult(
-            "faults", True, "skipped: no algebra substrates to inject faults into"
-        )
     import shutil
     import tempfile
     from concurrent.futures import ThreadPoolExecutor
@@ -569,7 +561,7 @@ def _check_faults(
     from ..serve.plan_store import PersistentPlanCache, PlanStore
     from ..testing import faults
 
-    extras = _carrier_extras(pack, domain)
+    extras = _carrier_extras(domain)
     # Precompute the mutation scenarios and their tree-walker references
     # outside injection, so the oracle itself never sees a fault and the
     # per-point hit counts inside the scenario stay deterministic.
@@ -601,21 +593,7 @@ def _check_faults(
         breaker = SubstrateBreaker()
         cache = PersistentPlanCache(maxsize=64, store=PlanStore(tmp_dir))
         for corpus, steps in scenarios:
-            plans = [(
-                "compiled-algebra",
-                CompiledAlgebraPlan(
-                    domain=domain, budget=Budget(), extra_elements=extras,
-                    cache=cache, breaker=breaker,
-                ),
-            )]
-            if pack.supports_vectorized and HAVE_NUMPY:
-                plans.append((
-                    "vectorized",
-                    VectorizedAlgebraPlan(
-                        domain=domain, budget=Budget(), extra_elements=extras,
-                        cache=cache, breaker=breaker,
-                    ),
-                ))
+            plans = _substrate_plans(domain, extras, cache=cache, breaker=breaker)
             plans.append((
                 "incremental",
                 IncrementalAlgebraPlan(
@@ -695,7 +673,7 @@ def _check_bench_smoke(pack: DomainPack, domain: Domain) -> CheckResult:
     corpora = [c for c in pack.corpora() if c.state_factory is not None]
     if not corpora:
         return CheckResult("bench-smoke", True, "skipped: no state factory declared")
-    extras = _carrier_extras(pack, domain)
+    extras = _carrier_extras(domain)
     problems: List[str] = []
     peak = 0
     started = time.perf_counter()
@@ -703,7 +681,7 @@ def _check_bench_smoke(pack: DomainPack, domain: Domain) -> CheckResult:
         rng = random.Random(f"bench/{pack.name}/{corpus.name}")
         state = corpus.state_factory(rng, pack.bench_size)
         for pq in corpus.queries:
-            if pack.supports_compiled_algebra:
+            if domain.supports_compiled_algebra:
                 try:
                     compiled = compile_query(pq.query, state.schema, domain)
                 except CompilationError:
@@ -800,7 +778,7 @@ def run_conformance(
     checks: Optional[Sequence[str]] = None,
 ) -> ConformanceReport:
     """Run the conformance suite against ``names`` (default: every pack)."""
-    targets = tuple(names) if names is not None else available_packs()
+    targets = tuple(names) if names is not None else available_domains()
     reports = tuple(
         run_pack_conformance(name, seeds=seeds, checks=checks) for name in targets
     )

@@ -12,9 +12,13 @@ from .packs import (
     PackCorpus,
     PackQuery,
     PackSentence,
-    available_packs,
+    UnknownDomainError,
+    available_domains,
+    domain_aliases,
+    get_domain,
     get_pack,
     register_pack,
+    resolve_domain_name,
     temporary_pack,
     unregister_pack,
 )
@@ -37,18 +41,6 @@ from .reach_traces import (
     padded_prefix,
     starts_with_padded,
 )
-from .registry import (
-    DomainEntry,
-    UnknownDomainError,
-    available_domains,
-    domain_aliases,
-    get_domain,
-    get_entry,
-    register_domain,
-    resolve_domain_name,
-    temporary_domain,
-    unregister_domain,
-)
 from .signature import Signature
 from .successor import (
     SuccessorDomain,
@@ -60,12 +52,10 @@ from .traces_domain import TraceDomain
 
 __all__ = [
     "Signature", "Domain", "DomainError", "TheoryUndecidableError",
-    "DomainEntry", "UnknownDomainError", "register_domain", "get_domain",
-    "get_entry", "resolve_domain_name", "available_domains", "domain_aliases",
-    "unregister_domain", "temporary_domain",
     "DomainPack", "PackCorpus", "PackQuery", "PackSentence",
-    "register_pack", "unregister_pack", "temporary_pack", "get_pack",
-    "available_packs",
+    "UnknownDomainError", "register_pack", "unregister_pack", "temporary_pack",
+    "get_pack", "get_domain", "resolve_domain_name", "available_domains",
+    "domain_aliases",
     "EqualityDomain",
     "DenseOrderDomain", "IntegerDifferenceDomain",
     "CyclicSuccessorDomain", "ShortlexStringDomain",

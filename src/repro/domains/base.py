@@ -54,6 +54,23 @@ class Domain(Interpretation):
 
     #: True iff the domain ships a decision procedure for its first-order theory.
     has_decidable_theory: bool = False
+    #: True when the domain's predicate atoms evaluate pointwise, so queries
+    #: compile to relational algebra (:mod:`repro.relational.compile`) and
+    #: active-domain evaluation runs set-at-a-time.  Function-heavy domains
+    #: (e.g. ``(N, ')``, whose queries lean on ``succ`` terms) leave this off.
+    supports_compiled_algebra: bool = False
+    #: True when the carrier is totally ordered by the standard integer
+    #: comparison *and* ``<``/``<=``/``>``/``>=`` have exactly that semantics.
+    #: The plan optimizer then turns adom pads filtered by those predicates
+    #: into interval joins / range scans over the sorted active domain, and
+    #: the tree walker and the enumeration engine narrow to inferred bounds
+    #: (:mod:`repro.relational.bounds`).
+    ordered_carrier: bool = False
+    #: True when the carrier is *finite* (e.g. ``Z/n``).  Every query is then
+    #: finite, and the planner evaluates over :meth:`carrier_elements`,
+    #: which is exact even though finiteness does not imply domain
+    #: independence.
+    finite_carrier: bool = False
 
     # -- recursiveness ------------------------------------------------------
 
@@ -83,8 +100,8 @@ class Domain(Interpretation):
         """The whole carrier, for domains whose carrier is *finite*.
 
         Infinite domains raise :class:`DomainError`.  Finite-carrier domains
-        (registered with ``finite_carrier=True``) override this; the planner
-        then evaluates queries over the full carrier, which is exact.
+        (``finite_carrier = True``) override this; the planner then
+        evaluates queries over the full carrier, which is exact.
         """
         raise DomainError(f"domain {self.name!r} has an infinite carrier")
 

@@ -4,9 +4,9 @@ The paper's domains are infinite, and all the subtlety of safety comes from
 that infinitude.  The cyclic successor structure is the degenerate contrast
 case: the carrier is *finite*, so every query is finite — even ``¬S(x)`` and
 ``x = x``, the canonical infinite queries over every other domain — and the
-"decision procedure" is plain model checking over the carrier.  Registering
-it as a pack (with ``finite_carrier=True``) exercises the planner's
-full-carrier evaluation path and the trivial safety guard
+"decision procedure" is plain model checking over the carrier.  The class
+declares ``finite_carrier = True``, which exercises the planner's
+full-carrier evaluation path, and its pack installs the trivial safety guard
 (:class:`repro.safety.relative_safety.FiniteCarrierSafety`).
 
 Note that finiteness of every answer does *not* make finite queries
@@ -34,6 +34,8 @@ class CyclicSuccessorDomain(Domain):
     name = "cyclic_successor"
     signature = Signature(functions={"succ": 1, "pred": 1})
     has_decidable_theory = True
+    supports_compiled_algebra = True
+    finite_carrier = True
 
     def __init__(self, modulus: int = 12):
         if modulus < 1:

@@ -59,6 +59,7 @@ class DenseOrderDomain(Domain):
     name = "rationals_with_order"
     signature = Signature(predicates={"<": 2, "<=": 2, ">": 2, ">=": 2})
     has_decidable_theory = True
+    supports_compiled_algebra = True
 
     # -- carrier -------------------------------------------------------------
 

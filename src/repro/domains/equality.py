@@ -46,6 +46,7 @@ class EqualityDomain(Domain):
     name = "equality"
     signature = Signature()
     has_decidable_theory = True
+    supports_compiled_algebra = True
 
     def __init__(self, carrier: str = "naturals"):
         if carrier not in ("naturals", "strings"):

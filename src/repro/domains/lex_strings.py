@@ -52,6 +52,7 @@ class ShortlexStringDomain(Domain):
     name = "shortlex_strings"
     signature = Signature(predicates={"<": 2, "<=": 2, ">": 2, ">=": 2})
     has_decidable_theory = True
+    supports_compiled_algebra = True
 
     def __init__(self, alphabet: str = "ab"):
         if len(alphabet) < 2 or len(set(alphabet)) != len(alphabet):

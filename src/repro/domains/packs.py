@@ -1,19 +1,41 @@
-"""Declarative domain packs: a domain plus everything needed to validate it.
+"""The domain registry: one declarative :class:`DomainPack` per domain.
 
-A :class:`DomainPack` bundles what :class:`~repro.domains.registry.DomainEntry`
-already declares (factory, aliases, guard factories, capability flags) with
-*evidence*: ground-truth sentences for the decision procedure, example
-schemas/states/query corpora with known finiteness status, and random state
-generators.  The conformance harness (:mod:`repro.conformance`) consumes the
-evidence to run the whole validation suite — cross-substrate equivalence,
-guard soundness, edge corpora, bench smoke — against any pack, so a
-third-party domain gets the same scrutiny as the built-ins by declaring one
-pack object.
+Every domain studied in the paper is declared here once, under a canonical
+name plus convenient aliases, together with factories for the default
+guards the paper proves correct for it — the relative-safety decider (when
+relative safety is decidable) and the effective syntax (when one exists).
+The trace domain **T** is declared with *neither*: Theorem 3.1 shows finite
+queries over **T** have no effective syntax, and Theorem 3.3 shows relative
+safety over **T** is undecidable.
 
-All built-in domains are themselves declared here as packs;
-``registry._register_builtins()`` delegates to :func:`register_builtin_packs`.
-Corpora are built lazily (each pack holds factories, not data), so importing
-the registry stays cheap and free of import cycles.
+A pack also carries *evidence*: ground-truth sentences for the decision
+procedure, example schemas/states/query corpora with known finiteness
+status, and random state generators.  The conformance harness
+(:mod:`repro.conformance`) consumes the evidence to run the whole validation
+suite — cross-substrate equivalence, guard soundness, edge corpora, bench
+smoke — against any pack, so a third-party domain gets the same scrutiny as
+the built-ins by declaring one pack object.  What a domain's carrier *is*
+(ordered, finite, compilable to relational algebra) is not part of the
+pack: it is a class attribute of the :class:`~repro.domains.base.Domain`
+itself, so it holds for every instance, registered or not.
+
+``repro.connect(domain="presburger")`` resolves names through this
+registry, and a third-party domain joins the same namespace by declaring a
+pack:
+
+>>> import repro
+>>> from repro.domains import DomainPack, EqualityDomain, temporary_pack
+>>> class Gossip(EqualityDomain):
+...     name = "gossip"
+>>> with temporary_pack(DomainPack(name="gossip", factory=Gossip, aliases=("rumour",))):
+...     session = repro.connect("rumour")
+...     session.domain.name, session.query("x = 7").rows()
+('gossip', ((7,),))
+>>> "gossip" in repro.available_domains()
+False
+
+Corpora are built lazily (each pack holds factories, not data), so
+importing the registry stays cheap and free of import cycles.
 """
 
 from __future__ import annotations
@@ -27,22 +49,20 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from ..logic.formulas import Formula
 from .base import Domain
 
-# NOTE: ``registry`` is imported lazily inside functions.  The two modules
-# are mutually dependent — registry's ``_register_builtins()`` delegates to
-# :func:`register_builtin_packs` here — and a module-level import in either
-# direction would deadlock the other's initialisation.
-
 __all__ = [
     "PackQuery",
     "PackSentence",
     "PackCorpus",
     "DomainPack",
+    "UnknownDomainError",
     "register_pack",
     "unregister_pack",
     "temporary_pack",
     "get_pack",
-    "available_packs",
-    "register_builtin_packs",
+    "get_domain",
+    "resolve_domain_name",
+    "available_domains",
+    "domain_aliases",
 ]
 
 
@@ -93,19 +113,19 @@ class PackCorpus:
 
 @dataclass(frozen=True)
 class DomainPack:
-    """A domain declaration: registry entry fields plus validation evidence."""
+    """A domain declaration: factory, aliases, default guards, evidence."""
 
     name: str
     factory: Callable[[], Domain]
     aliases: Tuple[str, ...] = ()
     summary: str = ""
+    #: builds the relative-safety decider proved correct for this domain,
+    #: or ``None`` when relative safety is undecidable (Theorem 3.3)
     safety_factory: Optional[Callable[[Domain], object]] = None
+    #: builds the effective syntax for the domain's finite queries (takes the
+    #: database schema), or ``None`` when no effective syntax exists
+    #: (Theorem 3.1)
     syntax_factory: Optional[Callable[[object], object]] = None
-    finite_implies_domain_independent: bool = False
-    supports_compiled_algebra: bool = False
-    supports_vectorized: bool = False
-    ordered_carrier: bool = False
-    finite_carrier: bool = False
     #: pytest marker slug: tests for this pack carry ``pack_<marker>``
     marker: str = ""
     #: builds the example corpora (lazily, so registration stays cheap)
@@ -119,24 +139,6 @@ class DomainPack:
     #: peak intermediate row ceiling for compiled plans in the bench smoke
     bench_row_limit: int = 250_000
 
-    def to_entry(self):
-        """The registry entry this pack declares."""
-        from .registry import DomainEntry
-
-        return DomainEntry(
-            name=self.name,
-            factory=self.factory,
-            aliases=self.aliases,
-            summary=self.summary,
-            safety_factory=self.safety_factory,
-            syntax_factory=self.syntax_factory,
-            finite_implies_domain_independent=self.finite_implies_domain_independent,
-            supports_compiled_algebra=self.supports_compiled_algebra,
-            supports_vectorized=self.supports_vectorized,
-            ordered_carrier=self.ordered_carrier,
-            finite_carrier=self.finite_carrier,
-        )
-
     def corpora(self) -> Tuple[PackCorpus, ...]:
         """The example corpora (built on demand)."""
         return self.corpora_factory() if self.corpora_factory is not None else ()
@@ -147,68 +149,124 @@ class DomainPack:
 
 
 # ---------------------------------------------------------------------------
-# The pack registry (kept in lock-step with the domain registry)
+# The registry
 # ---------------------------------------------------------------------------
 
 
+class UnknownDomainError(LookupError):
+    """Raised when a domain name is not in the registry."""
+
+
+#: canonical name → pack; aliases are derived from the packs themselves
 _PACKS: Dict[str, DomainPack] = {}
 
 
-def register_pack(pack: DomainPack) -> DomainPack:
-    """Register a pack and its domain entry (atomically — see registry)."""
-    from .registry import _normalise, register_domain
+def _normalise(name: str) -> str:
+    return name.strip().lower()
 
+
+def domain_aliases() -> Dict[str, str]:
+    """The alias table: every name and alias → its canonical name."""
+    return {
+        _normalise(alias): canonical
+        for canonical, pack in _PACKS.items()
+        for alias in (canonical,) + pack.aliases
+    }
+
+
+def register_pack(pack: DomainPack) -> DomainPack:
+    """Register a pack under its canonical name and aliases.
+
+    Every name is validated before the one write, so a collision raised
+    here leaves the registry exactly as it was.
+    """
     canonical = _normalise(pack.name)
     if canonical in _PACKS:
-        raise ValueError(f"pack {pack.name!r} is already registered")
-    register_domain(pack.to_entry())  # validates names/aliases before writing
+        raise ValueError(f"domain {pack.name!r} is already registered")
+    taken = domain_aliases()
+    for alias in (canonical,) + tuple(_normalise(a) for a in pack.aliases):
+        if alias in taken:
+            raise ValueError(
+                f"alias {alias!r} already points at domain {taken[alias]!r}"
+            )
     _PACKS[canonical] = pack
     return pack
 
 
 def unregister_pack(name: str) -> DomainPack:
-    """Remove a pack (by name or alias) together with its domain entry."""
-    from .registry import resolve_domain_name, unregister_domain
-
-    canonical = resolve_domain_name(name)
-    unregister_domain(canonical)
-    return _PACKS.pop(canonical)
+    """Remove a pack (by canonical name or alias) and all its aliases."""
+    return _PACKS.pop(resolve_domain_name(name))
 
 
 @contextlib.contextmanager
 def temporary_pack(pack: DomainPack) -> Iterator[DomainPack]:
-    """Register ``pack`` for the duration of a ``with`` block."""
-    from .registry import _normalise
+    """Register ``pack`` for the duration of a ``with`` block.
 
+    The conformance harness and the test-suite use this to exercise packs
+    without leaking global registry state; the pack is unregistered on exit
+    even when the block raises.
+    """
     register_pack(pack)
     try:
         yield pack
     finally:
-        if _PACKS.get(_normalise(pack.name)) is pack:
-            unregister_pack(pack.name)
+        canonical = _normalise(pack.name)
+        if _PACKS.get(canonical) is pack:
+            del _PACKS[canonical]
+
+
+def resolve_domain_name(name: str) -> str:
+    """The canonical name behind ``name`` (which may be an alias)."""
+    canonical = domain_aliases().get(_normalise(name))
+    if canonical is None:
+        known = ", ".join(
+            f"{pack.name!r} (aliases: {', '.join(repr(a) for a in pack.aliases) or 'none'})"
+            for pack in sorted(_PACKS.values(), key=lambda p: p.name)
+        )
+        raise UnknownDomainError(
+            f"unknown domain {name!r}; registered domains are: {known}"
+        )
+    return canonical
 
 
 def get_pack(name: str) -> DomainPack:
     """The pack registered under ``name`` (canonical name or alias)."""
-    from .registry import UnknownDomainError, resolve_domain_name
-
-    canonical = resolve_domain_name(name)
-    try:
-        return _PACKS[canonical]
-    except KeyError:
-        raise UnknownDomainError(
-            f"domain {name!r} is registered without a pack declaration"
-        ) from None
+    return _PACKS[resolve_domain_name(name)]
 
 
-def available_packs() -> Tuple[str, ...]:
-    """The canonical names of all registered packs, sorted."""
+def get_domain(name: str) -> Domain:
+    """A fresh instance of the domain registered under ``name``."""
+    return get_pack(name).factory()
+
+
+def available_domains() -> Tuple[str, ...]:
+    """The canonical names of all registered domains, sorted."""
     return tuple(sorted(_PACKS))
 
 
 # ---------------------------------------------------------------------------
-# Lazy guard factories for the new packs
+# Guard factories for the built-in packs.  They import lazily so that
+# importing the registry (from repro.domains.__init__) never races the
+# initialisation of the repro.safety package.
 # ---------------------------------------------------------------------------
+
+
+def _equality_safety(domain: Domain):
+    from ..safety.relative_safety import EqualityRelativeSafety
+
+    return EqualityRelativeSafety(domain)
+
+
+def _ordered_safety(domain: Domain):
+    from ..safety.relative_safety import OrderedRelativeSafety
+
+    return OrderedRelativeSafety(domain)
+
+
+def _successor_safety(domain: Domain):
+    from ..safety.relative_safety import SuccessorRelativeSafety
+
+    return SuccessorRelativeSafety(domain)
 
 
 def _dense_order_safety(domain: Domain):
@@ -221,6 +279,30 @@ def _finite_carrier_safety(domain: Domain):
     from ..safety.relative_safety import FiniteCarrierSafety
 
     return FiniteCarrierSafety(domain)
+
+
+def _active_domain_syntax(schema):
+    from ..safety.effective_syntax import ActiveDomainSyntax
+
+    return ActiveDomainSyntax(schema)
+
+
+def _finitization_syntax(schema):
+    from ..safety.effective_syntax import FinitizationSyntax
+
+    return FinitizationSyntax()
+
+
+def _finitization_syntax_integers(schema):
+    from ..safety.effective_syntax import FinitizationSyntax
+
+    return FinitizationSyntax(integers=True)
+
+
+def _extended_active_domain_syntax(schema):
+    from ..safety.effective_syntax import ExtendedActiveDomainSyntax
+
+    return ExtendedActiveDomainSyntax(schema)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +557,6 @@ def _trace_corpus() -> Tuple[PackCorpus, ...]:
             state_factory=states,
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# Corpus builders for the four new packs
-# ---------------------------------------------------------------------------
 
 
 def _dense_order_corpus() -> Tuple[PackCorpus, ...]:
@@ -752,20 +829,11 @@ def _shortlex_sentences() -> Tuple[PackSentence, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The built-in packs
+# The built-in packs, registered when the module is imported
 # ---------------------------------------------------------------------------
 
 
 def _builtin_packs() -> Tuple[DomainPack, ...]:
-    from .registry import (
-        _active_domain_syntax,
-        _equality_safety,
-        _extended_active_domain_syntax,
-        _finitization_syntax,
-        _finitization_syntax_integers,
-        _ordered_safety,
-        _successor_safety,
-    )
     from .cyclic import CyclicSuccessorDomain
     from .dense_order import DenseOrderDomain
     from .difference import IntegerDifferenceDomain
@@ -785,9 +853,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="a countably infinite set with equality only (Section 2)",
             safety_factory=_equality_safety,
             syntax_factory=_active_domain_syntax,
-            finite_implies_domain_independent=True,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
             marker="equality",
             corpora_factory=_family_corpus,
         ),
@@ -798,9 +863,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the ordered natural numbers (N, <) (Section 2.1)",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            ordered_carrier=True,
             marker="nat_order",
             corpora_factory=_ordered_corpus,
             sentences_factory=_presburger_sentence_pack,
@@ -812,9 +874,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="Presburger arithmetic over N (a decidable extension of (N, <))",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            ordered_carrier=True,
             marker="presburger",
             corpora_factory=_presburger_naturals_corpus,
             sentences_factory=_presburger_sentence_pack,
@@ -826,9 +885,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="Presburger arithmetic over Z",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax_integers,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            ordered_carrier=True,
             marker="integers",
             corpora_factory=_integers_corpus,
             sentences_factory=_integers_sentences,
@@ -840,7 +896,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the natural numbers with successor (N, ') (Section 2.2)",
             safety_factory=_successor_safety,
             syntax_factory=_extended_active_domain_syntax,
-            supports_vectorized=True,
             marker="successor",
             corpora_factory=_successor_corpus,
             sentences_factory=_successor_sentences,
@@ -862,7 +917,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             marker="reach",
             corpora_factory=_trace_corpus,
         ),
-        # -- the four new packs ------------------------------------------------
         DomainPack(
             name="rationals_with_order",
             factory=DenseOrderDomain,
@@ -871,7 +925,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "finite, so safety needs the projection-finiteness decider",
             safety_factory=_dense_order_safety,
             syntax_factory=_active_domain_syntax,
-            supports_compiled_algebra=True,
             marker="qlinear",
             corpora_factory=_dense_order_corpus,
             sentences_factory=_dense_order_sentences,
@@ -884,9 +937,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "Bellman-Ford fast path under the Cooper decision procedure",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax_integers,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            ordered_carrier=True,
             marker="zdiff",
             corpora_factory=_difference_corpus,
             sentences_factory=_difference_sentences,
@@ -898,9 +948,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the finite cyclic successor structure Z/12: every query "
             "is finite because the carrier is",
             safety_factory=_finite_carrier_safety,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            finite_carrier=True,
             marker="cyclic",
             corpora_factory=_cyclic_corpus,
             sentences_factory=_cyclic_sentences,
@@ -913,8 +960,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "(N, <), giving its safety profile on a string carrier",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
             marker="shortlex",
             corpora_factory=_shortlex_corpus,
             sentences_factory=_shortlex_sentences,
@@ -922,10 +967,5 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
     )
 
 
-def register_builtin_packs() -> None:
-    """Register every built-in pack (idempotent per interpreter)."""
-    from .registry import _normalise
-
-    for pack in _builtin_packs():
-        if _normalise(pack.name) not in _PACKS:
-            register_pack(pack)
+for _pack in _builtin_packs():
+    register_pack(_pack)

@@ -699,6 +699,8 @@ class PresburgerDomain(Domain):
         functions={"+": 2, "-": 2, "*": 2, "succ": 1},
     )
     has_decidable_theory = True
+    supports_compiled_algebra = True
+    ordered_carrier = True
 
     def __init__(self, carrier: str = "naturals"):
         if carrier not in ("naturals", "integers"):

@@ -1,15 +1,14 @@
 """Query answering: plans, budgets, the Section 1.1 algorithm, guards.
 
-The modern front door is :func:`repro.connect` (see :mod:`repro.api`); the
-``QueryEngine`` / ``GuardedEngine`` classes are retained as compatibility
-shims over the same :class:`~repro.engine.plans.Plan` machinery.
+The front door is :func:`repro.connect` (see :mod:`repro.api`), whose
+:class:`~repro.api.Planner` picks one of the
+:class:`~repro.engine.plans.Plan` classes defined here.
 """
 
 from .answer_cache import AnswerCache, AnswerCacheInfo
 from .answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from .budget import Budget, BudgetClock
 from .enumeration import answer_by_enumeration, enumerate_tuples
-from .evaluator import QueryEngine
 from .plan_cache import PlanCache, PlanCacheInfo
 from .plans import (
     STRATEGIES,
@@ -21,9 +20,7 @@ from .plans import (
     IncrementalAlgebraPlan,
     Plan,
     VectorizedAlgebraPlan,
-    plan_for_strategy,
 )
-from .safety_guard import GuardedEngine, GuardResult
 
 __all__ = [
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",
@@ -31,8 +28,7 @@ __all__ = [
     "Plan", "ActiveDomainPlan", "CompiledAlgebraPlan", "VectorizedAlgebraPlan",
     "IncrementalAlgebraPlan", "EnumerationPlan",
     "AnswerCache", "AnswerCacheInfo",
-    "GuardedPlan", "GuardedOutcome", "plan_for_strategy", "STRATEGIES",
+    "GuardedPlan", "GuardedOutcome", "STRATEGIES",
     "PlanCache", "PlanCacheInfo",
     "answer_by_enumeration", "enumerate_tuples",
-    "QueryEngine", "GuardedEngine", "GuardResult",
 ]

@@ -44,12 +44,7 @@ from ..logic.builders import conj, exists_many, neg
 from ..logic.formulas import Equals, Formula
 from ..logic.substitution import substitute
 from ..logic.terms import Const, Var
-from ..relational.bounds import (
-    BoundAnalysis,
-    IntervalSet,
-    domain_is_ordered,
-    registry_capability,
-)
+from ..relational.bounds import BoundAnalysis, IntervalSet, domain_is_ordered
 from ..relational.state import DatabaseState, Element, Relation
 from ..relational.translate import expand_database_atoms
 from .answers import Answer, FiniteAnswer, UnknownAnswer
@@ -131,7 +126,7 @@ def _compiled_superset(
     answer row without touching the blind dovetail.  Returns ``None`` when
     the domain lacks the compiled backend or the query does not compile.
     """
-    if not registry_capability(domain, "supports_compiled_algebra"):
+    if not domain.supports_compiled_algebra:
         return None
     from ..relational.compile import CompilationError, compile_query
 

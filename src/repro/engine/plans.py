@@ -1,8 +1,8 @@
 """First-class query plans.
 
-A :class:`Plan` is an executable strategy object replacing the old
-``strategy: str`` flag of ``QueryEngine.answer``.  The concrete plans mirror
-the paper's evaluation disciplines across three execution substrates:
+A :class:`Plan` is an executable strategy object, chosen by
+:class:`repro.api.Planner`.  The concrete plans mirror the paper's
+evaluation disciplines across three execution substrates:
 
 * :class:`ActiveDomainPlan` — active-domain semantics by tree walking:
   quantifiers and answer variables range over the active domain, so every
@@ -76,7 +76,6 @@ __all__ = [
     "GuardedPlan",
     "GuardedOutcome",
     "build_plan",
-    "plan_for_strategy",
     "decide_or_semidecide",
     "PLAN_TABLE",
     "STRATEGIES",
@@ -155,7 +154,7 @@ def _finish(
     return FiniteAnswer(Relation(arity, rows), method=method)
 
 
-#: the strategy names understood by :func:`plan_for_strategy`
+#: the strategy names understood by :meth:`repro.api.Planner.plan`
 STRATEGIES = (
     "auto", "active-domain", "compiled", "vectorized", "incremental",
     "enumeration", "guarded",
@@ -205,8 +204,8 @@ class Plan(ABC):
 class ActiveDomainPlan(Plan):
     """Evaluate under active-domain semantics (always finite by construction).
 
-    On registry-flagged ordered carriers the tree walker narrows each
-    quantifier's candidate range to the interval union inferred by the
+    On ordered carriers (``Domain.ordered_carrier``) the tree walker narrows
+    each quantifier's candidate range to the interval union inferred by the
     shared bound analysis (:mod:`repro.relational.bounds`) — bisected over
     the value-sorted active domain — instead of iterating the full domain
     per quantifier; :meth:`explain` reports what the narrowing did.
@@ -708,77 +707,3 @@ def build_plan(strategy: str, reason: str, **options: Any) -> Plan:
         name: value for name, value in options.items()
         if name in names and value is not None
     })
-
-
-def plan_for_strategy(
-    strategy: str,
-    domain: Domain,
-    budget: Optional[Budget] = None,
-    *,
-    extra_elements: Tuple[Element, ...] = (),
-    syntax: Optional[EffectiveSyntax] = None,
-    safety: Optional[RelativeSafetyDecider] = None,
-    cache: Optional[PlanCache] = None,
-    answer_cache: Optional[AnswerCache] = None,
-    cancel_token: Optional[CancelToken] = None,
-    breaker: Optional[SubstrateBreaker] = None,
-) -> Plan:
-    """Build the :class:`Plan` for a strategy name.
-
-    This is the planner behind the legacy string-flag API.  A strategy of
-    :data:`PLAN_TABLE` builds its plan and bypasses the guards.  ``"auto"``
-    picks enumeration when the domain theory is decidable and active-domain
-    semantics otherwise, and wraps the choice in a :class:`GuardedPlan` when a
-    syntax or safety guard is supplied.  A ``cancel_token`` aborts the
-    execution cooperatively from another thread; ``breaker`` overrides the
-    process-wide default substrate failure breaker.
-    """
-    options = dict(
-        domain=domain,
-        budget=budget if budget is not None else Budget(),
-        extra_elements=tuple(extra_elements),
-        cache=cache,
-        answer_cache=answer_cache,
-        cancel_token=cancel_token,
-        breaker=breaker,
-    )
-    if strategy in PLAN_TABLE:
-        return build_plan(
-            strategy, "requested explicitly; " + PLAN_TABLE[strategy][1], **options
-        )
-    if strategy not in ("auto", "guarded"):
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if domain.has_decidable_theory:
-        inner = build_plan(
-            "enumeration",
-            f"the first-order theory of {domain.name!r} is decidable, so "
-            "the Section 1.1 enumeration algorithm answers any finite query",
-            **options,
-        )
-    else:
-        inner = build_plan(
-            "active-domain",
-            f"the theory of {domain.name!r} has no decision procedure; "
-            "falling back to active-domain semantics",
-            **options,
-        )
-    if syntax is None and safety is None:
-        if strategy == "guarded":
-            raise ValueError(
-                "strategy 'guarded' requires an effective syntax and/or a "
-                "relative-safety decider"
-            )
-        return inner
-    parts = []
-    if safety is not None:
-        parts.append(
-            f"relative safety over {domain.name!r} is decidable via "
-            f"{safety.name!r}, so provably infinite answers are rejected "
-            "before evaluation"
-        )
-    if syntax is not None:
-        parts.append(
-            f"queries outside the effective syntax {syntax.name!r} are "
-            "restricted to it first"
-        )
-    return GuardedPlan(inner=inner, syntax=syntax, safety=safety, reason="; ".join(parts))

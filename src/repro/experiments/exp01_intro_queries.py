@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..api.session import Session
 from ..domains.equality import EqualityDomain
-from ..engine.evaluator import QueryEngine
 from ..logic.builders import atom, conj, disj, exists, neg, neq, var
 from ..safety.relative_safety import EqualityRelativeSafety
 from .corpora import family_schema, family_state
@@ -61,7 +61,7 @@ def run(generations: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
         ),
     )
     domain = EqualityDomain()
-    engine = QueryEngine(domain, family_schema())
+    session = Session(domain, family_schema(), guard=False)
     decider = EqualityRelativeSafety(domain)
     queries = [
         ("M(x)", more_than_one_son_query(), True),
@@ -72,7 +72,7 @@ def run(generations: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
     for generation_count in generations:
         state = family_state(generations=generation_count, sons_per_father=2)
         for name, query, expected_finite in queries:
-            answer = engine.answer_active_domain(query, state)
+            answer = session.query(query, state, strategy="active-domain")
             verdict = decider.decide(query, state)
             matches = verdict.is_finite == expected_finite
             result.add_row(

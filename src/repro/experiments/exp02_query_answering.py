@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..api.session import Session
 from ..domains.nat_order import NaturalOrderDomain
 from ..engine.answers import FiniteAnswer
-from ..engine.evaluator import QueryEngine
+from ..engine.budget import Budget
 from ..logic.builders import atom, conj, eq, exists, var
 from .corpora import numeric_schema, numeric_state
 from .report import ExperimentResult
@@ -31,7 +32,8 @@ def run(state_sizes: Sequence[int] = (2, 4, 6)) -> ExperimentResult:
         headers=("state size", "query", "rows (enumeration)", "terminated", "consistent"),
     )
     domain = NaturalOrderDomain()
-    engine = QueryEngine(domain, numeric_schema())
+    session = Session(domain, numeric_schema(), guard=False)
+    budget = Budget(max_rows=200, max_candidates=500)
     x, y, z = var("x"), var("y"), var("z")
     queries = [
         ("members", atom("S", x)),
@@ -44,7 +46,7 @@ def run(state_sizes: Sequence[int] = (2, 4, 6)) -> ExperimentResult:
         values = [3 * (i + 1) for i in range(size)]
         state = numeric_state(values)
         for name, query in queries:
-            answer = engine.answer_by_enumeration(query, state, max_rows=200, max_candidates=500)
+            answer = session.query(query, state, strategy="enumeration", budget=budget)
             terminated = isinstance(answer, FiniteAnswer)
             # Cross-check: every stored member is <= max value, so the expected
             # answers are directly computable.

@@ -3,7 +3,7 @@
 The paper's central move is replacing unbounded quantification with
 evaluation over finitely many *relevant* elements.  Concretely, on domains
 whose carrier is totally ordered by the standard integer comparison
-(``ordered_carrier`` in the registry), the comparison literals of a formula
+(``Domain.ordered_carrier``), the comparison literals of a formula
 imply per-variable *interval bounds*, and three very different consumers all
 want the same analysis:
 
@@ -20,9 +20,8 @@ want the same analysis:
   so decidable ordered domains stop paying ``max_candidates`` per answer
   row.
 
-This module is deliberately free of plan-node and registry imports (the
-registry is consulted lazily by :func:`domain_is_ordered`), so every layer —
-logic, relational, engine — can depend on it without cycles.
+This module is deliberately free of plan-node and domain imports, so every
+layer — logic, relational, engine — can depend on it without cycles.
 
 The workhorse data type is the :class:`IntervalSet`: a union of disjoint
 closed integer intervals with optional open ends, normalised by the sorted
@@ -71,7 +70,6 @@ from .state import DatabaseState, Element
 
 __all__ = [
     "ORDER_PREDICATES",
-    "registry_capability",
     "domain_is_ordered",
     "AttrRef",
     "ConstRef",
@@ -93,30 +91,8 @@ __all__ = [
 ORDER_PREDICATES = ("<", "<=", ">", ">=")
 
 
-def registry_capability(domain: Any, flag: str) -> bool:
-    """The registry capability ``flag`` for ``domain``.
-
-    Domains are looked up by their ``name`` in the registry; unregistered
-    domains fall back to a same-named attribute on the instance (default
-    ``False``).  This is the one place the capability-lookup pattern lives —
-    :func:`domain_is_ordered` and the enumeration engine's compiled-backend
-    check both go through it.
-    """
-    name = getattr(domain, "name", None)
-    if isinstance(name, str):
-        # Imported lazily: repro.domains pulls in repro.relational at
-        # package-init time, so a module-level import would be circular.
-        from ..domains.registry import UnknownDomainError, get_entry
-
-        try:
-            return bool(getattr(get_entry(name), flag))
-        except UnknownDomainError:
-            pass
-    return bool(getattr(domain, flag, False))
-
-
 def domain_is_ordered(domain: Any) -> bool:
-    """True when ``domain`` is flagged ``ordered_carrier`` in the registry.
+    """True when ``domain`` declares ``ordered_carrier``.
 
     Ordered means: the carrier is totally ordered by the standard integer
     comparison and the domain's ``<``/``<=``/``>``/``>=`` predicates have
@@ -128,7 +104,7 @@ def domain_is_ordered(domain: Any) -> bool:
     >>> domain_is_ordered(NaturalOrderDomain()), domain_is_ordered(EqualityDomain())
     (True, False)
     """
-    return registry_capability(domain, "ordered_carrier")
+    return bool(getattr(domain, "ordered_carrier", False))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Domain predicates and functions are supplied by any object with
 are looked up in the state.
 
 On domains whose carrier is totally ordered by the integer comparison
-(``ordered_carrier`` in the registry), quantifier candidate ranges are
+(``Domain.ordered_carrier``), quantifier candidate ranges are
 **narrowed**: instead of iterating the full universe, each ``∃``/``∀``
 iterates only the interval union that the shared bound analysis
 (:mod:`repro.relational.bounds`) infers from the quantifier body's
@@ -259,7 +259,7 @@ def evaluate_query_active_domain(
 
     ``narrow`` controls quantifier-range narrowing: with ``None`` (the
     default) or ``True``, narrowing runs exactly when it is sound and
-    possible — the domain's carrier is registry-flagged ordered and the
+    possible — the domain declares an ordered carrier and the
     universe coerces to integers — and otherwise the full-universe walker
     runs (observable as ``stats.enabled`` staying ``False``); ``False``
     forces the full-universe walker unconditionally.  Pass a

@@ -12,10 +12,10 @@ Four families of rewrites, applied bottom-up in one pass:
    its attributes are bound, so filters fire between pads instead of after
    the full ``|adom|^k`` product;
 2. **interval joins on ordered domains** — when the domain's carrier is
-   flagged ordered in the registry, a padded column filtered by ``<``/``<=``
-   (or their negations/flips) becomes an ``IntervalJoin``: the column ranges
-   over a binary-searched slice of the sorted active domain instead of being
-   generated and then filtered pointwise;
+   declared ordered (``Domain.ordered_carrier``), a padded column filtered
+   by ``<``/``<=`` (or their negations/flips) becomes an ``IntervalJoin``:
+   the column ranges over a binary-searched slice of the sorted active
+   domain instead of being generated and then filtered pointwise;
 3. **projection pushdown** — a ``Project`` over a ``Join`` pushes into the
    parts (attributes used by only one part are dropped before the join), a
    ``Project`` over a ``CrossPad`` drops pad columns it does not keep

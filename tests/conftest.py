@@ -9,18 +9,16 @@ exercise that pack.
 
 import pytest
 
-from repro.domains import domain_aliases, get_pack
-from repro.domains.packs import available_packs
+from repro.domains import available_domains, domain_aliases, get_pack
 
 
 def _pack_markers():
     """canonical name -> marker slug, plus alias -> marker slug."""
     markers = {}
-    for name in available_packs():
+    for name in available_domains():
         markers[name] = get_pack(name).marker or name
     for alias, canonical in domain_aliases().items():
-        if canonical in markers:
-            markers.setdefault(alias, markers[canonical])
+        markers.setdefault(alias, markers[canonical])
     return markers
 
 

@@ -13,18 +13,18 @@ from repro.api import (
     Session,
     SessionError,
 )
-from repro.domains import EqualityDomain, PresburgerDomain
-from repro.domains.registry import (
+from repro.domains import (
+    EqualityDomain,
+    PresburgerDomain,
     UnknownDomainError,
     available_domains,
     domain_aliases,
     get_domain,
-    get_entry,
+    get_pack,
     resolve_domain_name,
 )
-from repro.engine import QueryEngine
 from repro.engine.answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
-from repro.engine.plans import STRATEGIES, plan_for_strategy
+from repro.engine.plans import STRATEGIES
 from repro.experiments.corpora import family_schema, family_state, numeric_schema
 from repro.logic.builders import atom, var
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -80,12 +80,12 @@ def test_registry_alias_table_is_consistent():
         assert canonical in available_domains()
 
 
-def test_registry_entries_carry_paper_guard_metadata():
-    assert get_entry("eq").safety_factory is not None
-    assert get_entry("succ").syntax_factory is not None
+def test_registry_packs_carry_paper_guard_metadata():
+    assert get_pack("eq").safety_factory is not None
+    assert get_pack("succ").syntax_factory is not None
     # Theorems 3.1 / 3.3: the trace domain has neither guard.
-    assert get_entry("traces").safety_factory is None
-    assert get_entry("traces").syntax_factory is None
+    assert get_pack("traces").safety_factory is None
+    assert get_pack("traces").syntax_factory is None
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +367,81 @@ def test_session_repr_and_explain():
     assert "strategy" in text and "free variables" in text
 
 
-def test_legacy_query_engine_accepts_budget_objects():
-    engine = QueryEngine(PresburgerDomain(), numeric_schema())
+def test_domain_instance_session_installs_its_pack_guards():
+    session = Session(PresburgerDomain(), numeric_schema())
+    assert session.safety is not None
+    plan = session.plan()
+    assert isinstance(plan, GuardedPlan)
+    assert isinstance(plan.inner, EnumerationPlan) and plan.explain()
     from repro.experiments.corpora import numeric_state
 
     state = numeric_state([2, 4])
-    query = atom("S", var("x"))
-    via_budget = engine.answer(query, state, budget=Budget(max_rows=10, max_candidates=50))
-    via_kwargs = engine.answer(query, state, max_rows=10, max_candidates=50)
-    assert via_budget.rows() == via_kwargs.rows() == ((2,), (4,))
-    plan = engine.plan("auto")
-    assert isinstance(plan, EnumerationPlan) and plan.explain()
+    answer = session.query(
+        "S(x)", state, strategy="enumeration",
+        budget=Budget(max_rows=10, max_candidates=50),
+    )
+    assert answer.rows() == ((2,), (4,))
 
 
-def test_legacy_guarded_engine_budget_wins_over_legacy_kwargs():
-    from repro.engine import GuardedEngine
+def test_explicit_enumeration_bypasses_the_guard_under_its_budget():
     from repro.experiments.corpora import numeric_state
 
-    engine = QueryEngine(PresburgerDomain(), numeric_schema())
-    guarded = GuardedEngine(engine)
-    state = numeric_state([1])
-    # budget alongside the legacy keywords must not raise; budget wins.
-    result = guarded.answer(
-        atom("<", var("x"), 2),
-        state,
+    session = Session(PresburgerDomain(), numeric_schema())
+    result = session.run(
+        "x < 2",
+        numeric_state([1]),
         strategy="enumeration",
         budget=Budget(max_rows=1, max_candidates=50),
-        max_rows=7,
     )
+    assert result.verdict is None
     assert isinstance(result.answer, UnknownAnswer)
     assert len(result.answer.rows()) == 1
 
 
-def test_plan_for_strategy_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        plan_for_strategy("mystery", EqualityDomain())
+def test_planner_rejects_unknown_strategy_names():
+    with pytest.raises(PlanError):
+        Planner(EqualityDomain()).plan("mystery")
+
+
+# ---------------------------------------------------------------------------
+# Plan choice per pack
+# ---------------------------------------------------------------------------
+
+
+#: pack → (auto plan, its inner plan) in a plain and an incremental session
+_AUTO_PLANS = {
+    "equality": (
+        "GuardedPlan[VectorizedAlgebraPlan]", "GuardedPlan[IncrementalAlgebraPlan]"
+    ),
+    "cyclic_successor": (
+        "GuardedPlan[VectorizedAlgebraPlan]", "GuardedPlan[IncrementalAlgebraPlan]"
+    ),
+    **{
+        name: ("GuardedPlan[EnumerationPlan]",) * 2
+        for name in (
+            "naturals_with_order", "presburger_naturals", "presburger_integers",
+            "integer_differences", "naturals_with_successor",
+            "rationals_with_order", "shortlex_strings",
+        )
+    },
+    "traces": ("EnumerationPlan",) * 2,
+    "reach_traces": ("EnumerationPlan",) * 2,
+}
+
+
+def _plan_shape(plan):
+    inner = getattr(plan, "inner", None)
+    if inner is None:
+        return type(plan).__name__
+    return f"{type(plan).__name__}[{type(inner).__name__}]"
+
+
+def test_plan_choice_table_covers_every_pack():
+    assert set(_AUTO_PLANS) == set(available_domains())
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["plain", "incremental"])
+@pytest.mark.parametrize("name", sorted(_AUTO_PLANS))
+def test_auto_plan_choice_per_pack(name, incremental):
+    plan = connect(name, incremental=incremental).plan()
+    assert _plan_shape(plan) == _AUTO_PLANS[name][incremental]

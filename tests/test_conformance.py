@@ -3,8 +3,7 @@
 Three layers:
 
 * registry lifecycle: atomic (all-or-nothing) alias registration,
-  ``unregister_domain`` and the ``temporary_domain`` / ``temporary_pack``
-  context managers, and pack/entry lock-step;
+  ``unregister_pack`` and the ``temporary_pack`` context manager;
 * the conformance harness run against every built-in pack (the
   registry-parametrized positive suite);
 * negative controls: a deliberately broken pack — mutated decision
@@ -21,22 +20,18 @@ from repro.conformance import (
     run_pack_conformance,
 )
 from repro.domains import (
-    DomainEntry,
     DomainPack,
     PackCorpus,
     PackQuery,
     PackSentence,
     UnknownDomainError,
     available_domains,
-    available_packs,
     domain_aliases,
-    get_entry,
     get_pack,
-    register_domain,
+    register_pack,
     resolve_domain_name,
-    temporary_domain,
     temporary_pack,
-    unregister_domain,
+    unregister_pack,
 )
 from repro.domains.cyclic import CyclicSuccessorDomain
 from repro.domains.equality import EqualityDomain
@@ -48,19 +43,19 @@ from repro.logic.builders import eq, exists, var
 # ---------------------------------------------------------------------------
 
 
-def _probe_entry(name="probe_domain", aliases=("probe",)):
-    return DomainEntry(name=name, factory=EqualityDomain, aliases=aliases)
+def _probe_pack(name="probe_domain", aliases=("probe",)):
+    return DomainPack(name=name, factory=EqualityDomain, aliases=aliases)
 
 
-def test_register_domain_is_atomic_on_alias_collision():
+def test_register_pack_is_atomic_on_alias_collision():
     # "eq" already aliases the equality domain: registration must fail
     # without writing *anything* — neither the canonical name nor the first,
     # non-colliding alias may leak into the registry.
-    entry = _probe_entry(aliases=("fresh_alias", "eq"))
+    pack = _probe_pack(aliases=("fresh_alias", "eq"))
     before_domains = available_domains()
     before_aliases = domain_aliases()
     with pytest.raises(ValueError, match="eq"):
-        register_domain(entry)
+        register_pack(pack)
     assert available_domains() == before_domains
     assert domain_aliases() == before_aliases
     with pytest.raises(UnknownDomainError):
@@ -69,36 +64,41 @@ def test_register_domain_is_atomic_on_alias_collision():
         resolve_domain_name("probe_domain")
 
 
-def test_unregister_domain_removes_entry_and_every_alias():
-    entry = register_domain(_probe_entry())
+def test_register_pack_rejects_a_taken_canonical_name():
+    with pytest.raises(ValueError, match="already registered"):
+        register_pack(_probe_pack(name="Equality", aliases=()))
+
+
+def test_unregister_pack_removes_it_and_every_alias():
+    pack = register_pack(_probe_pack())
     assert resolve_domain_name("probe") == "probe_domain"
-    removed = unregister_domain("probe")  # by alias
-    assert removed is entry
+    removed = unregister_pack("probe")  # by alias
+    assert removed is pack
     assert "probe_domain" not in available_domains()
     with pytest.raises(UnknownDomainError):
         resolve_domain_name("probe")
 
 
-def test_unregister_unknown_domain_raises():
+def test_unregister_unknown_pack_raises():
     with pytest.raises(UnknownDomainError):
-        unregister_domain("never_registered")
+        unregister_pack("never_registered")
 
 
-def test_temporary_domain_cleans_up_even_on_error():
-    entry = _probe_entry()
+def test_temporary_pack_cleans_up_even_on_error():
+    pack = _probe_pack()
     with pytest.raises(RuntimeError):
-        with temporary_domain(entry):
-            assert get_entry("probe") is entry
+        with temporary_pack(pack):
+            assert get_pack("probe") is pack
             raise RuntimeError("boom")
     assert "probe_domain" not in available_domains()
 
 
-def test_every_domain_has_a_pack_and_flags_agree():
-    assert set(available_packs()) == set(available_domains())
-    for name in available_packs():
+def test_alias_table_covers_every_pack_name_and_alias():
+    aliases = domain_aliases()
+    for name in available_domains():
         pack = get_pack(name)
-        entry = get_entry(name)
-        assert pack.to_entry() == entry
+        assert aliases[name] == name
+        assert all(aliases[alias] == name for alias in pack.aliases)
 
 
 def test_get_pack_resolves_aliases():
@@ -108,19 +108,12 @@ def test_get_pack_resolves_aliases():
     assert get_pack("shortlex").name == "shortlex_strings"
 
 
-def test_get_pack_reports_packless_domains():
-    with temporary_domain(_probe_entry()):
-        with pytest.raises(UnknownDomainError, match="without a pack"):
-            get_pack("probe")
-
-
 def test_temporary_pack_registers_domain_and_cleans_up():
     pack = DomainPack(name="probe_pack", factory=EqualityDomain, aliases=("pp",))
     with temporary_pack(pack):
         assert "probe_pack" in available_domains()
         assert get_pack("pp") is pack
     assert "probe_pack" not in available_domains()
-    assert "probe_pack" not in available_packs()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def test_temporary_pack_registers_domain_and_cleans_up():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pack_name", sorted(available_packs()))
+@pytest.mark.parametrize("pack_name", available_domains())
 def test_builtin_pack_conformance(pack_name):
     report = run_pack_conformance(pack_name, seeds=("0",))
     assert report.ok, report.describe()
@@ -184,7 +177,6 @@ def test_harness_fails_on_mutated_decision_procedure():
     broken = DomainPack(
         name="broken_cyclic",
         factory=_LyingCyclicDomain,
-        finite_carrier=True,
         sentences_factory=_broken_sentences,
         corpora_factory=base.corpora_factory,
     )
@@ -223,10 +215,13 @@ def test_harness_fails_on_false_substrate_claim():
             ),
         )
 
+    class BraggartSuccessor(SuccessorDomain):
+        name = "braggart_successor"
+        supports_compiled_algebra = True  # false: succ terms never compile
+
     braggart = DomainPack(
         name="braggart_successor",
-        factory=SuccessorDomain,
-        supports_compiled_algebra=True,  # false: succ terms never compile
+        factory=BraggartSuccessor,
         corpora_factory=corpora,
     )
     with temporary_pack(braggart):
@@ -264,7 +259,6 @@ def test_harness_fails_on_wrong_declared_finiteness():
         name="wrong_equality",
         factory=base.factory,
         safety_factory=base.safety_factory,
-        finite_implies_domain_independent=True,
         corpora_factory=corpora,
     )
     with temporary_pack(wrong_pack):
@@ -280,7 +274,6 @@ def test_cli_entry_point_exit_codes():
     broken = DomainPack(
         name="broken_cyclic",
         factory=_LyingCyclicDomain,
-        finite_carrier=True,
         sentences_factory=_broken_sentences,
     )
     with temporary_pack(broken):

@@ -1,15 +1,15 @@
-"""Tests for the query engine: enumeration algorithm, evaluator facade, guards."""
+"""Tests for the query engine: enumeration algorithm, strategies, guards."""
 
 import pytest
 
+from repro.api import Session
 from repro.domains.base import TheoryUndecidableError
 from repro.domains.equality import EqualityDomain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.engine.answers import FiniteAnswer, InfiniteAnswer, UnknownAnswer
+from repro.engine.budget import Budget
 from repro.engine.enumeration import answer_by_enumeration, enumerate_tuples
-from repro.engine.evaluator import QueryEngine
-from repro.engine.safety_guard import GuardedEngine
 from repro.experiments.corpora import (
     family_schema,
     family_state,
@@ -61,65 +61,65 @@ def test_enumeration_gives_up_on_infinite_queries():
     assert len(answer.partial) == 5
 
 
-def test_query_engine_strategies():
-    domain = PresburgerDomain()
-    engine = QueryEngine(domain, numeric_schema())
+def test_session_strategies_agree():
+    session = Session(PresburgerDomain(), numeric_schema())
     state = numeric_state([2, 4])
     query = atom("S", var("x"))
-    active = engine.answer(query, state, strategy="active-domain")
-    enumerated = engine.answer(query, state, strategy="enumeration", max_rows=10, max_candidates=50)
-    auto = engine.answer(query, state)
+    active = session.query(query, state, strategy="active-domain")
+    enumerated = session.query(
+        query, state, strategy="enumeration",
+        budget=Budget(max_rows=10, max_candidates=50),
+    )
+    auto = session.query(query, state)
     assert active.relation.rows == enumerated.relation.rows == auto.relation.rows == {(2,), (4,)}
     with pytest.raises(ValueError):
-        engine.answer(query, state, strategy="mystery")
+        session.query(query, state, strategy="mystery")
 
 
-def test_query_engine_rejects_enumeration_without_decidability():
+def test_session_rejects_enumeration_without_decidability():
     from repro.safety.extension import OrderedExtensionDomain
 
     undecidable = OrderedExtensionDomain(EqualityDomain())
-    engine = QueryEngine(undecidable, numeric_schema())
+    session = Session(undecidable, numeric_schema())
     with pytest.raises(TheoryUndecidableError):
-        engine.answer_by_enumeration(atom("S", var("x")), numeric_state([1]))
+        session.query(atom("S", var("x")), numeric_state([1]), strategy="enumeration")
     # auto strategy falls back to active-domain evaluation
-    answer = engine.answer(atom("S", var("x")), numeric_state([1]))
+    answer = session.query(atom("S", var("x")), numeric_state([1]))
     assert isinstance(answer, FiniteAnswer)
 
 
-def test_guarded_engine_syntax_rewrite_and_safety_rejection():
+def test_guarded_session_syntax_rewrite_and_safety_rejection():
     domain = EqualityDomain()
     schema = family_schema()
     state = family_state(generations=2)
-    engine = QueryEngine(domain, schema)
     syntax = ActiveDomainSyntax(schema)
     safety = EqualityRelativeSafety(domain)
 
-    guarded = GuardedEngine(engine, syntax=syntax, safety=safety)
-    outcome = guarded.answer(unsafe_disjunction_query(), state, strategy="active-domain")
+    restricted = Session(domain, schema, syntax=syntax, safety=safety)
+    outcome = restricted.run(unsafe_disjunction_query(), state)
     assert outcome.rewritten
     assert isinstance(outcome.answer, FiniteAnswer)
 
-    unguarded_syntax = GuardedEngine(engine, syntax=None, safety=safety)
-    rejection = unguarded_syntax.answer(unsafe_disjunction_query(), state, strategy="active-domain")
+    guarded = Session(domain, schema, safety=safety)
+    rejection = guarded.run(unsafe_disjunction_query(), state)
     assert isinstance(rejection.answer, InfiniteAnswer)
     assert rejection.verdict is not None and rejection.verdict.is_finite is False
 
-    accepted = unguarded_syntax.answer(more_than_one_son_query(), state, strategy="active-domain")
+    accepted = guarded.run(more_than_one_son_query(), state)
     assert isinstance(accepted.answer, FiniteAnswer)
     assert not accepted.rewritten
 
 
-def test_guarded_engine_with_ordered_safety():
+def test_guarded_session_with_ordered_safety():
     domain = PresburgerDomain()
-    engine = QueryEngine(domain, numeric_schema())
-    guarded = GuardedEngine(engine, safety=OrderedRelativeSafety(domain))
+    session = Session(domain, numeric_schema(), safety=OrderedRelativeSafety(domain))
     state = numeric_state([3, 8])
     finite_query = exists("y", conj(atom("S", var("y")), atom("<", var("x"), var("y"))))
-    outcome = guarded.answer(finite_query, state, strategy="enumeration",
-                             max_rows=20, max_candidates=100)
+    budget = Budget(max_rows=20, max_candidates=100)
+    outcome = session.run(finite_query, state, strategy="guarded", budget=budget)
     assert isinstance(outcome.answer, FiniteAnswer)
     assert outcome.answer.relation.rows == {(n,) for n in range(8)}
 
     infinite_query = neg(atom("S", var("x")))
-    rejected = guarded.answer(infinite_query, state, strategy="enumeration")
+    rejected = session.run(infinite_query, state, strategy="guarded")
     assert isinstance(rejected.answer, InfiniteAnswer)

@@ -147,7 +147,7 @@ def test_snapshot_is_json_ready():
 
 
 def nat_fixture():
-    from repro.domains.registry import get_domain
+    from repro.domains import get_domain
 
     schema = DatabaseSchema((RelationSchema("F", 2),))
     state = DatabaseState(schema, {"F": [(1, 2), (2, 3), (3, 4)]})

@@ -1,5 +1,6 @@
 """End-to-end integration tests crossing all the subsystems."""
 
+from repro.api import Budget, Session
 from repro.domains import (
     EqualityDomain,
     NaturalOrderDomain,
@@ -8,7 +9,7 @@ from repro.domains import (
     SuccessorDomain,
     TraceDomain,
 )
-from repro.engine import FiniteAnswer, GuardedEngine, QueryEngine
+from repro.engine import FiniteAnswer
 from repro.experiments.corpora import family_schema, family_state, numeric_schema, numeric_state
 from repro.experiments.exp01_intro_queries import grandfather_query, more_than_one_son_query
 from repro.logic import atom, conj, exists, parse_formula, print_formula, var
@@ -39,16 +40,16 @@ def test_family_workflow_over_equality_domain():
     schema = family_schema()
     state = family_state(generations=3)
     domain = EqualityDomain()
-    engine = QueryEngine(domain, schema)
-    guarded = GuardedEngine(
-        engine,
+    session = Session(
+        domain,
+        schema,
         syntax=ActiveDomainSyntax(schema),
         safety=EqualityRelativeSafety(domain),
     )
-    outcome = guarded.answer(more_than_one_son_query(), state, strategy="active-domain")
+    outcome = session.run(more_than_one_son_query(), state)
     assert isinstance(outcome.answer, FiniteAnswer)
     assert len(outcome.answer.relation) == 7  # every non-leaf person has two sons
-    grand = guarded.answer(grandfather_query(), state, strategy="active-domain")
+    grand = session.run(grandfather_query(), state)
     assert len(grand.answer.relation) == 4 + 8  # grandfather/grandson pairs
 
 
@@ -56,19 +57,20 @@ def test_ordered_workflow_parse_finitize_decide_answer():
     """Text query -> finitization -> Theorem 2.5 decision -> enumeration answer."""
     domain = PresburgerDomain()
     state = numeric_state([4, 9])
-    engine = QueryEngine(domain, numeric_schema())
+    session = Session(domain, numeric_schema())
+    budget = Budget(max_rows=20, max_candidates=100)
     decider = OrderedRelativeSafety(domain)
 
     query = parse_formula("exists y. (S(y) & x < y)")
     assert decider.decide(query, state).is_finite is True
-    answer = engine.answer_by_enumeration(query, state, max_rows=20, max_candidates=100)
+    answer = session.query(query, state, strategy="enumeration", budget=budget)
     assert isinstance(answer, FiniteAnswer)
     assert answer.relation.rows == {(n,) for n in range(9)}
 
     finitized = finitize(query)
     assert FinitizationSyntax().contains(finitized)
     # the finitization answers identically for this (finite) query
-    same = engine.answer_by_enumeration(finitized, state, max_rows=20, max_candidates=100)
+    same = session.query(finitized, state, strategy="enumeration", budget=budget)
     assert same.relation.rows == answer.relation.rows
 
 

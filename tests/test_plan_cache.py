@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from repro import Budget, connect
+from repro.api import Planner
 from repro.domains.equality import EqualityDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plan_cache import PlanCache
@@ -16,9 +17,8 @@ from repro.engine.plans import (
     CompiledAlgebraPlan,
     GuardedPlan,
     VectorizedAlgebraPlan,
-    plan_for_strategy,
 )
-from repro.domains.registry import get_entry
+from repro.domains import get_domain
 from repro.experiments.corpora import family_schema, family_state, numeric_state
 from repro.logic.parser import parse_formula
 from repro.relational.compile import CompilationError
@@ -71,17 +71,18 @@ def test_cache_clear_keeps_counters():
 # ---------------------------------------------------------------------------
 
 
-def test_registry_capability_flags():
-    assert get_entry("eq").supports_compiled_algebra
-    assert get_entry("presburger").supports_compiled_algebra
-    assert not get_entry("succ").supports_compiled_algebra
-    assert not get_entry("traces").supports_compiled_algebra
-    assert get_entry("eq").supports_vectorized
-    assert get_entry("nat<").supports_vectorized
-    # succ's int carrier encodes fine; the flag is declarative until the
-    # domain gains a compiled backend (auto-selection needs both flags).
-    assert get_entry("succ").supports_vectorized
-    assert not get_entry("traces").supports_vectorized
+def test_domain_capability_attributes():
+    compiled = {
+        name for name in ("eq", "presburger", "nat<", "integers", "zdiff",
+                          "qlinear", "cyclic", "shortlex", "succ", "traces",
+                          "reach")
+        if get_domain(name).supports_compiled_algebra
+    }
+    # succ terms never compile, and the trace domains keep the tree walker.
+    assert compiled == {
+        "eq", "presburger", "nat<", "integers", "zdiff", "qlinear", "cyclic",
+        "shortlex",
+    }
 
 
 def test_guard_certified_equality_queries_use_the_vectorized_backend():
@@ -133,8 +134,8 @@ def test_compiled_strategy_is_explicitly_requestable():
     assert plan.last_summary is not None
 
 
-def test_plan_for_strategy_builds_a_compiled_plan_without_a_cache():
-    plan = plan_for_strategy("compiled", EqualityDomain(), Budget())
+def test_planner_builds_a_compiled_plan_without_a_cache():
+    plan = Planner(EqualityDomain()).plan("compiled", Budget())
     assert isinstance(plan, CompiledAlgebraPlan)
     assert plan.cache is None
 

@@ -227,13 +227,13 @@ def test_narrowed_walker_handles_shadowed_quantifiers():
     assert narrowed.rows == full.rows == {(10,)}
 
 
-def test_registry_capability_lookup():
-    from repro.relational.bounds import registry_capability
-
-    assert registry_capability(NAT, "ordered_carrier")
-    assert registry_capability(NAT, "supports_compiled_algebra")
-    assert not registry_capability(EqualityDomain(), "ordered_carrier")
-    assert not registry_capability(object(), "ordered_carrier")
+def test_ordered_gate_reads_the_domain_not_the_registry():
+    renamed = NaturalOrderDomain()
+    renamed.name = "unregistered-naturals"
+    assert domain_is_ordered(renamed)
+    assert QuantifierNarrower.for_universe([1, 2], renamed) is not None
+    assert not domain_is_ordered(EqualityDomain())
+    assert not domain_is_ordered(object())
 
 
 def test_narrower_empty_universe():

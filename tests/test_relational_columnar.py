@@ -31,7 +31,8 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro import connect
-from repro.domains import available_packs, get_pack
+from repro.api import Planner
+from repro.domains import available_domains, get_pack
 from repro.domains.equality import EqualityDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
@@ -43,7 +44,6 @@ from repro.engine.plans import (
     GuardedPlan,
     IncrementalAlgebraPlan,
     VectorizedAlgebraPlan,
-    plan_for_strategy,
 )
 from repro.experiments.corpora import (
     family_schema,
@@ -251,17 +251,8 @@ def test_property_family_queries_on_empty_relations(name, query, rows):
     _assert_three_way_equivalent(query, _family(rows), EQ)
 
 
-def _substrate_pack_names():
-    """Packs claiming an algebra substrate, from the registry — not a list."""
-    return [
-        name for name in available_packs()
-        if get_pack(name).supports_compiled_algebra
-        or get_pack(name).supports_vectorized
-    ]
-
-
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("pack_name", _substrate_pack_names())
+@pytest.mark.parametrize("pack_name", available_domains())
 def test_property_pack_corpora_three_way(pack_name, seed):
     """Every pack corpus agrees across the whole substrate ladder.
 
@@ -271,7 +262,7 @@ def test_property_pack_corpora_three_way(pack_name, seed):
     """
     pack = get_pack(pack_name)
     domain = pack.factory()
-    extras = tuple(domain.carrier_elements()) if pack.finite_carrier else ()
+    extras = tuple(domain.carrier_elements()) if domain.finite_carrier else ()
     checked = 0
     for corpus in pack.corpora():
         states = [corpus.canonical_state]
@@ -338,7 +329,7 @@ def test_succ_terms_fall_back_to_the_tree_walker():
 
 def test_vectorized_strategy_is_registered():
     assert "vectorized" in STRATEGIES
-    plan = plan_for_strategy("vectorized", EqualityDomain())
+    plan = Planner(EqualityDomain()).plan("vectorized")
     assert isinstance(plan, VectorizedAlgebraPlan)
     assert plan.strategy == "vectorized"
 

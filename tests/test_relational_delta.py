@@ -11,8 +11,8 @@ Five layers:
 * the ΔQ maintenance pass (:mod:`repro.relational.delta`): per-node rules,
   the aggregate-bound RangeScan regression, and the adom-shrink fallback;
 * randomized property tests — interleaved insert/delete sequences answered
-  incrementally must equal rebuilt-from-scratch answers across every
-  substrate the pack registry claims;
+  incrementally must equal rebuilt-from-scratch answers across both
+  algebra substrates, on every pack whose domain compiles to algebra;
 * the serving wiring: :class:`~repro.engine.answer_cache.AnswerCache`
   decisions, ``strategy="incremental"``, incremental sessions with
   ``apply_delta``, and the ``/mutate`` endpoint.
@@ -25,7 +25,8 @@ import urllib.request
 import pytest
 
 from repro import Delta, connect
-from repro.domains import available_packs, get_pack
+from repro.api import Planner
+from repro.domains import available_domains, get_domain, get_pack
 from repro.domains.equality import EqualityDomain
 from repro.engine.answer_cache import AnswerCache
 from repro.engine.budget import Budget
@@ -34,7 +35,6 @@ from repro.engine.plans import (
     CompiledAlgebraPlan,
     IncrementalAlgebraPlan,
     VectorizedAlgebraPlan,
-    plan_for_strategy,
 )
 from repro.logic.parser import parse_formula
 from repro.relational.calculus import evaluate_query_active_domain
@@ -330,8 +330,8 @@ def test_maintenance_is_cumulative_across_many_deltas():
 
 def _substrate_pack_names():
     return [
-        name for name in available_packs()
-        if get_pack(name).supports_compiled_algebra
+        name for name in available_domains()
+        if get_domain(name).supports_compiled_algebra
     ]
 
 
@@ -356,9 +356,9 @@ def test_property_interleaved_deltas_equal_rebuilt(pack_name, seed):
     rebuilt state, across randomized insert/delete interleavings."""
     pack = get_pack(pack_name)
     domain = pack.factory()
-    extras = tuple(domain.carrier_elements()) if pack.finite_carrier else ()
+    extras = tuple(domain.carrier_elements()) if domain.finite_carrier else ()
     substrates = [CompiledAlgebraPlan(domain=domain, extra_elements=extras)]
-    if HAVE_NUMPY and pack.supports_vectorized:
+    if HAVE_NUMPY:
         substrates.append(VectorizedAlgebraPlan(domain=domain, extra_elements=extras))
     checked = 0
     for corpus in pack.corpora():
@@ -472,13 +472,13 @@ def test_answer_cache_lru_eviction_and_clear():
 
 def test_incremental_strategy_is_registered():
     assert "incremental" in STRATEGIES
-    plan = plan_for_strategy("incremental", EQ)
+    plan = Planner(EQ).plan("incremental")
     assert isinstance(plan, IncrementalAlgebraPlan)
     assert plan.strategy == "incremental"
 
 
 def test_incremental_plan_records_decisions_in_explain():
-    plan = plan_for_strategy("incremental", EQ)
+    plan = Planner(EQ).plan("incremental")
     query = parse_formula("F(x, y)")
     state = _state([(1, 2)])
     plan.execute(query, state)

@@ -22,13 +22,14 @@ import random
 import pytest
 
 from repro import connect
+from repro.domains import get_domain
 from repro.domains.equality import EqualityDomain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
-from repro.domains.registry import get_entry
 from repro.experiments.corpora import (
     family_schema,
     family_state,
+    numeric_schema,
     numeric_state,
     ordered_query_corpus,
 )
@@ -72,25 +73,50 @@ def _between_compiled(schema=None, optimize=True):
 
 
 # ---------------------------------------------------------------------------
-# registry flag and ordered-domain detection
+# the ordered-carrier capability and ordered-domain detection
 # ---------------------------------------------------------------------------
 
 
-def test_registry_flags_ordered_carriers():
-    assert get_entry("nat<").ordered_carrier
-    assert get_entry("presburger").ordered_carrier
-    assert get_entry("integers").ordered_carrier
-    assert not get_entry("equality").ordered_carrier
-    assert not get_entry("traces").ordered_carrier
+def test_ordered_carriers_are_declared_on_the_domain():
+    ordered = {
+        name for name in ("nat<", "presburger", "integers", "zdiff", "eq",
+                          "qlinear", "shortlex", "cyclic", "succ", "traces")
+        if get_domain(name).ordered_carrier
+    }
+    assert ordered == {"nat<", "presburger", "integers", "zdiff"}
 
 
-def test_domain_is_ordered_falls_back_to_instance_attribute():
+def test_domain_is_ordered_reads_the_instance_attribute():
     class Unregistered:
         name = "no-such-domain"
         ordered_carrier = True
 
     assert domain_is_ordered(Unregistered())
     assert not domain_is_ordered(object())
+
+
+def test_capabilities_follow_the_domain_not_its_registered_name():
+    # Regression: capabilities used to be looked up by the domain's *name*
+    # in the registry, so a renamed (N, <) instance lost its ordered carrier
+    # and compiled to a pad-and-filter plan; the tree walker stopped
+    # narrowing too.
+    from repro.relational.bounds import NarrowingStats
+
+    domain = NaturalOrderDomain()
+    domain.name = "my-nat"
+    query = parse_formula("exists y. exists z. (S(y) & S(z) & y < x & x < z)")
+    compiled = compile_query(query, numeric_schema(), domain)
+    assert compiled.summary().startswith("2 scans, 1 range-scan;")
+    state = numeric_state([2, 5, 9])
+    stats = NarrowingStats()
+    relation = evaluate_query_active_domain(
+        query, state, interpretation=domain, stats=stats
+    )
+    assert stats.enabled and stats.narrowed
+    assert relation.rows == {(5,)}
+    plan = connect(domain, numeric_schema()).plan("compiled")
+    plan.execute(query, state)
+    assert "range-scan" in plan.last_summary
 
 
 # ---------------------------------------------------------------------------

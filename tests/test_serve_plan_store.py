@@ -198,7 +198,6 @@ def test_warm_restart_skips_compilation(tmp_path, monkeypatch):
     """The acceptance-criteria mechanism: a populated store means a fresh
     process (fresh memory tier) serves compiles from disk instead of calling
     compile_query."""
-    from repro.domains.registry import get_entry
     from repro.serve import ServerPolicy, SessionManager
 
     numeric = numeric_schema()
@@ -235,4 +234,3 @@ def test_warm_restart_skips_compilation(tmp_path, monkeypatch):
         assert warm.plan_cache.disk_hits == len(queries)
     finally:
         warm.shutdown()
-    assert get_entry("nat<").supports_vectorized  # sanity: the strategy is real
