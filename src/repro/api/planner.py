@@ -20,6 +20,7 @@ reason for the choice.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..domains.base import Domain
@@ -175,19 +176,23 @@ class Planner:
             )
         if not self.guarded:
             return inner
+        plan = GuardedPlan(inner=inner, syntax=self._syntax, safety=self._safety)
         parts = []
         if self._safety is not None:
+            if plan.fused_ordered_guard is not None:
+                consequence = (
+                    "one quantifier elimination per (query, state) yields both "
+                    "the verdict and the answer rows"
+                )
+            else:
+                consequence = "provably infinite answers are rejected before evaluation"
             parts.append(
                 f"relative safety over {domain.name!r} is decidable via "
-                f"{self._safety.name!r}, so provably infinite answers are "
-                "rejected before evaluation"
+                f"{self._safety.name!r}, so {consequence}"
             )
         if self._syntax is not None:
             parts.append(
                 f"queries outside the effective syntax {self._syntax.name!r} "
                 "are restricted to it first"
             )
-        return GuardedPlan(
-            inner=inner, syntax=self._syntax, safety=self._safety,
-            reason="; ".join(parts),
-        )
+        return replace(plan, reason="; ".join(parts))

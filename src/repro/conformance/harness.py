@@ -1,7 +1,7 @@
 """The conformance harness: auto-generated validation for any domain pack.
 
 Given a :class:`~repro.domains.packs.DomainPack`, the harness derives and
-runs seven families of checks — no per-domain test code required:
+runs eight families of checks — no per-domain test code required:
 
 1. **decision-procedure** — every declared ground-truth sentence decides to
    its declared truth value.
@@ -17,10 +17,16 @@ runs seven families of checks — no per-domain test code required:
    finite answers; and under the Section 2 fresh-element decider
    (:class:`~repro.safety.relative_safety.EqualityRelativeSafety`), finite
    answers do not change under fresh extra elements.
-4. **edge-corpora** — queries run without error on empty and one-row states,
+4. **quantifier-free** ("fast path ≡ enumeration") — for packs whose
+   Theorem 2.5 decider reads verdicts and answers off one quantifier-free
+   form (:class:`~repro.domains.presburger.QuantifierFreeForm`), on the
+   canonical and randomized states every verdict equals the literal
+   finitization sentence's, and every finite answer equals the Section 1.1
+   enumeration's.
+5. **edge-corpora** — queries run without error on empty and one-row states,
    duplicated rows do not change any answer, and the corpus exercises
    negation or a universal quantifier somewhere.
-5. **delta-equivalence** — for packs with a compiled substrate, a sequence
+6. **delta-equivalence** — for packs with a compiled substrate, a sequence
    of randomized interleaved insert/delete deltas applied through
    :meth:`~repro.relational.state.DatabaseState.apply` and answered by the
    incremental substrate (:class:`~repro.engine.plans.IncrementalAlgebraPlan`)
@@ -30,10 +36,10 @@ runs seven families of checks — no per-domain test code required:
    :class:`~repro.engine.plans.GuardedPlan` over it), the session's verdicts
    and rows across the same deltas also match a plain session's ``auto`` on
    the rebuilt state, again with at least one delta-maintained answer.
-6. **bench-smoke** — all queries on a ``bench_size``-row random state finish
+7. **bench-smoke** — all queries on a ``bench_size``-row random state finish
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
-7. **faults** — under every fault in the seeded injection matrix
+8. **faults** — under every fault in the seeded injection matrix
    (:meth:`repro.testing.faults.FaultPlan.matrix`: exceptions, delays, and
    corrupted plan-store pickles at each named injection point), every
    substrate either still answers exactly the tree walker's rows (the
@@ -58,13 +64,19 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from ..domains.base import Domain
 from ..domains.packs import DomainPack, available_domains, get_pack
 from ..engine.budget import Budget
-from ..engine.plans import CompiledAlgebraPlan, VectorizedAlgebraPlan
+from ..engine.plans import (
+    CompiledAlgebraPlan,
+    EnumerationPlan,
+    GuardedPlan,
+    VectorizedAlgebraPlan,
+)
 from ..logic.formulas import ForAll, Not, walk_formulas
 from ..relational.calculus import evaluate_query_active_domain
 from ..relational.columnar import HAVE_NUMPY
 from ..relational.compile import CompilationError, compile_query
 from ..relational.exec import ExecutionStats, run_plan
 from ..relational.state import DatabaseState, Element, Relation
+from ..engine.enumeration import answer_by_enumeration
 from ..safety.relative_safety import EqualityRelativeSafety
 
 __all__ = [
@@ -309,6 +321,57 @@ def _check_guard_soundness(
         return CheckResult("guard-soundness", False, "; ".join(problems[:8]))
     return CheckResult(
         "guard-soundness", True, f"{asserted} declared verdict(s) confirmed"
+    )
+
+
+def _check_quantifier_free(
+    pack: DomainPack, domain: Domain, seeds: Sequence[str]
+) -> CheckResult:
+    """Fast path ≡ enumeration: where the Theorem 2.5 decider reads verdicts
+    and answers off one quantifier-free form, both must match the literal
+    finitization sentence and the Section 1.1 enumeration.  The family
+    covers exactly the deciders a guarded enumeration plan fuses
+    (:attr:`~repro.engine.plans.GuardedPlan.fused_ordered_guard`)."""
+    decider = pack.safety_factory(domain) if pack.safety_factory is not None else None
+    safety = GuardedPlan(inner=EnumerationPlan(domain), safety=decider).fused_ordered_guard
+    if safety is None:
+        return CheckResult(
+            "quantifier-free", True,
+            "skipped: the pack's decider has no quantifier-free form",
+        )
+    problems: List[str] = []
+    checked = 0
+    for corpus in pack.corpora():
+        for state_name, state in _conformance_states(corpus, seeds):
+            for pq in corpus.queries:
+                where = f"{corpus.name}/{pq.name} on {state_name}"
+                checked += 1
+                verdict = safety.decide(pq.query, state)
+                reference = safety.decide_by_sentence(pq.query, state)
+                if verdict.status is not reference.status:
+                    problems.append(
+                        f"{where}: quantifier-free verdict {verdict.status.value}, "
+                        f"finitization sentence {reference.status.value}"
+                    )
+                    continue
+                if not verdict.is_finite:
+                    continue
+                got = safety.answer(pq.query, state)
+                expected = answer_by_enumeration(pq.query, state, domain)
+                if not (got.is_finite and expected.is_finite) or (
+                    frozenset(got.rows()) != frozenset(expected.rows())
+                ):
+                    problems.append(
+                        f"{where}: read {len(got.rows())} row(s) "
+                        f"(finite={got.is_finite}), enumeration "
+                        f"{len(expected.rows())} (finite={expected.is_finite})"
+                    )
+    if problems:
+        return CheckResult("quantifier-free", False, "; ".join(problems[:8]))
+    return CheckResult(
+        "quantifier-free", True,
+        f"{checked} verdict(s) matched the finitization sentence, finite "
+        "answers matched enumeration",
     )
 
 
@@ -730,6 +793,7 @@ CHECK_NAMES = (
     "decision-procedure",
     "substrate-equivalence",
     "guard-soundness",
+    "quantifier-free",
     "edge-corpora",
     "delta-equivalence",
     "bench-smoke",
@@ -762,6 +826,7 @@ def run_pack_conformance(
             pack, domain, seeds
         ),
         "guard-soundness": lambda: _check_guard_soundness(pack, domain),
+        "quantifier-free": lambda: _check_quantifier_free(pack, domain, seeds),
         "edge-corpora": lambda: _check_edge_corpora(pack, domain, seeds),
         "delta-equivalence": lambda: _check_delta_equivalence(pack, domain, seeds),
         "bench-smoke": lambda: _check_bench_smoke(pack, domain),

@@ -18,7 +18,8 @@ words precede any word), while "shortlex-above" is infinite, and the
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ..logic.formulas import (
     And,
@@ -38,8 +39,11 @@ from ..logic.formulas import (
 from ..logic.terms import Apply, Const, Term, Var, walk_terms
 from ..relational.state import Element
 from .base import Domain, DomainError
-from .presburger import PresburgerDomain
+from .presburger import PresburgerDomain, QuantifierFreeForm
 from .signature import Signature
+
+if TYPE_CHECKING:  # repro.engine imports the domains at package-init time
+    from ..engine.budget import Deadline
 
 __all__ = ["ShortlexStringDomain"]
 
@@ -140,6 +144,20 @@ class ShortlexStringDomain(Domain):
         self._require_sentence(sentence)
         self._validate(sentence)
         return self._presburger.decide(self._translate(sentence))
+
+    def quantifier_free(
+        self,
+        formula: Formula,
+        free_order: Optional[Sequence[Var]] = None,
+        deadline: Optional["Deadline"] = None,
+    ) -> QuantifierFreeForm:
+        """ψ through the rank isomorphism: constants become ranks, and rows
+        unrank back to words (see :meth:`PresburgerDomain.quantifier_free`)."""
+        self._validate(formula)
+        psi = self._presburger.quantifier_free(
+            self._translate(formula), free_order, deadline
+        )
+        return replace(psi, encode=self.rank, decode=self.unrank)
 
     def _validate(self, sentence: Formula) -> None:
         for sub in walk_formulas(sentence):

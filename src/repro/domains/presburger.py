@@ -24,8 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
+from ..logic.analysis import free_variables
 from ..logic.builders import conj, disj, neg
 from ..logic.formulas import (
     BOTTOM,
@@ -48,9 +52,13 @@ from ..relational.state import Element
 from .base import Domain, DomainError
 from .signature import Signature
 
+if TYPE_CHECKING:  # repro.engine imports the domains at package-init time
+    from ..engine.budget import Deadline
+
 __all__ = [
     "LinTerm",
     "PresburgerDomain",
+    "QuantifierFreeForm",
     "linearize_term",
     "eliminate_presburger_quantifiers",
 ]
@@ -540,7 +548,8 @@ def _divisibility_lcm(formula: IFormula, var: str) -> int:
         lcm = _divisibility_lcm(formula.body, var)
     elif isinstance(formula, (IAnd, IOr)):
         for part in formula.parts:
-            lcm = lcm * _divisibility_lcm(part, var) // math.gcd(lcm, _divisibility_lcm(part, var))
+            part_lcm = _divisibility_lcm(part, var)
+            lcm = lcm * part_lcm // math.gcd(lcm, part_lcm)
     return lcm
 
 
@@ -580,12 +589,64 @@ def _fold_constants(formula: IFormula) -> IFormula:
     return formula
 
 
-def _eliminate_exists(var: str, body: IFormula) -> IFormula:
-    """Eliminate ``exists var`` from a quantifier-free internal formula."""
+def _pinned_value(formula: IFormula, var: str) -> Optional[LinTerm]:
+    """``t`` when ``formula`` is, or has as a conjunct, ``var = t`` (unit
+    coefficient), else ``None``."""
+    for part in formula.parts if isinstance(formula, IAnd) else (formula,):
+        if isinstance(part, IEq):
+            coeff = part.term.coeff_of(var)
+            if coeff in (1, -1):
+                return part.term.drop(var).scale(-coeff)
+    return None
+
+
+def _eliminate_exists(
+    var: str, body: IFormula, deadline: Optional["Deadline"] = None
+) -> IFormula:
+    """Eliminate ``exists var`` from a quantifier-free internal formula.
+
+    Three equivalences keep the result small before Cooper's procedure
+    runs: ``exists`` distributes over disjunction, conjuncts without
+    ``var`` move out of its scope, and a conjunct ``var = t`` is eliminated
+    by substituting ``t`` — as is a disjunction whose every disjunct pins
+    ``var`` that way, which is how a stored relation expands.
+    """
     body = _nnf(body)
-    coefficients = _collect_coefficients(body, var)
-    if not coefficients:
+    if not _collect_coefficients(body, var):
         return body
+    if isinstance(body, IOr):
+        return _fold_constants(
+            _ior([_eliminate_exists(var, part, deadline) for part in body.parts])
+        )
+    if isinstance(body, IAnd):
+        mentions = [bool(_collect_coefficients(p, var)) for p in body.parts]
+        if not all(mentions):
+            inert = [p for p, m in zip(body.parts, mentions) if not m]
+            scoped = _iand([p for p, m in zip(body.parts, mentions) if m])
+            return _iand([*inert, _eliminate_exists(var, scoped, deadline)])
+        pinned = _pinned_value(body, var)
+        if pinned is not None:
+            return _fold_constants(_substitute_var(body, var, pinned))
+        for index, part in enumerate(body.parts):
+            disjuncts = part.parts if isinstance(part, IOr) else ()
+            if disjuncts and all(_pinned_value(d, var) is not None for d in disjuncts):
+                rest = list(body.parts[:index] + body.parts[index + 1:])
+                results = []
+                for disjunct in disjuncts:
+                    if deadline is not None:
+                        deadline.check("cooper elimination")
+                    results.append(_eliminate_exists(var, _iand([disjunct, *rest]), deadline))
+                return _fold_constants(_ior(results))
+    return _cooper(var, body, deadline)
+
+
+def _cooper(var: str, body: IFormula, deadline: Optional["Deadline"]) -> IFormula:
+    """Cooper's elimination of ``exists var`` from an NNF formula.
+
+    A ``deadline`` is checked once per (bound, residue) substitution, the
+    loop whose size grows with the formula.
+    """
+    coefficients = _collect_coefficients(body, var)
     delta = 1
     for coeff in coefficients:
         delta = delta * abs(coeff) // math.gcd(delta, abs(coeff))
@@ -602,24 +663,32 @@ def _eliminate_exists(var: str, body: IFormula) -> IFormula:
     unique_bounds = list(dict.fromkeys(lower_bounds))
     for bound in unique_bounds:
         for j in range(1, modulus + 1):
+            if deadline is not None:
+                deadline.check("cooper elimination")
             replacement = bound.add(LinTerm.constant_term(j))
             disjuncts.append(_fold_constants(_substitute_var(normalised, var, replacement)))
     return _fold_constants(_ior(disjuncts))
 
 
-def _eliminate_all(formula: IFormula) -> IFormula:
-    """Eliminate every quantifier, innermost first."""
+def _eliminate_all(
+    formula: IFormula, deadline: Optional["Deadline"] = None
+) -> IFormula:
+    """Eliminate every quantifier, innermost first; a ``deadline`` is also
+    checked after each eliminated quantifier."""
     if isinstance(formula, (ILt, IEq, IDvd, ITrue, IFalse)):
         return formula
     if isinstance(formula, INot):
-        return INot(_eliminate_all(formula.body))
+        return INot(_eliminate_all(formula.body, deadline))
     if isinstance(formula, IAnd):
-        return _iand([_eliminate_all(p) for p in formula.parts])
+        return _iand([_eliminate_all(p, deadline) for p in formula.parts])
     if isinstance(formula, IOr):
-        return _ior([_eliminate_all(p) for p in formula.parts])
+        return _ior([_eliminate_all(p, deadline) for p in formula.parts])
     if isinstance(formula, IExists):
-        body = _eliminate_all(formula.body)
-        return _eliminate_exists(formula.var, body)
+        body = _eliminate_all(formula.body, deadline)
+        eliminated = _eliminate_exists(formula.var, body, deadline)
+        if deadline is not None:
+            deadline.check("cooper elimination")
+        return eliminated
     raise TypeError(f"not an internal formula: {formula!r}")
 
 
@@ -679,6 +748,191 @@ def eliminate_presburger_quantifiers(
     internal = _formula_to_internal(formula, relativize_naturals=naturals)
     eliminated = _eliminate_all(internal)
     return _internal_to_formula(eliminated)
+
+
+# ---------------------------------------------------------------------------
+# Quantifier-free forms: eliminate once, then evaluate
+# ---------------------------------------------------------------------------
+
+
+def _unbounded(formula: IFormula, var: str, above: bool) -> bool:
+    """Cooper's ``±inf`` test on an NNF formula whose only variable is ``var``.
+
+    Below every boundary point each order atom takes its ``F_-inf`` value,
+    and ``F_-inf`` is periodic in ``var`` with period ``D`` (the lcm of the
+    divisibility moduli), so the formula holds for arbitrarily small values
+    iff ``F_-inf`` holds at one of ``0..D-1``.  ``above`` asks the same of
+    large values, by mirroring ``var``.
+    """
+    if above:
+        formula = _substitute_var(formula, var, LinTerm.make({var: -1}, 0))
+    limit = _minus_infinity(formula, var)
+    period = _divisibility_lcm(limit, var)
+    return any(_evaluate_internal(limit, {var: j}) for j in range(period))
+
+
+def _boundary_points(formula: IFormula, var: str) -> Set[int]:
+    """The values of ``var`` next to which an order atom changes truth.
+
+    ``c*var + r < 0`` contributes the last value where it holds and the
+    first where it does not (or the reverse for ``c < 0``); ``c*var + r = 0``
+    contributes its one solution, if it is an integer.  Strictly between two
+    consecutive points every order atom is constant, so there the formula is
+    periodic in ``var`` with the divisibility period.
+    """
+    points: Set[int] = set()
+    if isinstance(formula, (ILt, IEq)):
+        coeff = formula.term.coeff_of(var)
+        rest = formula.term.constant
+        if coeff == 0:
+            pass
+        elif isinstance(formula, IEq):
+            if rest % coeff == 0:
+                points.add(-rest // coeff)
+        elif coeff > 0:  # holds iff var <= last
+            last = (-rest - 1) // coeff
+            points.update((last, last + 1))
+        else:  # holds iff var >= first
+            first = rest // -coeff + 1
+            points.update((first - 1, first))
+    elif isinstance(formula, INot):
+        points |= _boundary_points(formula.body, var)
+    elif isinstance(formula, (IAnd, IOr)):
+        for part in formula.parts:
+            points |= _boundary_points(part, var)
+    return points
+
+
+def _read_off(
+    formula: IFormula, var: str, deadline: Optional["Deadline"]
+) -> Iterator[int]:
+    """Every value of ``var`` satisfying a bounded NNF formula, ascending.
+
+    Bounded means no solution below the least boundary point or above the
+    greatest one (the ``±inf`` test), so the scan covers the points and the
+    segments between them: a segment costs at most one period of
+    evaluations plus one step per emitted value.
+    """
+    period = _divisibility_lcm(formula, var)
+    points = sorted(_boundary_points(formula, var))
+
+    def holds(value: int) -> bool:
+        return _evaluate_internal(formula, {var: value})
+
+    for index, point in enumerate(points):
+        if deadline is not None:
+            deadline.check("quantifier-free read-off")
+        if holds(point):
+            yield point
+        if index + 1 == len(points):
+            break
+        low, high = point + 1, points[index + 1]
+        if high - low <= period:
+            yield from (value for value in range(low, high) if holds(value))
+            continue
+        offsets = [offset for offset in range(period) if holds(low + offset)]
+        if offsets:
+            for base in range(low, high, period):
+                yield from (base + o for o in offsets if base + o < high)
+
+
+def _project(
+    formula: IFormula, keep: str, others: Sequence[str],
+    deadline: Optional["Deadline"],
+) -> IFormula:
+    """``exists others. formula`` — the projection onto ``keep`` — in NNF."""
+    projection = _nnf(formula)
+    for other in others:
+        if other != keep:
+            projection = _eliminate_exists(other, projection, deadline)
+    return projection
+
+
+def _rows(
+    formula: IFormula, variables: Sequence[str], deadline: Optional["Deadline"]
+) -> Iterator[Tuple[int, ...]]:
+    """The satisfying rows: read the first column off its projection, then
+    recurse on the formula with that column fixed."""
+    if not variables:
+        if _evaluate_internal(formula, {}):
+            yield ()
+        return
+    first, rest = variables[0], variables[1:]
+    projection = _project(formula, first, rest, deadline)
+    if _unbounded(projection, first, above=True) or _unbounded(projection, first, above=False):
+        raise ValueError(f"column {first!r} is unbounded: the rows are infinite")
+    for value in _read_off(projection, first, deadline):
+        if not rest:
+            yield (value,)
+            continue
+        fixed = _fold_constants(
+            _substitute_var(formula, first, LinTerm.constant_term(value))
+        )
+        for tail in _rows(fixed, rest, deadline):
+            yield (value,) + tail
+
+
+@dataclass(frozen=True)
+class QuantifierFreeForm:
+    """ψ(x̄): a formula's quantifier-free Cooper form, read without deciding.
+
+    Built once by :meth:`PresburgerDomain.quantifier_free`; afterwards no
+    question about the formula needs another quantifier elimination per
+    candidate:
+
+    * :meth:`holds` evaluates one row;
+    * :meth:`bounded` is Cooper's ``±inf`` test on every projection — a set
+      of integer tuples is finite iff every projection is bounded;
+    * :meth:`rows` reads a bounded ψ's rows off exactly.
+
+    Over the naturals ``body`` includes ``x >= 0`` for every column.
+    ``encode``/``decode`` map carrier elements to and from the integers
+    (identity unless a domain reaches Presburger through an isomorphism).
+
+    >>> from repro.experiments.corpora import numeric_state
+    >>> from repro.logic.parser import parse_formula
+    >>> from repro.relational.translate import expand_database_atoms
+    >>> below = parse_formula("exists y. (S(y) & x < y)")
+    >>> psi = PresburgerDomain().quantifier_free(
+    ...     expand_database_atoms(below, numeric_state([2, 9])))
+    >>> psi.bounded()
+    True
+    >>> [x for (x,) in psi.rows()]
+    [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    >>> psi.holds((8,)), psi.holds((9,))
+    (True, False)
+    """
+
+    body: IFormula
+    variables: Tuple[str, ...]
+    encode: Optional[Callable[[Any], int]] = None
+    decode: Optional[Callable[[int], Element]] = None
+
+    def holds(self, row: Sequence[Element]) -> bool:
+        """True iff ``row`` (one element per column) satisfies ψ."""
+        encode = self.encode or int
+        assignment = {v: encode(value) for v, value in zip(self.variables, row)}
+        return _evaluate_internal(self.body, assignment)
+
+    def bounded(self, deadline: Optional["Deadline"] = None) -> bool:
+        """True iff every projection is bounded above and below — i.e. ψ has
+        finitely many rows.  Over the naturals the ``x >= 0`` conjuncts make
+        every ``-inf`` test fail."""
+        for variable in self.variables:
+            projection = _project(self.body, variable, self.variables, deadline)
+            if _unbounded(projection, variable, above=True):
+                return False
+            if _unbounded(projection, variable, above=False):
+                return False
+        return True
+
+    def rows(self, deadline: Optional["Deadline"] = None) -> Iterator[Tuple[Element, ...]]:
+        """Every row of a bounded ψ, exactly (``ValueError`` if unbounded).
+
+        ``deadline`` is checked once per segment between boundary points.
+        """
+        for row in _rows(self.body, self.variables, deadline):
+            yield row if self.decode is None else tuple(map(self.decode, row))
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +1025,29 @@ class PresburgerDomain(Domain):
     def eliminate_quantifiers(self, formula: Formula) -> Formula:
         """Cooper quantifier elimination specialised to this domain's carrier."""
         return eliminate_presburger_quantifiers(formula, naturals=self.naturals)
+
+    def quantifier_free(
+        self,
+        formula: Formula,
+        free_order: Optional[Sequence[Var]] = None,
+        deadline: Optional["Deadline"] = None,
+    ) -> QuantifierFreeForm:
+        """ψ: the quantifier-free Cooper form of a pure ``formula``.
+
+        Its columns are ``free_order`` (default: the free variables by
+        name); over the naturals every quantifier and every column is
+        relativised to ``x >= 0``.  A ``deadline`` is checked after each
+        eliminated quantifier and inside Cooper's substitution loop.
+        """
+        if free_order is None:
+            free_order = sorted(free_variables(formula), key=lambda v: v.name)
+        variables = tuple(v.name for v in free_order)
+        internal = _formula_to_internal(formula, relativize_naturals=self.naturals)
+        body = _eliminate_all(internal, deadline)
+        if self.naturals:
+            non_negative = [ILt(LinTerm.make({v: -1}, -1)) for v in variables]
+            body = _iand([body, *non_negative])
+        return QuantifierFreeForm(_fold_constants(_nnf(body)), variables)
 
     def decide(self, sentence: Formula) -> bool:
         """Decide a pure arithmetic sentence via quantifier elimination."""

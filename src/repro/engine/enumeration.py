@@ -95,6 +95,9 @@ class CandidateStats:
     generator: str = "dovetail"
     #: candidates decision-tested across all search rounds
     examined: int = 0
+    #: calls to the domain's decision procedure: the candidate tests plus
+    #: one "does a further row exist?" sentence per round
+    decide_calls: int = 0
     #: size of the compiled active-domain superset, when one was computed
     compiled_rows: Optional[int] = None
     #: free variables whose inferred bounds were finite on both sides
@@ -110,6 +113,7 @@ class CandidateStats:
                 + ", ".join(self.bounded_variables)
             )
         parts.append(f"{self.examined} candidate(s) decision-tested")
+        parts.append(f"{self.decide_calls} decide call(s)")
         return "; ".join(parts)
 
 
@@ -327,6 +331,7 @@ def answer_by_enumeration(
             return out_of_time()
         remaining = excluded_formula()
         more_exists = exists_many([v.name for v in variables], remaining)
+        stats.decide_calls += 1
         if not domain.decide(more_exists):
             return FiniteAnswer(Relation(arity, found), method="enumeration")
         # Some further tuple satisfies the query; search for it.
@@ -348,6 +353,7 @@ def answer_by_enumeration(
                 pure, {v: Const(value) for v, value in zip(variables, candidate)}
             )
             stats.examined += 1
+            stats.decide_calls += 1
             if domain.decide(instantiated):
                 found.append(candidate)
                 located = True

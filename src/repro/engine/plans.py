@@ -23,7 +23,9 @@ evaluation disciplines across three execution substrates:
 * :class:`GuardedPlan` — wraps an inner plan with an effective-syntax
   restriction and/or a relative-safety check, rejecting provably infinite
   answers; over pure equality the check and the answer share one run of the
-  inner plan (:class:`~repro.safety.relative_safety.FreshElementProbe`).
+  inner plan (:class:`~repro.safety.relative_safety.FreshElementProbe`), and
+  over the Presburger family and shortlex strings one quantifier
+  elimination (:class:`~repro.domains.presburger.QuantifierFreeForm`).
 
 Every plan carries an :meth:`~Plan.explain` describing *why* the strategy was
 chosen (theory decidability, availability of a safety decider, explicit user
@@ -57,6 +59,7 @@ from ..safety.effective_syntax import EffectiveSyntax
 from ..safety.relative_safety import (
     EqualityRelativeSafety,
     FreshElementProbe,
+    OrderedRelativeSafety,
     RelativeSafetyDecider,
     RelativeSafetyUndecidable,
 )
@@ -152,6 +155,15 @@ def _finish(
             witnesses=tuple(sorted(witnesses)),
         )
     return FiniteAnswer(Relation(arity, rows), method=method)
+
+
+def _rejected(query: Formula, verdict: SafetyVerdict) -> InfiniteAnswer:
+    """The answer of a query the relative-safety guard proved infinite."""
+    return InfiniteAnswer(
+        Relation(len(free_variables(query)), []),
+        reason="rejected by the relative-safety guard: " + verdict.details,
+        method=verdict.method,
+    )
 
 
 #: the strategy names understood by :meth:`repro.api.Planner.plan`
@@ -608,10 +620,18 @@ class GuardedPlan(Plan):
     """Apply an effective-syntax restriction and/or a relative-safety check,
     then delegate to an inner plan.
 
-    With the Section 2 fresh-element decider and an active-domain inner plan
-    the two are fused: the inner plan runs once over the universe enlarged
-    by the decider's probe elements, and the rows split into the verdict and
-    the exact answer.  Every other decider runs first, on its own."""
+    Two deciders are fused with the answer:
+
+    * the Section 2 fresh-element decider, over an active-domain inner plan:
+      the inner plan runs once over the universe enlarged by the decider's
+      probe elements, and the rows split into the verdict and the exact
+      answer;
+    * the Theorem 2.5 decider on a domain with a quantifier-free form, over
+      an enumeration inner plan: the quantifier-free ψ of the guard's one
+      elimination gives the verdict, and its rows are the answer
+      (:meth:`~repro.safety.relative_safety.OrderedRelativeSafety.answer`).
+
+    Every other decider runs first, on its own."""
 
     inner: Plan
     syntax: Optional[EffectiveSyntax] = None
@@ -623,6 +643,21 @@ class GuardedPlan(Plan):
     @property
     def budget(self) -> Budget:
         return getattr(self.inner, "budget", Budget())
+
+    @property
+    def fused_ordered_guard(self) -> Optional[OrderedRelativeSafety]:
+        """The Theorem 2.5 decider whose one quantifier elimination yields
+        both the verdict and the answer rows, or ``None`` when this plan
+        does not fuse them: the decider needs a quantifier-free form
+        (``eliminates_once``) and the inner plan must be the enumeration it
+        replaces."""
+        if (
+            isinstance(self.safety, OrderedRelativeSafety)
+            and self.safety.eliminates_once
+            and isinstance(self.inner, EnumerationPlan)
+        ):
+            return self.safety
+        return None
 
     def run(self, query: Formula, state: DatabaseState) -> GuardedOutcome:
         """Execute with full guard metadata (verdict, rewriting)."""
@@ -643,15 +678,28 @@ class GuardedPlan(Plan):
             answer = self.inner.execute(admitted, state, probe=probe)
             witnesses = answer.witnesses if isinstance(answer, InfiniteAnswer) else ()
             return GuardedOutcome(answer, admitted, probe.verdict(witnesses), rewritten)
+        ordered = self.fused_ordered_guard
+        if ordered is not None:
+            # Theorem 2.5 + Section 1.1, fused: the guard eliminates the
+            # quantifiers of the state-expanded query once, and the same
+            # quantifier-free ψ yields the verdict and the answer rows.
+            deadline = self.inner._start_deadline()
+            self.inner.last_interruption = None
+            try:
+                verdict = ordered.decide(admitted, state, deadline=deadline)
+                answer = (
+                    _rejected(admitted, verdict)
+                    if verdict.status is FinitenessStatus.INFINITE
+                    else ordered.answer(admitted, state, self.budget, deadline)
+                )
+            except EvaluationInterrupted as error:
+                self.inner._record_interruption(error)
+                raise
+            return GuardedOutcome(answer, admitted, verdict, rewritten)
         if self.safety is not None:
             verdict = decide_or_semidecide(self.safety, admitted, state, self.budget.fuel)
             if verdict.status is FinitenessStatus.INFINITE:
-                arity = len(free_variables(admitted))
-                answer = InfiniteAnswer(
-                    Relation(arity, []),
-                    reason="rejected by the relative-safety guard: " + verdict.details,
-                    method=verdict.method,
-                )
+                answer = _rejected(admitted, verdict)
                 return GuardedOutcome(answer, admitted, verdict, rewritten)
 
         return GuardedOutcome(self.inner.execute(admitted, state), admitted, verdict, rewritten)

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..domains.base import Domain
 from ..domains.presburger import PresburgerDomain
@@ -47,12 +49,17 @@ from ..logic.formulas import (
 from ..logic.substitution import fresh_variables
 from ..logic.terms import Const, Var
 from ..relational.active_domain import active_domain
-from ..relational.state import DatabaseState, Element, Row
+from ..relational.state import DatabaseState, Element, Relation, Row
 from ..relational.translate import expand_database_atoms
 from ..turing.machine import run_machine
 from ..turing.encoding import decode_machine
 from .classes import SafetyVerdict
 from .finitization import finitize
+
+if TYPE_CHECKING:  # repro.engine imports this module at package-init time
+    from ..domains.presburger import QuantifierFreeForm
+    from ..engine.answers import Answer
+    from ..engine.budget import Budget, Deadline
 
 __all__ = [
     "RelativeSafetyDecider",
@@ -188,6 +195,13 @@ class OrderedRelativeSafety(RelativeSafetyDecider):
     In a fixed state the query is translated into a pure domain formula
     ``φ'``; it yields a finite answer iff ``φ'`` is equivalent to its
     finitization, a sentence the domain's decision procedure settles.
+
+    Domains with a ``quantifier_free`` method (the Presburger family and
+    shortlex strings) settle it without that sentence: ψ, the quantifier-free
+    form of ``φ'``, is eliminated once per (query, state), and ``φ' ≡ φ'^F``
+    iff every projection of ψ is bounded (Cooper's ``±inf`` test).  The
+    same ψ then yields the answer rows (:meth:`answer`), so the Section 1.1
+    enumeration never runs a decision procedure per candidate.
     """
 
     name = "finitization-equivalence"
@@ -208,42 +222,127 @@ class OrderedRelativeSafety(RelativeSafetyDecider):
         if integers is None:
             integers = getattr(self._domain, "naturals", True) is False
         self._integers = integers
-        # Verdicts memoised per (formula, state fingerprint): expanding the
-        # database atoms builds a disjunction per stored row and the decision
-        # procedure then quantifier-eliminates it, so a guarded serving
-        # workload re-deciding the same query on an unchanged state pays the
-        # full cost every time without this.  Both keys are immutable value
-        # objects (states carry a cached fingerprint hash), so entries can
-        # never go stale.  Imported lazily — repro.engine imports this module
-        # at package-init time.
+        self._quantifier_free = getattr(self._domain, "quantifier_free", None)
+        # (ψ, verdict) memoised per (formula, state fingerprint): expanding
+        # the database atoms builds a disjunction per stored row and Cooper
+        # elimination then works through it, so a guarded serving workload
+        # re-deciding the same query on an unchanged state pays the full
+        # cost every time without this.  ψ is None on domains without a
+        # quantifier-free form.  Both keys are immutable value objects
+        # (states carry a cached fingerprint hash), so entries can never go
+        # stale.  Imported lazily — repro.engine imports this module at
+        # package-init time.
         from ..engine.plan_cache import PlanCache
 
         self._verdicts = PlanCache(maxsize=memo_size)
+
+    @property
+    def eliminates_once(self) -> bool:
+        """True iff the domain has a quantifier-free form, so verdict and
+        answer both come from one elimination."""
+        return self._quantifier_free is not None
 
     def memo_info(self):
         """Hit/miss/eviction counters of the per-(formula, state) memo."""
         return self._verdicts.info()
 
-    def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+    def decide(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional["Deadline"] = None,
+    ) -> SafetyVerdict:
+        """The verdict; a ``deadline`` interrupts the elimination."""
+        return self._entry(query, state, deadline)[1]
+
+    def answer(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        budget: Optional["Budget"] = None,
+        deadline: Optional["Deadline"] = None,
+    ) -> "Answer":
+        """The answer, read off the memoised ψ (Section 1.1, with the
+        elimination hoisted out of the candidate loop).
+
+        The contract is :func:`~repro.engine.enumeration.answer_by_enumeration`'s
+        on finite queries: a :class:`~repro.engine.answers.FiniteAnswer`
+        (method ``"enumeration"``), or an
+        :class:`~repro.engine.answers.UnknownAnswer` with the rows found so
+        far once more than ``budget.max_rows`` rows exist or the time limit
+        expires; only cancellation raises.  Call it after :meth:`decide`
+        certified the query finite: an infinite answer raises
+        ``ValueError``, and a domain without a quantifier-free form
+        (:attr:`eliminates_once`) raises ``TypeError``.
+        """
+        from ..engine.answers import FiniteAnswer, UnknownAnswer
+        from ..engine.budget import Budget, DeadlineExceeded
+
+        budget = budget if budget is not None else Budget()
+        clock = deadline if deadline is not None else budget.start_deadline()
+        arity = len(free_variables(query))
+        found: List[Row] = []
+        try:
+            psi, _ = self._entry(query, state, clock)
+            if psi is None:
+                raise TypeError(
+                    f"domain {self._domain.name!r} has no quantifier-free form; "
+                    "answer by enumeration instead"
+                )
+            for row in psi.rows(clock):
+                if len(found) == budget.max_rows:
+                    return UnknownAnswer(
+                        Relation(arity, found),
+                        reason=f"row budget of {budget.max_rows} exhausted",
+                        method="enumeration",
+                    )
+                found.append(row)
+        except DeadlineExceeded:
+            return UnknownAnswer(
+                Relation(arity, found),
+                reason=f"time budget of {budget.time_limit}s exhausted",
+                method="enumeration",
+            )
+        return FiniteAnswer(Relation(arity, found), method="enumeration")
+
+    def _entry(
+        self,
+        query: Formula,
+        state: DatabaseState,
+        deadline: Optional["Deadline"],
+    ) -> Tuple[Optional["QuantifierFreeForm"], SafetyVerdict]:
+        """The memoised (ψ, verdict) of ``query`` in ``state``."""
         key = (query, state)
         cached = self._verdicts.get(key)
         if cached is not None:
             return cached
-        verdict = self._decide_uncached(query, state)
-        self._verdicts.put(key, verdict)
-        return verdict
-
-    def _decide_uncached(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
         pure = expand_database_atoms(query, state)
-        # The answer columns are the free variables of the *query*; expanding the
-        # database atoms may make some of them vanish syntactically (e.g. when a
-        # stored relation is empty), but they still index the answer.
-        variables = sorted(free_variables(query), key=lambda v: v.name)
+        variables = _answer_columns(query)
+        psi = None
+        if self._quantifier_free is not None:
+            psi = self._quantifier_free(pure, variables, deadline)
+            verdict = self._verdict(psi.bounded(deadline=deadline))
+        else:
+            verdict = self._verdict(self._sentence_holds(pure, variables))
+        entry = (psi, verdict)
+        self._verdicts.put(key, entry)
+        return entry
+
+    def decide_by_sentence(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+        """The verdict of the literal Theorem 2.5 sentence
+        ``∀x̄ (φ' ↔ φ'^F)``, decided by the domain and not memoised — the
+        reference the quantifier-free path is checked against."""
+        pure = expand_database_atoms(query, state)
+        return self._verdict(self._sentence_holds(pure, _answer_columns(query)))
+
+    def _sentence_holds(self, pure: Formula, variables: List[Var]) -> bool:
         equivalence = forall_many(
             [v.name for v in variables],
             iff(pure, finitize(pure, free_order=variables, integers=self._integers)),
         )
-        finite = self._domain.decide(equivalence)
+        return self._domain.decide(equivalence)
+
+    def _verdict(self, finite: bool) -> SafetyVerdict:
         if finite:
             return SafetyVerdict.finite(
                 method=self.name,
@@ -254,6 +353,15 @@ class OrderedRelativeSafety(RelativeSafetyDecider):
             details="the query differs from its finitization in this state, "
             "so its answer is unbounded",
         )
+
+
+def _answer_columns(query: Formula) -> List[Var]:
+    """The answer columns: the free variables of the *query*, by name.
+
+    Expanding the database atoms may make some of them vanish syntactically
+    (e.g. when a stored relation is empty), but they still index the answer.
+    """
+    return sorted(free_variables(query), key=lambda v: v.name)
 
 
 class DenseOrderRelativeSafety(RelativeSafetyDecider):

@@ -501,15 +501,17 @@ def test_state_fingerprint_is_stable_and_memoised():
 
 
 def test_ordered_relative_safety_memoises_per_formula_and_state():
+    # The memo holds the quantifier-free form ψ with its verdict, so the
+    # work it saves is the elimination: count those.
     domain = PresburgerDomain()
     calls = {"n": 0}
-    original = domain.decide
+    original = domain.quantifier_free
 
-    def counting_decide(sentence):
+    def counting_quantifier_free(*args, **kwargs):
         calls["n"] += 1
-        return original(sentence)
+        return original(*args, **kwargs)
 
-    domain.decide = counting_decide
+    domain.quantifier_free = counting_quantifier_free
     safety = OrderedRelativeSafety(domain)
     query = parse_formula("S(x)")
     state = numeric_state([1, 2])
