@@ -327,10 +327,12 @@ def _check_guard_soundness(
 def _check_quantifier_free(
     pack: DomainPack, domain: Domain, seeds: Sequence[str]
 ) -> CheckResult:
-    """Fast path ≡ enumeration: where the Theorem 2.5 decider reads verdicts
-    and answers off one quantifier-free form, both must match the literal
-    finitization sentence and the Section 1.1 enumeration.  The family
-    covers exactly the deciders a guarded enumeration plan fuses
+    """Fast path ≡ decision procedure ≡ enumeration: where the decider reads
+    verdicts and answers off one quantifier-free form, the verdict must
+    match the decider's reference sentence (and, on the canonical state,
+    the pack's declared finiteness) and every finite answer must match the
+    Section 1.1 enumeration.  The family covers exactly the deciders a
+    guarded enumeration plan fuses
     (:attr:`~repro.engine.plans.GuardedPlan.fused_ordered_guard`)."""
     decider = pack.safety_factory(domain) if pack.safety_factory is not None else None
     safety = GuardedPlan(inner=EnumerationPlan(domain), safety=decider).fused_ordered_guard
@@ -351,7 +353,17 @@ def _check_quantifier_free(
                 if verdict.status is not reference.status:
                     problems.append(
                         f"{where}: quantifier-free verdict {verdict.status.value}, "
-                        f"finitization sentence {reference.status.value}"
+                        f"reference sentence {reference.status.value}"
+                    )
+                    continue
+                if (
+                    state_name == "canonical"
+                    and pq.finite is not None
+                    and verdict.is_finite != pq.finite
+                ):
+                    problems.append(
+                        f"{where}: quantifier-free verdict finite="
+                        f"{verdict.is_finite}, pack declares {pq.finite}"
                     )
                     continue
                 if not verdict.is_finite:
@@ -370,7 +382,7 @@ def _check_quantifier_free(
         return CheckResult("quantifier-free", False, "; ".join(problems[:8]))
     return CheckResult(
         "quantifier-free", True,
-        f"{checked} verdict(s) matched the finitization sentence, finite "
+        f"{checked} verdict(s) matched the reference sentence, finite "
         "answers matched enumeration",
     )
 

@@ -26,14 +26,21 @@ elimination stay within distance ``2^q`` of the original constants, where
 ``q`` is the quantifier depth — which yields the *extended active domain*
 effective syntax of Theorem 2.7 (see
 :func:`extended_active_domain_elements`).
+
+Relative safety (Theorem 2.6) is read off the quantifier-free form
+(:meth:`SuccessorDomain.quantifier_free`): a satisfiable clause of its DNF
+whose positive equalities anchor every free variable to a natural number
+contributes exactly that one tuple, and any other satisfiable clause has
+infinitely many solutions (:class:`SuccessorQuantifierFreeForm`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, cast
 
-from ..logic.builders import conj, disj
+from ..logic.analysis import free_variables
+from ..logic.builders import conj
 from ..logic.formulas import (
     BOTTOM,
     TOP,
@@ -45,13 +52,17 @@ from ..logic.formulas import (
     Top,
 )
 from ..logic.terms import Apply, Const, Term, Var
-from ..logic.transform import eliminate_quantifiers
+from ..logic.transform import dnf_clauses, eliminate_quantifiers
 from ..relational.state import Element
 from .base import Domain, DomainError
 from .signature import Signature
 
+if TYPE_CHECKING:  # repro.engine imports the domains package
+    from ..engine.budget import Deadline
+
 __all__ = [
     "SuccessorDomain",
+    "SuccessorQuantifierFreeForm",
     "SuccTerm",
     "parse_successor_term",
     "successor_term_to_logic",
@@ -266,9 +277,173 @@ def _eliminate_exists_clause(var: str, literals: Sequence[Formula]) -> Formula:
     return conj(residual, *pieces)
 
 
-def eliminate_successor_quantifiers(formula: Formula) -> Formula:
-    """Quantifier elimination for ``(N, ')`` following Section 2.2."""
-    return eliminate_quantifiers(formula, _eliminate_exists_clause)
+def eliminate_successor_quantifiers(
+    formula: Formula, deadline: Optional["Deadline"] = None
+) -> Formula:
+    """Quantifier elimination for ``(N, ')`` following Section 2.2; a
+    ``deadline`` is checked once per eliminated quantifier."""
+    return eliminate_quantifiers(formula, _eliminate_exists_clause, deadline)
+
+
+@dataclass
+class _OffsetUnionFind:
+    """Union-find over variables with integer offsets: ``x = y + offset``."""
+
+    parent: Dict[str, str]
+    offset: Dict[str, int]  # value(x) = value(find(x)) + offset[x]
+    anchor: Dict[str, Optional[int]]  # concrete value of a root, if known
+
+    @classmethod
+    def empty(cls) -> "_OffsetUnionFind":
+        return cls({}, {}, {})
+
+    def add(self, item: str) -> None:
+        if item not in self.parent:
+            self.parent[item] = item
+            self.offset[item] = 0
+            self.anchor[item] = None
+
+    def find(self, item: str) -> Tuple[str, int]:
+        self.add(item)
+        if self.parent[item] == item:
+            return item, 0
+        root, above = self.find(self.parent[item])
+        self.parent[item] = root
+        self.offset[item] += above
+        return root, self.offset[item]
+
+    def union(self, left: str, right: str, delta: int) -> bool:
+        """Record ``value(left) = value(right) + delta``; False on contradiction."""
+        lroot, loff = self.find(left)
+        rroot, roff = self.find(right)
+        if lroot == rroot:
+            return loff == roff + delta
+        # value(lroot) = value(rroot) + (roff + delta - loff)
+        self.parent[lroot] = rroot
+        self.offset[lroot] = roff + delta - loff
+        left_anchor = self.anchor.pop(lroot)
+        if left_anchor is not None:
+            return self.anchor_value(lroot, left_anchor)
+        return True
+
+    def anchor_value(self, item: str, value: int) -> bool:
+        """Record ``value(item) = value``; False on contradiction or negativity."""
+        root, off = self.find(item)
+        root_value = value - off
+        if root_value < 0:
+            return False
+        existing = self.anchor.get(root)
+        if existing is None:
+            self.anchor[root] = root_value
+            return True
+        return existing == root_value
+
+    def value_of(self, item: str) -> Optional[int]:
+        root, off = self.find(item)
+        base = self.anchor.get(root)
+        if base is None:
+            return None
+        return base + off
+
+    def equate(self, left: SuccTerm, right: SuccTerm) -> bool:
+        """Record ``left = right``; False on contradiction."""
+        if left.base is None:
+            if right.base is None:
+                return left.shift == right.shift
+            return self.anchor_value(right.base, left.shift - right.shift)
+        if right.base is None:
+            return self.anchor_value(left.base, right.shift - left.shift)
+        return self.union(left.base, right.base, right.shift - left.shift)
+
+    def term_value(self, term: SuccTerm) -> Optional[int]:
+        """The value of ``term``, if the recorded equalities fix it."""
+        if term.base is None:
+            return term.shift
+        value = self.value_of(term.base)
+        return None if value is None else value + term.shift
+
+    def forces_equal(self, left: SuccTerm, right: SuccTerm) -> bool:
+        """True iff the recorded equalities force ``left = right``."""
+        lvalue, rvalue = self.term_value(left), self.term_value(right)
+        if lvalue is not None and rvalue is not None:
+            return lvalue == rvalue
+        if left.base is None or right.base is None:
+            return False
+        (lroot, loff), (rroot, roff) = self.find(left.base), self.find(right.base)
+        return lroot == rroot and loff + left.shift == roff + right.shift
+
+
+def _solve_clause(
+    clause: Sequence[Formula], variables: Sequence[str]
+) -> Optional[Tuple[Optional[int], ...]]:
+    """The value each of ``variables`` is anchored to in a DNF clause
+    (``None`` where it is free), or ``None`` if the clause is unsatisfiable.
+
+    The positive equalities form a union-find with offsets.  A negative
+    literal excludes a solution only when the equalities force its two sides
+    equal; otherwise the negatives exclude finitely many values of the free
+    components, which can be chosen large and far apart.
+    """
+    union_find = _OffsetUnionFind.empty()
+    negatives: List[Tuple[SuccTerm, SuccTerm]] = []
+    for literal in clause:
+        positive = not isinstance(literal, Not)
+        body = literal.body if isinstance(literal, Not) else literal
+        if isinstance(body, (Top, Bottom)):
+            if isinstance(body, Top) != positive:
+                return None
+            continue
+        if not isinstance(body, Equals):
+            raise ValueError(f"unexpected literal in successor clause: {literal!r}")
+        left, right = parse_successor_term(body.left), parse_successor_term(body.right)
+        if not positive:
+            negatives.append((left, right))
+        elif not union_find.equate(left, right):
+            return None
+    # Over N a variable anchored below zero has no value at all.
+    if any((union_find.value_of(v) or 0) < 0 for v in list(union_find.parent)):
+        return None
+    if any(union_find.forces_equal(left, right) for left, right in negatives):
+        return None
+    return tuple(union_find.value_of(v) for v in variables)
+
+
+@dataclass(frozen=True)
+class SuccessorQuantifierFreeForm:
+    """ψ(x̄): a formula's quantifier-free form over ``(N, ')`` with the
+    solution of every satisfiable DNF clause.
+
+    ``solutions`` holds, per satisfiable clause, the value its equalities
+    anchor each column to (``None`` for a free column).  ψ is finite iff
+    every solution anchors every column (Theorem 2.6); its rows are then
+    the anchored tuples.
+
+    >>> from repro.experiments.corpora import numeric_state, successor_query_corpus
+    >>> from repro.relational.translate import expand_database_atoms
+    >>> query = dict((n, q) for n, q, _ in successor_query_corpus())["successor-of-member"]
+    >>> psi = SuccessorDomain().quantifier_free(
+    ...     expand_database_atoms(query, numeric_state([3, 5])))
+    >>> psi.finite(), sorted(psi.rows())
+    (True, [(4,), (6,)])
+    """
+
+    body: Formula
+    variables: Tuple[str, ...]
+    solutions: Tuple[Tuple[Optional[int], ...], ...]
+
+    def finite(self) -> bool:
+        """True iff ψ has finitely many rows."""
+        return all(None not in solution for solution in self.solutions)
+
+    def rows(self, deadline: Optional["Deadline"] = None) -> Iterator[Tuple[int, ...]]:
+        """Every row of a finite ψ (``ValueError`` if it is infinite);
+        ``deadline`` is checked once per row."""
+        if not self.finite():
+            raise ValueError("a clause leaves a column free: the rows are infinite")
+        for row in dict.fromkeys(self.solutions):
+            if deadline is not None:
+                deadline.check("quantifier-free read-off")
+            yield cast(Tuple[int, ...], row)
 
 
 def extended_active_domain_radius(quantifier_depth: int) -> int:
@@ -326,6 +501,27 @@ class SuccessorDomain(Domain):
     def eliminate_quantifiers(self, formula: Formula) -> Formula:
         """The Section 2.2 quantifier elimination."""
         return eliminate_successor_quantifiers(formula)
+
+    def quantifier_free(
+        self,
+        formula: Formula,
+        free_order: Optional[Sequence[Var]] = None,
+        deadline: Optional["Deadline"] = None,
+    ) -> SuccessorQuantifierFreeForm:
+        """ψ: the Section 2.2 quantifier-free form of a pure ``formula``,
+        solved clause by clause.
+
+        Its columns are ``free_order`` (default: the free variables by
+        name).  A ``deadline`` is checked once per eliminated quantifier.
+        """
+        if free_order is None:
+            free_order = sorted(free_variables(formula), key=lambda v: v.name)
+        variables = tuple(v.name for v in free_order)
+        body = eliminate_successor_quantifiers(formula, deadline)
+        solutions = (_solve_clause(clause, variables) for clause in dnf_clauses(body))
+        return SuccessorQuantifierFreeForm(
+            body, variables, tuple(s for s in solutions if s is not None)
+        )
 
     def decide(self, sentence: Formula) -> bool:
         """Decide a pure successor sentence by elimination plus ground evaluation."""

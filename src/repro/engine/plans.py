@@ -59,7 +59,7 @@ from ..safety.effective_syntax import EffectiveSyntax
 from ..safety.relative_safety import (
     EqualityRelativeSafety,
     FreshElementProbe,
-    OrderedRelativeSafety,
+    QuantifierFreeSafety,
     RelativeSafetyDecider,
     RelativeSafetyUndecidable,
 )
@@ -626,10 +626,11 @@ class GuardedPlan(Plan):
       the inner plan runs once over the universe enlarged by the decider's
       probe elements, and the rows split into the verdict and the exact
       answer;
-    * the Theorem 2.5 decider on a domain with a quantifier-free form, over
-      an enumeration inner plan: the quantifier-free ψ of the guard's one
-      elimination gives the verdict, and its rows are the answer
-      (:meth:`~repro.safety.relative_safety.OrderedRelativeSafety.answer`).
+    * a decider with a quantifier-free form (Theorems 2.5 and 2.6, and
+      projection finiteness over ``(Q, <)``), over an enumeration inner
+      plan: the quantifier-free ψ of the guard's one elimination gives the
+      verdict, and its rows are the answer
+      (:meth:`~repro.safety.relative_safety.QuantifierFreeSafety.answer`).
 
     Every other decider runs first, on its own."""
 
@@ -645,14 +646,14 @@ class GuardedPlan(Plan):
         return getattr(self.inner, "budget", Budget())
 
     @property
-    def fused_ordered_guard(self) -> Optional[OrderedRelativeSafety]:
-        """The Theorem 2.5 decider whose one quantifier elimination yields
-        both the verdict and the answer rows, or ``None`` when this plan
-        does not fuse them: the decider needs a quantifier-free form
-        (``eliminates_once``) and the inner plan must be the enumeration it
-        replaces."""
+    def fused_ordered_guard(self) -> Optional[QuantifierFreeSafety]:
+        """The decider whose one quantifier elimination yields both the
+        verdict and the answer rows, or ``None`` when this plan does not
+        fuse them: the decider must read answers off its quantifier-free
+        form (``eliminates_once``) and the inner plan must be the
+        enumeration it replaces."""
         if (
-            isinstance(self.safety, OrderedRelativeSafety)
+            isinstance(self.safety, QuantifierFreeSafety)
             and self.safety.eliminates_once
             and isinstance(self.inner, EnumerationPlan)
         ):
@@ -680,7 +681,7 @@ class GuardedPlan(Plan):
             return GuardedOutcome(answer, admitted, probe.verdict(witnesses), rewritten)
         ordered = self.fused_ordered_guard
         if ordered is not None:
-            # Theorem 2.5 + Section 1.1, fused: the guard eliminates the
+            # Relative safety + Section 1.1, fused: the guard eliminates the
             # quantifiers of the state-expanded query once, and the same
             # quantifier-free ψ yields the verdict and the answer rows.
             deadline = self.inner._start_deadline()

@@ -9,7 +9,7 @@ generic parts of that recipe live here.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .builders import conj, disj, neg
 from .formulas import (
@@ -29,9 +29,12 @@ from .formulas import (
     Top,
     is_quantifier_free,
 )
-from .substitution import fresh_variable, rename_bound_variables, substitute
+from .substitution import rename_bound_variables
 from .terms import Var
-from .analysis import all_variables, free_variables
+from .analysis import free_variables
+
+if TYPE_CHECKING:  # repro.engine imports the logic package
+    from ..engine.budget import Deadline
 
 __all__ = [
     "simplify",
@@ -41,7 +44,6 @@ __all__ = [
     "to_dnf",
     "dnf_clauses",
     "eliminate_quantifiers",
-    "push_quantifiers_to_dnf",
 ]
 
 
@@ -214,19 +216,10 @@ def dnf_clauses(formula: Formula) -> List[List[Formula]]:
     return clauses
 
 
-def push_quantifiers_to_dnf(var: str, body: Formula) -> List[List[Formula]]:
-    """Prepare ``exists var . body`` for clause-wise elimination.
-
-    Returns the DNF clauses of ``body``; the existential quantifier
-    distributes over the disjunction, so a quantifier-elimination procedure
-    only needs to handle one conjunctive clause at a time.
-    """
-    return dnf_clauses(body)
-
-
 def eliminate_quantifiers(
     formula: Formula,
     eliminate_exists_clause: Callable[[str, List[Formula]], Formula],
+    deadline: Optional["Deadline"] = None,
 ) -> Formula:
     """Generic quantifier elimination driver.
 
@@ -234,7 +227,29 @@ def eliminate_quantifiers(
     formula equivalent to ``exists var . conj(*literals)`` where every literal
     is quantifier-free.  Universal quantifiers are handled by dualisation and
     inner quantifiers are eliminated first.
+
+    ``exists var`` distributes over the disjuncts of its (NNF) body, and in
+    each disjunct the conjuncts without ``var`` move out of its scope before
+    the rest is put into DNF.  A stored relation expands to a disjunction per
+    column, so without this split the clauses of ``∃y∃z (S(y) ∧ S(z) ∧ …)``
+    would multiply the two expansions.  A ``deadline`` is checked once per
+    eliminated quantifier and once per clause.
     """
+
+    def exists(var: str, body: Formula) -> Formula:
+        if isinstance(body, Or):
+            return disj(*(exists(var, d) for d in body.disjuncts))
+        conjuncts = body.conjuncts if isinstance(body, And) else (body,)
+        scoped = [c for c in conjuncts if Var(var) in free_variables(c)]
+        if not scoped:
+            return body
+        inert = [c for c in conjuncts if Var(var) not in free_variables(c)]
+        eliminated: List[Formula] = []
+        for clause in dnf_clauses(conj(*scoped)):
+            if deadline is not None:
+                deadline.check("quantifier elimination")
+            eliminated.append(eliminate_exists_clause(var, clause))
+        return conj(*inert, disj(*eliminated))
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, (Atom, Equals, Top, Bottom)):
@@ -250,12 +265,10 @@ def eliminate_quantifiers(
         if isinstance(f, Iff):
             return walk(conj(Implies(f.left, f.right), Implies(f.right, f.left)))
         if isinstance(f, Exists):
-            body = walk(f.body)
-            if Var(f.var) not in free_variables(body):
-                return simplify(body)
-            clauses = dnf_clauses(body)
-            eliminated = [eliminate_exists_clause(f.var, clause) for clause in clauses]
-            return simplify(disj(*eliminated))
+            eliminated = simplify(exists(f.var, to_nnf(walk(f.body))))
+            if deadline is not None:
+                deadline.check("quantifier elimination")
+            return eliminated
         if isinstance(f, ForAll):
             return neg(walk(Exists(f.var, neg(f.body))))
         raise TypeError(f"not a formula: {f!r}")

@@ -24,28 +24,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, List, Optional, Set, Tuple
 
 from ..domains.base import Domain
 from ..domains.presburger import PresburgerDomain
-from ..domains.successor import SuccessorDomain, eliminate_successor_quantifiers, parse_successor_term
+from ..domains.successor import SuccessorDomain, extended_active_domain_elements
 from ..logic.analysis import all_variables, free_variables, quantifier_depth
-from ..logic.builders import conj, exists_many, forall_many, iff
-from ..logic.formulas import (
-    And,
-    Atom,
-    Bottom,
-    Equals,
-    Exists,
-    ForAll,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Top,
-)
+from ..logic.builders import conj, disj, exists_many, forall_many, iff
+from ..logic.formulas import Atom, Equals, Exists, ForAll, Formula, Implies
 from ..logic.substitution import fresh_variables
 from ..logic.terms import Const, Var
 from ..relational.active_domain import active_domain
@@ -57,12 +43,12 @@ from .classes import SafetyVerdict
 from .finitization import finitize
 
 if TYPE_CHECKING:  # repro.engine imports this module at package-init time
-    from ..domains.presburger import QuantifierFreeForm
     from ..engine.answers import Answer
     from ..engine.budget import Budget, Deadline
 
 __all__ = [
     "RelativeSafetyDecider",
+    "QuantifierFreeSafety",
     "EqualityRelativeSafety",
     "FreshElementProbe",
     "OrderedRelativeSafety",
@@ -189,58 +175,36 @@ class EqualityRelativeSafety(RelativeSafetyDecider):
         return probe.verdict(getattr(answer, "witnesses", ()))
 
 
-class OrderedRelativeSafety(RelativeSafetyDecider):
-    """Theorem 2.5: relative safety for decidable extensions of ``(N, <)``.
+class QuantifierFreeSafety(RelativeSafetyDecider):
+    """A decider that eliminates quantifiers once per (query, state) and
+    reads both the verdict and the answer off the result.
 
-    In a fixed state the query is translated into a pure domain formula
-    ``φ'``; it yields a finite answer iff ``φ'`` is equivalent to its
-    finitization, a sentence the domain's decision procedure settles.
-
-    Domains with a ``quantifier_free`` method (the Presburger family and
-    shortlex strings) settle it without that sentence: ψ, the quantifier-free
-    form of ``φ'``, is eliminated once per (query, state), and ``φ' ≡ φ'^F``
-    iff every projection of ψ is bounded (Cooper's ``±inf`` test).  The
-    same ψ then yields the answer rows (:meth:`answer`), so the Section 1.1
-    enumeration never runs a decision procedure per candidate.
+    ψ, the quantifier-free form of the state-expanded query
+    ``expand_database_atoms(query, state)``, is built once; (ψ, verdict) is
+    memoised per (query, state) and :meth:`answer` reads the rows off the
+    same ψ, so the Section 1.1 enumeration never runs a decision procedure
+    per candidate.  A subclass supplies ψ and its verdict
+    (:meth:`_psi_and_verdict`; ψ needs a ``rows(deadline)`` method) and the
+    sentence that decides the same question (:meth:`decide_by_sentence`).
     """
 
-    name = "finitization-equivalence"
-
-    def __init__(
-        self,
-        domain: Optional[Domain] = None,
-        memo_size: int = 64,
-        integers: Optional[bool] = None,
-    ):
-        self._domain = domain or PresburgerDomain()
-        if not self._domain.has_decidable_theory:
-            raise ValueError("Theorem 2.5 requires a decidable extension of (N, <)")
-        # Over carriers unbounded in both directions (the integers) the
-        # finitization must bound answers from below as well as above —
-        # ``x < 0`` is finite over N but infinite over Z.  Auto-detect from
-        # Presburger-style domains; other ordered carriers pass it explicitly.
-        if integers is None:
-            integers = getattr(self._domain, "naturals", True) is False
-        self._integers = integers
-        self._quantifier_free = getattr(self._domain, "quantifier_free", None)
-        # (ψ, verdict) memoised per (formula, state fingerprint): expanding
-        # the database atoms builds a disjunction per stored row and Cooper
-        # elimination then works through it, so a guarded serving workload
-        # re-deciding the same query on an unchanged state pays the full
-        # cost every time without this.  ψ is None on domains without a
-        # quantifier-free form.  Both keys are immutable value objects
-        # (states carry a cached fingerprint hash), so entries can never go
-        # stale.  Imported lazily — repro.engine imports this module at
-        # package-init time.
+    def __init__(self, domain: Domain, memo_size: int = 64):
+        self._domain = domain
+        # (ψ, verdict) memoised per (formula, state): expanding the database
+        # atoms builds a disjunction per stored row and the elimination then
+        # works through it, so a guarded serving workload re-deciding the
+        # same query on an unchanged state would pay the full cost every
+        # time.  Both keys are immutable value objects (states carry a
+        # cached fingerprint hash), so entries can never go stale.  Imported
+        # lazily — repro.engine imports this module at package-init time.
         from ..engine.plan_cache import PlanCache
 
         self._verdicts = PlanCache(maxsize=memo_size)
 
     @property
     def eliminates_once(self) -> bool:
-        """True iff the domain has a quantifier-free form, so verdict and
-        answer both come from one elimination."""
-        return self._quantifier_free is not None
+        """True iff verdict and answer both come from one elimination."""
+        return True
 
     def memo_info(self):
         """Hit/miss/eviction counters of the per-(formula, state) memo."""
@@ -272,7 +236,7 @@ class OrderedRelativeSafety(RelativeSafetyDecider):
         far once more than ``budget.max_rows`` rows exist or the time limit
         expires; only cancellation raises.  Call it after :meth:`decide`
         certified the query finite: an infinite answer raises
-        ``ValueError``, and a domain without a quantifier-free form
+        ``ValueError``, and a decider without a quantifier-free form
         (:attr:`eliminates_once`) raises ``TypeError``.
         """
         from ..engine.answers import FiniteAnswer, UnknownAnswer
@@ -310,23 +274,74 @@ class OrderedRelativeSafety(RelativeSafetyDecider):
         query: Formula,
         state: DatabaseState,
         deadline: Optional["Deadline"],
-    ) -> Tuple[Optional["QuantifierFreeForm"], SafetyVerdict]:
+    ) -> Tuple[Any, SafetyVerdict]:
         """The memoised (ψ, verdict) of ``query`` in ``state``."""
         key = (query, state)
         cached = self._verdicts.get(key)
         if cached is not None:
             return cached
         pure = expand_database_atoms(query, state)
-        variables = _answer_columns(query)
-        psi = None
-        if self._quantifier_free is not None:
-            psi = self._quantifier_free(pure, variables, deadline)
-            verdict = self._verdict(psi.bounded(deadline=deadline))
-        else:
-            verdict = self._verdict(self._sentence_holds(pure, variables))
-        entry = (psi, verdict)
+        entry = self._psi_and_verdict(pure, _answer_columns(query), deadline)
         self._verdicts.put(key, entry)
         return entry
+
+    @abstractmethod
+    def decide_by_sentence(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+        """The verdict of a pure sentence the domain decides, not memoised —
+        the reference the quantifier-free path is checked against."""
+
+    @abstractmethod
+    def _psi_and_verdict(
+        self, pure: Formula, variables: List[Var], deadline: Optional["Deadline"]
+    ) -> Tuple[Any, SafetyVerdict]:
+        """ψ of the pure formula with ``variables`` as its columns (``None``
+        when there is none), and the verdict it gives."""
+
+
+class OrderedRelativeSafety(QuantifierFreeSafety):
+    """Theorem 2.5: relative safety for decidable extensions of ``(N, <)``.
+
+    In a fixed state the query is translated into a pure domain formula
+    ``φ'``; it yields a finite answer iff ``φ'`` is equivalent to its
+    finitization, a sentence the domain's decision procedure settles.
+
+    Domains with a ``quantifier_free`` method (the Presburger family and
+    shortlex strings) settle it without that sentence: ``φ' ≡ φ'^F`` iff
+    every projection of ψ, the quantifier-free Cooper form of ``φ'``, is
+    bounded (Cooper's ``±inf`` test), and the same ψ yields the answer rows.
+    """
+
+    name = "finitization-equivalence"
+
+    def __init__(
+        self,
+        domain: Optional[Domain] = None,
+        memo_size: int = 64,
+        integers: Optional[bool] = None,
+    ):
+        super().__init__(domain or PresburgerDomain(), memo_size)
+        if not self._domain.has_decidable_theory:
+            raise ValueError("Theorem 2.5 requires a decidable extension of (N, <)")
+        # Over carriers unbounded in both directions (the integers) the
+        # finitization must bound answers from below as well as above —
+        # ``x < 0`` is finite over N but infinite over Z.  Auto-detect from
+        # Presburger-style domains; other ordered carriers pass it explicitly.
+        if integers is None:
+            integers = getattr(self._domain, "naturals", True) is False
+        self._integers = integers
+        self._quantifier_free = getattr(self._domain, "quantifier_free", None)
+
+    @property
+    def eliminates_once(self) -> bool:
+        """True iff the domain has a quantifier-free form; otherwise the
+        verdict comes from the finitization sentence."""
+        return self._quantifier_free is not None
+
+    def _psi_and_verdict(self, pure, variables, deadline):
+        if self._quantifier_free is None:
+            return None, self._verdict(self._sentence_holds(pure, variables))
+        psi = self._quantifier_free(pure, variables, deadline)
+        return psi, self._verdict(psi.bounded(deadline=deadline))
 
     def decide_by_sentence(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
         """The verdict of the literal Theorem 2.5 sentence
@@ -364,7 +379,7 @@ def _answer_columns(query: Formula) -> List[Var]:
     return sorted(free_variables(query), key=lambda v: v.name)
 
 
-class DenseOrderRelativeSafety(RelativeSafetyDecider):
+class DenseOrderRelativeSafety(QuantifierFreeSafety):
     """Relative safety over dense linear orders such as ``(Q, <)``.
 
     Density breaks the finitization argument of Theorem 2.5: a bounded
@@ -373,8 +388,15 @@ class DenseOrderRelativeSafety(RelativeSafetyDecider):
     iff each of its one-dimensional projections is, and by quantifier
     elimination a ``(Q, <)``-definable subset of the line is a finite union
     of points and intervals — finite iff it is **bounded** and contains **no
-    nonempty open interval**.  Both conditions are pure domain sentences that
-    the domain's decision procedure settles.
+    nonempty open interval**.
+
+    The default path reads both conditions off ψ, the quantifier-free form
+    of the state-expanded query
+    (:class:`~repro.domains.dense_order.DenseQuantifierFreeForm`): a
+    projection is unbounded iff it holds beyond the constants, and contains
+    an open interval iff it holds at a midpoint between two of them.
+    :meth:`decide_by_sentence` decides the same two conditions as pure
+    domain sentences instead.
     """
 
     name = "projection-finiteness"
@@ -386,52 +408,57 @@ class DenseOrderRelativeSafety(RelativeSafetyDecider):
             domain = DenseOrderDomain()
         if not domain.has_decidable_theory:
             raise ValueError("projection finiteness needs a decidable dense order")
-        self._domain = domain
-        # Memoised like OrderedRelativeSafety: keys are immutable value
-        # objects, so entries never go stale.
-        from ..engine.plan_cache import PlanCache
+        super().__init__(domain, memo_size)
 
-        self._verdicts = PlanCache(maxsize=memo_size)
-
-    def memo_info(self):
-        """Hit/miss/eviction counters of the per-(formula, state) memo."""
-        return self._verdicts.info()
-
-    def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
-        key = (query, state)
-        cached = self._verdicts.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._decide_uncached(query, state)
-        self._verdicts.put(key, verdict)
-        return verdict
-
-    def _decide_uncached(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
-        pure = expand_database_atoms(query, state)
-        variables = sorted(free_variables(query), key=lambda v: v.name)
+    def _psi_and_verdict(self, pure, variables, deadline):
+        psi = self._domain.quantifier_free(pure, variables, deadline)
         if not variables:
-            return SafetyVerdict.finite(
-                method=self.name, details="a sentence has at most one answer row"
-            )
+            return psi, self._sentence_verdict()
+        column = psi.infinite_column(deadline)
+        if column is None:
+            return psi, self._finite_verdict()
+        return psi, self._infinite_verdict(*column)
+
+    def decide_by_sentence(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+        """The verdict of the boundedness and open-interval sentences,
+        decided by the domain per projection and not memoised — the
+        reference the quantifier-free path is checked against."""
+        pure = expand_database_atoms(query, state)
+        variables = _answer_columns(query)
+        if not variables:
+            return self._sentence_verdict()
         used = set(all_variables(pure)) | set(variables)
         for variable in variables:
             others = [v.name for v in variables if v != variable]
             projection = exists_many(others, pure)
             if not self._domain.decide(self._bounded(projection, variable, used)):
-                return SafetyVerdict.infinite(
-                    method=self.name,
-                    details=f"the projection onto {variable.name!r} is unbounded",
-                )
+                return self._infinite_verdict(variable.name, True)
             if self._domain.decide(self._has_interval(projection, variable, used)):
-                return SafetyVerdict.infinite(
-                    method=self.name,
-                    details=f"the projection onto {variable.name!r} contains an "
-                    "open interval, which is infinite by density",
-                )
+                return self._infinite_verdict(variable.name, False)
+        return self._finite_verdict()
+
+    def _sentence_verdict(self) -> SafetyVerdict:
+        return SafetyVerdict.finite(
+            method=self.name, details="a sentence has at most one answer row"
+        )
+
+    def _finite_verdict(self) -> SafetyVerdict:
         return SafetyVerdict.finite(
             method=self.name,
             details="every one-dimensional projection is bounded and contains "
             "no open interval",
+        )
+
+    def _infinite_verdict(self, variable: str, unbounded: bool) -> SafetyVerdict:
+        if unbounded:
+            return SafetyVerdict.infinite(
+                method=self.name,
+                details=f"the projection onto {variable!r} is unbounded",
+            )
+        return SafetyVerdict.infinite(
+            method=self.name,
+            details=f"the projection onto {variable!r} contains an "
+            "open interval, which is infinite by density",
         )
 
     @staticmethod
@@ -477,176 +504,55 @@ class FiniteCarrierSafety(RelativeSafetyDecider):
         )
 
 
-@dataclass
-class _OffsetUnionFind:
-    """Union-find over variables with integer offsets: ``x = y + offset``."""
-
-    parent: Dict[str, str]
-    offset: Dict[str, int]  # value(x) = value(find(x)) + offset[x]
-    anchor: Dict[str, Optional[int]]  # concrete value of a root, if known
-
-    @classmethod
-    def empty(cls) -> "_OffsetUnionFind":
-        return cls({}, {}, {})
-
-    def add(self, item: str) -> None:
-        if item not in self.parent:
-            self.parent[item] = item
-            self.offset[item] = 0
-            self.anchor[item] = None
-
-    def find(self, item: str) -> Tuple[str, int]:
-        self.add(item)
-        if self.parent[item] == item:
-            return item, 0
-        root, above = self.find(self.parent[item])
-        self.parent[item] = root
-        self.offset[item] += above
-        return root, self.offset[item]
-
-    def union(self, left: str, right: str, delta: int) -> bool:
-        """Record ``value(left) = value(right) + delta``; False on contradiction."""
-        lroot, loff = self.find(left)
-        rroot, roff = self.find(right)
-        if lroot == rroot:
-            return loff == roff + delta
-        # value(lroot) = value(rroot) + (roff + delta - loff)
-        self.parent[lroot] = rroot
-        self.offset[lroot] = roff + delta - loff
-        left_anchor = self.anchor.pop(lroot)
-        if left_anchor is not None:
-            return self.anchor_value(lroot, left_anchor)
-        return True
-
-    def anchor_value(self, item: str, value: int) -> bool:
-        """Record ``value(item) = value``; False on contradiction or negativity."""
-        root, off = self.find(item)
-        root_value = value - off
-        if root_value < 0:
-            return False
-        existing = self.anchor.get(root)
-        if existing is None:
-            self.anchor[root] = root_value
-            return True
-        return existing == root_value
-
-    def value_of(self, item: str) -> Optional[int]:
-        root, off = self.find(item)
-        base = self.anchor.get(root)
-        if base is None:
-            return None
-        return base + off
-
-
-class SuccessorRelativeSafety(RelativeSafetyDecider):
+class SuccessorRelativeSafety(QuantifierFreeSafety):
     """Theorem 2.6: relative safety for ``(N, ')``.
 
     The query (with the state folded in) is reduced to a quantifier-free
     formula by the Section 2.2 elimination; a clause of its DNF contributes an
     infinite set of solutions iff its positive equalities are consistent, its
     negative literals are satisfiable, and some free variable is not anchored
-    (through positive equalities) to a concrete natural number.
+    (through positive equalities) to a concrete natural number.  Otherwise
+    every satisfiable clause contributes its one anchored tuple, and those
+    tuples are the answer
+    (:class:`~repro.domains.successor.SuccessorQuantifierFreeForm`).
     """
 
     name = "successor-clause-analysis"
 
     def __init__(self, domain: Optional[SuccessorDomain] = None):
-        self._domain = domain or SuccessorDomain()
+        super().__init__(domain or SuccessorDomain())
 
-    def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+    def _psi_and_verdict(self, pure, variables, deadline):
+        psi = self._domain.quantifier_free(pure, variables, deadline)
+        return psi, self._verdict(psi.finite())
+
+    def decide_by_sentence(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
+        """The verdict of Theorem 2.7's sentence — every answer row lies in
+        the extended active domain of radius ``2^q`` — decided by the domain
+        and not memoised: the reference the clause analysis is checked
+        against."""
         pure = expand_database_atoms(query, state)
-        quantifier_free = eliminate_successor_quantifiers(pure)
-        variables = sorted(v.name for v in free_variables(query))
-        status = self._classify(quantifier_free, variables)
-        if status:
-            return SafetyVerdict.infinite(
+        variables = _answer_columns(query)
+        nearby = sorted(extended_active_domain_elements(
+            [int(e) for e in active_domain(state, query)], quantifier_depth(query)
+        ))
+        inside = conj(*(
+            disj(*(Equals(v, Const(e)) for e in nearby)) for v in variables
+        ))
+        sentence = forall_many([v.name for v in variables], Implies(pure, inside))
+        return self._verdict(self._domain.decide(sentence))
+
+    def _verdict(self, finite: bool) -> SafetyVerdict:
+        if finite:
+            return SafetyVerdict.finite(
                 method=self.name,
-                details="a satisfiable clause leaves a free variable unanchored, "
-                "so it has infinitely many solutions",
+                details="every satisfiable clause anchors all free variables to constants",
             )
-        return SafetyVerdict.finite(
+        return SafetyVerdict.infinite(
             method=self.name,
-            details="every satisfiable clause anchors all free variables to constants",
+            details="a satisfiable clause leaves a free variable unanchored, "
+            "so it has infinitely many solutions",
         )
-
-    def _classify(self, quantifier_free: Formula, variables: Sequence[str]) -> bool:
-        """True iff the quantifier-free formula has infinitely many solutions."""
-        from ..logic.transform import dnf_clauses
-
-        for clause in dnf_clauses(quantifier_free):
-            if self._clause_is_infinite(clause, variables):
-                return True
-        return False
-
-    def _clause_is_infinite(self, clause: Sequence[Formula], variables: Sequence[str]) -> bool:
-        union_find = _OffsetUnionFind.empty()
-        negatives: List[Tuple] = []
-        for literal in clause:
-            positive = True
-            body = literal
-            if isinstance(literal, Not):
-                positive = False
-                body = literal.body
-            if isinstance(body, Top):
-                continue
-            if isinstance(body, Bottom):
-                if positive:
-                    return False
-                continue
-            if not isinstance(body, Equals):
-                raise ValueError(f"unexpected literal in successor clause: {literal!r}")
-            left = parse_successor_term(body.left)
-            right = parse_successor_term(body.right)
-            if not positive:
-                negatives.append((left, right))
-                continue
-            if left.base is None and right.base is None:
-                if left.shift != right.shift:
-                    return False
-                continue
-            if left.base is None:
-                if not union_find.anchor_value(right.base, left.shift - right.shift):
-                    return False
-                continue
-            if right.base is None:
-                if not union_find.anchor_value(left.base, right.shift - left.shift):
-                    return False
-                continue
-            if not union_find.union(left.base, right.base, right.shift - left.shift):
-                return False
-
-        if not variables:
-            return False
-
-        unanchored = [v for v in variables if union_find.value_of(v) is None]
-        if not unanchored:
-            # Every free variable has a single possible value in this clause;
-            # the clause contributes at most one tuple, hence finitely many.
-            return False
-
-        # The clause has free play in the unanchored variables.  Negative
-        # literals exclude only finitely many values, so if they are jointly
-        # satisfiable at all (which they are, by choosing the unanchored
-        # components large and far apart) the clause has infinitely many
-        # solutions.  The only remaining failure mode is a negative literal
-        # contradicted by the positive equalities alone.
-        for left, right in negatives:
-            if left.base is None and right.base is None:
-                if left.shift == right.shift:
-                    return False
-                continue
-            if left.base is not None and right.base is not None:
-                lroot, loff = union_find.find(left.base)
-                rroot, roff = union_find.find(right.base)
-                if lroot == rroot and loff + left.shift == roff + right.shift:
-                    return False
-                continue
-            variable_term = left if left.base is not None else right
-            constant_term = right if left.base is not None else left
-            value = union_find.value_of(variable_term.base)
-            if value is not None and value + variable_term.shift == constant_term.shift:
-                return False
-        return True
 
 
 class TraceRelativeSafety(RelativeSafetyDecider):

@@ -1,20 +1,28 @@
 """Tests for eliminating quantifiers once per (query, state).
 
-The Presburger family and shortlex strings build ψ, the quantifier-free
-Cooper form of the state-expanded query, once; the Theorem 2.5 verdict
-(every projection bounded) and the Section 1.1 answer (an exact read-off)
-both come from it, so the default path makes no decision-procedure call.
+Every decidable pack builds ψ, the quantifier-free form of the
+state-expanded query, once: Cooper's form on the Presburger family and
+shortlex strings, the dense-order form on ``(Q, <)`` and the Section 2.2
+form on ``(N, ')``.  The relative-safety verdict and the Section 1.1 answer
+(an exact read-off) both come from it, so the default path makes no
+decision-procedure call.
 """
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.session import Session
 from repro.domains.base import Domain
-from repro.domains.packs import get_pack
+from repro.domains.dense_order import (
+    DenseOrderDomain,
+    _holds,
+    eliminate_dense_quantifiers,
+)
+from repro.domains.packs import available_domains, get_pack
 from repro.domains.presburger import (
     IAnd,
     IDvd,
@@ -25,7 +33,7 @@ from repro.domains.presburger import (
     _divisibility_lcm,
 )
 from repro.engine.answers import FiniteAnswer, UnknownAnswer
-from repro.engine.budget import Budget, DeadlineExceeded
+from repro.engine.budget import Budget, DeadlineExceeded, EvaluationInterrupted
 from repro.engine.enumeration import CandidateStats, answer_by_enumeration
 from repro.engine.plans import EnumerationPlan, GuardedPlan
 from repro.experiments.corpora import (
@@ -34,22 +42,33 @@ from repro.experiments.corpora import (
     ordered_query_corpus,
     span_schema,
     span_state,
+    successor_query_corpus,
 )
-from repro.logic.builders import atom, conj, disj, exists, forall, implies, neg
+from repro.logic.builders import (
+    atom, conj, disj, eq, exists, exists_many, forall, implies, neg, var,
+)
+from repro.logic.formulas import Atom, Equals, walk_formulas
 from repro.logic.parser import parse_formula
 from repro.logic.terms import Const, Var
 from repro.relational.calculus import evaluate_formula
+from repro.relational.state import DatabaseState
 from repro.relational.translate import expand_database_atoms
-from repro.safety.relative_safety import OrderedRelativeSafety
-
-#: the packs whose Theorem 2.5 decider eliminates quantifiers once
-QUANTIFIER_FREE_PACKS = (
-    "naturals_with_order",
-    "presburger_naturals",
-    "presburger_integers",
-    "integer_differences",
-    "shortlex_strings",
+from repro.safety.relative_safety import (
+    DenseOrderRelativeSafety,
+    OrderedRelativeSafety,
+    SuccessorRelativeSafety,
 )
+
+#: every pack whose decider eliminates quantifiers once → its verdict method
+QUANTIFIER_FREE_PACKS = {
+    "naturals_with_order": "finitization-equivalence",
+    "presburger_naturals": "finitization-equivalence",
+    "presburger_integers": "finitization-equivalence",
+    "integer_differences": "finitization-equivalence",
+    "shortlex_strings": "finitization-equivalence",
+    "rationals_with_order": "projection-finiteness",
+    "naturals_with_successor": "successor-clause-analysis",
+}
 
 
 def _psi(text, domain=None, state=None):
@@ -301,7 +320,7 @@ def _count_decides(session):
     return calls
 
 
-@pytest.mark.parametrize("pack_name", QUANTIFIER_FREE_PACKS)
+@pytest.mark.parametrize("pack_name", sorted(QUANTIFIER_FREE_PACKS))
 def test_default_path_makes_no_decide_calls(pack_name):
     for corpus in get_pack(pack_name).corpora():
         session = Session(pack_name, corpus.schema)
@@ -313,7 +332,7 @@ def test_default_path_makes_no_decide_calls(pack_name):
         for state in states:
             for pq in corpus.queries:
                 result = session.run(pq.query, state)
-                assert result.verdict.method == "finitization-equivalence"
+                assert result.verdict.method == QUANTIFIER_FREE_PACKS[pack_name]
                 if result.answer.is_finite:
                     assert result.answer.method == "enumeration"
                 assert calls["n"] == 0, (corpus.name, pq.name)
@@ -404,3 +423,243 @@ def test_time_limit_interrupts_the_elimination():
     small = plan.execute(query, numeric_state([1, 2, 3]))
     assert set(small.rows()) == {(2,)}
     assert "interrupted" not in plan.explain()
+
+
+# ---------------------------------------------------------------------------
+# (Q, <): the dense-order form
+# ---------------------------------------------------------------------------
+
+
+def _rationals(*values):
+    return DatabaseState(numeric_schema(), {"S": [(v,) for v in values]})
+
+
+_DENSE_TERMS = (Var("x"), Var("y"), Var("z"), Const(0), Const(1), Const(Fraction(3, 2)))
+
+
+@st.composite
+def _dense_formulas(draw, depth=3, bound=("y", "z")):
+    """Random order formulas in ``x`` whose quantifiers bind ``y``/``z``."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        left, right = draw(st.sampled_from(_DENSE_TERMS)), draw(st.sampled_from(_DENSE_TERMS))
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "="]))
+        return eq(left, right) if op == "=" else atom(op, left, right)
+    kind = draw(st.sampled_from(["not", "and", "or", "exists", "forall"]))
+    if kind == "not":
+        return neg(draw(_dense_formulas(depth - 1, bound)))
+    if kind in ("and", "or"):
+        parts = (draw(_dense_formulas(depth - 1, bound)) for _ in range(2))
+        return conj(*parts) if kind == "and" else disj(*parts)
+    quantifier = exists if kind == "exists" else forall
+    return quantifier(draw(st.sampled_from(bound)), draw(_dense_formulas(depth - 1, bound)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_formulas())
+def test_dense_elimination_agrees_with_ferrante_rackoff(formula):
+    # y and z may stay free: evaluate under x, y, z fixed, the quantifiers
+    # by Ferrante–Rackoff test points.
+    qf = eliminate_dense_quantifiers(formula)
+    domain = DenseOrderDomain()
+    for point in (-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2):
+        env = {"x": point, "y": Fraction(1, 4), "z": 1}
+        assert _holds(qf, env) == domain._eval(formula, env)
+
+
+def test_dense_clause_elimination_cases():
+    cases = {
+        # substitution by a pinned value
+        "exists y. (y = x & y < 1)": "x < 1",
+        # every lower bound below every upper bound, non-strict iff both are
+        "exists y. (x <= y & y <= 1)": "x <= 1",
+        "exists y. (x < y & y <= 1)": "x < 1",
+        # a disequality is avoidable unless the interval is a single point
+        "exists y. (x <= y & y <= 1 & ~(y = 1))": "x < 1",
+        "exists y. (1 <= y & y <= x & ~(y = 1))": "1 < x",
+        # ... or a single point that the disequality misses
+        "exists y. (x <= y & y <= x & ~(y = 0))": "~(x = 0)",
+        # a dense order has no endpoints
+        "exists y. y < x": "x = x",
+    }
+    for text, expected in cases.items():
+        qf = eliminate_dense_quantifiers(parse_formula(text))
+        for point in (-1, 0, Fraction(1, 2), 1, 2):
+            env = {"x": point}
+            assert _holds(qf, env) == _holds(parse_formula(expected), env), (text, point)
+
+
+def test_dense_psi_stays_linear_in_the_state():
+    # ∃z leaves S(y) ∧ y < x out of its scope, so the two expansions of S
+    # are eliminated one after the other, not multiplied into n² clauses.
+    corpus = get_pack("rationals_with_order").corpora()[0]
+    between = next(q for q in corpus.queries if q.name == "strictly-between-members")
+    state = _rationals(*range(24))
+    psi = DenseOrderDomain().quantifier_free(expand_database_atoms(between.query, state))
+    atoms = [f for f in walk_formulas(psi.body) if isinstance(f, (Atom, Equals))]
+    assert len(atoms) <= 2 * 24
+    assert not psi.finite()
+
+
+def test_dense_read_off_arity_two():
+    domain = DenseOrderDomain()
+    state = _rationals(0, Fraction(1, 2), 3)
+    pairs = parse_formula("S(x) & S(y) & x < y")
+    psi = domain.quantifier_free(expand_database_atoms(pairs, state))
+    assert psi.variables == ("x", "y")
+    assert psi.finite()
+    expected = {(0, Fraction(1, 2)), (0, 3), (Fraction(1, 2), 3)}
+    assert set(psi.rows()) == expected
+    safety = DenseOrderRelativeSafety()
+    assert safety.decide(pairs, state).is_finite
+    assert set(safety.answer(pairs, state).rows()) == expected
+    reference = answer_by_enumeration(pairs, state, domain)
+    assert set(reference.rows()) == expected
+    # y above a member: x's projection is bounded, y's is not.
+    above = parse_formula("S(x) & x < y")
+    verdict = safety.decide(above, state)
+    assert not verdict.is_finite
+    assert verdict.details == "the projection onto 'y' is unbounded"
+    assert verdict.status is safety.decide_by_sentence(above, state).status
+    with pytest.raises(ValueError, match="infinite"):
+        list(domain.quantifier_free(expand_database_atoms(above, state)).rows())
+
+
+def test_dense_read_off_arity_zero():
+    safety = DenseOrderRelativeSafety()
+    sentence = parse_formula("exists x. (S(x) & x < 1)")
+    for values, rows in (((0, 3), [()]), ((1, 3), []), ((), [])):
+        state = _rationals(*values)
+        verdict = safety.decide(sentence, state)
+        assert verdict.is_finite
+        assert verdict.details == "a sentence has at most one answer row"
+        assert list(safety.answer(sentence, state).rows()) == rows
+
+
+def test_dense_verdict_details_match_the_sentences():
+    safety = DenseOrderRelativeSafety()
+    corpus = get_pack("rationals_with_order").corpora()[0]
+    for values in ((), (0,), (0, 1, Fraction(7, 2)), (-2, Fraction(1, 3), 5)):
+        state = _rationals(*values)
+        for pq in corpus.queries:
+            assert safety.decide(pq.query, state) == safety.decide_by_sentence(
+                pq.query, state
+            ), (values, pq.name)
+
+
+def test_dense_answer_reads_the_memoised_psi():
+    safety = DenseOrderRelativeSafety()
+    query = parse_formula("exists y. (S(y) & y <= x & x <= y)")
+    state = _rationals(0, Fraction(1, 2), 3)
+    assert safety.decide(query, state).is_finite
+    answer = safety.answer(query, state)
+    assert isinstance(answer, FiniteAnswer)
+    assert answer.method == "enumeration"
+    assert set(answer.rows()) == {(0,), (Fraction(1, 2),), (3,)}
+    info = safety.memo_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# (N, '): the clause read-off
+# ---------------------------------------------------------------------------
+
+
+def test_successor_read_off():
+    domain = get_pack("naturals_with_successor").factory()
+    corpus = dict((n, q) for n, q, _ in successor_query_corpus())
+    state = numeric_state([0, 3, 5])
+    expected = {
+        "members": {(0,), (3,), (5,)},
+        "successor-of-member": {(1,), (4,), (6,)},
+        "predecessor-of-member": {(2,), (4,)},  # 0 has no predecessor
+        "two-above-member": {(2,), (5,), (7,)},
+        "equal-to-five": {(5,)},
+    }
+    for name, rows in expected.items():
+        psi = domain.quantifier_free(expand_database_atoms(corpus[name], state))
+        assert psi.finite(), name
+        assert set(psi.rows()) == rows, name
+    psi = domain.quantifier_free(expand_database_atoms(corpus["non-member"], state))
+    assert not psi.finite()
+    with pytest.raises(ValueError, match="infinite"):
+        list(psi.rows())
+    pairs = domain.quantifier_free(parse_formula("y = succ(x) & (x = 2 | x = 4)"))
+    assert set(pairs.rows()) == {(2, 3), (4, 5)}
+
+
+@pytest.mark.parametrize("text", [
+    # two anchored roots forced equal by a negated equality (was INFINITE)
+    "x = 3 & y = 3 & ~(x = y) & ~(z = 0)",
+    # an anchor below zero: x = -1 has no natural value (was INFINITE)
+    "succ(x) = y & y = 0 & ~(z = 0)",
+])
+def test_successor_unsatisfiable_clauses_are_finite(text):
+    query = parse_formula(text)
+    state = numeric_state([1])
+    safety = SuccessorRelativeSafety()
+    verdict = safety.decide(query, state)
+    assert verdict.is_finite
+    assert safety.decide_by_sentence(query, state).is_finite
+    assert list(safety.answer(query, state).rows()) == []
+    result = Session("succ", numeric_schema()).run(query, state)
+    assert result.verdict.is_finite
+    assert isinstance(result.answer, FiniteAnswer)
+    assert list(result.answer.rows()) == []
+
+
+def test_successor_anchored_rows_check_their_negations():
+    safety = SuccessorRelativeSafety()
+    query = parse_formula("(x = 3 | x = 4) & y = 4 & ~(x = y)")
+    state = numeric_state([])
+    assert safety.decide(query, state).is_finite
+    assert set(safety.answer(query, state).rows()) == {(3, 4)}
+    assert safety.memo_info().hits == 1
+
+
+# ---------------------------------------------------------------------------
+# Deadlines on every pack's default path
+# ---------------------------------------------------------------------------
+
+
+def _twelve_row_cases():
+    for name in available_domains():
+        for corpus in get_pack(name).corpora():
+            factory = corpus.state_factory
+            state = (
+                factory(random.Random(f"deadline/{corpus.name}"), 12)
+                if factory is not None else corpus.canonical_state
+            )
+            for pq in corpus.queries:
+                yield pytest.param(name, corpus, state, pq, id=f"{name}-{pq.name}")
+
+
+@pytest.mark.parametrize("pack_name, corpus, state, pq", _twelve_row_cases())
+def test_every_pack_meets_a_time_limit_at_twelve_rows(pack_name, corpus, state, pq):
+    session = Session(pack_name, corpus.schema)
+    started = time.perf_counter()
+    try:
+        session.run(pq.query, state, budget=Budget(time_limit=0.05))
+    except EvaluationInterrupted:
+        pass
+    assert time.perf_counter() - started < 0.25
+
+
+def test_time_limit_interrupts_the_dense_elimination():
+    # "x lies below a chain of twelve members": every quantifier's clause
+    # set is quadratic in the state — about 2 s uncapped at 60 rows on a
+    # 2-core machine.
+    ys = [var(f"y{i}") for i in range(12)]
+    chain = conj(
+        atom("<", var("x"), ys[0]),
+        *(atom("S", y) for y in ys),
+        *(atom("<", a, b) for a, b in zip(ys, ys[1:])),
+    )
+    query = exists_many([y.name for y in ys], chain)
+    state = _rationals(*(Fraction(i, 3) for i in range(60)))
+    plan = Session("q<", numeric_schema()).plan(budget=Budget(time_limit=0.05))
+    started = time.perf_counter()
+    with pytest.raises(DeadlineExceeded) as raised:
+        plan.run(query, state)
+    assert time.perf_counter() - started < 0.25
+    assert raised.value.operator == "quantifier elimination"
+    assert "interrupted: time limit" in plan.explain()
