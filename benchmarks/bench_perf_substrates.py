@@ -18,10 +18,6 @@ These characterise how the decision procedures and simulators scale:
   intermediate row count stays O(answer) (no |adom|^2 materialisation), a
   ≥10× speedup over the unoptimized plan at the largest size, and encode
   reuse on repeated vectorized executions against an unchanged state;
-* tree-walk quantifier-range narrowing: the same between-query evaluated by
-  the tree walker with and without the shared bound analysis narrowing its
-  quantifier ranges, asserting ≥5× at |adom|=256 (gated ratio
-  ``speedup_treewalk_narrowing``);
 * the union-of-intervals guard: the both-sided-witness query must compile
   to an ``IntervalUnionScan`` with O(answer) peak rows and beat the
   unoptimized plan;
@@ -321,62 +317,6 @@ def test_perf_between_query_blowup_guard(benchmark, size):
         )
 
 
-#: adom sizes for the tree-walk narrowing guard; the last one is where the
-#: ISSUE's ≥5× narrowed-vs-full criterion is checked
-_NARROW_SIZES = (64, 128, 256)
-
-
-@pytest.mark.parametrize("size", _NARROW_SIZES)
-def test_perf_treewalk_narrowing(benchmark, size):
-    """Quantifier-range narrowing in the tree walker: "strictly between two
-    members" on ``(N, <)`` must beat the un-narrowed full-adom walker by
-    ≥5× at |adom|=256 (the narrowed walker bisects each quantifier's range
-    out of the sorted adom instead of iterating all of it)."""
-    from repro.domains.nat_order import NaturalOrderDomain
-    from repro.relational.bounds import NarrowingStats
-
-    domain = NaturalOrderDomain()
-    state = numeric_state([3 * i + 1 for i in range(size)])
-    corpus = {name: query for name, query, _finite in ordered_query_corpus()}
-    between = corpus["strictly-between-members"]
-
-    def run_narrowed():
-        return evaluate_query_active_domain(between, state, interpretation=domain)
-
-    fast = benchmark.pedantic(run_narrowed, iterations=1, rounds=3)
-    # Min of two runs: the ratio feeds the dimensionless CI gate.
-    full_seconds = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        slow = evaluate_query_active_domain(
-            between, state, interpretation=domain, narrow=False
-        )
-        full_seconds = min(full_seconds, time.perf_counter() - started)
-    assert fast.rows == slow.rows
-    stats = NarrowingStats()
-    evaluate_query_active_domain(
-        between, state, interpretation=domain, stats=stats
-    )
-    assert stats.enabled and stats.skipped > 0
-    narrowed_seconds = benchmark.stats.stats.min
-    speedup = full_seconds / narrowed_seconds
-    benchmark.extra_info["adom"] = size
-    benchmark.extra_info["full_walk_seconds"] = full_seconds
-    benchmark.extra_info["candidates_kept"] = stats.candidates
-    benchmark.extra_info["candidates_skipped"] = stats.skipped
-    benchmark.extra_info["speedup_treewalk_narrowing"] = speedup
-    print(
-        f"\n[narrowing] adom={size} full={full_seconds:.4f}s "
-        f"narrowed={narrowed_seconds:.4f}s speedup={speedup:.1f}x "
-        f"kept/skipped={stats.candidates}/{stats.skipped}"
-    )
-    if size == _NARROW_SIZES[-1]:
-        assert speedup >= 5.0, (
-            f"narrowed tree walker only {speedup:.1f}x faster than the "
-            f"full-adom walker at |adom|={size}; the ISSUE requires >=5x"
-        )
-
-
 @pytest.mark.parametrize("spans", [32, 64])
 def test_perf_interval_union_scan_guard(benchmark, spans):
     """The union-of-intervals reduction: the both-sided-witness query
@@ -456,7 +396,7 @@ def test_perf_enumeration_compiled_candidates(benchmark, size):
         run_compiled_candidates, iterations=1, rounds=3
     )
     assert len(answer.relation) == size
-    assert stats.generator == "compiled+bounded"
+    assert stats.generator == "compiled+dovetail"
     assert stats.compiled_rows == size
     assert stats.examined <= size + 1  # bounded by the compiled superset
     legacy = CandidateStats()

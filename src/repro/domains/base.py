@@ -62,8 +62,7 @@ class Domain(Interpretation):
     #: True when the carrier is totally ordered by the standard integer
     #: comparison *and* ``<``/``<=``/``>``/``>=`` have exactly that semantics.
     #: The plan optimizer then turns adom pads filtered by those predicates
-    #: into interval joins / range scans over the sorted active domain, and
-    #: the tree walker and the enumeration engine narrow to inferred bounds
+    #: into interval joins / range scans over the sorted active domain
     #: (:mod:`repro.relational.bounds`).
     ordered_carrier: bool = False
     #: True when the carrier is *finite* (e.g. ``Z/n``).  Every query is then

@@ -148,7 +148,7 @@ class EvaluationInterrupted(RuntimeError):
             return summary
         for name in (
             "peak_rows", "total_rows", "nodes_touched", "rows_touched",
-            "tested", "narrowed",
+            "tested",
         ):
             value = getattr(stats, name, None)
             if isinstance(value, int):

@@ -19,17 +19,21 @@ rows, and an optional wall-clock limit.  All three live in a single
 The candidate search is additionally *compiled*: where the paper's algorithm
 dovetails blindly over all tuples of domain elements, this implementation
 first offers the rows of the **compiled active-domain answer** (the algebra
-backend's answer is where the witnesses overwhelmingly live), intersected
-with the per-variable **interval bounds** the shared bound analysis
-(:mod:`repro.relational.bounds`) infers from the query's comparison
-literals; when every free variable is finitely bounded the generator
-enumerates exactly the bounded grid.  Every candidate is still verified with
-the domain's decision procedure, so the seeding is a pure optimisation —
-exhausting it falls back to the blind dovetail, preserving the original
-algorithm's guarantees while collapsing its ``max_candidates`` pressure on
-decidable ordered domains.  A :class:`CandidateStats` records which
-generator ran and how many candidates were decision-tested
-(``EnumerationPlan.explain()`` surfaces it).
+backend's answer is where the witnesses overwhelmingly live).  Every
+candidate is still verified with the domain's decision procedure, so the
+seeding is a pure optimisation — exhausting it falls back to the blind
+dovetail, preserving the original algorithm's guarantees.  A
+:class:`CandidateStats` records which generator ran and how many candidates
+were decision-tested (``EnumerationPlan.explain()`` surfaces it).
+
+>>> from repro.domains.presburger import PresburgerDomain
+>>> from repro.experiments.corpora import numeric_state
+>>> from repro.logic.parser import parse_formula
+>>> answer = answer_by_enumeration(
+...     parse_formula("S(x)"), numeric_state([4, 7]), PresburgerDomain()
+... )
+>>> answer.rows(), answer.method
+(((4,), (7,)), 'enumeration')
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from ..logic.builders import conj, exists_many, neg
 from ..logic.formulas import Equals, Formula
 from ..logic.substitution import substitute
 from ..logic.terms import Const, Var
-from ..relational.bounds import BoundAnalysis, IntervalSet, domain_is_ordered
 from ..relational.state import DatabaseState, Element, Relation
 from ..relational.translate import expand_database_atoms
 from .answers import Answer, FiniteAnswer, UnknownAnswer
@@ -87,11 +90,11 @@ class CandidateStats:
     """Which candidate generator one enumeration run used, and how hard.
 
     ``examined`` counts candidates actually submitted to the domain's
-    decision procedure — the number the ISSUE's acceptance criterion bounds
-    by the compiled superset instead of ``max_candidates``.
+    decision procedure; the compiled superset keeps it near the answer size
+    instead of ``max_candidates``.
     """
 
-    #: "compiled+bounded", "compiled+dovetail", "bounded", or "dovetail"
+    #: "compiled+dovetail" or "dovetail"
     generator: str = "dovetail"
     #: candidates decision-tested across all search rounds
     examined: int = 0
@@ -100,18 +103,11 @@ class CandidateStats:
     decide_calls: int = 0
     #: size of the compiled active-domain superset, when one was computed
     compiled_rows: Optional[int] = None
-    #: free variables whose inferred bounds were finite on both sides
-    bounded_variables: Tuple[str, ...] = ()
 
     def describe(self) -> str:
         parts = [f"candidate generator {self.generator!r}"]
         if self.compiled_rows is not None:
             parts.append(f"compiled superset of {self.compiled_rows} row(s)")
-        if self.bounded_variables:
-            parts.append(
-                "finitely bounded variable(s): "
-                + ", ".join(self.bounded_variables)
-            )
         parts.append(f"{self.examined} candidate(s) decision-tested")
         parts.append(f"{self.decide_calls} decide call(s)")
         return "; ".join(parts)
@@ -150,69 +146,6 @@ def _compiled_superset(
     return rows
 
 
-def _inferred_bounds(
-    pure: Formula, variables: Sequence[Var], domain: Domain
-) -> Optional[List[IntervalSet]]:
-    """Per-variable interval bounds of the expanded query, carrier-clipped."""
-    if not variables or not domain_is_ordered(domain):
-        return None
-    analysis = BoundAnalysis(assume_nonempty=True)
-    inferred = analysis.free_variable_intervals(
-        pure, [variable.name for variable in variables]
-    )
-    try:
-        natural_floor = domain.contains(0) and not domain.contains(-1)
-    except NotImplementedError:  # pragma: no cover - all shipped domains answer
-        natural_floor = False
-    sets = []
-    for variable in variables:
-        interval_set = inferred[variable.name]
-        if natural_floor:
-            interval_set = interval_set.intersect(IntervalSet.at_least(0))
-        sets.append(interval_set)
-    return sets
-
-
-def _bounded_columns(
-    bounds: Optional[List[IntervalSet]],
-    variables: Sequence[Var],
-    domain: Domain,
-    cap: int,
-) -> Tuple[Optional[List[List[Element]]], Tuple[str, ...]]:
-    """Finite per-variable candidate columns, when every bound is two-sided.
-
-    The grid product is *complete* for the natural-semantics answer (the
-    bounds are implied by the query), so on fully bounded queries the
-    dovetail never runs.  Bails to ``(None, names)`` when any variable stays
-    unbounded or the grid would exceed ``cap``.
-    """
-    if bounds is None:
-        return None, ()
-    bounded_names = tuple(
-        variable.name
-        for variable, interval_set in zip(variables, bounds)
-        if interval_set.is_empty or interval_set.bounded
-    )
-    if len(bounded_names) < len(variables):
-        return None, bounded_names
-    columns: List[List[Element]] = []
-    volume = 1
-    for interval_set in bounds:
-        if interval_set.is_empty:
-            empties: List[List[Element]] = [[] for _ in variables]
-            return empties, bounded_names
-        if interval_set.size() > cap:
-            return None, bounded_names
-        values: List[Element] = [
-            value for value in interval_set.values() if domain.contains(value)
-        ]
-        columns.append(values)
-        volume *= max(1, len(values))
-        if volume > cap:
-            return None, bounded_names
-    return columns, bounded_names
-
-
 def answer_by_enumeration(
     query: Formula,
     state: DatabaseState,
@@ -235,10 +168,9 @@ def answer_by_enumeration(
     keywords.
 
     ``candidate_source`` selects the witness generator: ``"auto"`` (the
-    default) seeds the search with the compiled active-domain superset
-    intersected with the inferred per-variable bounds, falling back to the
-    blind dovetail; ``"dovetail"`` forces the paper's original enumeration
-    (kept for differential testing and benchmarking).  Pass a
+    default) seeds the search with the compiled active-domain superset,
+    falling back to the blind dovetail; ``"dovetail"`` forces the paper's
+    original enumeration (kept for differential testing and benchmarking).  Pass a
     :class:`CandidateStats` to observe what ran.
 
     A ``deadline`` (carrying a cancel token) replaces the internally started
@@ -263,44 +195,18 @@ def answer_by_enumeration(
     stats = stats if stats is not None else CandidateStats()
 
     compiled_rows: Optional[List[Tuple[Element, ...]]] = None
-    box_columns: Optional[List[List[Element]]] = None
     if candidate_source == "auto":
-        bounds = _inferred_bounds(pure, variables, domain)
         compiled_rows = _compiled_superset(query, state, domain, variables)
-        if compiled_rows is not None and bounds is not None:
-            # The compiled superset, intersected with the inferred bounds.
-            compiled_rows = [
-                row
-                for row in compiled_rows
-                if all(
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or interval_set.contains(value)
-                    for value, interval_set in zip(row, bounds)
-                )
-            ]
-        box_columns, bounded_names = _bounded_columns(
-            bounds, variables, domain, budget.max_candidates
-        )
-        stats.bounded_variables = bounded_names
-        if compiled_rows is not None:
-            stats.compiled_rows = len(compiled_rows)
-    stats.generator = "+".join(
-        part
-        for part in (
-            "compiled" if compiled_rows is not None else "",
-            "bounded" if box_columns is not None else "dovetail",
-        )
-        if part
-    )
+    if compiled_rows is not None:
+        stats.compiled_rows = len(compiled_rows)
+        stats.generator = "compiled+dovetail"
+    else:
+        stats.generator = "dovetail"
 
     def candidate_stream() -> Iterator[Tuple[Element, ...]]:
         if compiled_rows:
             yield from compiled_rows
-        if box_columns is not None:
-            yield from itertools.product(*box_columns)
-        else:
-            yield from enumerate_tuples(domain, arity, budget.max_candidates)
+        yield from enumerate_tuples(domain, arity, budget.max_candidates)
 
     found: List[Tuple[Element, ...]] = []
     #: candidates that already failed the decision procedure — ``pure`` is

@@ -43,7 +43,6 @@ from typing import (
 from ..domains.base import Domain, TheoryUndecidableError
 from ..logic.analysis import free_variables
 from ..logic.formulas import Formula
-from ..relational.bounds import NarrowingStats
 from ..relational.calculus import evaluate_query_active_domain
 from ..relational.columnar import (
     HAVE_NUMPY,
@@ -216,11 +215,8 @@ class Plan(ABC):
 class ActiveDomainPlan(Plan):
     """Evaluate under active-domain semantics (always finite by construction).
 
-    On ordered carriers (``Domain.ordered_carrier``) the tree walker narrows
-    each quantifier's candidate range to the interval union inferred by the
-    shared bound analysis (:mod:`repro.relational.bounds`) — bisected over
-    the value-sorted active domain — instead of iterating the full domain
-    per quantifier; :meth:`explain` reports what the narrowing did.
+    Every quantifier and answer variable ranges over the whole active
+    domain: the plain reference walker, on every carrier.
     """
 
     domain: Domain
@@ -229,8 +225,6 @@ class ActiveDomainPlan(Plan):
     reason: str = "active-domain semantics keeps every answer finite by construction"
     #: cooperative cancellation flag checked at the walker's checkpoints
     cancel_token: Optional[CancelToken] = None
-    #: what quantifier-range narrowing did during the last execution
-    last_narrowing: Optional[str] = None
 
     strategy = "active-domain"
 
@@ -243,7 +237,6 @@ class ActiveDomainPlan(Plan):
         """Run the plan; a ``probe`` adds its fresh elements to the universe
         and splits the rows into a verdict and an answer (see
         :class:`~repro.safety.relative_safety.FreshElementProbe`)."""
-        stats = NarrowingStats()
         self.last_interruption = None
         try:
             relation = evaluate_query_active_domain(
@@ -251,20 +244,12 @@ class ActiveDomainPlan(Plan):
                 state,
                 interpretation=self.domain,
                 extra_elements=_probed(self.extra_elements, probe),
-                stats=stats,
                 deadline=self._start_deadline(),
             )
         except EvaluationInterrupted as error:
             self._record_interruption(error)
             raise
-        self.last_narrowing = stats.describe() if stats.enabled else None
         return _finish(relation, relation.arity, "active-domain", probe)
-
-    def explain(self) -> str:
-        text = super().explain()
-        if self.last_narrowing:
-            text += "; " + self.last_narrowing
-        return text
 
 
 @dataclass(eq=False)
@@ -560,11 +545,10 @@ class EnumerationPlan(Plan):
     """Run the Section 1.1 enumeration algorithm (needs a decidable theory).
 
     The candidate search is seeded with the compiled active-domain superset
-    intersected with the inferred interval bounds of the free variables
-    (:mod:`repro.relational.bounds`), so on decidable ordered domains the
-    number of decision-procedure calls is bounded by the compiled answer
-    instead of ``max_candidates``; :meth:`explain` reports which generator
-    ran and how many candidates it tested.
+    before the paper's blind dovetail, so on domains with the compiled
+    backend most answer rows are found among the compiled answer's rows;
+    :meth:`explain` reports which generator ran and how many candidates it
+    tested.
     """
 
     domain: Domain
@@ -587,6 +571,7 @@ class EnumerationPlan(Plan):
 
         stats = CandidateStats()
         self.last_interruption = None
+        self.last_candidates = None
         try:
             answer = answer_by_enumeration(
                 query, state, self.domain, budget=self.budget, stats=stats,

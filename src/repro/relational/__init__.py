@@ -18,14 +18,7 @@ from .algebra import (
     Union,
     evaluate_algebra,
 )
-from .bounds import (
-    BoundAnalysis,
-    IntervalSet,
-    NarrowingStats,
-    QuantifierNarrower,
-    merge_index_ranges,
-    merge_intervals,
-)
+from .bounds import merge_index_ranges
 from .calculus import (
     Interpretation,
     evaluate_formula,
@@ -73,8 +66,7 @@ __all__ = [
     "CompilationError", "CompiledQuery", "compile_query",
     "run_plan", "plan_summary", "ExecutionStats",
     "optimize_plan", "domain_is_ordered",
-    "BoundAnalysis", "IntervalSet", "NarrowingStats", "QuantifierNarrower",
-    "merge_intervals", "merge_index_ranges",
+    "merge_index_ranges",
     "VectorizationError", "run_plan_vectorized", "vectorization_obstacle",
     "EncodeCache", "EncodeCacheInfo", "encode_cache", "encode_cache_info",
     "DeltaUnsupported", "MaintenanceStats", "MaterializedPlan",

@@ -14,26 +14,12 @@ Domain predicates and functions are supplied by any object with
 ``eval_predicate(name, args)`` and ``eval_function(name, args)`` methods
 (every :class:`repro.domains.base.Domain` qualifies); database relation atoms
 are looked up in the state.
-
-On domains whose carrier is totally ordered by the integer comparison
-(``Domain.ordered_carrier``), quantifier candidate ranges are
-**narrowed**: instead of iterating the full universe, each ``∃``/``∀``
-iterates only the interval union that the shared bound analysis
-(:mod:`repro.relational.bounds`) infers from the quantifier body's
-comparison literals, located by bisection over the value-sorted universe.
-Narrowing is an over-approximation of the satisfying values, so it never
-changes an answer — it only skips candidates that provably fail — and a
-:class:`~repro.relational.bounds.NarrowingStats` records what it did for
-``Plan.explain()``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.budget import Deadline
@@ -55,7 +41,6 @@ from ..logic.formulas import (
 )
 from ..logic.terms import Apply, Const, Term, Var
 from .active_domain import active_domain
-from .bounds import NarrowingStats, QuantifierNarrower
 from .state import DatabaseState, Element, Relation
 
 __all__ = [
@@ -111,30 +96,18 @@ def evaluate_formula(
     assignment: Mapping[Var, Element],
     state: Optional[DatabaseState] = None,
     interpretation: Optional[Interpretation] = None,
-    narrower: Optional[QuantifierNarrower] = None,
     deadline: "Optional[Deadline]" = None,
 ) -> bool:
     """Evaluate ``formula`` with quantifiers ranging over ``universe``.
 
     Atoms whose predicate belongs to the state's schema are looked up in the
     state; all other atoms are delegated to ``interpretation``.  With a
-    ``narrower`` (sound only on ordered integer carriers — see
-    :class:`repro.relational.bounds.QuantifierNarrower`), each quantifier
-    iterates only the universe slice union its body's comparison literals
-    allow, instead of the whole universe.  With a ``deadline``, the
-    quantifier loops run a strided cooperative checkpoint per candidate, so
-    an oversized evaluation aborts with ``DeadlineExceeded``/``Cancelled``
-    instead of walking the full grid.
+    ``deadline``, the quantifier loops run a strided cooperative checkpoint
+    per candidate, so an oversized evaluation aborts with
+    ``DeadlineExceeded``/``Cancelled`` instead of walking the full grid.
     """
     universe = tuple(universe)
     tick = deadline.tick if deadline is not None else None
-
-    def quantifier_candidates(
-        f: "Union[Exists, ForAll]", env: Dict[Var, Element]
-    ) -> "Union[Tuple[Element, ...], List[Element]]":
-        if narrower is None:
-            return universe
-        return narrower.candidates(f.body, f.var, env)
 
     def ev(f: Formula, env: Dict[Var, Element]) -> bool:
         if isinstance(f, Top):
@@ -167,7 +140,7 @@ def evaluate_formula(
             return ev(f.left, env) == ev(f.right, env)
         if isinstance(f, Exists):
             v = Var(f.var)
-            for value in quantifier_candidates(f, env):
+            for value in universe:
                 if tick is not None:
                     tick("Exists(candidate)")
                 child = dict(env)
@@ -177,13 +150,7 @@ def evaluate_formula(
             return False
         if isinstance(f, ForAll):
             v = Var(f.var)
-            candidates = quantifier_candidates(f, env)
-            if len(candidates) < len(universe):
-                # Some universe element lies outside the interval union the
-                # body provably requires, so the body fails there: ∀ is
-                # false without evaluating a single candidate.
-                return False
-            for value in candidates:
+            for value in universe:
                 if tick is not None:
                     tick("ForAll(candidate)")
                 child = dict(env)
@@ -202,17 +169,15 @@ def evaluate_query(
     state: Optional[DatabaseState] = None,
     interpretation: Optional[Interpretation] = None,
     free_order: Optional[Sequence[Var]] = None,
-    narrower: Optional[QuantifierNarrower] = None,
     deadline: "Optional[Deadline]" = None,
 ) -> Relation:
     """Answer ``query`` with both quantifiers and answers restricted to ``universe``.
 
     Returns the relation of all tuples over ``universe`` (one column per free
     variable, in ``free_order`` or sorted-name order) that satisfy the query.
-    With a ``narrower``, both the quantifier ranges *and* the free-variable
-    candidate grid are narrowed to the inferred interval unions.  With a
-    ``deadline``, the candidate grid runs a strided cooperative checkpoint
-    per tuple (and passes the deadline down to the quantifier loops).
+    With a ``deadline``, the candidate grid runs a strided cooperative
+    checkpoint per tuple (and passes the deadline down to the quantifier
+    loops).
     """
     universe = tuple(universe)
     if free_order is None:
@@ -220,22 +185,14 @@ def evaluate_query(
     else:
         free_order = list(free_order)
     arity = len(free_order)
-    if narrower is None:
-        columns: Sequence[Sequence[Element]] = [universe] * arity
-    else:
-        columns = [
-            narrower.candidates(query, variable.name, {})
-            for variable in free_order
-        ]
     tick = deadline.tick if deadline is not None else None
     rows = set()
-    for values in itertools.product(*columns):
+    for values in itertools.product(universe, repeat=arity):
         if tick is not None:
             tick("answer grid")
         assignment = dict(zip(free_order, values))
         if evaluate_formula(
-            query, universe, assignment, state, interpretation, narrower,
-            deadline,
+            query, universe, assignment, state, interpretation, deadline
         ):
             rows.add(tuple(values))
     return Relation(arity, rows)
@@ -247,8 +204,6 @@ def evaluate_query_active_domain(
     interpretation: Optional[Interpretation] = None,
     extra_elements: Iterable[Element] = (),
     *,
-    narrow: Optional[bool] = None,
-    stats: Optional[NarrowingStats] = None,
     deadline: "Optional[Deadline]" = None,
 ) -> Relation:
     """Answer ``query`` under active-domain semantics.
@@ -256,24 +211,9 @@ def evaluate_query_active_domain(
     The universe is the active domain of the query and the state, optionally
     enlarged with ``extra_elements`` (used e.g. for the extended active domain
     of Section 2.2).
-
-    ``narrow`` controls quantifier-range narrowing: with ``None`` (the
-    default) or ``True``, narrowing runs exactly when it is sound and
-    possible — the domain declares an ordered carrier and the
-    universe coerces to integers — and otherwise the full-universe walker
-    runs (observable as ``stats.enabled`` staying ``False``); ``False``
-    forces the full-universe walker unconditionally.  Pass a
-    :class:`~repro.relational.bounds.NarrowingStats` to observe what the
-    narrower did (surfaced by ``ActiveDomainPlan.explain()``).
     """
     universe = set(active_domain(state, query)) | set(extra_elements)
-    ordered_universe = sorted(universe, key=repr)
-    narrower: Optional[QuantifierNarrower] = None
-    if narrow or narrow is None:
-        narrower = QuantifierNarrower.for_universe(
-            ordered_universe, interpretation, state, stats
-        )
     return evaluate_query(
-        query, ordered_universe, state, interpretation, narrower=narrower,
+        query, sorted(universe, key=repr), state, interpretation,
         deadline=deadline,
     )

@@ -30,13 +30,12 @@ Four families of rewrites, applied bottom-up in one pass:
    (``∃y∃z (R(y, z) ∧ y < x ∧ x < z)``) the per-row intervals are not
    nested, so no single aggregated bound exists; the reduction then emits an
    :class:`~repro.relational.exec.IntervalUnionScan`, which merges the
-   per-row ranges with the sorted interval-merge of
-   :mod:`repro.relational.bounds` — still ``O(|answer|)`` peak rows.
+   per-row ranges with :func:`~repro.relational.bounds.merge_index_ranges`
+   — still ``O(|answer|)`` peak rows.
 
 The endpoint machinery (``Bound``/``AggBound``, the order-predicate table,
-:func:`~repro.relational.bounds.domain_is_ordered`) is shared with the tree
-walker's quantifier-range narrowing and the enumeration engine's candidate
-pruning through :mod:`repro.relational.bounds`.
+:func:`~repro.relational.bounds.domain_is_ordered`) lives in
+:mod:`repro.relational.bounds`, shared with the executors.
 
 The rewrites it performed are returned as human-readable notes, which
 :meth:`repro.relational.compile.CompiledQuery.summary` (and therefore

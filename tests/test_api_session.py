@@ -1,5 +1,7 @@
 """Tests for the unified Session API: connect → compile → plan → execute."""
 
+import random
+
 import pytest
 
 import repro
@@ -445,3 +447,50 @@ def test_plan_choice_table_covers_every_pack():
 def test_auto_plan_choice_per_pack(name, incremental):
     plan = connect(name, incremental=incremental).plan()
     assert _plan_shape(plan) == _AUTO_PLANS[name][incremental]
+
+
+#: the packs whose auto plan reads the verdict and the rows off one
+#: quantifier-free form (ARCHITECTURE.md "QE once")
+_READ_OFF_PACKS = sorted(
+    name
+    for name, shapes in _AUTO_PLANS.items()
+    if shapes[0] == "GuardedPlan[EnumerationPlan]"
+)
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["plain", "incremental"])
+@pytest.mark.parametrize("name", _READ_OFF_PACKS)
+def test_auto_never_walks_or_enumerates_on_read_off_packs(
+    name, incremental, monkeypatch
+):
+    # The default path answers from the guard's quantifier-free form: the
+    # tree walker and the Section 1.1 enumeration must never run under auto.
+    import repro.engine.enumeration as enumeration
+    import repro.engine.plans as plans
+    import repro.relational.calculus as calculus
+
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args[:1])
+        raise AssertionError("auto left the quantifier-free read-off path")
+
+    monkeypatch.setattr(plans, "evaluate_query_active_domain", forbidden)
+    monkeypatch.setattr(calculus, "evaluate_query_active_domain", forbidden)
+    monkeypatch.setattr(enumeration, "answer_by_enumeration", forbidden)
+    runs = 0
+    for corpus in get_pack(name).corpora():
+        states = [corpus.canonical_state]
+        if corpus.state_factory is not None:
+            states += [
+                corpus.state_factory(
+                    random.Random(f"default-path/{corpus.name}/{size}"), size
+                )
+                for size in (0, 1, 3, 6)
+            ]
+        session = connect(name, corpus.schema, incremental=incremental)
+        for state in states:
+            for pack_query in corpus.queries:
+                session.run(pack_query.query, state)
+                runs += 1
+    assert runs > 0 and calls == []

@@ -98,21 +98,14 @@ def test_domain_is_ordered_reads_the_instance_attribute():
 def test_capabilities_follow_the_domain_not_its_registered_name():
     # Regression: capabilities used to be looked up by the domain's *name*
     # in the registry, so a renamed (N, <) instance lost its ordered carrier
-    # and compiled to a pad-and-filter plan; the tree walker stopped
-    # narrowing too.
-    from repro.relational.bounds import NarrowingStats
-
+    # and compiled to a pad-and-filter plan.
     domain = NaturalOrderDomain()
     domain.name = "my-nat"
     query = parse_formula("exists y. exists z. (S(y) & S(z) & y < x & x < z)")
     compiled = compile_query(query, numeric_schema(), domain)
     assert compiled.summary().startswith("2 scans, 1 range-scan;")
     state = numeric_state([2, 5, 9])
-    stats = NarrowingStats()
-    relation = evaluate_query_active_domain(
-        query, state, interpretation=domain, stats=stats
-    )
-    assert stats.enabled and stats.narrowed
+    relation = evaluate_query_active_domain(query, state, interpretation=domain)
     assert relation.rows == {(5,)}
     plan = connect(domain, numeric_schema()).plan("compiled")
     plan.execute(query, state)
