@@ -1,4 +1,4 @@
-"""Serving-workload benchmarks: zipfian query mix, warm restarts, tail latency.
+"""Serving-workload benchmarks: zipfian query mix, tail latency, deadlines.
 
 Not in the paper — these gate the :mod:`repro.serve` subsystem the way the
 blowup guards gate the optimizer:
@@ -6,16 +6,12 @@ blowup guards gate the optimizer:
 * **zipfian plan-cache hit rate** — a realistic serving mix (few hot
   queries, a long tail) over several sessions sharing one plan cache must
   keep the hit rate ≥ 0.9; p50/p99 request latency is recorded alongside;
-* **warm restart** — with an on-disk :class:`~repro.serve.plan_store.PlanStore`
-  populated by a previous "process", a fresh manager must answer a
-  compile-heavy mix ≥ 3× faster than the cold manager that had to compile
-  everything (gated portably via the dimensionless ``speedup_warm_restart``
-  ratio, like the other ``speedup*`` extra_info keys).
+* **deadline-checkpoint overhead** — an armed but generous deadline must
+  cost < 5% over none.
 """
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 
@@ -124,95 +120,6 @@ def test_serve_zipfian_plan_cache_hit_rate(benchmark):
     # the serving claim: repeat queries are answered without recompilation
     assert hit_rate >= 0.9, f"plan-cache hit rate {hit_rate:.3f} < 0.9"
     assert info.misses <= len(query_pool())
-
-
-# ---------------------------------------------------------------------------
-# Cold vs warm start through the on-disk plan store
-# ---------------------------------------------------------------------------
-
-
-def compile_heavy_pool():
-    """80 distinct wide-conjunction queries: compile cost dominates execution.
-
-    Each query carries a 16-term bound conjunction under two quantifiers —
-    lots of work for the compiler and optimizer — but runs against a
-    one-element relation, so executing the finished plan is nearly free.
-    That isolates what a warm restart is supposed to save: compilation.
-    """
-    queries = []
-    for constant in range(10, 10 + 80 * 10, 10):
-        bounds = " & ".join(f"x < {constant + i}" for i in range(16))
-        queries.append(parse_formula(
-            f"exists y. exists z. (S(y) & S(z) & y < x & x < z & {bounds})"
-        ))
-    return queries
-
-
-def _run_compile_heavy_mix(policy: ServerPolicy) -> float:
-    """Seconds to answer every pool query once on a fresh manager."""
-    pool = compile_heavy_pool()
-    state = numeric_state([2])
-    encode_cache().clear()
-    manager = SessionManager(policy)
-    try:
-        session_id = manager.connect("nat<", numeric_schema()).session_id
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            for query in pool:
-                manager.run_query(session_id, query, state, strategy="compiled")
-            return time.perf_counter() - started
-        finally:
-            gc.enable()
-    finally:
-        manager.shutdown()
-
-
-@pytest.mark.benchmark(group="serve-workload")
-def test_serve_warm_restart_speedup(benchmark, tmp_path):
-    """A populated PlanStore makes a fresh process ≥ 3× faster on the
-    compile-heavy mix (every query distinct, so cold start compiles all)."""
-    cold_dir = tmp_path / "cold-store"
-    warm_dir = tmp_path / "warm-store"
-
-    # prime process-global state (imports, bytecode, memoised analyses) so
-    # the cold measurement isolates compilation, not interpreter warm-up
-    _run_compile_heavy_mix(ServerPolicy(plan_store_path=str(cold_dir / "prime")))
-
-    # cold: empty store → every query compiles (and writes through)
-    cold_seconds = min(
-        _run_compile_heavy_mix(
-            ServerPolicy(plan_store_path=str(cold_dir / str(attempt)))
-        )
-        for attempt in range(2)
-    )
-
-    # populate the store once, then benchmark "restarts" against it: each
-    # round is a fresh manager (fresh memory tier) over the same directory
-    warm_policy = ServerPolicy(plan_store_path=str(warm_dir))
-    _run_compile_heavy_mix(warm_policy)
-
-    warm_runs: list = []
-
-    def timed_warm_restart() -> float:
-        seconds = _run_compile_heavy_mix(warm_policy)
-        warm_runs.append(seconds)
-        return seconds
-
-    benchmark.pedantic(timed_warm_restart, iterations=1, rounds=3)
-    warm_seconds = min(warm_runs)
-
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    benchmark.extra_info["cold_seconds"] = cold_seconds
-    benchmark.extra_info["warm_seconds"] = warm_seconds
-    benchmark.extra_info["distinct_queries"] = len(compile_heavy_pool())
-    benchmark.extra_info["speedup_warm_restart"] = round(speedup, 2)
-
-    assert speedup >= 3.0, (
-        f"warm restart only {speedup:.1f}× faster than cold "
-        f"({warm_seconds * 1000:.1f} ms vs {cold_seconds * 1000:.1f} ms)"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ runs eight families of checks — no per-domain test code required:
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
 8. **faults** — under every fault in the seeded injection matrix
-   (:meth:`repro.testing.faults.FaultPlan.matrix`: exceptions, delays, and
-   corrupted plan-store pickles at each named injection point), every
-   substrate either still answers exactly the tree walker's rows (the
-   fallback ladder absorbed the fault) or fails *cleanly* with a structured
-   error — never a hang (a watchdog bounds each run), never wrong rows.
+   (:meth:`repro.testing.faults.FaultPlan.matrix`: exceptions and delays
+   at each named injection point), every substrate either still answers
+   exactly the tree walker's rows (the fallback ladder absorbed the fault)
+   or fails *cleanly* with a structured error — never a hang (a watchdog
+   bounds each run), never wrong rows.
 
 The vectorized substrate is checked only when NumPy is available; its
 *claims* check is skipped (not failed) without it.
@@ -624,16 +624,14 @@ def _check_faults(
     :class:`~repro.engine.budget.EvaluationInterrupted`).  Wrong rows, an
     unstructured crash, or blowing the watchdog fail the check.
     """
-    import shutil
-    import tempfile
     from concurrent.futures import ThreadPoolExecutor
     from concurrent.futures import TimeoutError as FutureTimeout
 
     from ..engine.answer_cache import AnswerCache
     from ..engine.breaker import SubstrateBreaker
     from ..engine.budget import EvaluationInterrupted
+    from ..engine.plan_cache import PlanCache
     from ..engine.plans import IncrementalAlgebraPlan
-    from ..serve.plan_store import PersistentPlanCache, PlanStore
     from ..testing import faults
 
     extras = _carrier_extras(domain)
@@ -659,14 +657,14 @@ def _check_faults(
         ]
         scenarios.append((corpus, list(zip(states, expected))))
 
-    def run_scenario(tmp_dir: str) -> Tuple[List[str], int]:
+    def run_scenario() -> Tuple[List[str], int]:
         """One full ladder pass under the active fault; (problems, runs)."""
         problems: List[str] = []
         runs = 0
-        # Fresh breaker and plan store per fault: no cross-fault pollution,
+        # Fresh breaker and plan cache per fault: no cross-fault pollution,
         # and never the process-global default breaker.
         breaker = SubstrateBreaker()
-        cache = PersistentPlanCache(maxsize=64, store=PlanStore(tmp_dir))
+        cache = PlanCache(maxsize=64)
         for corpus, steps in scenarios:
             plans = _substrate_plans(domain, extras, cache=cache, breaker=breaker)
             plans.append((
@@ -709,13 +707,12 @@ def _check_faults(
         plan for seed in seeds for plan in faults.FaultPlan.matrix(seed)
     ]
     for fault_plan in fault_plans:
-        tmp_dir = tempfile.mkdtemp(prefix="repro-faults-")
         # One watchdog thread per fault: a hang must fail *this* fault's
         # verdict without wedging the rest of the matrix.
         watchdog = ThreadPoolExecutor(max_workers=1)
         try:
             with faults.inject(fault_plan):
-                future = watchdog.submit(run_scenario, tmp_dir)
+                future = watchdog.submit(run_scenario)
                 try:
                     fault_problems, runs = future.result(
                         timeout=FAULT_WATCHDOG_SECONDS
@@ -733,7 +730,6 @@ def _check_faults(
                 )
         finally:
             watchdog.shutdown(wait=False)
-            shutil.rmtree(tmp_dir, ignore_errors=True)
     if problems:
         return CheckResult("faults", False, "; ".join(problems[:8]))
     return CheckResult(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.analysis import free_variables
 from ..logic.builders import conj, disj, neg
@@ -70,7 +70,6 @@ from ..logic.terms import Apply, Const, Term, Var, term_variables
 from ..logic.transform import dnf_clauses, eliminate_quantifiers, simplify
 from ..relational.state import Element
 from ..turing.builders import ExactHaltSpec, MinRunSpec, prefix_tree_witness
-from ..turing.encoding import encode_machine
 from ..turing.tape import BLANK
 from ..turing.traces import (
     classify_word,
@@ -249,16 +248,6 @@ def expand_trace_predicate(formula: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Term utilities
 # ---------------------------------------------------------------------------
-
-
-def _is_function_of(term: Term, function: str, var: str) -> bool:
-    """True iff ``term`` is ``function(var)``."""
-    return (
-        isinstance(term, Apply)
-        and term.function == function
-        and len(term.args) == 1
-        and term.args[0] == Var(var)
-    )
 
 
 def _normalize_term(term: Term) -> Term:

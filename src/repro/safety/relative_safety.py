@@ -59,6 +59,9 @@ __all__ = [
     "RelativeSafetyUndecidable",
 ]
 
+#: (ψ, verdict) entries memoised per :class:`QuantifierFreeSafety` decider
+MEMO_SIZE = 64
+
 
 class RelativeSafetyUndecidable(RuntimeError):
     """Raised when a decider is asked to solve an instance it provably cannot."""
@@ -188,7 +191,7 @@ class QuantifierFreeSafety(RelativeSafetyDecider):
     sentence that decides the same question (:meth:`decide_by_sentence`).
     """
 
-    def __init__(self, domain: Domain, memo_size: int = 64):
+    def __init__(self, domain: Domain):
         self._domain = domain
         # (ψ, verdict) memoised per (formula, state): expanding the database
         # atoms builds a disjunction per stored row and the elimination then
@@ -199,7 +202,7 @@ class QuantifierFreeSafety(RelativeSafetyDecider):
         # lazily — repro.engine imports this module at package-init time.
         from ..engine.plan_cache import PlanCache
 
-        self._verdicts = PlanCache(maxsize=memo_size)
+        self._verdicts = PlanCache(maxsize=MEMO_SIZE)
 
     @property
     def eliminates_once(self) -> bool:
@@ -313,22 +316,15 @@ class OrderedRelativeSafety(QuantifierFreeSafety):
 
     name = "finitization-equivalence"
 
-    def __init__(
-        self,
-        domain: Optional[Domain] = None,
-        memo_size: int = 64,
-        integers: Optional[bool] = None,
-    ):
-        super().__init__(domain or PresburgerDomain(), memo_size)
+    def __init__(self, domain: Optional[Domain] = None):
+        super().__init__(domain or PresburgerDomain())
         if not self._domain.has_decidable_theory:
             raise ValueError("Theorem 2.5 requires a decidable extension of (N, <)")
         # Over carriers unbounded in both directions (the integers) the
         # finitization must bound answers from below as well as above —
-        # ``x < 0`` is finite over N but infinite over Z.  Auto-detect from
-        # Presburger-style domains; other ordered carriers pass it explicitly.
-        if integers is None:
-            integers = getattr(self._domain, "naturals", True) is False
-        self._integers = integers
+        # ``x < 0`` is finite over N but infinite over Z.  Carriers that
+        # declare ``naturals = False`` are the integers.
+        self._integers = getattr(self._domain, "naturals", True) is False
         self._quantifier_free = getattr(self._domain, "quantifier_free", None)
 
     @property
@@ -401,14 +397,14 @@ class DenseOrderRelativeSafety(QuantifierFreeSafety):
 
     name = "projection-finiteness"
 
-    def __init__(self, domain: Optional[Domain] = None, memo_size: int = 64):
+    def __init__(self, domain: Optional[Domain] = None):
         if domain is None:
             from ..domains.dense_order import DenseOrderDomain
 
             domain = DenseOrderDomain()
         if not domain.has_decidable_theory:
             raise ValueError("projection finiteness needs a decidable dense order")
-        super().__init__(domain, memo_size)
+        super().__init__(domain)
 
     def _psi_and_verdict(self, pure, variables, deadline):
         psi = self._domain.quantifier_free(pure, variables, deadline)

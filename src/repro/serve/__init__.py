@@ -4,11 +4,8 @@ Turns the single-caller library into a multi-tenant service:
 
 * :mod:`repro.serve.sessions` — :class:`SessionManager`, session-id-keyed
   :class:`~repro.api.session.Session` lifecycles (TTL expiry, LRU eviction,
-  per-session serialization, a shared thread pool);
-* :mod:`repro.serve.plan_store` — :class:`PlanStore` (on-disk pickled
-  compiled plans, versioned and corruption-tolerant) and
-  :class:`PersistentPlanCache` (memory tier over the store, shared by every
-  session so warm restarts skip compilation);
+  per-session serialization, a shared thread pool, and one in-memory
+  :class:`~repro.engine.plan_cache.PlanCache` shared by every session);
 * :mod:`repro.serve.admission` — :class:`TokenBucket` rate limiting per
   session id, bounded in-flight load shedding, fast 429/503 rejection;
 * :mod:`repro.serve.policy` — :class:`ServerPolicy`, including per-request
@@ -21,13 +18,12 @@ Run one with ``python -m repro.serve`` (see ``README.md``), or embed::
 
     from repro.serve import SessionManager, ServerPolicy, serve_in_thread
 
-    manager = SessionManager(ServerPolicy(plan_store_path="/tmp/plans"))
+    manager = SessionManager(ServerPolicy(max_sessions=16))
     with serve_in_thread(manager) as handle:
         ...  # http://127.0.0.1:{handle.port}
 """
 
 from .admission import AdmissionController, AdmissionError, TokenBucket
-from .plan_store import PersistentPlanCache, PlanStore, fingerprint_key
 from .policy import DEFAULT_POLICY, ServerPolicy
 from .server import QueryServer, ServerHandle, serve_in_thread
 from .sessions import ManagedSession, SessionManager, UnknownSessionError
@@ -36,9 +32,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionError",
     "TokenBucket",
-    "PersistentPlanCache",
-    "PlanStore",
-    "fingerprint_key",
     "DEFAULT_POLICY",
     "ServerPolicy",
     "QueryServer",

@@ -2,7 +2,7 @@
 
 Example::
 
-    PYTHONPATH=src python -m repro.serve --port 8765 --plan-store /tmp/repro-plans
+    PYTHONPATH=src python -m repro.serve --port 8765
 
 then::
 
@@ -53,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache-size", type=int, default=defaults.plan_cache_size
     )
     parser.add_argument(
-        "--plan-store", default=None, metavar="DIR",
-        help="directory for the on-disk plan store (omit to disable persistence)",
-    )
-    parser.add_argument(
         "--shutdown-grace", type=float, default=defaults.shutdown_grace,
         help="seconds to let in-flight queries drain before cancelling them",
     )
@@ -84,7 +80,6 @@ def policy_from_args(args: argparse.Namespace) -> ServerPolicy:
         max_inflight=args.max_inflight,
         workers=args.workers,
         plan_cache_size=args.plan_cache_size,
-        plan_store_path=args.plan_store,
         shutdown_grace=args.shutdown_grace,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,

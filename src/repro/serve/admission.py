@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from .policy import ServerPolicy
 
@@ -178,6 +178,19 @@ class AdmissionController:
         """Drop the bucket of an expired/closed session."""
         with self._lock:
             self._buckets.pop(session_id, None)
+
+    def retain(self, session_ids: Iterable[str]) -> None:
+        """Drop every bucket whose session is not in ``session_ids``.
+
+        >>> gate = AdmissionController(ServerPolicy(), clock=lambda: 0.0)
+        >>> gate.admit("a").release(); gate.admit("b").release()
+        >>> gate.retain(["b"]); gate.stats()["tracked_sessions"]
+        1
+        """
+        live = set(session_ids)
+        with self._lock:
+            for session_id in [s for s in self._buckets if s not in live]:
+                del self._buckets[session_id]
 
     def stats(self) -> Dict[str, int]:
         """Admission counters (JSON-ready, for ``/stats``)."""

@@ -1,9 +1,8 @@
 """Server policy: the knobs that turn the library into a multi-tenant service.
 
 A single :class:`ServerPolicy` value configures every serving component —
-session lifecycle (:mod:`repro.serve.sessions`), admission control
-(:mod:`repro.serve.admission`), the shared/persistent plan cache
-(:mod:`repro.serve.plan_store`), and the HTTP front end
+session lifecycle and the shared plan cache (:mod:`repro.serve.sessions`),
+admission control (:mod:`repro.serve.admission`), and the HTTP front end
 (:mod:`repro.serve.server`).  It is a frozen dataclass so a running server's
 policy can be reported verbatim from ``/stats`` without aliasing worries.
 
@@ -55,11 +54,9 @@ class ServerPolicy:
     #: one session's queries serialize on its lock)
     workers: int = 8
 
-    # -- shared / persistent plan cache -------------------------------------
+    # -- shared plan cache ---------------------------------------------------
     #: entries in the process-wide shared plan cache
     plan_cache_size: int = 1024
-    #: directory for the on-disk PlanStore (None disables persistence)
-    plan_store_path: Optional[str] = None
 
     # -- incremental evaluation ---------------------------------------------
     #: open sessions with ``incremental=True`` so repeat queries after a

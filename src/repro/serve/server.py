@@ -47,9 +47,14 @@ from ..api.session import SessionError
 from ..engine.budget import Budget, Cancelled, EvaluationInterrupted
 from ..relational.schema import DatabaseSchema, RelationSchema
 from ..relational.state import DatabaseState, Delta
-from .admission import AdmissionController, AdmissionError
+from .admission import AdmissionController, AdmissionError, AdmissionTicket
 from .policy import DEFAULT_POLICY, ServerPolicy
-from .sessions import ServerDraining, SessionManager, UnknownSessionError
+from .sessions import (
+    ManagedSession,
+    ServerDraining,
+    SessionManager,
+    UnknownSessionError,
+)
 
 __all__ = ["QueryServer", "ServerHandle", "serve_in_thread"]
 
@@ -397,6 +402,8 @@ class QueryServer:
             )
         except (SessionError, LookupError, ValueError) as error:
             raise _HttpError(400, str(error))
+        # Connecting may have expired or evicted sessions: drop their buckets.
+        self._admission.retain(self._manager.session_ids())
         return {
             "session": managed.session_id,
             "domain": managed.session.domain.name,
@@ -410,6 +417,22 @@ class QueryServer:
             raise _HttpError(400, "missing 'session' (POST /connect first)")
         return session_id
 
+    def _live_session(self, session_id: str) -> ManagedSession:
+        """The live session, or 404 — checked *before* admission, so an
+        unknown id never gets a rate-limit bucket."""
+        try:
+            return self._manager.get(session_id)
+        except UnknownSessionError as error:
+            raise _HttpError(404, str(error))
+
+    def _admit(self, session_id: str) -> AdmissionTicket:
+        try:
+            return self._admission.admit(session_id)
+        except AdmissionError as error:
+            raise _HttpError(
+                error.status, str(error), retry_after=error.retry_after
+            )
+
     async def _handle_query(
         self, body: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
@@ -420,14 +443,9 @@ class QueryServer:
         strategy = body.get("strategy", "auto")
         budget = _budget_from_json(body.get("budget"))
         stream = bool(body.get("stream", False))
+        managed = self._live_session(session_id)
+        ticket = self._admit(session_id)
         try:
-            ticket = self._admission.admit(session_id)
-        except AdmissionError as error:
-            raise _HttpError(
-                error.status, str(error), retry_after=error.retry_after
-            )
-        try:
-            managed = self._manager.get(session_id)
             state = _state_from_json(managed.session.schema, body.get("state"))
             loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(
@@ -489,12 +507,9 @@ class QueryServer:
         if not isinstance(query, str) or not query:
             raise _HttpError(400, "missing 'query' (calculus text)")
         strategy = body.get("strategy", "auto")
+        managed = self._live_session(session_id)
+        ticket = self._admit(session_id)
         try:
-            ticket = self._admission.admit(session_id)
-        except AdmissionError as error:
-            raise _HttpError(error.status, str(error), retry_after=error.retry_after)
-        try:
-            managed = self._manager.get(session_id)
             state = _state_from_json(managed.session.schema, body.get("state"))
             loop = asyncio.get_running_loop()
 
@@ -514,10 +529,8 @@ class QueryServer:
     async def _handle_mutate(self, body: Dict[str, Any]) -> Dict[str, Any]:
         session_id = self._admitted_session(body)
         delta = _delta_from_json(body)
-        try:
-            ticket = self._admission.admit(session_id)
-        except AdmissionError as error:
-            raise _HttpError(error.status, str(error), retry_after=error.retry_after)
+        self._live_session(session_id)
+        ticket = self._admit(session_id)
         try:
             loop = asyncio.get_running_loop()
             receipt = await loop.run_in_executor(

@@ -19,12 +19,11 @@ lock:
   (every use refreshes the clock), and when ``policy.max_sessions`` is
   exceeded the least recently used session is evicted early;
 * **shared caches** — every session is created with the manager's
-  process-wide :class:`~repro.serve.plan_store.PersistentPlanCache`, so any
-  session's compile warms every other session (and, with a
-  :class:`~repro.serve.plan_store.PlanStore` configured, future processes);
-  the columnar :class:`~repro.relational.columnar.EncodeCache` is already
-  process-wide and keyed by state fingerprint, so sessions querying equal
-  states share encoded columns automatically.
+  process-wide :class:`~repro.engine.plan_cache.PlanCache`, so any
+  session's compile warms every other session; the columnar
+  :class:`~repro.relational.columnar.EncodeCache` is already process-wide
+  and keyed by state fingerprint, so sessions querying equal states share
+  encoded columns automatically.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
 from ..relational.schema import DatabaseSchema
 from ..relational.state import DatabaseState, Delta
-from .plan_store import PersistentPlanCache, PlanStore
 from .policy import DEFAULT_POLICY, ServerPolicy
 
 __all__ = [
@@ -122,17 +120,11 @@ class SessionManager:
     ):
         self._policy = policy
         self._clock = clock if clock is not None else time.monotonic
-        if plan_cache is not None:
-            self._plan_cache = plan_cache
-        else:
-            store = (
-                PlanStore(policy.plan_store_path)
-                if policy.plan_store_path is not None
-                else None
-            )
-            self._plan_cache = PersistentPlanCache(
-                maxsize=policy.plan_cache_size, store=store
-            )
+        self._plan_cache = (
+            plan_cache
+            if plan_cache is not None
+            else PlanCache(maxsize=policy.plan_cache_size)
+        )
         self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
         self._lock = threading.Lock()
         self._counter = 0
@@ -440,7 +432,7 @@ class SessionManager:
                 "draining": self._draining,
             }
         info = self._plan_cache.info()
-        plan_cache: Dict[str, Any] = {
+        plan_cache = {
             "hits": info.hits,
             "misses": info.misses,
             "evictions": info.evictions,
@@ -448,16 +440,6 @@ class SessionManager:
             "maxsize": info.maxsize,
             "hit_rate": round(info.hit_rate, 4),
         }
-        if isinstance(self._plan_cache, PersistentPlanCache):
-            plan_cache["disk_hits"] = self._plan_cache.disk_hits
-            plan_cache["disk_misses"] = self._plan_cache.disk_misses
-            store = self._plan_cache.store
-            plan_cache["store"] = None if store is None else {
-                "path": store.path,
-                "entries": len(store),
-                "store_errors": store.store_errors,
-                "corrupt_dropped": store.corrupt_dropped,
-            }
         from ..relational.columnar import encode_cache_info
 
         encode_info = encode_cache_info()

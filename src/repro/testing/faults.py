@@ -5,17 +5,14 @@ that are no-ops until a :class:`FaultPlan` is activated:
 
 * ``"kernel-entry"`` — the vectorized columnar executor, before each
   operator's kernel dispatch;
-* ``"plan-store-io"`` — the on-disk plan store, around pickle read/write
-  (the only point where ``"corrupt-pickle"`` mangles bytes instead of
-  raising);
 * ``"maintenance-rule"`` — the ΔQ maintenance engine, before each node's
   maintenance rule.
 
 A plan is a list of :class:`FaultSpec` triggers: *at hit ``after`` of point
-``P``, do ``kind``* — raise an :class:`InjectedFault`, sleep ``delay``
-seconds, or corrupt the bytes passing through.  :meth:`FaultPlan.seeded`
-derives the trigger offsets from a seed, and :meth:`FaultPlan.matrix`
-enumerates one seeded plan per (point, kind) pair — the fixed matrix the
+``P``, do ``kind``* — raise an :class:`InjectedFault` or sleep ``delay``
+seconds.  :meth:`FaultPlan.seeded` derives the trigger offsets from a seed,
+and :meth:`FaultPlan.matrix` enumerates one seeded plan per (point, kind)
+pair — the fixed matrix the
 ``faults`` conformance check and the chaos CI job run over.
 
 Everything is deterministic given the seed and the execution, and the whole
@@ -51,18 +48,16 @@ __all__ = [
     "inject",
     "active",
     "fire",
-    "corrupt",
 ]
 
 #: every named injection point wired into the production code paths
 INJECTION_POINTS: Tuple[str, ...] = (
     "kernel-entry",
-    "plan-store-io",
     "maintenance-rule",
 )
 
 #: the fault behaviours a spec can trigger
-FAULT_KINDS: Tuple[str, ...] = ("exception", "delay", "corrupt-pickle")
+FAULT_KINDS: Tuple[str, ...] = ("exception", "delay")
 
 
 class InjectedFault(RuntimeError):
@@ -155,7 +150,7 @@ class FaultPlan:
         seed: object,
         *,
         points: Sequence[str] = INJECTION_POINTS,
-        kinds: Sequence[str] = ("exception", "delay"),
+        kinds: Sequence[str] = FAULT_KINDS,
         max_after: int = 3,
     ) -> "FaultPlan":
         """One plan with a seeded random (point, kind, offset) triple."""
@@ -169,19 +164,11 @@ class FaultPlan:
 
     @classmethod
     def matrix(cls, seed: object, *, max_after: int = 3) -> "List[FaultPlan]":
-        """One plan per applicable (point, kind) pair, offsets seeded.
-
-        ``"corrupt-pickle"`` only means anything where bytes flow through
-        (the plan store), so the matrix pairs it with ``"plan-store-io"``
-        alone; every point gets ``"exception"`` and ``"delay"``.
-        """
+        """One plan per (point, kind) pair, offsets seeded."""
         rng = random.Random(f"faults-matrix/{seed}")
         plans: List[FaultPlan] = []
         for point in INJECTION_POINTS:
-            kinds: Tuple[str, ...] = ("exception", "delay")
-            if point == "plan-store-io":
-                kinds += ("corrupt-pickle",)
-            for kind in kinds:
+            for kind in FAULT_KINDS:
                 after = rng.randrange(max_after + 1)
                 plans.append(
                     cls(
@@ -228,9 +215,7 @@ def fire(point: str) -> None:
     """The injection hook: no-op unless an active spec covers this hit.
 
     ``"exception"`` raises :class:`InjectedFault`; ``"delay"`` sleeps the
-    spec's ``delay``; ``"corrupt-pickle"`` is meaningless without a byte
-    stream and degrades to an exception so a mis-paired spec still fails
-    loudly instead of passing silently.
+    spec's ``delay``.
     """
     plan = _ACTIVE
     if plan is None:
@@ -245,29 +230,3 @@ def fire(point: str) -> None:
         f"injected {spec.kind} at {point!r} (hit #{hit})", point=point, hit=hit
     )
 
-
-def corrupt(point: str, blob: bytes) -> bytes:
-    """The byte-stream injection hook (plan-store I/O).
-
-    ``"corrupt-pickle"`` returns a mangled copy of ``blob``; the other kinds
-    behave exactly like :func:`fire`.
-    """
-    plan = _ACTIVE
-    if plan is None:
-        return blob
-    spec, hit = plan.trigger(point)
-    if spec is None:
-        return blob
-    if spec.kind == "delay":
-        time.sleep(spec.delay)
-        return blob
-    if spec.kind == "corrupt-pickle":
-        # Flip bytes mid-stream; keep the length so size checks still pass.
-        middle = len(blob) // 2
-        mangled = bytearray(blob)
-        for offset in range(middle, min(middle + 8, len(mangled))):
-            mangled[offset] ^= 0xFF
-        return bytes(mangled)
-    raise InjectedFault(
-        f"injected {spec.kind} at {point!r} (hit #{hit})", point=point, hit=hit
-    )

@@ -8,7 +8,6 @@ from repro.engine.plans import VectorizedAlgebraPlan
 from repro.relational.columnar import HAVE_NUMPY
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
-from repro.serve.plan_store import PersistentPlanCache, PlanStore
 from repro.testing import faults
 from repro.testing.faults import FaultPlan, FaultSpec, InjectedFault, fire, inject
 
@@ -58,22 +57,48 @@ def test_seeded_plans_and_the_matrix_are_deterministic():
     first = [(p.label, p.specs) for p in FaultPlan.matrix("ci")]
     second = [(p.label, p.specs) for p in FaultPlan.matrix("ci")]
     assert first == second
-    # one plan per applicable (point, kind) pair
-    # exception/delay at each point + corrupt on io
-    assert len(first) == 2 * len(faults.INJECTION_POINTS) + 1
+    # one plan per (point, kind) pair: exception and delay at each point
+    assert len(first) == 2 * len(faults.INJECTION_POINTS)
     points = {spec.point for _, specs in first for spec in specs}
     assert points == set(faults.INJECTION_POINTS)
 
 
-def test_corrupt_mangles_bytes_but_keeps_length():
-    blob = bytes(range(64))
-    plan = FaultPlan([FaultSpec("plan-store-io", "corrupt-pickle")])
+def test_matrix_pairs_every_point_with_every_kind():
+    import itertools
+
+    plans = FaultPlan.matrix(3, max_after=2)
+    pairs = [(spec.point, spec.kind) for plan in plans for spec in plan.specs]
+    assert pairs == list(
+        itertools.product(faults.INJECTION_POINTS, faults.FAULT_KINDS)
+    )
+    assert all(len(plan.specs) == 1 for plan in plans)
+    assert all(0 <= plan.specs[0].after <= 2 for plan in plans)
+    assert FaultPlan.seeded(3).specs[0].kind in faults.FAULT_KINDS
+
+
+def test_delay_fault_sleeps_instead_of_raising():
+    import time
+
+    plan = FaultPlan([FaultSpec("maintenance-rule", "delay", delay=0.02)])
     with inject(plan):
-        mangled = faults.corrupt("plan-store-io", blob)
-    assert len(mangled) == len(blob)
-    assert mangled != blob
-    # inactive: pass-through
-    assert faults.corrupt("plan-store-io", blob) == blob
+        started = time.perf_counter()
+        fire("maintenance-rule")      # hit 0: sleeps, does not raise
+        assert time.perf_counter() - started >= 0.02
+        fire("maintenance-rule")      # hit 1: past the count window
+    assert plan.fired() == {"maintenance-rule": 1}
+    assert plan.hits() == {"maintenance-rule": 2}
+
+
+def test_unbounded_count_fires_on_every_hit_from_its_offset():
+    plan = FaultPlan([FaultSpec("kernel-entry", "exception", after=1, count=None)])
+    with inject(plan):
+        fire("kernel-entry")          # hit 0: below the offset
+        for _ in range(3):
+            with pytest.raises(InjectedFault):
+                fire("kernel-entry")
+        fire("maintenance-rule")      # other points are untouched
+    assert plan.fired() == {"kernel-entry": 3}
+    assert plan.hits() == {"kernel-entry": 4, "maintenance-rule": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +242,3 @@ def test_answer_cache_faults_step_down_like_any_rung(monkeypatch):
     assert plan.last_decision.startswith("recomputed in full: the answer-cache")
     assert "answer-cache breaker" in plan.explain()
 
-
-# ---------------------------------------------------------------------------
-# Plan-store fault tolerance
-# ---------------------------------------------------------------------------
-
-
-def test_corrupted_store_read_degrades_to_a_miss(tmp_path):
-    store = PlanStore(str(tmp_path))
-    assert store.store(("k",), {"payload": 123})
-    with inject(FaultPlan([FaultSpec("plan-store-io", "corrupt-pickle")])):
-        assert store.load(("k",)) is None
-    assert store.corrupt_dropped == 1
-    assert len(store) == 0  # the mangled file was deleted, not re-read forever
-
-
-def test_store_write_fault_degrades_to_no_persistence(tmp_path):
-    store = PlanStore(str(tmp_path))
-    with inject(FaultPlan([FaultSpec("plan-store-io", "exception")])):
-        assert store.store(("k",), {"payload": 123}) is False
-    assert store.store_errors == 1
-    assert store.store(("k",), {"payload": 123})  # recovered afterwards
-
-
-def test_persistent_cache_survives_store_faults(tmp_path):
-    cache = PersistentPlanCache(maxsize=4, store=PlanStore(str(tmp_path)))
-    with inject(FaultPlan([FaultSpec("plan-store-io", "exception", count=None)])):
-        cache.put(("k",), "value")          # write-through fails silently
-        assert cache.get(("k",)) == "value"  # memory tier still serves it

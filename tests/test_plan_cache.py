@@ -231,3 +231,112 @@ def test_sessions_accept_an_injected_shared_plan_cache():
     before = shared.info().hits
     second.query("F(x, y)", state)    # compiled once, shared across sessions
     assert shared.info().hits == before + 1
+
+
+# ---------------------------------------------------------------------------
+# One in-memory tier: evictions and fresh caches recompile
+# ---------------------------------------------------------------------------
+
+
+def _counting_compiler(monkeypatch):
+    """Wrap the plans module's compiler; the returned list logs each call."""
+    import repro.engine.plans as plans_module
+
+    calls = []
+    real = plans_module.compile_query
+
+    def counting(query, schema, domain):
+        calls.append(query)
+        return real(query, schema, domain)
+
+    monkeypatch.setattr(plans_module, "compile_query", counting)
+    return calls
+
+
+def test_cache_put_replaces_an_entry_and_refreshes_its_recency():
+    cache = PlanCache(maxsize=2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    cache.put("a", 10)                 # replace: "b" is now the LRU entry
+    assert len(cache) == 2 and cache.info().evictions == 0
+    cache.put("c", 3)
+    assert cache.get("a") == 10
+    assert "b" not in cache and cache.info().evictions == 1
+
+
+def test_cache_keys_separate_domains_sharing_one_cache():
+    from repro.domains.nat_order import NaturalOrderDomain
+
+    shared = PlanCache(maxsize=8)
+    state = numeric_state([1, 4])
+    query = parse_formula("S(x)")
+    for domain in (EqualityDomain(), NaturalOrderDomain()):
+        plan = CompiledAlgebraPlan(domain=domain, cache=shared)
+        assert plan.execute(query, state).rows() == ((1,), (4,))
+    info = shared.info()
+    assert (info.size, info.misses, info.hits) == (2, 2, 0)
+
+
+def test_evicted_plan_is_recompiled_on_its_next_use(monkeypatch):
+    calls = _counting_compiler(monkeypatch)
+    plan = CompiledAlgebraPlan(domain=EqualityDomain(), cache=PlanCache(maxsize=1))
+    state = numeric_state([2, 3])
+    first, second = parse_formula("S(x)"), parse_formula("S(x) & ~(x = 2)")
+    for query in (first, first, second, first):
+        plan.execute(query, state)
+    assert calls == [first, second, first]
+    assert plan.cache.info().evictions == 2
+
+
+def test_a_fresh_cache_recompiles_each_plan_on_first_use(monkeypatch):
+    calls = _counting_compiler(monkeypatch)
+    state = numeric_state([2, 3, 7])
+    queries = [parse_formula(text) for text in ("S(x)", "S(x) & ~(x = 3)")]
+    answers = []
+    for _ in range(2):                 # two "processes", one cache each
+        plan = CompiledAlgebraPlan(domain=EqualityDomain(), cache=PlanCache())
+        for _ in range(3):
+            answers.append([plan.execute(q, state).rows() for q in queries])
+        info = plan.cache.info()
+        assert (info.misses, info.hits) == (2, 4)
+    assert len(calls) == 2 * len(queries)
+    assert all(rows == answers[0] for rows in answers)
+
+
+def test_cached_compilation_failure_is_shared_across_plans(monkeypatch):
+    calls = _counting_compiler(monkeypatch)
+    shared = PlanCache()
+    query = parse_formula("exists y. (S(y) & x = succ(y))")
+    state = numeric_state([1, 2])
+    for _ in range(2):
+        plan = CompiledAlgebraPlan(domain=SuccessorDomain(), cache=shared)
+        answer = plan.execute(query, state)
+        assert answer.method == "active-domain"
+        assert answer.rows() == ((2,),)  # succ(1) inside the active domain
+        assert plan.fallback_reason is not None
+    assert calls == [query]            # compiled (and failed) exactly once
+    assert (shared.info().misses, shared.info().hits) == (1, 1)
+
+
+def test_cache_counters_stay_consistent_under_concurrent_use():
+    import threading
+
+    cache = PlanCache(maxsize=4)
+    rounds, workers = 300, 4
+
+    def worker(offset):
+        for index in range(rounds):
+            key = (offset + index) % 8
+            if cache.get(key) is None:
+                cache.put(key, key)
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    info = cache.info()
+    assert info.hits + info.misses == rounds * workers
+    assert info.size == 4 <= info.misses
+    # a racing double miss replaces its key instead of evicting another
+    assert info.evictions <= info.misses - info.size

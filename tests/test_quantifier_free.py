@@ -259,6 +259,37 @@ def test_verdicts_match_the_literal_finitization_sentence():
                 ), (carrier, values, name)
 
 
+def test_the_memo_holds_at_most_memo_size_entries():
+    from repro.safety.relative_safety import MEMO_SIZE
+
+    safety = OrderedRelativeSafety(PresburgerDomain())
+    query = parse_formula("exists y. (S(y) & x < y)")
+    extra = 3
+    for top in range(MEMO_SIZE + extra):
+        assert safety.decide(query, numeric_state([top])).is_finite
+    info = safety.memo_info()
+    assert (info.size, info.maxsize) == (MEMO_SIZE, MEMO_SIZE)
+    assert (info.misses, info.evictions) == (MEMO_SIZE + extra, extra)
+    # the newest entry is still resident, the oldest was evicted
+    safety.decide(query, numeric_state([MEMO_SIZE + extra - 1]))
+    assert safety.memo_info().hits == 1
+    safety.decide(query, numeric_state([0]))
+    assert safety.memo_info().misses == MEMO_SIZE + extra + 1
+
+
+def test_the_carrier_is_read_off_the_domain():
+    state = numeric_state([4])
+    below = parse_formula("x < 3")
+    naturals = OrderedRelativeSafety(PresburgerDomain(carrier="naturals"))
+    integers = OrderedRelativeSafety(PresburgerDomain(carrier="integers"))
+    assert naturals.decide(below, state).is_finite
+    assert not integers.decide(below, state).is_finite
+    assert naturals.decide_by_sentence(below, state).is_finite
+    assert not integers.decide_by_sentence(below, state).is_finite
+    with pytest.raises(TypeError):
+        OrderedRelativeSafety(PresburgerDomain(), integers=True)
+
+
 class _SentenceOnlyDomain(Domain):
     """A decidable ordered domain without a quantifier-free form."""
 

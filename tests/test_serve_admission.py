@@ -124,6 +124,66 @@ def test_forget_drops_a_sessions_bucket():
     controller.admit("s1").release()
 
 
+def test_each_admitted_session_gets_exactly_one_bucket():
+    controller = AdmissionController(ServerPolicy(), clock=FakeClock())
+    for session_id in ("s1", "s1", "s2", "s1"):
+        controller.admit(session_id).release()
+    stats = controller.stats()
+    assert stats["tracked_sessions"] == 2 and stats["admitted"] == 4
+
+
+def test_retain_drops_unlisted_buckets_and_keeps_listed_ones():
+    controller = AdmissionController(
+        ServerPolicy(rate=1.0, burst=1), clock=FakeClock()
+    )
+    controller.admit("s1").release()
+    controller.admit("s2").release()
+    controller.retain(["s1", "never-admitted"])
+    assert controller.stats()["tracked_sessions"] == 1
+    with pytest.raises(AdmissionError):
+        controller.admit("s1")       # the kept bucket is still empty
+    controller.admit("s2").release()  # the dropped one starts full again
+
+
+def test_retain_with_no_live_sessions_drops_every_bucket():
+    controller = AdmissionController(ServerPolicy(), clock=FakeClock())
+    for session_id in ("a", "b", "c"):
+        controller.admit(session_id).release()
+    controller.retain([])
+    assert controller.stats()["tracked_sessions"] == 0
+    assert controller.stats()["admitted"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The command line builds the policy
+# ---------------------------------------------------------------------------
+
+
+def test_cli_defaults_build_the_default_policy():
+    from repro.serve.__main__ import build_parser, policy_from_args
+
+    assert policy_from_args(build_parser().parse_args([])) == ServerPolicy()
+
+
+def test_cli_flags_reach_the_policy():
+    from repro.serve.__main__ import build_parser, policy_from_args
+
+    args = build_parser().parse_args([
+        "--max-sessions", "3", "--session-ttl", "7.5", "--rate", "2",
+        "--burst", "4", "--max-inflight", "5", "--workers", "2",
+        "--plan-cache-size", "9", "--shutdown-grace", "0.5",
+        "--breaker-threshold", "6", "--breaker-cooldown", "1.5",
+        "--retry-jitter", "0",
+    ])
+    assert policy_from_args(args) == ServerPolicy(
+        max_sessions=3, session_ttl=7.5, rate=2.0, burst=4, max_inflight=5,
+        workers=2, plan_cache_size=9, shutdown_grace=0.5,
+        breaker_threshold=6, breaker_cooldown=1.5, retry_jitter=0.0,
+    )
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--no-such-flag", "x"])
+
+
 # ---------------------------------------------------------------------------
 # Budget clamping (ServerPolicy.clamp)
 # ---------------------------------------------------------------------------

@@ -179,6 +179,107 @@ def test_rate_limited_request_gets_429_with_retry_after():
         assert stats["admission"]["rejected_rate_limited"] == 1
 
 
+def test_admission_tracks_only_live_sessions():
+    manager = SessionManager(
+        ServerPolicy(rate=10_000.0, burst=1_000, max_sessions=2)
+    )
+    with serve_in_thread(manager) as handle:
+        port = handle.port
+        # Unknown ids are refused before admission: 404 and no bucket.
+        for index in range(50):
+            status, _, _ = request(port, "POST", "/query", {
+                "session": f"{index:016x}", "query": "S(x)",
+            })
+            assert status == 404
+        for path, extra in (("/explain", {"query": "S(x)"}),
+                            ("/mutate", {"insert": {"S": [[1]]}})):
+            status, _, _ = request(port, "POST", path, dict(
+                extra, session="0" * 16,
+            ))
+            assert status == 404
+        _, _, stats = request(port, "GET", "/stats")
+        assert stats["admission"]["tracked_sessions"] == 0
+        # Evicted sessions' buckets go when the next connect evicts them.
+        for _ in range(10):
+            session = connect_nat(port)
+            status, _, _ = request(port, "POST", "/query", {
+                "session": session, "query": "S(x)",
+            })
+            assert status == 200
+        _, _, stats = request(port, "GET", "/stats")
+        assert stats["sessions"]["live_sessions"] == 2
+        assert stats["admission"]["tracked_sessions"] <= 2
+
+
+def test_unknown_session_never_spends_or_creates_a_token():
+    # A one-token burst: were unknown ids admitted first, every request after
+    # the first would be rate limited (429) instead of refused (404).
+    manager = SessionManager(ServerPolicy(rate=0.001, burst=1))
+    with serve_in_thread(manager) as handle:
+        port = handle.port
+        for _ in range(5):
+            status, _, error = request(port, "POST", "/query", {
+                "session": "f" * 16, "query": "S(x)",
+            })
+            assert status == 404
+            assert "unknown or expired session" in error["error"]
+        _, _, stats = request(port, "GET", "/stats")
+        assert stats["admission"] == dict(
+            stats["admission"], admitted=0, rejected_rate_limited=0,
+            tracked_sessions=0,
+        )
+
+
+def test_expired_sessions_lose_their_buckets_on_the_next_connect():
+    class Clock:
+        now = 0.0
+
+        def __call__(self):
+            return self.now
+
+    clock = Clock()
+    manager = SessionManager(
+        ServerPolicy(rate=10_000.0, burst=1_000, session_ttl=10.0), clock=clock
+    )
+    with serve_in_thread(manager) as handle:
+        port = handle.port
+        stale = connect_nat(port)
+        status, _, _ = request(port, "POST", "/query", {
+            "session": stale, "query": "S(x)",
+        })
+        assert status == 200
+        clock.now = 11.0                  # the session expires
+        fresh = connect_nat(port)
+        _, _, stats = request(port, "GET", "/stats")
+        assert stats["admission"]["tracked_sessions"] == 0
+        status, _, _ = request(port, "POST", "/query", {
+            "session": stale, "query": "S(x)",
+        })
+        assert status == 404
+        status, _, _ = request(port, "POST", "/query", {
+            "session": fresh, "query": "S(x)",
+        })
+        assert status == 200
+        _, _, stats = request(port, "GET", "/stats")
+        assert stats["admission"]["tracked_sessions"] == 1
+
+
+def test_stats_reports_only_the_in_memory_plan_cache(served):
+    port = served.port
+    session = connect_nat(port)
+    for _ in range(2):
+        status, _, _ = request(port, "POST", "/query", {
+            "session": session, "query": "S(x)", "strategy": "vectorized",
+        })
+        assert status == 200
+    _, _, stats = request(port, "GET", "/stats")
+    plan_cache = stats["plan_cache"]
+    assert set(plan_cache) == {
+        "hits", "misses", "evictions", "size", "maxsize", "hit_rate",
+    }
+    assert plan_cache["misses"] >= 1 and plan_cache["hits"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # Error mapping
 # ---------------------------------------------------------------------------

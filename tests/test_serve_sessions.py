@@ -122,6 +122,90 @@ def test_connect_cannot_opt_out_of_the_shared_cache(manager):
     assert managed.session.plan_cache is manager.plan_cache
 
 
+def test_manager_builds_a_plain_plan_cache_sized_by_the_policy():
+    from repro.engine.plan_cache import PlanCache
+
+    manager = SessionManager(ServerPolicy(plan_cache_size=17))
+    try:
+        assert type(manager.plan_cache) is PlanCache
+        assert manager.plan_cache.maxsize == 17
+    finally:
+        manager.shutdown()
+
+
+def test_manager_compiles_through_an_injected_plan_cache():
+    from repro.engine.plan_cache import PlanCache
+
+    shared = PlanCache(maxsize=5)
+    manager = SessionManager(ServerPolicy(), plan_cache=shared)
+    try:
+        managed = manager.connect("nat<", numeric_schema())
+        state = managed.session.state({"S": [(2,)]})
+        manager.run_query(managed.session_id, "S(x)", state, strategy="vectorized")
+        assert manager.plan_cache is shared
+        assert shared.info().misses == 1 and len(shared) == 1
+        assert manager.stats()["plan_cache"]["maxsize"] == 5
+    finally:
+        manager.shutdown()
+
+
+def test_restarted_manager_recompiles_each_plan_once_then_hits(monkeypatch):
+    """Plans live only in memory: a new manager (a restarted process)
+    compiles each query on its first use and serves repeats from its cache."""
+    import repro.engine.plans as plans_module
+    from repro.experiments.corpora import ordered_query_corpus
+
+    queries = [q for _, q, finite in ordered_query_corpus() if finite]
+    rows = {"S": [(3,), (5,), (9,)]}
+    compiled = []
+    real = plans_module.compile_query
+
+    def counting(query, schema, domain):
+        compiled.append(query)
+        return real(query, schema, domain)
+
+    monkeypatch.setattr(plans_module, "compile_query", counting)
+    answers = []
+    for _ in range(2):
+        compiled.clear()
+        manager = SessionManager(ServerPolicy())
+        try:
+            managed = manager.connect("nat<", numeric_schema())
+            state = managed.session.state(rows)
+            for _ in range(2):
+                answers.append([
+                    manager.run_query(
+                        managed.session_id, query, state, strategy="vectorized"
+                    ).answer.rows()
+                    for query in queries
+                ])
+            assert compiled == queries
+            info = manager.plan_cache.info()
+            assert (info.misses, info.hits) == (len(queries), len(queries))
+        finally:
+            manager.shutdown()
+    assert all(rows == answers[0] for rows in answers)
+    assert all(answers[0])
+
+
+def test_session_ids_after_connect_are_only_live_sessions():
+    clock = FakeClock()
+    manager = SessionManager(
+        ServerPolicy(max_sessions=2, session_ttl=10.0), clock=clock
+    )
+    try:
+        expired = manager.connect("equality")
+        clock.advance(11.0)
+        kept = manager.connect("equality")
+        assert manager.session_ids() == [kept.session_id]
+        newest = [manager.connect("equality") for _ in range(2)]
+        assert manager.session_ids() == [m.session_id for m in newest]
+        assert expired.session_id not in manager.session_ids()
+        assert manager.stats()["sessions"]["evicted"] == 1
+    finally:
+        manager.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Query execution: clamping and serialization
 # ---------------------------------------------------------------------------
@@ -217,7 +301,9 @@ def test_stats_reports_sessions_and_caches(manager):
     stats = manager.stats()
     assert stats["sessions"]["live_sessions"] == 1
     assert stats["plan_cache"]["maxsize"] == manager.policy.plan_cache_size
-    assert "hit_rate" in stats["plan_cache"]
+    assert set(stats["plan_cache"]) == {
+        "hits", "misses", "evictions", "size", "maxsize", "hit_rate",
+    }
     assert "encode_cache" in stats
     (facts,) = stats["session_details"]
     assert facts["queries_served"] == 1
