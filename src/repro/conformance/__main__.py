@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ..domains.packs import available_domains
+from ..domains.packs import UnknownDomainError, available_domains, get_pack
 from .harness import CHECK_NAMES, run_conformance
 
 
@@ -40,6 +40,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     options = parser.parse_args(argv)
     seeds = tuple(s for s in options.seeds.split(",") if s)
     checks = tuple(c for c in options.checks.split(",") if c) or None
+    # Unknown names are usage errors (exit 2, one line), not tracebacks.
+    unknown = sorted(set(checks or ()) - set(CHECK_NAMES))
+    if unknown:
+        parser.error(
+            f"unknown check(s) {', '.join(unknown)}; "
+            f"expected from {', '.join(CHECK_NAMES)}"
+        )
+    for name in options.packs:
+        try:
+            get_pack(name)
+        except UnknownDomainError as error:
+            parser.error(str(error))
     report = run_conformance(options.packs or None, seeds=seeds, checks=checks)
     print(report.describe())
     return 0 if report.ok else 1

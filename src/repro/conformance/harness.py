@@ -1,7 +1,7 @@
 """The conformance harness: auto-generated validation for any domain pack.
 
 Given a :class:`~repro.domains.packs.DomainPack`, the harness derives and
-runs eight families of checks — no per-domain test code required:
+runs seven families of checks — no per-domain test code required:
 
 1. **decision-procedure** — every declared ground-truth sentence decides to
    its declared truth value.
@@ -39,19 +39,12 @@ runs eight families of checks — no per-domain test code required:
 7. **bench-smoke** — all queries on a ``bench_size``-row random state finish
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
-8. **faults** — under every fault in the seeded injection matrix
-   (:meth:`repro.testing.faults.FaultPlan.matrix`: exceptions and delays
-   at each named injection point), every substrate either still answers
-   exactly the tree walker's rows (the fallback ladder absorbed the fault)
-   or fails *cleanly* with a structured error — never a hang (a watchdog
-   bounds each run), never wrong rows.
 
 The vectorized substrate is checked only when NumPy is available; its
 *claims* check is skipped (not failed) without it.
 
-``run_pack_conformance(..., checks=("faults",))`` (CLI: ``--checks``)
-restricts a run to named check families — the chaos CI job runs the
-``faults`` family alone over a seed matrix.
+``run_pack_conformance(..., checks=("bench-smoke",))`` (CLI: ``--checks``)
+restricts a run to named check families.
 """
 
 from __future__ import annotations
@@ -170,14 +163,14 @@ def _reference_rows(
     return frozenset(relation.rows)
 
 
-def _substrate_plans(domain: Domain, extras, **options):
+def _substrate_plans(domain: Domain, extras):
     """The (name, plan) pairs for both algebra substrates (vectorized only
     with NumPy); every pack runs them, since each steps down on obstacles."""
     classes = [("compiled-algebra", CompiledAlgebraPlan)]
     if HAVE_NUMPY:
         classes.append(("vectorized", VectorizedAlgebraPlan))
     return [
-        (name, cls(domain=domain, budget=Budget(), extra_elements=extras, **options))
+        (name, cls(domain=domain, budget=Budget(), extra_elements=extras))
         for name, cls in classes
     ]
 
@@ -606,140 +599,6 @@ def _verdict_and_rows(result) -> Tuple[Optional[str], Optional[bool], frozenset]
     return verdict, result.answer.is_finite, frozenset(result.answer.rows())
 
 
-#: seconds the faults check allows one injected-fault scenario before
-#: declaring it hung (the acceptance bar is "never hangs")
-FAULT_WATCHDOG_SECONDS = 60.0
-
-
-def _check_faults(
-    pack: DomainPack, domain: Domain, seeds: Sequence[str]
-) -> CheckResult:
-    """Every substrate answers correctly or fails cleanly under injection.
-
-    For each fault in the seeded matrix, the full claimed ladder (plus the
-    incremental plan across a mutation, so maintenance rules run) executes
-    every corpus query with the fault active.  Acceptable outcomes per
-    execution: rows identical to the tree walker's, or a structured error
-    (:class:`~repro.testing.faults.InjectedFault` /
-    :class:`~repro.engine.budget.EvaluationInterrupted`).  Wrong rows, an
-    unstructured crash, or blowing the watchdog fail the check.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-
-    from ..engine.answer_cache import AnswerCache
-    from ..engine.breaker import SubstrateBreaker
-    from ..engine.budget import EvaluationInterrupted
-    from ..engine.plan_cache import PlanCache
-    from ..engine.plans import IncrementalAlgebraPlan
-    from ..testing import faults
-
-    extras = _carrier_extras(domain)
-    # Precompute the mutation scenarios and their tree-walker references
-    # outside injection, so the oracle itself never sees a fault and the
-    # per-point hit counts inside the scenario stay deterministic.
-    scenarios = []  # (corpus, [(state, {query name: expected rows})...])
-    for corpus in pack.corpora():
-        states = [corpus.canonical_state]
-        if corpus.state_factory is not None:
-            rng = random.Random(f"faults/{pack.name}/{corpus.name}/{seeds[0]}")
-            pool = corpus.state_factory(rng, 6)
-            delta = _random_delta(rng, states[0], pool, insert_only=True)
-            mutated = states[0].apply(delta)
-            if mutated is not states[0]:
-                states.append(mutated)
-        expected = [
-            {
-                pq.name: _reference_rows(pq.query, state, domain, extras)
-                for pq in corpus.queries
-            }
-            for state in states
-        ]
-        scenarios.append((corpus, list(zip(states, expected))))
-
-    def run_scenario() -> Tuple[List[str], int]:
-        """One full ladder pass under the active fault; (problems, runs)."""
-        problems: List[str] = []
-        runs = 0
-        # Fresh breaker and plan cache per fault: no cross-fault pollution,
-        # and never the process-global default breaker.
-        breaker = SubstrateBreaker()
-        cache = PlanCache(maxsize=64)
-        for corpus, steps in scenarios:
-            plans = _substrate_plans(domain, extras, cache=cache, breaker=breaker)
-            plans.append((
-                "incremental",
-                IncrementalAlgebraPlan(
-                    domain=domain, budget=Budget(), extra_elements=extras,
-                    cache=cache, answer_cache=AnswerCache(), breaker=breaker,
-                ),
-            ))
-            for substrate, plan in plans:
-                # Each plan walks canonical → mutated, so the incremental
-                # plan's second step exercises the maintenance rules.
-                for step, (state, expected) in enumerate(steps):
-                    for pq in corpus.queries:
-                        runs += 1
-                        try:
-                            answer = plan.execute(pq.query, state)
-                        except (faults.InjectedFault, EvaluationInterrupted):
-                            continue  # clean, structured failure
-                        except Exception as error:
-                            problems.append(
-                                f"{corpus.name}/{pq.name} step={step} via "
-                                f"{substrate}: unstructured "
-                                f"{type(error).__name__}: {error}"
-                            )
-                            continue
-                        got = frozenset(answer.relation.rows)
-                        if got != expected[pq.name]:
-                            problems.append(
-                                f"{corpus.name}/{pq.name} step={step} via "
-                                f"{substrate}: {len(got)} row(s) != tree "
-                                f"walker's {len(expected[pq.name])}"
-                            )
-        return problems, runs
-
-    problems: List[str] = []
-    executions = 0
-    fired = 0
-    fault_plans = [
-        plan for seed in seeds for plan in faults.FaultPlan.matrix(seed)
-    ]
-    for fault_plan in fault_plans:
-        # One watchdog thread per fault: a hang must fail *this* fault's
-        # verdict without wedging the rest of the matrix.
-        watchdog = ThreadPoolExecutor(max_workers=1)
-        try:
-            with faults.inject(fault_plan):
-                future = watchdog.submit(run_scenario)
-                try:
-                    fault_problems, runs = future.result(
-                        timeout=FAULT_WATCHDOG_SECONDS
-                    )
-                except FutureTimeout:
-                    problems.append(
-                        f"[{fault_plan.label}] hung past the "
-                        f"{FAULT_WATCHDOG_SECONDS:.0f}s watchdog"
-                    )
-                    continue
-                executions += runs
-                fired += sum(fault_plan.fired().values())
-                problems.extend(
-                    f"[{fault_plan.label}] {text}" for text in fault_problems
-                )
-        finally:
-            watchdog.shutdown(wait=False)
-    if problems:
-        return CheckResult("faults", False, "; ".join(problems[:8]))
-    return CheckResult(
-        "faults",
-        True,
-        f"{executions} execution(s) under {len(fault_plans)} injected fault(s) "
-        f"({fired} trigger(s) fired) answered correctly or failed cleanly",
-    )
-
-
 def _check_bench_smoke(pack: DomainPack, domain: Domain) -> CheckResult:
     corpora = [c for c in pack.corpora() if c.state_factory is not None]
     if not corpora:
@@ -805,7 +664,6 @@ CHECK_NAMES = (
     "edge-corpora",
     "delta-equivalence",
     "bench-smoke",
-    "faults",
 )
 
 
@@ -838,7 +696,6 @@ def run_pack_conformance(
         "edge-corpora": lambda: _check_edge_corpora(pack, domain, seeds),
         "delta-equivalence": lambda: _check_delta_equivalence(pack, domain, seeds),
         "bench-smoke": lambda: _check_bench_smoke(pack, domain),
-        "faults": lambda: _check_faults(pack, domain, seeds),
     }
     results = tuple(runners[name]() for name in CHECK_NAMES if name in selected)
     return PackReport(pack=pack.name, checks=results)

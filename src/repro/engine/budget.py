@@ -57,7 +57,9 @@ class Budget:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if self.time_limit is not None and self.time_limit < 0:
+        # ``not >= 0`` so NaN is refused too: ``nan < 0`` is false, and a NaN
+        # limit would never expire (``monotonic() >= nan`` is never true).
+        if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"time_limit must be non-negative, got {self.time_limit!r}")
 
     def start(self) -> "BudgetClock":

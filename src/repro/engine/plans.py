@@ -64,7 +64,6 @@ from ..safety.relative_safety import (
 )
 from .answer_cache import AnswerCache
 from .answers import Answer, FiniteAnswer, InfiniteAnswer
-from .breaker import SubstrateBreaker, default_breaker
 from .budget import Budget, CancelToken, Deadline, EvaluationInterrupted
 from .plan_cache import PlanCache
 
@@ -266,10 +265,10 @@ class CompiledAlgebraPlan(Plan):
 
     1. compile through the plan cache; a :class:`CompilationError` falls
        back to the tree-walking evaluator;
-    2. try each accelerated rung named in :attr:`rungs`, in order — a rung
-       the breaker demotes is skipped, a static obstacle
-       (:class:`VectorizationError`) or a fault steps down to the next;
-    3. finish on the set-at-a-time executor, which is never demoted.
+    2. try each accelerated rung named in :attr:`rungs`, in order — a
+       static obstacle (:class:`VectorizationError`) or a fault steps down
+       to the next for this execution only;
+    3. finish on the set-at-a-time executor.
 
     Subclasses only name their rungs.  :meth:`explain` records why the last
     execution stepped down, if it did.
@@ -285,9 +284,6 @@ class CompiledAlgebraPlan(Plan):
     )
     #: cooperative cancellation flag checked at the substrate checkpoints
     cancel_token: Optional[CancelToken] = None
-    #: failure breaker demoting faulty accelerated rungs (the shared
-    #: process-wide default when ``None``)
-    breaker: Optional[SubstrateBreaker] = None
     #: why the last execution stepped down the ladder, if it did
     fallback_reason: Optional[str] = None
     #: operator census of the last compiled plan, for explain()
@@ -336,15 +332,8 @@ class CompiledAlgebraPlan(Plan):
             )
             return _finish(relation, relation.arity, "active-domain", probe)
         self.last_summary = compiled.summary()
-        breaker = self._breaker()
         obstacle: Optional[str] = None
         for rung in self.rungs:
-            if not breaker.allow(rung):
-                obstacle = (
-                    f"the {rung} substrate is demoted by its failure breaker "
-                    f"({breaker.describe(rung)})"
-                )
-                continue
             try:
                 answer = _RUNGS[rung](self, query, compiled, state, deadline, probe)
             except VectorizationError as error:
@@ -352,14 +341,11 @@ class CompiledAlgebraPlan(Plan):
             except EvaluationInterrupted:
                 raise
             except Exception as error:
-                breaker.record_fault(rung, error)
                 obstacle = (
                     f"the {rung} substrate faulted "
-                    f"({type(error).__name__}: {error}); breaker "
-                    + breaker.state(rung)
+                    f"({type(error).__name__}: {error})"
                 )
             else:
-                breaker.record_success(rung)
                 self.fallback_reason = None
                 return answer
         self.fallback_reason = (
@@ -368,9 +354,6 @@ class CompiledAlgebraPlan(Plan):
         )
         relation = compiled.execute(state, self.domain, extras, deadline=deadline)
         return _finish(relation, relation.arity, "compiled-algebra", probe)
-
-    def _breaker(self) -> SubstrateBreaker:
-        return self.breaker if self.breaker is not None else default_breaker()
 
     def _compiled(self, query: Formula, state: DatabaseState) -> CompiledQuery:
         """Compile ``query`` for the state's schema, via the cache if present.
@@ -404,10 +387,6 @@ class CompiledAlgebraPlan(Plan):
             text += "; fell back: " + self.fallback_reason
         if self.last_interruption:
             text += f"; interrupted: {self.last_interruption}"
-        breaker = self._breaker()
-        for rung in self.rungs:
-            if breaker.state(rung) != "closed":
-                text += f"; {rung} breaker {breaker.describe(rung)}"
         if self.cache is not None:
             text += f"; plan cache {self.cache.info()}"
         return text

@@ -63,8 +63,6 @@ try:  # pragma: no cover - exercised only on numpy-less installs
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-from ..testing import faults
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.budget import Deadline
 
@@ -621,7 +619,6 @@ class _ColumnarExecutor:
             # Cooperative checkpoint between kernel stages: individual NumPy
             # kernels are uninterruptible, but the plan aborts between them.
             self._deadline.check(type(node).__name__)
-        faults.fire("kernel-entry")
         if isinstance(node, Scan):
             return self._scan(node)
         if isinstance(node, AdomScan):

@@ -71,7 +71,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.budget import Deadline
 
-from ..testing import faults
 from .exec import (
     AdomScan,
     AggBound,
@@ -443,7 +442,6 @@ class _MaintenanceEngine:
         # the materialisation undefined, so the caller must discard it.
         if self._deadline is not None:
             self._deadline.check("Δ" + type(node).__name__, self._stats)
-        faults.fire("maintenance-rule")
         node_delta = self._dispatch(node)
         self._deltas[node] = node_delta
         if node_delta:

@@ -57,14 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to let in-flight queries drain before cancelling them",
     )
     parser.add_argument(
-        "--breaker-threshold", type=int, default=defaults.breaker_threshold,
-        help="consecutive substrate faults before the breaker demotes it",
-    )
-    parser.add_argument(
-        "--breaker-cooldown", type=float, default=defaults.breaker_cooldown,
-        help="seconds an open breaker waits before probing the substrate again",
-    )
-    parser.add_argument(
         "--retry-jitter", type=float, default=defaults.retry_jitter,
         help="max random fraction added to Retry-After hints (0 disables)",
     )
@@ -81,8 +73,6 @@ def policy_from_args(args: argparse.Namespace) -> ServerPolicy:
         workers=args.workers,
         plan_cache_size=args.plan_cache_size,
         shutdown_grace=args.shutdown_grace,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         retry_jitter=args.retry_jitter,
     )
 

@@ -73,33 +73,29 @@ class ServerPolicy:
     #: seconds a graceful shutdown waits for in-flight queries to drain
     #: before cancelling them
     shutdown_grace: float = 5.0
-    #: consecutive faults before the per-substrate failure breaker demotes
-    #: an accelerated substrate in the fallback ladder
-    breaker_threshold: int = 3
-    #: seconds a tripped breaker stays open before a recovery probe
-    breaker_cooldown: float = 30.0
     #: maximum relative jitter added to computed ``Retry-After`` values
     #: (0.25 = up to +25%), de-synchronizing client retry stampedes
     retry_jitter: float = 0.25
 
     def __post_init__(self) -> None:
         for name in ("max_sessions", "burst", "max_inflight", "workers",
-                     "plan_cache_size", "sse_chunk_rows", "answer_cache_size",
-                     "breaker_threshold"):
+                     "plan_cache_size", "sse_chunk_rows", "answer_cache_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        # Each float bound is written so NaN fails it: every comparison
+        # with NaN is false, so ``value <= 0`` would let it through.
         for name in ("session_ttl", "rate", "time_limit_cap"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         for name in ("max_rows_cap", "max_candidates_cap", "fuel_cap"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        for name in ("shutdown_grace", "breaker_cooldown", "retry_jitter"):
+        for name in ("shutdown_grace", "retry_jitter"):
             value = getattr(self, name)
-            if value < 0:
+            if not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
 
     def clamp(self, requested: Optional[Budget] = None) -> Budget:

@@ -13,8 +13,8 @@ expose four JSON endpoints —
 * ``POST /mutate`` — apply an insert/delete delta to the session's default
   state; repeat queries are then delta-maintained at O(Δ) cost instead of
   re-executed (see :mod:`repro.relational.delta`);
-* ``GET /stats`` — sessions, shared plan cache (memory + disk tiers),
-  encode cache, admission counters, substrate breaker, policy;
+* ``GET /stats`` — sessions, shared plan cache, encode cache, admission
+  counters, policy;
 * ``POST /cancel`` — trip the cancel tokens of a session's in-flight
   queries; they abort at their next cooperative checkpoint;
 * ``POST /disconnect`` — drop a session early (TTL would get it eventually),

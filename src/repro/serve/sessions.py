@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..api.session import QueryResult, Session
 from ..domains.base import Domain
-from ..engine.breaker import configure_default_breaker, default_breaker
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
 from ..relational.schema import DatabaseSchema
@@ -139,11 +138,6 @@ class SessionManager:
         self._cancelled = 0
         self._inflight = 0
         self._draining = False
-        # The serving layer owns the process-wide substrate failure breaker's
-        # knobs (library users share the same breaker with its defaults).
-        configure_default_breaker(
-            policy.breaker_threshold, policy.breaker_cooldown
-        )
 
     # -- shared infrastructure ----------------------------------------------
 
@@ -447,7 +441,6 @@ class SessionManager:
             "sessions": counters,
             "session_details": sessions,
             "cancellation": cancellation,
-            "breaker": default_breaker().snapshot(),
             "plan_cache": plan_cache,
             "encode_cache": {
                 "hits": encode_info.hits,

@@ -267,7 +267,7 @@ def test_harness_fails_on_wrong_declared_finiteness():
     assert any(check.check == "guard-soundness" for check in report.failures)
 
 
-def test_cli_entry_point_exit_codes():
+def test_cli_entry_point_exit_codes(capsys):
     from repro.conformance.__main__ import main
 
     assert main(["cyclic", "--seeds", "0"]) == 0
@@ -278,6 +278,20 @@ def test_cli_entry_point_exit_codes():
     )
     with temporary_pack(broken):
         assert main(["broken_cyclic", "--seeds", "0"]) == 1
+    # Unknown names are usage errors: exit 2 and one error line naming the
+    # culprit (after argparse's usage text), never a traceback.
+    for argv, named in [
+        (["cyclic", "--checks", "faults"], "unknown check(s) faults"),
+        (["no-such-pack"], "unknown domain 'no-such-pack'"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (error_line,) = [line for line in err.splitlines() if ": error: " in line]
+        assert named in error_line
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ Four layers:
   (vectorized → set executor → tree walker);
 * the one ladder every algebra plan runs (compiled, vectorized,
   incremental): the tree walker on a compile error, tiny and
-  dictionary-encoded states, breaker demotion and recovery by rung name,
-  and identical answers across repeated runs.
+  dictionary-encoded states, and identical answers across repeated runs.
 """
 
 import random
@@ -36,7 +35,6 @@ from repro.domains import available_domains, get_pack
 from repro.domains.equality import EqualityDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
-from repro.engine.breaker import SubstrateBreaker
 from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     STRATEGIES,
@@ -429,12 +427,10 @@ _LADDER_STATES = {
 }
 
 
-def _algebra_plan(strategy, domain, breaker=None, **options):
-    """A plan of ``strategy`` with a private breaker unless one is given."""
+def _algebra_plan(strategy, domain, **options):
+    """A plan of ``strategy`` over ``domain``."""
     cls = _ALGEBRA_PLANS[strategy][0]
-    if breaker is None:
-        breaker = SubstrateBreaker()
-    return cls(domain=domain, breaker=breaker, **options)
+    return cls(domain=domain, **options)
 
 
 @pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
@@ -466,42 +462,6 @@ def test_ladder_answers_on_its_top_rung(strategy, rows):
         assert answer.method == _ALGEBRA_PLANS[strategy][1], name
         assert plan.fallback_reason is None, name
         assert set(answer.rows()) == expected.rows, name
-
-
-@pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))
-def test_demoted_rungs_finish_on_the_set_executor(strategy):
-    # The breaker demotes rungs by name; the set executor has no breaker, so
-    # the ladder still answers when every accelerated rung is open.
-    breaker = SubstrateBreaker(threshold=1, cooldown=60.0)
-    for rung in ("vectorized", "answer-cache"):
-        breaker.record_fault(rung, RuntimeError("boom"))
-    plan = _algebra_plan(strategy, EQ, breaker=breaker)
-    state = family_state(generations=2)
-    answer = plan.execute(parse_formula("F(x, y)"), state)
-    assert answer.method == "compiled-algebra"
-    assert set(answer.rows()) == state["F"].rows
-    if not plan.rungs:
-        assert plan.fallback_reason is None
-        return
-    (rung,) = plan.rungs
-    assert "demoted by its failure breaker" in plan.fallback_reason
-    assert f"{rung} breaker open" in plan.explain()
-
-
-@pytest.mark.parametrize("strategy", ["vectorized", "incremental"])
-def test_a_successful_half_open_probe_closes_the_breaker(strategy):
-    now = [0.0]
-    breaker = SubstrateBreaker(threshold=1, cooldown=10.0, clock=lambda: now[0])
-    plan = _algebra_plan(strategy, EQ, breaker=breaker)
-    (rung,) = plan.rungs
-    breaker.record_fault(rung, RuntimeError("boom"))
-    state = family_state(generations=2)
-    assert plan.execute(parse_formula("F(x, y)"), state).method == "compiled-algebra"
-    now[0] = 10.0  # the cooldown elapsed: the next execution is the probe
-    answer = plan.execute(parse_formula("F(x, y)"), state)
-    assert answer.method == _ALGEBRA_PLANS[strategy][1]
-    assert plan.fallback_reason is None
-    assert breaker.state(rung) == "closed"
 
 
 @pytest.mark.parametrize("strategy", sorted(_ALGEBRA_PLANS))

@@ -172,13 +172,12 @@ def test_cli_flags_reach_the_policy():
         "--max-sessions", "3", "--session-ttl", "7.5", "--rate", "2",
         "--burst", "4", "--max-inflight", "5", "--workers", "2",
         "--plan-cache-size", "9", "--shutdown-grace", "0.5",
-        "--breaker-threshold", "6", "--breaker-cooldown", "1.5",
         "--retry-jitter", "0",
     ])
     assert policy_from_args(args) == ServerPolicy(
         max_sessions=3, session_ttl=7.5, rate=2.0, burst=4, max_inflight=5,
         workers=2, plan_cache_size=9, shutdown_grace=0.5,
-        breaker_threshold=6, breaker_cooldown=1.5, retry_jitter=0.0,
+        retry_jitter=0.0,
     )
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--no-such-flag", "x"])
@@ -225,6 +224,28 @@ def test_policy_validates_its_fields():
         ServerPolicy(rate=-1.0)
     with pytest.raises(ValueError):
         ServerPolicy(session_ttl=0.0)
+
+
+@pytest.mark.parametrize(
+    "field", ["session_ttl", "rate", "time_limit_cap", "shutdown_grace", "retry_jitter"]
+)
+def test_policy_rejects_nan_bounds(field):
+    # NaN fails no ``<``/``<=`` check, and a NaN cap would never bind:
+    # ``min(nan, cap)`` is nan and ``monotonic() >= nan`` is never true.
+    with pytest.raises(ValueError, match=field):
+        ServerPolicy(**{field: float("nan")})
+
+
+def test_budget_rejects_a_nan_time_limit():
+    with pytest.raises(ValueError, match="time_limit"):
+        Budget(time_limit=float("nan"))
+
+
+def test_cli_rejects_a_nan_rate():
+    from repro.serve.__main__ import build_parser, policy_from_args
+
+    with pytest.raises(ValueError, match="rate"):
+        policy_from_args(build_parser().parse_args(["--rate", "nan"]))
 
 
 def test_policy_describe_is_json_ready():

@@ -319,6 +319,18 @@ def test_bad_requests_get_400(served):
     assert request(port, "POST", "/connect", {"schema": [1, 2]})[0] == 400
 
 
+def test_nan_time_limit_gets_400_instead_of_escaping_the_cap(served):
+    # json.loads accepts a NaN literal; clamped, ``min(nan, cap)`` would be
+    # nan and the deadline would never expire.
+    session = connect_nat(served.port)
+    status, _, error = request(served.port, "POST", "/query", {
+        "session": session, "query": "S(x)",
+        "budget": {"time_limit": float("nan")},
+    })
+    assert status == 400
+    assert "time_limit" in error["error"]
+
+
 def test_unknown_session_gets_404(served):
     status, _, error = request(served.port, "POST", "/query", {
         "session": "0000000000000000", "query": "S(x)",
