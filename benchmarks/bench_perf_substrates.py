@@ -7,20 +7,12 @@ These characterise how the decision procedures and simulators scale:
 * Reach-theory sentence decision;
 * trace generation vs number of snapshots;
 * query answering by enumeration vs database size;
-* relational algebra joins vs relation size;
+* hash natural joins vs relation size;
 * the compiled relational-algebra backend vs the tree-walking evaluator on
   guard-certified queries (the CI regression gate watches this one);
 * the three execution substrates (tree walker / compiled set executor /
   vectorized NumPy columnar executor) head-to-head on int-domain states,
   asserting the vectorized path wins at the largest size;
-* the plan optimizer's blowup guard: the "strictly between two members"
-  query at growing adom sizes, asserting the optimized plan's peak
-  intermediate row count stays O(answer) (no |adom|^2 materialisation), a
-  ≥10× speedup over the unoptimized plan at the largest size, and encode
-  reuse on repeated vectorized executions against an unchanged state;
-* the union-of-intervals guard: the both-sided-witness query must compile
-  to an ``IntervalUnionScan`` with O(answer) peak rows and beat the
-  unoptimized plan;
 * enumeration candidate generation: the compiled-superset generator must
   decision-test candidate counts bounded by the compiled answer, not
   ``max_candidates`` (deterministic gated ratio
@@ -48,9 +40,9 @@ from repro.experiments.exp01_intro_queries import (
 )
 from repro.logic.builders import atom, conj, exists, forall, var
 from repro.logic.parser import parse_formula
-from repro.relational.algebra import BaseRelation, NaturalJoin, Rename, evaluate_algebra
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.compile import compile_query
+from repro.relational.exec import Join, Scan, run_plan
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
 from repro.turing.builders import loop_forever, unary_eraser
@@ -190,11 +182,8 @@ def test_perf_vectorized_four_way(benchmark, size):
     state = numeric_state([3 * i + 1 for i in range(size)])
     corpus = {name: query for name, query, _finite in ordered_query_corpus()}
     queries = [corpus["members"], corpus["below-member"]]
-    # Pin the *unoptimized* plans: the optimizer collapses these queries to
-    # range scans on which both executors tie in microseconds, and this
-    # benchmark exists to compare the two executors' kernels on identical
-    # pad/filter-shaped plans (the blowup-guard benchmark below covers the
-    # optimizer itself).
+    # Pin the *unoptimized* plans: this benchmark compares the two
+    # executors' kernels on identical pad/filter-shaped plans.
     compiled = [
         compile_query(q, state.schema, domain, optimize=False) for q in queries
     ]
@@ -238,137 +227,6 @@ def test_perf_vectorized_four_way(benchmark, size):
             f"compiled set executor at {size} stored ints; the ISSUE "
             "requires >=3x"
         )
-
-
-#: adom sizes for the between-query blowup guard; the last one is where the
-#: ISSUE's ≥10× optimized-vs-unoptimized criterion is checked
-_BETWEEN_SIZES = (16, 32, 64)
-
-
-@pytest.mark.parametrize("size", _BETWEEN_SIZES)
-def test_perf_between_query_blowup_guard(benchmark, size):
-    """The pad-before-filter blowup guard: "strictly between two members" on
-    ``(N, <)`` must scale near-linearly in |adom| under the plan optimizer
-    (peak intermediate rows O(answer), not |adom|^2 · |adom|), beat the
-    unoptimized plan by ≥10× at the largest size, and skip re-encoding on
-    repeated vectorized executions of an unchanged state."""
-    from repro.domains.nat_order import NaturalOrderDomain
-    from repro.relational.columnar import EncodeCache, run_plan_vectorized
-    from repro.relational.exec import ExecutionStats, run_plan
-
-    domain = NaturalOrderDomain()
-    state = numeric_state([3 * i + 1 for i in range(size)])
-    corpus = {name: query for name, query, _finite in ordered_query_corpus()}
-    between = corpus["strictly-between-members"]
-    optimized = compile_query(between, state.schema, domain)
-    unoptimized = compile_query(between, state.schema, domain, optimize=False)
-    adom = optimized.universe(state)
-
-    def run_optimized():
-        return run_plan(optimized.plan, state, adom, domain)
-
-    fast = benchmark.pedantic(run_optimized, iterations=3, rounds=3)
-    # Min of three runs: the recorded speedup ratio feeds the dimensionless
-    # CI gate, so both sides need the same protection against one-off stalls.
-    unoptimized_seconds = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        slow = run_plan(unoptimized.plan, state, adom, domain)
-        unoptimized_seconds = min(
-            unoptimized_seconds, time.perf_counter() - started
-        )
-        assert fast == slow
-
-    # Deterministic near-linearity: the optimized plan's largest intermediate
-    # stays O(answer + |adom|) while the unoptimized one materialises the
-    # cross product of the two scans and its adom pad.
-    optimized_stats = ExecutionStats()
-    run_plan(optimized.plan, state, adom, domain, optimized_stats)
-    unoptimized_stats = ExecutionStats()
-    run_plan(unoptimized.plan, state, adom, domain, unoptimized_stats)
-    assert optimized_stats.peak_rows <= 2 * (len(adom) + len(fast))
-    assert unoptimized_stats.peak_rows >= size * size
-
-    # Encode amortisation: a second vectorized run of the unchanged state
-    # must hit the per-state cache instead of re-encoding the relations.
-    cache = EncodeCache(maxsize=4)
-    first = run_plan_vectorized(optimized.plan, state, adom, domain, cache=cache)
-    second = run_plan_vectorized(optimized.plan, state, adom, domain, cache=cache)
-    assert first == second == fast
-    assert cache.info().misses == 1 and cache.info().hits >= 1
-
-    optimized_seconds = benchmark.stats.stats.min
-    speedup = unoptimized_seconds / optimized_seconds
-    benchmark.extra_info["adom"] = len(adom)
-    benchmark.extra_info["unoptimized_seconds"] = unoptimized_seconds
-    benchmark.extra_info["peak_rows"] = optimized_stats.peak_rows
-    benchmark.extra_info["unoptimized_peak_rows"] = unoptimized_stats.peak_rows
-    benchmark.extra_info["speedup_vs_unoptimized"] = speedup
-    print(
-        f"\n[blowup-guard] adom={len(adom)} "
-        f"unoptimized={unoptimized_seconds:.4f}s "
-        f"optimized={optimized_seconds:.6f}s speedup={speedup:.0f}x "
-        f"peak-rows {unoptimized_stats.peak_rows}->{optimized_stats.peak_rows}"
-    )
-    if size == _BETWEEN_SIZES[-1]:
-        assert speedup >= 10.0, (
-            f"optimized between-query only {speedup:.1f}x faster than the "
-            f"unoptimized plan at |adom|={len(adom)}; the ISSUE requires >=10x"
-        )
-
-
-@pytest.mark.parametrize("spans", [32, 64])
-def test_perf_interval_union_scan_guard(benchmark, spans):
-    """The union-of-intervals reduction: the both-sided-witness query
-    compiles to an ``IntervalUnionScan`` (no ``IntervalJoin`` fallback) whose
-    peak intermediate rows stay O(answer)."""
-    from repro.domains.nat_order import NaturalOrderDomain
-    from repro.experiments.corpora import span_query_corpus, span_state
-    from repro.relational.exec import (
-        ExecutionStats,
-        IntervalJoin,
-        IntervalUnionScan,
-        run_plan,
-        walk_plan,
-    )
-
-    domain = NaturalOrderDomain()
-    state = span_state([], [(3 * i, 3 * i + 8) for i in range(spans)])
-    covered = span_query_corpus()[0][1]
-    optimized = compile_query(covered, state.schema, domain)
-    kinds = [type(node) for node in walk_plan(optimized.plan)]
-    assert IntervalUnionScan in kinds and IntervalJoin not in kinds
-    unoptimized = compile_query(covered, state.schema, domain, optimize=False)
-    adom = optimized.universe(state)
-
-    def run_optimized():
-        return run_plan(optimized.plan, state, adom, domain)
-
-    fast = benchmark.pedantic(run_optimized, iterations=3, rounds=3)
-    unoptimized_seconds = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        slow = run_plan(unoptimized.plan, state, adom, domain)
-        unoptimized_seconds = min(
-            unoptimized_seconds, time.perf_counter() - started
-        )
-        assert fast == slow
-    optimized_stats = ExecutionStats()
-    run_plan(optimized.plan, state, adom, domain, optimized_stats)
-    naive_stats = ExecutionStats()
-    run_plan(unoptimized.plan, state, adom, domain, naive_stats)
-    assert optimized_stats.peak_rows <= len(fast) + spans
-    assert naive_stats.peak_rows >= spans * len(adom) / 2
-    speedup = unoptimized_seconds / benchmark.stats.stats.min
-    benchmark.extra_info["adom"] = len(adom)
-    benchmark.extra_info["peak_rows"] = optimized_stats.peak_rows
-    benchmark.extra_info["unoptimized_peak_rows"] = naive_stats.peak_rows
-    benchmark.extra_info["speedup_union_vs_unoptimized"] = speedup
-    print(
-        f"\n[union-scan] spans={spans} unoptimized={unoptimized_seconds:.4f}s "
-        f"optimized={benchmark.stats.stats.min:.5f}s speedup={speedup:.0f}x "
-        f"peak-rows {naive_stats.peak_rows}->{optimized_stats.peak_rows}"
-    )
 
 
 @pytest.mark.parametrize("size", [8, 16])
@@ -421,12 +279,15 @@ def test_perf_enumeration_compiled_candidates(benchmark, size):
 
 @pytest.mark.parametrize("rows", [100, 400])
 def test_perf_natural_join(benchmark, rows):
-    """Hash natural join on synthetic father/son chains."""
+    """Hash natural join on synthetic father/son chains (set executor)."""
     schema = DatabaseSchema((RelationSchema("F", 2, ("father", "son")),))
     state = DatabaseState(schema, {"F": [(i, i + 1) for i in range(rows)]})
-    grand = NaturalJoin(
-        Rename(BaseRelation("F"), (("son", "middle"),)),
-        Rename(BaseRelation("F"), (("father", "middle"), ("son", "grandson"))),
+    grand = Join(
+        (
+            Scan("F", ("father", "middle"), (), ("father", "middle")),
+            Scan("F", ("middle", "grandson"), (), ("middle", "grandson")),
+        ),
+        ("father", "middle", "grandson"),
     )
-    result = benchmark(evaluate_algebra, grand, state)
-    assert len(result.relation) == rows - 1
+    result = benchmark(run_plan, grand, state, (), EqualityDomain())
+    assert len(result) == rows - 1

@@ -126,7 +126,7 @@ class Session:
         answer_cache_size: int = 32,
     ):
         # The pack supplies the default guards; what the domain can do
-        # (compiled algebra, ordered or finite carrier) is read off the
+        # (compiled algebra, finite carrier) is read off the
         # domain itself, so an unregistered instance keeps its capabilities.
         pack: Optional[DomainPack] = None
         if isinstance(domain, str):
@@ -346,6 +346,13 @@ class Session:
         ``cancel_token`` makes the execution cooperatively cancellable from
         another thread (used by the serving layer's ``/cancel``).
         """
+        if strategy == "incremental" and self._answer_cache is None:
+            # Without the session's answer cache every plan would get a fresh
+            # one, so each run would miss and materialise in full.
+            raise SessionError(
+                "strategy 'incremental' needs the session's answer cache; "
+                "open the session with incremental=True"
+            )
         return self._planner.plan(
             strategy,
             budget if budget is not None else self._budget,

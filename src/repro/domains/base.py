@@ -59,12 +59,6 @@ class Domain(Interpretation):
     #: active-domain evaluation runs set-at-a-time.  Function-heavy domains
     #: (e.g. ``(N, ')``, whose queries lean on ``succ`` terms) leave this off.
     supports_compiled_algebra: bool = False
-    #: True when the carrier is totally ordered by the standard integer
-    #: comparison *and* ``<``/``<=``/``>``/``>=`` have exactly that semantics.
-    #: The plan optimizer then turns adom pads filtered by those predicates
-    #: into interval joins / range scans over the sorted active domain
-    #: (:mod:`repro.relational.bounds`).
-    ordered_carrier: bool = False
     #: True when the carrier is *finite* (e.g. ``Z/n``).  Every query is then
     #: finite, and the planner evaluates over :meth:`carrier_elements`,
     #: which is exact even though finiteness does not imply domain

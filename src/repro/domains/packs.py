@@ -15,7 +15,7 @@ status, and random state generators.  The conformance harness
 suite — cross-substrate equivalence, guard soundness, edge corpora, bench
 smoke — against any pack, so a third-party domain gets the same scrutiny as
 the built-ins by declaring one pack object.  What a domain's carrier *is*
-(ordered, finite, compilable to relational algebra) is not part of the
+(finite, compilable to relational algebra) is not part of the
 pack: it is a class attribute of the :class:`~repro.domains.base.Domain`
 itself, so it holds for every instance, registered or not.
 

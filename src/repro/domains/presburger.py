@@ -954,7 +954,6 @@ class PresburgerDomain(Domain):
     )
     has_decidable_theory = True
     supports_compiled_algebra = True
-    ordered_carrier = True
 
     def __init__(self, carrier: str = "naturals"):
         if carrier not in ("naturals", "integers"):

@@ -220,7 +220,7 @@ class Deadline(BudgetClock):
       :class:`DeadlineExceeded` when the wall clock expired; called between
       operators and kernel stages;
     * :meth:`tick` — a strided :meth:`check` for per-candidate loops (the
-      tree walker's grids, interval pads): only every ``stride``-th call pays
+      tree walker's grids): only every ``stride``-th call pays
       the ``time.monotonic()`` read, so instrumentation stays cheap.
 
     A deadline without a time limit *and* without a token never raises;

@@ -146,8 +146,7 @@ def numeric_state(values: Sequence[int]) -> DatabaseState:
 
 def span_schema() -> DatabaseSchema:
     """Numbers ``S/1`` plus spans ``R/2`` — the schema whose queries bound a
-    variable on *both* sides from one witness row (``R(y, z) ∧ y < x ∧ x < z``),
-    exercising the union-of-intervals reduction."""
+    variable on *both* sides from one witness row (``R(y, z) ∧ y < x ∧ x < z``)."""
     return DatabaseSchema((
         RelationSchema("S", 1, ("value",)),
         RelationSchema("R", 2, ("lo", "hi")),
@@ -197,9 +196,8 @@ def span_query_corpus() -> List[Tuple[str, Formula, bool]]:
     """(name, query, is_finite) triples over :func:`span_schema` and ``(N, <)``.
 
     The corpus concentrates on *both-sided* witness bounds: one stored row
-    bounds the free variable below and above at once, so the per-witness
-    intervals are not nested and only a union-of-intervals reduction keeps
-    evaluation linear.
+    bounds the free variable below and above at once, so the answer is a
+    union of per-witness intervals that need not be nested.
     """
     x, y, z = var("x"), var("y"), var("z")
     return [

@@ -1,24 +1,10 @@
-"""Relational database substrate: schemas, states, algebra, calculus."""
+"""Relational database substrate: schemas, states, calculus, compiled algebra plans."""
 
 from .active_domain import (
     active_domain,
     active_domain_of_query,
     active_domain_of_state,
 )
-from .algebra import (
-    BaseRelation,
-    Difference,
-    LiteralRelation,
-    NamedRelation,
-    NaturalJoin,
-    Product,
-    Projection,
-    Rename,
-    Selection,
-    Union,
-    evaluate_algebra,
-)
-from .bounds import merge_index_ranges
 from .calculus import (
     Interpretation,
     evaluate_formula,
@@ -44,7 +30,7 @@ from .delta import (
     materialize_plan,
 )
 from .exec import ExecutionStats, plan_summary, run_plan
-from .optimize import domain_is_ordered, optimize_plan
+from .optimize import optimize_plan
 from .schema import DatabaseSchema, RelationSchema
 from .state import DatabaseState, Delta, Element, Relation, Row
 from .translate import (
@@ -56,17 +42,13 @@ from .translate import (
 __all__ = [
     "RelationSchema", "DatabaseSchema",
     "Relation", "DatabaseState", "Delta", "Element", "Row",
-    "BaseRelation", "LiteralRelation", "Selection", "Projection", "Product",
-    "NaturalJoin", "Union", "Difference", "Rename", "NamedRelation",
-    "evaluate_algebra",
     "active_domain", "active_domain_of_state", "active_domain_of_query",
     "expand_database_atoms", "is_pure_domain_formula", "database_predicates_in",
     "Interpretation", "evaluate_term", "evaluate_formula", "evaluate_query",
     "evaluate_query_active_domain",
     "CompilationError", "CompiledQuery", "compile_query",
     "run_plan", "plan_summary", "ExecutionStats",
-    "optimize_plan", "domain_is_ordered",
-    "merge_index_ranges",
+    "optimize_plan",
     "VectorizationError", "run_plan_vectorized", "vectorization_obstacle",
     "EncodeCache", "EncodeCacheInfo", "encode_cache", "encode_cache_info",
     "DeltaUnsupported", "MaintenanceStats", "MaterializedPlan",

@@ -11,9 +11,6 @@ that :mod:`repro.relational.exec` interprets set-at-a-time:
 * joins are **sort-based** (:func:`repro.relational.kernels.join_indices`,
   built on ``np.unique`` + ``np.searchsorted``), antijoins are membership
   masks, and active-domain padding is an array broadcast;
-* the optimizer's interval operators (``IntervalJoin``/``RangeScan``) run as
-  ``np.searchsorted`` over the sorted active domain, generating only the
-  in-range slice instead of padding and masking;
 * relation encoding is amortised by a **per-state encode cache**
   (:class:`EncodeCache`): repeated executions against an unchanged state
   reuse the already-encoded column arrays and pay only kernel time.
@@ -68,20 +65,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 from .exec import (
     AdomScan,
-    AggBound,
     AntiJoin,
-    Bound,
     Comparison,
     ConstRef,
     CrossPad,
     DomainCondition,
-    IntervalJoin,
-    IntervalUnionScan,
     Join,
     Literal,
     PlanNode,
     Project,
-    RangeScan,
     Scan,
     Select,
     UnionAll,
@@ -612,7 +604,6 @@ class _ColumnarExecutor:
         self._relations: Dict[str, Any] = (
             relation_columns if relation_columns is not None else {}
         )
-        self._adom_sorted: Optional[Any] = None
 
     def run(self, node: PlanNode) -> _Table:
         if self._deadline is not None:
@@ -623,12 +614,6 @@ class _ColumnarExecutor:
             return self._scan(node)
         if isinstance(node, AdomScan):
             return _Table(node.attrs, self._adom.reshape(-1, 1))
-        if isinstance(node, RangeScan):
-            return self._range_scan(node)
-        if isinstance(node, IntervalJoin):
-            return self._interval_join(node)
-        if isinstance(node, IntervalUnionScan):
-            return self._interval_union_scan(node)
         if isinstance(node, Literal):
             rows = tuple(set(node.rows))
             return _Table(node.attrs, self._codec.encode_rows(rows, len(node.attrs)))
@@ -794,91 +779,6 @@ class _ColumnarExecutor:
             codes = self._k.cross_pad_arrays(codes, self._adom)
         return _Table(node.attrs, codes)
 
-    # -- interval operators (ordered domains only) --------------------------
-
-    def _sorted_adom(self) -> Any:
-        if self._adom_sorted is None:
-            self._adom_sorted = np.sort(self._adom)
-        return self._adom_sorted
-
-    def _require_numeric(self, node: PlanNode) -> None:
-        # Dictionary codes are ordered by repr, not by value, so searchsorted
-        # over them would compute the wrong ranges; fall back instead.
-        if not self._codec.numeric:
-            raise VectorizationError(
-                f"interval operator {type(node).__name__!r} over a "
-                "dictionary-encoded (non-integer) carrier cannot be vectorized"
-            )
-
-    def _row_ranges(
-        self, node: "IntervalJoin | IntervalUnionScan", table: _Table
-    ) -> Tuple[Any, Any]:
-        """Per-source-row ``[start, end)`` ranges over the sorted adom."""
-        adom = self._sorted_adom()
-        rows = table.codes.shape[0]
-        starts = np.zeros(rows, dtype=np.int64)
-        ends = np.full(rows, adom.shape[0], dtype=np.int64)
-        for bound in node.lowers:
-            column = self._column(table, bound.ref)
-            side = "left" if bound.inclusive else "right"
-            np.maximum(starts, np.searchsorted(adom, column, side=side), out=starts)
-        for bound in node.uppers:
-            column = self._column(table, bound.ref)
-            side = "right" if bound.inclusive else "left"
-            np.minimum(ends, np.searchsorted(adom, column, side=side), out=ends)
-        return starts, ends
-
-    def _interval_join(self, node: IntervalJoin) -> _Table:
-        self._require_numeric(node)
-        table = self.run(node.source)
-        adom = self._sorted_adom()
-        starts, ends = self._row_ranges(node, table)
-        codes = self._k.interval_pad(table.codes, adom, starts, ends)
-        # Distinct source rows × distinct adom values stay distinct.
-        return _Table(node.attrs, codes)
-
-    def _interval_union_scan(self, node: IntervalUnionScan) -> _Table:
-        # The union-of-intervals reduction: cover the sorted adom with every
-        # witness row's range and emit only the covered slice — O(answer)
-        # output without materialising the per-row pairs first.
-        self._require_numeric(node)
-        table = self.run(node.source)
-        adom = self._sorted_adom()
-        starts, ends = self._row_ranges(node, table)
-        mask = self._k.range_union_mask(starts, ends, int(adom.shape[0]))
-        return _Table(node.attrs, adom[mask].reshape(-1, 1))
-
-    def _range_scan(self, node: RangeScan) -> _Table:
-        self._require_numeric(node)
-        adom = self._sorted_adom()
-        lo, hi = 0, adom.shape[0]
-        for is_lower, bounds in ((True, node.lowers), (False, node.uppers)):
-            for bound in bounds:
-                if isinstance(bound, AggBound):
-                    column = self.run(bound.source).codes
-                    if column.shape[0] == 0:
-                        return _Table(node.attrs, self._k.empty_table(1))
-                    value = int(
-                        column[:, 0].min() if bound.kind == "min"
-                        else column[:, 0].max()
-                    )
-                elif isinstance(bound.ref, ConstRef):
-                    value = int(self._codec.encode(bound.ref.value))
-                else:
-                    raise TypeError(
-                        f"RangeScan bounds must be constants or aggregates, "
-                        f"got {bound!r}"
-                    )
-                if is_lower:
-                    side = "left" if bound.inclusive else "right"
-                    lo = max(lo, int(np.searchsorted(adom, value, side=side)))
-                else:
-                    side = "right" if bound.inclusive else "left"
-                    hi = min(hi, int(np.searchsorted(adom, value, side=side)))
-        if lo >= hi:
-            return _Table(node.attrs, self._k.empty_table(1))
-        return _Table(node.attrs, adom[lo:hi].reshape(-1, 1))
-
 
 # ---------------------------------------------------------------------------
 # Entry point
@@ -903,18 +803,6 @@ def _plan_constants(plan: PlanNode) -> Set[Element]:
                 constants.update(
                     ref.value for ref in refs if isinstance(ref, ConstRef)
                 )
-        elif isinstance(node, (IntervalJoin, IntervalUnionScan)):
-            constants.update(
-                bound.ref.value
-                for bound in node.lowers + node.uppers
-                if isinstance(bound.ref, ConstRef)
-            )
-        elif isinstance(node, RangeScan):
-            constants.update(
-                bound.ref.value
-                for bound in node.lowers + node.uppers
-                if isinstance(bound, Bound) and isinstance(bound.ref, ConstRef)
-            )
     return constants
 
 

@@ -81,7 +81,7 @@ from .exec import (
     plan_summary,
     run_plan,
 )
-from .optimize import domain_is_ordered, next_pad_column, optimize_plan
+from .optimize import next_pad_column, optimize_plan
 from .schema import DatabaseSchema
 from .state import DatabaseState, Element, Relation
 
@@ -205,7 +205,7 @@ def compile_query(
     plan = _align(root, output)
     notes: Tuple[str, ...] = ()
     if optimize:
-        plan, notes = optimize_plan(plan, ordered=domain_is_ordered(domain))
+        plan, notes = optimize_plan(plan)
     return CompiledQuery(formula, output, plan, notes)
 
 
@@ -339,8 +339,7 @@ class _Compiler:
         # variable followed by one big Select, pad one column at a time and
         # fire each remaining condition the moment its attributes are bound,
         # so filters cut the row set between pads rather than after the full
-        # |adom|^k product.  (The optimizer then turns pad+comparison pairs
-        # into interval joins on ordered domains.)
+        # |adom|^k product.
         pending = list(leftover)
 
         def attach_ready() -> None:

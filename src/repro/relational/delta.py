@@ -37,12 +37,6 @@ node                      rule
 ``UnionAll``              per-part membership counts
 ``CrossPad``              pad the source delta with the (unchanged) adom;
                           recomputed node-locally when the adom grew
-``IntervalJoin``          slice the sorted adom for the delta rows only;
-                          recomputed node-locally when the adom grew
-``RangeScan``             recomputed node-locally when an aggregate-bound
-                          source changed or the adom grew (output is O(adom))
-``IntervalUnionScan``     recomputed node-locally when the source changed or
-                          the adom grew (a removed witness can uncover gaps)
 ``AdomScan``              emits the new universe elements
 ``Literal``               never changes
 ========================  ====================================================
@@ -51,7 +45,7 @@ Fallback conditions — :func:`maintain_plan` raises :class:`DeltaUnsupported`
 and the caller re-materialises from scratch, recording the reason:
 
 * the active domain **shrank** (a delete removed an element's last
-  occurrence): interval/pad/adom nodes would have to *forget* rows that
+  occurrence): pad/adom nodes would have to *forget* rows that
   nothing locally witnesses;
 * the materialisation is for a different plan or its fingerprint does not
   match the claimed parent state.
@@ -73,19 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 from .exec import (
     AdomScan,
-    AggBound,
     AntiJoin,
     Comparison,
     Condition,
     ConstRef,
     CrossPad,
-    IntervalJoin,
-    IntervalUnionScan,
     Join,
     Literal,
     PlanNode,
     Project,
-    RangeScan,
     Scan,
     Select,
     UnionAll,
@@ -138,7 +128,7 @@ class _RecordingExecutor(_Executor):
 class _PatchExecutor(_Executor):
     """Re-run a *single* node, reading its children from a materialisation.
 
-    Used for the node-local recompute rules (range/interval/pad nodes under
+    Used for the node-local recompute rules (pad nodes under
     an adom change): the target node is dispatched normally, but any child
     lookup returns the already-maintained result set instead of re-executing
     the subtree.
@@ -346,7 +336,7 @@ def maintain_plan(
         raise DeltaUnsupported(
             "the active domain shrank (e.g. "
             + ", ".join(map(repr, gone))
-            + " no longer occur): interval/pad operators cannot forget rows "
+            + " no longer occur): pad/adom operators cannot forget rows "
             "incrementally"
         )
     adom_grew = new_universe != materialized.universe
@@ -461,18 +451,6 @@ class _MaintenanceEngine:
                 return _EMPTY_DELTA
             added = {(element,) for element in self._adom} - self._mat.results[node]
             return _NodeDelta(added, set())
-        if isinstance(node, RangeScan):
-            # Visit EVERY aggregate-bound source before deciding (a lazy
-            # any() would stop at the first changed source and leave later
-            # sources' materialisations stale for the recompute below).
-            changed = [
-                self.visit(bound.source)
-                for bound in node.lowers + node.uppers
-                if isinstance(bound, AggBound)
-            ]
-            if any(changed) or self._adom_grew:
-                return self._recompute(node)
-            return _EMPTY_DELTA
         if isinstance(node, Select):
             return self._select(node)
         if isinstance(node, Project):
@@ -483,12 +461,6 @@ class _MaintenanceEngine:
             return self._antijoin(node)
         if isinstance(node, CrossPad):
             return self._cross_pad(node)
-        if isinstance(node, IntervalJoin):
-            return self._interval_join(node)
-        if isinstance(node, IntervalUnionScan):
-            if self.visit(node.source) or self._adom_grew:
-                return self._recompute(node)
-            return _EMPTY_DELTA
         if isinstance(node, UnionAll):
             return self._union(node)
         raise DeltaUnsupported(f"no ΔQ rule for plan node {type(node).__name__!r}")
@@ -714,7 +686,7 @@ class _MaintenanceEngine:
             }
         return _NodeDelta(added - old_output, removed & old_output)
 
-    # -- padding / interval operators ---------------------------------------
+    # -- padding ------------------------------------------------------------
 
     def _cross_pad(self, node: CrossPad) -> _NodeDelta:
         child = self.visit(node.source)
@@ -728,27 +700,6 @@ class _MaintenanceEngine:
         pads = list(product(self._adom, repeat=len(node.pad)))
         added = {row + pad for row in child.added for pad in pads}
         removed = {row + pad for row in child.removed for pad in pads}
-        return _NodeDelta(added, removed)
-
-    def _interval_join(self, node: IntervalJoin) -> _NodeDelta:
-        child = self.visit(node.source)
-        if self._adom_grew:
-            return self._recompute(node)
-        if not child:
-            return _EMPTY_DELTA
-        source_attrs = node.source.attrs
-        added = self._run_fragment(
-            IntervalJoin(
-                Literal(source_attrs, tuple(child.added)),
-                node.var, node.lowers, node.uppers, node.attrs,
-            )
-        )
-        removed = self._run_fragment(
-            IntervalJoin(
-                Literal(source_attrs, tuple(child.removed)),
-                node.var, node.lowers, node.uppers, node.attrs,
-            )
-        )
         return _NodeDelta(added, removed)
 
     # -- unions --------------------------------------------------------------

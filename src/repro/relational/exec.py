@@ -12,12 +12,7 @@ query one candidate tuple at a time; the operators here answer it one
   power;
 * **selection pushdown** — the compiler attaches :class:`Comparison` and
   :class:`DomainCondition` filters to the deepest operator that binds their
-  attributes, so rows are discarded before they multiply;
-* **interval operators** — on ordered carriers the plan optimizer
-  (:mod:`repro.relational.optimize`) replaces adom pads filtered by
-  ``<``/``<=`` conditions with :class:`IntervalJoin` and :class:`RangeScan`
-  nodes, which generate only the in-range slice of the sorted active domain
-  (binary search here, ``np.searchsorted`` in the columnar executor).
+  attributes, so rows are discarded before they multiply.
 
 Every node carries its output ``attrs`` (one attribute per free variable of
 the subformula it came from); :func:`run_plan` evaluates a node against a
@@ -40,25 +35,14 @@ Invariants shared with the other execution substrates (the tree walker in
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set,
-    Tuple, Union,
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.budget import Deadline
 
-from .bounds import (
-    AggBound,
-    AttrRef,
-    Bound,
-    ConstRef,
-    RangeBound,
-    ValueRef,
-    merge_index_ranges,
-)
 from .state import DatabaseState, Element, Row
 
 __all__ = [
@@ -68,20 +52,14 @@ __all__ = [
     "Comparison",
     "DomainCondition",
     "Condition",
-    "Bound",
-    "AggBound",
-    "RangeBound",
     "Scan",
     "AdomScan",
-    "RangeScan",
     "Literal",
     "Select",
     "Project",
     "Join",
     "AntiJoin",
     "CrossPad",
-    "IntervalJoin",
-    "IntervalUnionScan",
     "UnionAll",
     "PlanNode",
     "ExecutionStats",
@@ -92,9 +70,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Filter conditions (value references and interval endpoints are shared with
-# every other bound-analysis consumer and live in repro.relational.bounds)
+# Filter conditions
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AttrRef:
+    """A reference to an attribute (column) of the current operator."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class ConstRef:
+    """An inline constant value."""
+
+    value: Element
+
+
+ValueRef = Union[AttrRef, ConstRef]
 
 
 @dataclass(frozen=True)
@@ -140,20 +134,6 @@ class Scan:
 class AdomScan:
     """The active domain as a unary relation."""
 
-    attrs: Tuple[str, ...]  # exactly one attribute
-
-
-@dataclass(frozen=True)
-class RangeScan:
-    """Adom elements within interval bounds — an order-aware :class:`AdomScan`.
-
-    Bounds are constants (:class:`Bound` over :class:`ConstRef`) or run-time
-    aggregates (:class:`AggBound`); the effective interval is the
-    intersection of all of them (max of the lowers, min of the uppers).
-    """
-
-    lowers: Tuple[RangeBound, ...]
-    uppers: Tuple[RangeBound, ...]
     attrs: Tuple[str, ...]  # exactly one attribute
 
 
@@ -209,45 +189,6 @@ class CrossPad:
 
 
 @dataclass(frozen=True)
-class IntervalJoin:
-    """For each source row, the adom elements within bounds taken from it.
-
-    The order-aware replacement for ``CrossPad`` + pointwise ``Select``: the
-    new ``var`` column ranges over the interval of the (sorted) active domain
-    delimited by the row's bound values instead of over the whole domain.
-    Bound refs are :class:`AttrRef` into the source attrs or :class:`ConstRef`.
-    """
-
-    source: "PlanNode"
-    var: str
-    lowers: Tuple[Bound, ...]
-    uppers: Tuple[Bound, ...]
-    attrs: Tuple[str, ...]  # source attrs + (var,)
-
-
-@dataclass(frozen=True)
-class IntervalUnionScan:
-    """The adom elements falling in *some* witness row's interval.
-
-    The union-of-intervals reduction: semantically this is
-    ``Project_(var)(IntervalJoin(source, var, lowers, uppers))``, but where
-    that pairing materialises O(|source| · interval) rows before projecting,
-    this node merges the per-row index ranges over the sorted active domain
-    (a sorted interval-merge, O(n log n)) and emits only the union — peak
-    intermediate rows O(answer).  It is what the optimizer emits when one
-    witness component bounds the scanned variable on *both* sides
-    (``∃y∃z (R(y, z) ∧ y < x ∧ x < z)``-shaped), where the per-row intervals
-    are not nested and no single aggregated :class:`RangeScan` bound exists.
-    """
-
-    source: "PlanNode"
-    var: str
-    lowers: Tuple[Bound, ...]
-    uppers: Tuple[Bound, ...]
-    attrs: Tuple[str, ...]  # exactly (var,)
-
-
-@dataclass(frozen=True)
 class UnionAll:
     """Set union of parts sharing one attribute list."""
 
@@ -256,8 +197,8 @@ class UnionAll:
 
 
 PlanNode = Union[
-    Scan, AdomScan, RangeScan, Literal, Select, Project, Join, AntiJoin,
-    CrossPad, IntervalJoin, IntervalUnionScan, UnionAll,
+    Scan, AdomScan, Literal, Select, Project, Join, AntiJoin, CrossPad,
+    UnionAll,
 ]
 
 
@@ -271,7 +212,7 @@ def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
     ['Project', 'Join', 'Scan', 'Scan']
     """
     yield node
-    if isinstance(node, (Select, Project, CrossPad, IntervalJoin, IntervalUnionScan)):
+    if isinstance(node, (Select, Project, CrossPad)):
         yield from walk_plan(node.source)
     elif isinstance(node, (Join, UnionAll)):
         for part in node.parts:
@@ -279,10 +220,6 @@ def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
     elif isinstance(node, AntiJoin):
         yield from walk_plan(node.left)
         yield from walk_plan(node.right)
-    elif isinstance(node, RangeScan):
-        for bound in node.lowers + node.uppers:
-            if isinstance(bound, AggBound):
-                yield from walk_plan(bound.source)
 
 
 def plan_summary(node: PlanNode) -> str:
@@ -295,19 +232,16 @@ def plan_summary(node: PlanNode) -> str:
     '2 scans, 1 antijoin'
     """
     labels = {
-        Scan: "scan", AdomScan: "adom-scan", RangeScan: "range-scan",
-        Literal: "literal", Select: "select", Project: "project",
-        Join: "join", AntiJoin: "antijoin", CrossPad: "adom-pad",
-        IntervalJoin: "interval-join",
-        IntervalUnionScan: "interval-union-scan", UnionAll: "union",
+        Scan: "scan", AdomScan: "adom-scan", Literal: "literal",
+        Select: "select", Project: "project", Join: "join",
+        AntiJoin: "antijoin", CrossPad: "adom-pad", UnionAll: "union",
     }
     counts: Dict[str, int] = {}
     for sub in walk_plan(node):
         label = labels[type(sub)]
         counts[label] = counts.get(label, 0) + 1
-    order = ["scan", "adom-scan", "range-scan", "literal", "select",
-             "project", "join", "antijoin", "adom-pad", "interval-join",
-             "interval-union-scan", "union"]
+    order = ["scan", "adom-scan", "literal", "select", "project", "join",
+             "antijoin", "adom-pad", "union"]
     return ", ".join(
         f"{counts[label]} {label}{'s' if counts[label] != 1 else ''}"
         for label in order if label in counts
@@ -325,7 +259,7 @@ class ExecutionStats:
 
     ``peak_rows`` is the largest single operator output the execution
     materialised — the number the pad-before-filter blowup inflates to
-    ``|adom|^k`` and the plan optimizer keeps at ``O(answer)``.  The
+    ``|adom|^k`` and the optimizer's pad/filter interleaving keeps down.  The
     blowup-regression tests assert on it because it is deterministic where
     wall-clock time is noisy.
     """
@@ -360,9 +294,6 @@ class _Executor:
         self._domain = domain
         self._stats = stats
         self._deadline = deadline
-        #: sorted (int key, element) view of the adom, built on first interval
-        #: operator — int coercion mirrors the ordered domains' eval_predicate
-        self._ordered: Optional[Tuple[List[int], List[Element]]] = None
 
     def run(self, node: PlanNode) -> Set[Row]:
         if self._deadline is not None:
@@ -379,8 +310,6 @@ class _Executor:
             return self._scan(node)
         if isinstance(node, AdomScan):
             return {(element,) for element in self._adom}
-        if isinstance(node, RangeScan):
-            return self._range_scan(node)
         if isinstance(node, Literal):
             return set(node.rows)
         if isinstance(node, Select):
@@ -393,10 +322,6 @@ class _Executor:
             return self._antijoin(node)
         if isinstance(node, CrossPad):
             return self._cross_pad(node)
-        if isinstance(node, IntervalJoin):
-            return self._interval_join(node)
-        if isinstance(node, IntervalUnionScan):
-            return self._interval_union_scan(node)
         if isinstance(node, UnionAll):
             result: Set[Row] = set()
             for part in node.parts:
@@ -530,137 +455,6 @@ class _Executor:
                 self._deadline.check("CrossPad(column)", self._stats)
             rows = {row + (element,) for row in rows for element in self._adom}
         return rows
-
-    # -- interval operators (ordered domains only) --------------------------
-
-    def _ordered_adom(self) -> Tuple[List[int], List[Element]]:
-        """The adom sorted by integer value (parallel key/element lists).
-
-        Elements are coerced with ``int`` exactly like the ordered domains'
-        ``eval_predicate`` coerces comparison arguments, so range generation
-        and pointwise filtering agree element by element (and fail on the
-        same non-numeric carriers).
-        """
-        if self._ordered is None:
-            pairs = [(int(element), element) for element in self._adom]
-            pairs.sort(key=lambda pair: pair[0])
-            self._ordered = (
-                [key for key, _ in pairs], [element for _, element in pairs]
-            )
-        return self._ordered
-
-    @staticmethod
-    def _lower_index(keys: List[int], value: int, inclusive: bool) -> int:
-        return bisect_left(keys, value) if inclusive else bisect_right(keys, value)
-
-    @staticmethod
-    def _upper_index(keys: List[int], value: int, inclusive: bool) -> int:
-        return bisect_right(keys, value) if inclusive else bisect_left(keys, value)
-
-    def _bound_resolvers(
-        self,
-        node: "IntervalJoin | IntervalUnionScan",
-    ) -> Tuple[
-        List[Tuple[Callable[[Row], int], bool]],
-        List[Tuple[Callable[[Row], int], bool]],
-    ]:
-        """Per-row (value, inclusivity) getters for a node's interval bounds."""
-        source_attrs = _attrs_of(node.source)
-        index = {name: i for i, name in enumerate(source_attrs)}
-
-        def resolver(ref: ValueRef) -> Callable[[Row], int]:
-            if isinstance(ref, ConstRef):
-                value = int(ref.value)
-                return lambda row: value
-            position = index[ref.name]
-            return lambda row: int(row[position])
-
-        lowers = [(resolver(b.ref), b.inclusive) for b in node.lowers]
-        uppers = [(resolver(b.ref), b.inclusive) for b in node.uppers]
-        return lowers, uppers
-
-    def _row_range(
-        self,
-        row: Row,
-        keys: List[int],
-        lowers: List[Tuple[Callable[[Row], int], bool]],
-        uppers: List[Tuple[Callable[[Row], int], bool]],
-    ) -> Tuple[int, int]:
-        lo, hi = 0, len(keys)
-        for get, inclusive in lowers:
-            lo = max(lo, self._lower_index(keys, get(row), inclusive))
-        for get, inclusive in uppers:
-            hi = min(hi, self._upper_index(keys, get(row), inclusive))
-        return lo, hi
-
-    def _interval_join(self, node: IntervalJoin) -> Set[Row]:
-        rows = self.run(node.source)
-        if not rows or not self._adom:
-            return set()
-        keys, elements = self._ordered_adom()
-        lowers, uppers = self._bound_resolvers(node)
-        deadline = self._deadline
-        result: Set[Row] = set()
-        for row in rows:
-            if deadline is not None:
-                deadline.tick("IntervalJoin(row)", self._stats)
-            lo, hi = self._row_range(row, keys, lowers, uppers)
-            for element in elements[lo:hi]:
-                result.add(row + (element,))
-        return result
-
-    def _interval_union_scan(self, node: IntervalUnionScan) -> Set[Row]:
-        # Project_(var)(IntervalJoin(...)) without the pairwise blowup: the
-        # per-witness index ranges over the sorted adom are merged (sorted
-        # interval-merge), so only the O(answer) union is materialised.
-        rows = self.run(node.source)
-        if not rows or not self._adom:
-            return set()
-        keys, elements = self._ordered_adom()
-        lowers, uppers = self._bound_resolvers(node)
-        ranges = []
-        for row in rows:
-            lo, hi = self._row_range(row, keys, lowers, uppers)
-            if lo < hi:
-                ranges.append((lo, hi))
-        return {
-            (element,)
-            for lo, hi in merge_index_ranges(ranges)
-            for element in elements[lo:hi]
-        }
-
-    def _range_scan(self, node: RangeScan) -> Set[Row]:
-        # Aggregate bounds first: an empty aggregate source means the
-        # eliminated existential has no witness, so the scan is empty before
-        # any adom element is examined (mirroring the unoptimized plan, which
-        # never reaches its Select either).
-        resolved: List[Tuple[bool, int, bool]] = []  # (is_lower, key, inclusive)
-        for is_lower, bounds in ((True, node.lowers), (False, node.uppers)):
-            for bound in bounds:
-                if isinstance(bound, AggBound):
-                    column = self.run(bound.source)
-                    if not column:
-                        return set()
-                    values = [int(row[0]) for row in column]
-                    key = min(values) if bound.kind == "min" else max(values)
-                elif isinstance(bound.ref, ConstRef):
-                    key = int(bound.ref.value)
-                else:
-                    raise TypeError(
-                        f"RangeScan bounds must be constants or aggregates, "
-                        f"got {bound!r}"
-                    )
-                resolved.append((is_lower, key, bound.inclusive))
-        if not self._adom:
-            return set()
-        keys, elements = self._ordered_adom()
-        lo, hi = 0, len(keys)
-        for is_lower, key, inclusive in resolved:
-            if is_lower:
-                lo = max(lo, self._lower_index(keys, key, inclusive))
-            else:
-                hi = min(hi, self._upper_index(keys, key, inclusive))
-        return {(element,) for element in elements[lo:hi]}
 
 
 def _attrs_of(node: PlanNode) -> Tuple[str, ...]:

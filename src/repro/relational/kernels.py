@@ -35,28 +35,16 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "empty_table",
     "unique_rows",
     "key_codes",
     "join_indices",
     "membership_mask",
     "cross_pad_arrays",
     "expand_ranges",
-    "interval_pad",
-    "range_union_mask",
 ]
 
 #: the dtype every column of a code table uses
 CODE_DTYPE = np.int64
-
-
-def empty_table(columns: int) -> "np.ndarray":
-    """An empty code table with the given number of columns.
-
-    >>> empty_table(3).shape
-    (0, 3)
-    """
-    return np.empty((0, columns), dtype=CODE_DTYPE)
 
 
 def unique_rows(table: "np.ndarray") -> "np.ndarray":
@@ -135,58 +123,6 @@ def expand_ranges(starts: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     group = np.repeat(np.arange(starts.shape[0]), counts)
     return np.arange(total) - offsets[group] + starts[group]
-
-
-def interval_pad(
-    table: "np.ndarray",
-    values_sorted: "np.ndarray",
-    starts: "np.ndarray",
-    ends: "np.ndarray",
-) -> "np.ndarray":
-    """Append per-row slices of a sorted value array as a new column.
-
-    Row ``i`` of ``table`` is repeated once per value in
-    ``values_sorted[starts[i]:ends[i]]`` with that value appended on the
-    right — the array form of the ``IntervalJoin`` operator, with the range
-    indices typically produced by ``np.searchsorted`` over the sorted active
-    domain.  Empty (or inverted) ranges contribute no rows.
-
-    >>> import numpy as np
-    >>> t = np.array([[7], [8]], dtype=np.int64)
-    >>> values = np.array([10, 20, 30], dtype=np.int64)
-    >>> interval_pad(t, values, np.array([0, 1]), np.array([2, 1])).tolist()
-    [[7, 10], [7, 20]]
-    """
-    counts = np.maximum(ends - starts, 0)
-    repeated = table[np.repeat(np.arange(table.shape[0]), counts)]
-    padded = values_sorted[expand_ranges(starts, counts)].reshape(-1, 1)
-    return np.concatenate([repeated, padded], axis=1)
-
-
-def range_union_mask(
-    starts: "np.ndarray", ends: "np.ndarray", size: int
-) -> "np.ndarray":
-    """Cover mask of the union of half-open index ranges ``[starts_i, ends_i)``.
-
-    The vectorized union-of-intervals kernel behind ``IntervalUnionScan``:
-    instead of materialising every (row, index) pair and deduplicating, a
-    difference array counts range openings/closings per position and a
-    cumulative sum marks the covered slots.  Inverted or empty ranges
-    contribute nothing.
-
-    >>> import numpy as np
-    >>> mask = range_union_mask(np.array([0, 3, 4]), np.array([2, 5, 4]), 6)
-    >>> mask.tolist()
-    [True, True, False, True, True, False]
-    """
-    delta = np.zeros(size + 1, dtype=CODE_DTYPE)
-    valid = starts < ends
-    if valid.any():
-        clipped_starts = np.clip(starts[valid], 0, size)
-        clipped_ends = np.clip(ends[valid], 0, size)
-        np.add.at(delta, clipped_starts, 1)
-        np.add.at(delta, clipped_ends, -1)
-    return np.cumsum(delta[:size]) > 0
 
 
 def join_indices(

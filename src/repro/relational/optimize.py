@@ -5,94 +5,55 @@ module makes it a *cheap* one.  Every rewrite preserves the plan's answer on
 every state and every active domain — the optimizer is pure plan surgery, so
 it runs once per compilation and its output is cached alongside the plan.
 
-Four families of rewrites, applied bottom-up in one pass:
+Two families of rewrites, applied bottom-up in one pass:
 
 1. **interleaved pad/filter** — a ``Select`` over a multi-column ``CrossPad``
    is decomposed into per-column pads with each condition applied the moment
    its attributes are bound, so filters fire between pads instead of after
    the full ``|adom|^k`` product;
-2. **interval joins on ordered domains** — when the domain's carrier is
-   declared ordered (``Domain.ordered_carrier``), a padded column filtered
-   by ``<``/``<=`` (or their negations/flips) becomes an ``IntervalJoin``:
-   the column ranges over a binary-searched slice of the sorted active
-   domain instead of being generated and then filtered pointwise;
-3. **projection pushdown** — a ``Project`` over a ``Join`` pushes into the
+2. **projection pushdown** — a ``Project`` over a ``Join`` pushes into the
    parts (attributes used by only one part are dropped before the join), a
    ``Project`` over a ``CrossPad`` drops pad columns it does not keep
    (guarding the all-dropped case with a non-empty-adom check), and nested
-   projections collapse;
-4. **range reduction** — ``Project`` to just the padded variable over an
-   ``IntervalJoin`` eliminates the existential witness: ``∃y (S(y) ∧ y < x)``
-   becomes ``x > min(S)``, a :class:`~repro.relational.exec.RangeScan` with
-   an aggregated bound, turning the "strictly between two members" plan from
-   ``O(|adom|^3)`` materialisation into ``O(|answer|)``.  When one witness
-   component bounds the variable on *both* sides
-   (``∃y∃z (R(y, z) ∧ y < x ∧ x < z)``) the per-row intervals are not
-   nested, so no single aggregated bound exists; the reduction then emits an
-   :class:`~repro.relational.exec.IntervalUnionScan`, which merges the
-   per-row ranges with :func:`~repro.relational.bounds.merge_index_ranges`
-   — still ``O(|answer|)`` peak rows.
-
-The endpoint machinery (``Bound``/``AggBound``, the order-predicate table,
-:func:`~repro.relational.bounds.domain_is_ordered`) lives in
-:mod:`repro.relational.bounds`, shared with the executors.
+   projections collapse.
 
 The rewrites it performed are returned as human-readable notes, which
 :meth:`repro.relational.compile.CompiledQuery.summary` (and therefore
 ``Plan.explain()``) surface for debuggability.
 
-Doctest — the between-two-members shape reduces to a single range scan
-whose bounds aggregate the two witness scans (``min S < x < max S``):
+Doctest — a filter over a two-column pad fires after the first column, so
+the second column pads only the rows that survive it:
 
->>> from repro.domains.nat_order import NaturalOrderDomain
->>> from repro.experiments.corpora import numeric_schema
->>> from repro.logic.parser import parse_formula
->>> from repro.relational.compile import compile_query
->>> between = parse_formula("exists y. exists z. (S(y) & S(z) & y < x & x < z)")
->>> compiled = compile_query(between, numeric_schema(), NaturalOrderDomain())
->>> compiled.summary()
-'2 scans, 1 range-scan; optimizer: interleaved 2 condition(s) with adom pads, introduced 1 interval join(s), reduced 1 interval join(s) to range scans'
+>>> from repro.relational.exec import AttrRef, DomainCondition, Scan, plan_summary
+>>> pad = CrossPad(Scan("S", ("y",), (), ("y",)), ("x", "w"), ("y", "x", "w"))
+>>> naive = Select(pad, (DomainCondition("<", (AttrRef("y"), AttrRef("x"))),), pad.attrs)
+>>> plan, notes = optimize_plan(naive)
+>>> notes
+('interleaved 1 condition(s) with adom pads',)
+>>> plan_summary(plan)
+'1 scan, 1 select, 2 adom-pads'
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .bounds import ORDER_PREDICATES, domain_is_ordered
 from .exec import (
     AdomScan,
-    AggBound,
     AntiJoin,
     AttrRef,
-    Bound,
     Comparison,
     Condition,
-    ConstRef,
     CrossPad,
-    DomainCondition,
-    IntervalJoin,
-    IntervalUnionScan,
     Join,
-    Literal,
     PlanNode,
     Project,
-    RangeBound,
-    RangeScan,
     Select,
     UnionAll,
 )
 
-__all__ = [
-    "optimize_plan",
-    "domain_is_ordered",
-    "next_pad_column",
-    "OPTIMIZABLE_PREDICATES",
-]
-
-#: domain predicates the optimizer can turn into interval bounds (the shared
-#: constant from :mod:`repro.relational.bounds`, kept under its legacy name)
-OPTIMIZABLE_PREDICATES = ORDER_PREDICATES
+__all__ = ["optimize_plan", "next_pad_column"]
 
 
 @dataclass
@@ -100,9 +61,6 @@ class _RewriteLog:
     """Counters for the rewrites one :func:`optimize_plan` call performed."""
 
     interleaved: int = 0
-    interval_joins: int = 0
-    range_reductions: int = 0
-    union_reductions: int = 0
     pads_eliminated: int = 0
     projections_pushed: int = 0
 
@@ -111,17 +69,6 @@ class _RewriteLog:
         if self.interleaved:
             parts.append(
                 f"interleaved {self.interleaved} condition(s) with adom pads"
-            )
-        if self.interval_joins:
-            parts.append(f"introduced {self.interval_joins} interval join(s)")
-        if self.range_reductions:
-            parts.append(
-                f"reduced {self.range_reductions} interval join(s) to range scans"
-            )
-        if self.union_reductions:
-            parts.append(
-                f"reduced {self.union_reductions} both-sided witness(es) to "
-                "interval-union scans"
             )
         if self.pads_eliminated:
             parts.append(f"eliminated {self.pads_eliminated} adom pad column(s)")
@@ -132,17 +79,13 @@ class _RewriteLog:
         return tuple(parts)
 
 
-def optimize_plan(
-    plan: PlanNode, *, ordered: bool = False
-) -> Tuple[PlanNode, Tuple[str, ...]]:
+def optimize_plan(plan: PlanNode) -> Tuple[PlanNode, Tuple[str, ...]]:
     """Rewrite ``plan`` into an answer-equivalent but cheaper plan.
 
-    ``ordered`` enables the interval-join rewrites (only sound on domains
-    whose comparison predicates follow the integer order — see
-    :func:`domain_is_ordered`).  Returns the rewritten plan plus notes
-    describing the rewrites performed (empty when nothing changed).
+    Returns the rewritten plan plus notes describing the rewrites performed
+    (empty when nothing changed).
     """
-    rewriter = _Rewriter(ordered)
+    rewriter = _Rewriter()
     return rewriter.rewrite(plan), rewriter.log.notes()
 
 
@@ -155,8 +98,7 @@ def next_pad_column(
 
     The shared ordering heuristic behind interleaved padding — the compiler's
     conjunction handler and the optimizer's pad normalisation both use it, so
-    compiled and re-derived plans always pick the same pad order (and hence
-    the same interval joins).
+    compiled and re-derived plans always pick the same pad order.
     """
 
     def enabled(column: str) -> int:
@@ -180,8 +122,7 @@ def _condition_needs(condition: Condition) -> Set[str]:
 
 
 class _Rewriter:
-    def __init__(self, ordered: bool) -> None:
-        self._ordered = ordered
+    def __init__(self) -> None:
         self.log = _RewriteLog()
 
     # -- dispatch -----------------------------------------------------------
@@ -200,31 +141,12 @@ class _Rewriter:
             )
         if isinstance(node, CrossPad):
             return CrossPad(self.rewrite(node.source), node.pad, node.attrs)
-        if isinstance(node, IntervalJoin):
-            return IntervalJoin(
-                self.rewrite(node.source), node.var,
-                node.lowers, node.uppers, node.attrs,
-            )
-        if isinstance(node, IntervalUnionScan):
-            return IntervalUnionScan(
-                self.rewrite(node.source), node.var,
-                node.lowers, node.uppers, node.attrs,
-            )
         if isinstance(node, UnionAll):
             parts = tuple(self.rewrite(part) for part in node.parts)
             return UnionAll(parts, node.attrs)
-        if isinstance(node, RangeScan):
-            lowers = tuple(self._rewrite_bound(bound) for bound in node.lowers)
-            uppers = tuple(self._rewrite_bound(bound) for bound in node.uppers)
-            return RangeScan(lowers, uppers, node.attrs)
         return node  # Scan, AdomScan, Literal: leaves
 
-    def _rewrite_bound(self, bound: RangeBound) -> RangeBound:
-        if isinstance(bound, AggBound):
-            return AggBound(self.rewrite(bound.source), bound.kind, bound.inclusive)
-        return bound
-
-    # -- pad/filter interleaving and interval joins -------------------------
+    # -- pad/filter interleaving --------------------------------------------
 
     def _select(self, node: Select) -> PlanNode:
         source = self.rewrite(node.source)
@@ -268,86 +190,11 @@ class _Rewriter:
                 set(current.attrs), pad, [_condition_needs(c) for c in pending]
             )
             pad.remove(column)
-            bound_attrs = set(current.attrs) | {column}
-            ready = [c for c in pending if _condition_needs(c) <= bound_attrs]
-            pending = [c for c in pending if c not in ready]
-            lowers, uppers, residual = self._extract_bounds(
-                column, set(current.attrs), ready
-            )
-            if lowers or uppers:
-                self.log.interval_joins += 1
-                self.log.interleaved += len(ready) - len(residual)
-                current = IntervalJoin(
-                    current, column, tuple(lowers), tuple(uppers),
-                    current.attrs + (column,),
-                )
-            else:
-                current = CrossPad(current, (column,), current.attrs + (column,))
-            if residual:
-                if pad:
-                    self.log.interleaved += len(residual)
-                current = _fuse_select(current, tuple(residual))
+            current = CrossPad(current, (column,), current.attrs + (column,))
+            attach_ready()
         if pending:  # conditions whose attributes the plan never binds: keep
             current = _fuse_select(current, tuple(pending))
         return current
-
-    def _extract_bounds(
-        self,
-        column: str,
-        bound_attrs: Set[str],
-        conditions: Sequence[Condition],
-    ) -> Tuple[List[Bound], List[Bound], List[Condition]]:
-        """Split conditions on ``column`` into interval bounds + residual."""
-        lowers: List[Bound] = []
-        uppers: List[Bound] = []
-        residual: List[Condition] = []
-        for condition in conditions:
-            bound = None
-            if (
-                self._ordered
-                and isinstance(condition, DomainCondition)
-                and condition.predicate in OPTIMIZABLE_PREDICATES
-                and len(condition.args) == 2
-            ):
-                bound = self._as_bound(column, bound_attrs, condition)
-            if bound is None:
-                residual.append(condition)
-            else:
-                side, ref, inclusive = bound
-                (lowers if side == "lower" else uppers).append(
-                    Bound(ref, inclusive)
-                )
-        return lowers, uppers, residual
-
-    @staticmethod
-    def _as_bound(
-        column: str, bound_attrs: Set[str], condition: DomainCondition
-    ) -> Optional[Tuple[str, "AttrRef | ConstRef", bool]]:
-        left, right = condition.args
-        column_left = isinstance(left, AttrRef) and left.name == column
-        column_right = isinstance(right, AttrRef) and right.name == column
-        if column_left == column_right:  # both sides or neither: not a bound
-            return None
-        other = right if column_left else left
-        if isinstance(other, ConstRef):
-            # Non-integer constants under an ordered comparison stay on the
-            # pointwise path, which preserves its (coercion) error behaviour.
-            if not isinstance(other.value, int):
-                return None
-        elif not (isinstance(other, AttrRef) and other.name in bound_attrs):
-            return None
-        # Normalise to (side, inclusive) with the pad column on the left.
-        table = {
-            "<": ("upper", False), "<=": ("upper", True),
-            ">": ("lower", False), ">=": ("lower", True),
-        }
-        side, inclusive = table[condition.predicate]
-        if not column_left:  # e.g. "y < x" is a lower bound on x
-            side = "lower" if side == "upper" else "upper"
-        if condition.negated:  # ¬(x < y) ⟺ x >= y on a total order
-            side = "lower" if side == "upper" else "upper"
-            inclusive = not inclusive
-        return side, other, inclusive
 
     # -- projection rules ---------------------------------------------------
 
@@ -358,10 +205,6 @@ class _Rewriter:
             source = source.source
         if isinstance(source, CrossPad):
             source = self._eliminate_pads(source, attrs)
-        if isinstance(source, IntervalJoin) and attrs == (source.var,):
-            reduced = self._reduce_interval(source)
-            if reduced is not None:
-                return _aligned(reduced, attrs)
         if isinstance(source, Join):
             source = self._push_projection(source, attrs)
         return _aligned(source, attrs)
@@ -411,112 +254,6 @@ class _Rewriter:
                 if attr not in seen:
                     seen.append(attr)
         return Join(tuple(new_parts), tuple(seen))
-
-    # -- range reduction ----------------------------------------------------
-
-    def _reduce_interval(self, node: IntervalJoin) -> Optional[PlanNode]:
-        """Eliminate the existential witness of a fully-projected interval join.
-
-        ``Project_(x)(IntervalJoin(src, x, …))`` asks for the x with *some*
-        witness row — a union of intervals.  When the witnesses decompose
-        into independent components each contributing a single one-sided
-        bound, the union collapses to one interval with aggregated (min/max)
-        endpoints: a :class:`RangeScan`.  Components that resist reduction
-        stay as smaller interval joins; bound-less components become
-        non-emptiness checks.  Returns ``None`` when nothing reduces.
-        """
-        source = node.source
-        if isinstance(source, Join) and _parts_disjoint(source.parts):
-            components: Tuple[PlanNode, ...] = source.parts
-        else:
-            components = (source,)
-        owner: Dict[str, int] = {}
-        for index, component in enumerate(components):
-            for attr in component.attrs:
-                owner[attr] = index
-
-        range_lowers: List[RangeBound] = []
-        range_uppers: List[RangeBound] = []
-        #: per-component attr bounds: (is_lower, ref, inclusive)
-        component_bounds: Dict[int, List[Tuple[bool, AttrRef, bool]]] = {}
-        for is_lower, bounds in ((True, node.lowers), (False, node.uppers)):
-            for bound in bounds:
-                if isinstance(bound.ref, ConstRef):
-                    target = range_lowers if is_lower else range_uppers
-                    target.append(bound)
-                else:
-                    index = owner[bound.ref.name]
-                    component_bounds.setdefault(index, []).append(
-                        (is_lower, bound.ref, bound.inclusive)
-                    )
-
-        factors: List[PlanNode] = []
-        reduced_any = False
-        reduced_union = False
-        for index, component in enumerate(components):
-            bounds = component_bounds.get(index)
-            if bounds is None:
-                if not _trivially_nonempty(component):
-                    factors.append(Project(component, ()))
-                continue
-            if len(bounds) == 1:
-                is_lower, ref, inclusive = bounds[0]
-                aggregate = AggBound(
-                    _aligned(component, (ref.name,)),
-                    "min" if is_lower else "max",
-                    inclusive,
-                )
-                (range_lowers if is_lower else range_uppers).append(aggregate)
-                reduced_any = True
-            else:
-                # ≥2 bounds from one component: the per-row intervals are not
-                # nested, so no aggregated min/max endpoint covers them — but
-                # their *union* is still computable in O(n log n) by the
-                # sorted interval-merge, which IntervalUnionScan performs
-                # without materialising the per-row pairs first.
-                lowers = tuple(
-                    Bound(ref, inc) for is_low, ref, inc in bounds if is_low
-                )
-                uppers = tuple(
-                    Bound(ref, inc) for is_low, ref, inc in bounds if not is_low
-                )
-                factors.append(
-                    IntervalUnionScan(
-                        component, node.var, lowers, uppers, (node.var,)
-                    )
-                )
-                reduced_union = True
-        if not reduced_any and not reduced_union and not (
-            range_lowers or range_uppers
-        ):
-            return None
-        if reduced_union:
-            self.log.union_reductions += sum(
-                1 for factor in factors if isinstance(factor, IntervalUnionScan)
-            )
-        if reduced_any or range_lowers or range_uppers:
-            self.log.range_reductions += 1
-            factors.insert(
-                0,
-                RangeScan(tuple(range_lowers), tuple(range_uppers), (node.var,)),
-            )
-        if len(factors) == 1:
-            return factors[0]
-        return Join(tuple(factors), (node.var,))
-
-
-def _parts_disjoint(parts: Sequence[PlanNode]) -> bool:
-    seen: Set[str] = set()
-    for part in parts:
-        attrs = set(part.attrs)
-        if attrs & seen:
-            return False
-        seen |= attrs
-    return True
-
-
-def _trivially_nonempty(node: PlanNode) -> bool:
-    return isinstance(node, Literal) and bool(node.rows)
 
 
 def _fuse_select(node: PlanNode, conditions: Tuple[Condition, ...]) -> PlanNode:

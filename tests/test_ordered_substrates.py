@@ -1,5 +1,5 @@
-"""Tree walker ≡ compiled ≡ vectorized on ordered carriers, the
-union-of-intervals reduction, and enumeration candidate generation.
+"""Tree walker ≡ compiled ≡ vectorized on ordered carriers, and
+enumeration candidate generation.
 
 Property layers:
 
@@ -7,11 +7,9 @@ Property layers:
   experiment corpora (``{S/1}``) *and* the span corpus (``{S/1, R/2}``,
   whose queries bound a variable on both sides from one witness row),
   including empty and one-element active domains.  The walker is the plain
-  reference semantics, so it checks the optimizer's interval rewrites
-  independently;
-* quantifier shapes the corpora lack: ∀, ¬∃, ∀∃ alternations;
-* the optimizer's ``IntervalUnionScan``: plan shape (no ``IntervalJoin``
-  fallback), peak intermediate rows O(answer), and optimizer notes;
+  reference semantics, so it checks the compiled plans independently;
+* quantifier shapes the corpora lack: ∀, ¬∃, ∀∃ alternations, and a
+  both-sided witness mixed with a one-sided one;
 * ``EnumerationPlan`` candidate generation: compiled-superset-bounded
   decision counts, dovetail completeness beyond the active domain, and the
   ``explain()`` report.
@@ -21,6 +19,7 @@ import random
 
 import pytest
 
+from repro.domains import get_domain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.engine.budget import CancelToken, Cancelled
@@ -35,13 +34,7 @@ from repro.experiments.corpora import (
 from repro.logic.parser import parse_formula
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.compile import compile_query
-from repro.relational.exec import (
-    ExecutionStats,
-    IntervalJoin,
-    IntervalUnionScan,
-    run_plan,
-    walk_plan,
-)
+from repro.relational.exec import run_plan
 
 NAT = NaturalOrderDomain()
 
@@ -95,6 +88,25 @@ def test_substrates_agree_on_quantifier_shapes(name, text):
         _assert_modes_agree(query, numeric_state(values))
 
 
+def test_substrates_agree_on_mixed_witness_bounds():
+    # One witness row bounds x on both sides, another bounds it below only.
+    query = parse_formula(
+        "exists y. exists z. exists w. "
+        "(R(y, z) & S(w) & y < x & x < z & w <= x)"
+    )
+    for values, spans in (
+        ([6], [(1, 9), (4, 20)]),
+        ([], [(1, 9)]),
+        ([25], [(1, 9), (4, 20)]),
+        ([2, 7], [(0, 3), (5, 12)]),
+    ):
+        _assert_modes_agree(query, span_state(values, spans))
+    state = span_state([6], [(1, 9), (4, 20)])
+    compiled = compile_query(query, state.schema, NAT)
+    rows = run_plan(compiled.plan, state, compiled.universe(state), NAT)
+    assert rows == {(6,), (9,)}
+
+
 @pytest.mark.parametrize("values", [[], [5], [5, 6], [0, 1, 2]])
 def test_degenerate_adoms_on_both_sided_query(values):
     covered = span_query_corpus()[0][1]
@@ -112,6 +124,16 @@ def test_presburger_substrates_agree():
     )
 
 
+@pytest.mark.parametrize("name", ["integers", "zdiff", "q<"])
+def test_substrates_agree_on_carriers_with_negative_elements(name):
+    domain = get_domain(name)
+    rng = random.Random(len(name))
+    for _ in range(4):
+        state = numeric_state(rng.sample(range(-40, 40), rng.randint(0, 7)))
+        for _query_name, query, _finite in ordered_query_corpus():
+            _assert_modes_agree(query, state, domain)
+
+
 def test_active_domain_plan_answers_the_between_query():
     plan = ActiveDomainPlan(domain=NAT)
     between = dict(
@@ -121,63 +143,6 @@ def test_active_domain_plan_answers_the_between_query():
     assert answer.rows() == ((5,),)
     assert plan.explain().startswith("strategy 'active-domain'")
     assert "narrowing" not in plan.explain()
-
-
-# ---------------------------------------------------------------------------
-# the union-of-intervals reduction
-# ---------------------------------------------------------------------------
-
-
-def _covered_compiled(optimize=True):
-    covered = span_query_corpus()[0][1]
-    return compile_query(
-        covered, span_state([], []).schema, NAT, optimize=optimize
-    )
-
-
-def test_both_sided_query_compiles_to_interval_union_scan():
-    compiled = _covered_compiled()
-    kinds = [type(node) for node in walk_plan(compiled.plan)]
-    assert IntervalUnionScan in kinds
-    assert IntervalJoin not in kinds  # no fallback pairing remains
-    summary = compiled.summary()
-    assert "interval-union-scan" in summary
-    assert "both-sided witness" in summary
-
-
-def test_interval_union_scan_peak_rows_stay_linear():
-    size = 40
-    spans = [(3 * i, 3 * i + 7) for i in range(size)]
-    state = span_state([], spans)
-    optimized = _covered_compiled()
-    unoptimized = _covered_compiled(optimize=False)
-    adom = optimized.universe(state)
-
-    optimized_stats = ExecutionStats()
-    answer = run_plan(optimized.plan, state, adom, NAT, optimized_stats)
-    naive_stats = ExecutionStats()
-    assert run_plan(unoptimized.plan, state, adom, NAT, naive_stats) == answer
-    # O(answer): the union scan emits merged ranges; the unoptimized plan
-    # pads |R| rows with the whole adom before filtering.
-    assert optimized_stats.peak_rows <= len(answer) + len(spans)
-    assert naive_stats.peak_rows >= size * len(adom) / 2
-    assert optimized_stats.peak_rows < naive_stats.peak_rows / 20
-
-
-def test_union_scan_mixes_with_aggregated_range_bounds():
-    # One witness bounds both sides, another contributes a single aggregate
-    # bound: the reduction must emit a RangeScan joined with the union scan.
-    query = parse_formula(
-        "exists y. exists z. exists w. "
-        "(R(y, z) & S(w) & y < x & x < z & w <= x)"
-    )
-    compiled = compile_query(query, span_state([], []).schema, NAT)
-    kinds = [type(node) for node in walk_plan(compiled.plan)]
-    assert IntervalUnionScan in kinds
-    state = span_state([6], [(1, 9), (4, 20)])
-    rows = run_plan(compiled.plan, state, compiled.universe(state), NAT)
-    tree = evaluate_query_active_domain(query, state, interpretation=NAT)
-    assert rows == tree.rows
 
 
 # ---------------------------------------------------------------------------

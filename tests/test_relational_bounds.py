@@ -1,21 +1,16 @@
-"""Tests for the interval-endpoint module (repro.relational.bounds).
+"""Comparison bounds on ordered carriers, across the three substrates.
 
-Three layers: the half-open index-range merge the executors use to collapse
-per-witness slices of the sorted active domain, the ``ordered_carrier``
-gate that decides whether the optimizer may emit interval rewrites, and the
-comparison shapes whose endpoints those rewrites must read correctly
-(strictness, flipped sides, negation, constant-only literals, witnesses,
-empty relations, vacuous ``∀``, shadowing).  Each shape is pinned to exact
-rows and to walker ≡ compiled ≡ vectorized.
+The shapes a bound on a variable can take: strictness, flipped sides,
+negation, constant-only literals, witnesses, empty relations, vacuous
+``∀`` and shadowing.  Each shape is pinned to exact rows and to
+walker ≡ compiled ≡ vectorized.
 """
 
 import pytest
 
-from repro.domains.equality import EqualityDomain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.experiments.corpora import numeric_state, span_state
 from repro.logic.parser import parse_formula
-from repro.relational.bounds import domain_is_ordered, merge_index_ranges
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.compile import compile_query
 from repro.relational.exec import run_plan
@@ -37,22 +32,6 @@ def _rows(text, state, domain=NAT):
     return set(walked.rows)
 
 
-def _summary(text, state):
-    return compile_query(parse_formula(text), state.schema, NAT).summary()
-
-
-def test_merge_index_ranges_half_open():
-    assert merge_index_ranges([(4, 6), (0, 2), (5, 9), (2, 3)]) == [(0, 3), (4, 9)]
-    assert merge_index_ranges([(3, 3), (7, 5)]) == []
-
-
-def test_merge_index_ranges_fuses_touching_and_nested_ranges():
-    assert merge_index_ranges([(2, 5), (0, 2)]) == [(0, 5)]
-    assert merge_index_ranges([(0, 10), (3, 4), (6, 8)]) == [(0, 10)]
-    assert merge_index_ranges([(6, 8), (0, 3)]) == [(0, 3), (6, 8)]
-    assert merge_index_ranges([]) == []
-
-
 def test_walker_handles_shadowed_quantifiers():
     # T(x) ∧ ∃x (S(x) ∧ x < 3): the inner ∃x rebinds x, so the outer x = 10
     # must not leak into the inner x < 3.
@@ -71,17 +50,8 @@ def test_walker_handles_shadowed_quantifiers():
     assert walked.rows == compiled.rows == {(10,)}
 
 
-def test_ordered_gate_reads_the_domain_not_the_registry():
-    renamed = NaturalOrderDomain()
-    renamed.name = "unregistered-naturals"
-    assert domain_is_ordered(renamed)
-    assert domain_is_ordered(NAT)
-    assert not domain_is_ordered(EqualityDomain())
-    assert not domain_is_ordered(object())
-
-
 # ---------------------------------------------------------------------------
-# comparison shapes under the optimizer's interval rewrites
+# comparison shapes
 # ---------------------------------------------------------------------------
 
 
@@ -110,15 +80,12 @@ def test_reflexive_comparisons():
     assert _rows("S(x) & x <= x", state) == {(1,), (5,)}
 
 
-def test_witness_bounds_become_range_scans():
+def test_witnesses_bound_the_variable():
     state = numeric_state([1, 3, 5, 9, 12])
     # the witness z = 4 bounds x from above, through the equality
     assert _rows("exists z. (z = 4 & x < z)", state) == {(1,), (3,)}
-    assert "range-scan" in _summary("exists z. (z = 4 & x < z)", state)
     # ∃z (S(z) ∧ z <= 9 ∧ x < z): x lies below the largest member up to 9
-    text = "exists z. (S(z) & z <= 9 & x < z)"
-    assert _rows(text, state) == {(1,), (3,), (5,)}
-    assert "range-scan" in _summary(text, state)
+    assert _rows("exists z. (S(z) & z <= 9 & x < z)", state) == {(1,), (3,), (5,)}
 
 
 def test_empty_witness_relation_admits_no_rows():

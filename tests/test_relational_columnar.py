@@ -150,15 +150,33 @@ def test_unique_rows_and_zero_column_tables():
     assert kernels.unique_rows(table).tolist() == [[0, 0], [1, 2]]
     unit = np.zeros((4, 0), dtype=np.int64)
     assert kernels.unique_rows(unit).shape == (1, 0)
-    assert kernels.unique_rows(kernels.empty_table(0)).shape == (0, 0)
+    assert kernels.unique_rows(np.empty((0, 0), dtype=np.int64)).shape == (0, 0)
 
 
 def test_cross_pad_arrays_broadcasts_every_value():
     table = np.array([[5]], dtype=np.int64)
     values = np.array([1, 2, 3], dtype=np.int64)
     assert kernels.cross_pad_arrays(table, values).tolist() == [[5, 1], [5, 2], [5, 3]]
-    none = kernels.cross_pad_arrays(kernels.empty_table(1), values)
+    none = kernels.cross_pad_arrays(np.empty((0, 1), dtype=np.int64), values)
     assert none.shape == (0, 2)
+
+
+def test_expand_ranges_concatenates_one_arange_per_group():
+    starts = np.array([4, 0, 9, 2], dtype=np.int64)
+    counts = np.array([2, 0, 3, 1], dtype=np.int64)
+    expected = [
+        i for start, count in zip(starts.tolist(), counts.tolist())
+        for i in range(start, start + count)
+    ]
+    assert kernels.expand_ranges(starts, counts).tolist() == expected == [4, 5, 9, 10, 11, 2]
+
+
+def test_expand_ranges_with_no_rows_is_an_empty_code_column():
+    for counts in ([0, 0], []):
+        counts = np.array(counts, dtype=np.int64)
+        starts = np.zeros(counts.shape[0], dtype=np.int64)
+        out = kernels.expand_ranges(starts, counts)
+        assert out.shape == (0,) and out.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,16 @@ from repro.relational.exec import (
     AttrRef,
     Comparison,
     CrossPad,
+    ExecutionStats,
     Join,
     Literal,
+    Project,
     Scan,
     Select,
+    UnionAll,
+    plan_summary,
     run_plan,
+    walk_plan,
 )
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
@@ -122,6 +127,44 @@ def test_select_supports_negated_comparisons():
         source, (Comparison(AttrRef("a"), AttrRef("b"), negated=True),), ("a", "b")
     )
     assert run_plan(select, _family([]), [], EQ) == {(1, 2)}
+
+
+def test_walk_plan_visits_every_operand_in_pre_order():
+    left = Scan("F", ("x", "y"), (), ("x", "y"))
+    right = CrossPad(Literal(("x",), ((1,),)), ("y",), ("x", "y"))
+    plan = UnionAll((AntiJoin(left, right, ("x", "y")), AdomScan(("x",))), ("x",))
+    assert [type(node).__name__ for node in walk_plan(plan)] == [
+        "UnionAll", "AntiJoin", "Scan", "CrossPad", "Literal", "AdomScan"
+    ]
+
+
+def test_plan_summary_counts_operators_in_a_fixed_order():
+    scan = Scan("F", ("x", "y"), (), ("x", "y"))
+    plan = UnionAll(
+        (
+            Project(Join((scan, scan), ("x", "y")), ("x",)),
+            Project(CrossPad(Literal((), ((),)), ("x",), ("x",)), ("x",)),
+        ),
+        ("x",),
+    )
+    assert plan_summary(plan) == "2 scans, 1 literal, 2 projects, 1 join, 1 adom-pad, 1 union"
+
+
+def test_execution_stats_record_pairwise_join_intermediates():
+    state = _family([(1, 2), (2, 3), (3, 4)])
+    chain = Join(
+        (
+            Scan("F", ("a", "b"), (), ("a", "b")),
+            Scan("F", ("b", "c"), (), ("b", "c")),
+            Scan("F", ("c", "d"), (), ("c", "d")),
+        ),
+        ("a", "b", "c", "d"),
+    )
+    stats = ExecutionStats()
+    assert run_plan(chain, state, [1, 2, 3, 4], EQ, stats) == {(1, 2, 3, 4)}
+    labels = [label for label, _count in stats.operator_rows]
+    assert labels == ["Scan", "Scan", "Scan", "Join(pairwise)", "Join"]
+    assert stats.peak_rows == 3 and stats.total_rows == 3 * 3 + 2 + 1
 
 
 # ---------------------------------------------------------------------------

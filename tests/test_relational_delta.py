@@ -9,7 +9,7 @@ Five layers:
   protocol — append-only column growth on insert-only deltas, invalidation
   for deletes, and the new counters;
 * the ΔQ maintenance pass (:mod:`repro.relational.delta`): per-node rules,
-  the aggregate-bound RangeScan regression, and the adom-shrink fallback;
+  two-sided witness bounds under an insert, and the adom-shrink fallback;
 * randomized property tests — interleaved insert/delete sequences answered
   incrementally must equal rebuilt-from-scratch answers across both
   algebra substrates, on every pack whose domain compiles to algebra;
@@ -266,10 +266,9 @@ def test_maintain_antijoin_blocking_and_unblocking():
     )
 
 
-def test_maintain_rangescan_updates_every_aggregate_bound():
-    # ∃y∃z (P(y) ∧ P(z) ∧ y < x ∧ x < z) compiles to a RangeScan with TWO
-    # aggregate bounds; an insert that moves the max must refresh the upper
-    # bound's source too (regression: a short-circuited visit left it stale)
+def test_maintain_two_sided_witness_bounds_on_insert():
+    # ∃y∃z (P(y) ∧ P(z) ∧ y < x ∧ x < z): an insert that moves the max and
+    # adds an inner member must update both witnesses' contributions
     from repro.domains.nat_order import NaturalOrderDomain
 
     nat = NaturalOrderDomain()
@@ -283,6 +282,23 @@ def test_maintain_rangescan_updates_every_aggregate_bound():
     maintain_plan(mat, delta, mutated, compiled.universe(mutated, ()), nat)
     expected = run_plan(compiled.plan, mutated, compiled.universe(mutated, ()), nat)
     assert mat.rows == expected == {(3,), (4,), (5,)}
+
+
+def test_maintain_crosspad_pads_only_the_delta_rows():
+    # Every element of the insert and the delete is already (and still) in
+    # the active domain, so the pad rule patches without a recompute.
+    query = parse_formula("F(x, y) & z = z")
+    compiled = compile_query(query, SCHEMA, EQ)
+    state = _state([(1, 2), (2, 3), (3, 1)])
+    for delta in (Delta.insert("F", (3, 3)), Delta.delete("F", (1, 2))):
+        mat = materialize_plan(compiled.plan, state, compiled.universe(state, ()), EQ)
+        mutated = state.apply(delta)
+        stats = maintain_plan(mat, delta, mutated, compiled.universe(mutated, ()), EQ)
+        assert mat.rows == run_plan(
+            compiled.plan, mutated, compiled.universe(mutated, ()), EQ
+        )
+        # one delta row at the scan, padded with the 3 adom elements
+        assert (stats.nodes_touched, stats.rows_touched) == (2, 1 + 3)
 
 
 def test_maintain_negation_crosspad_under_adom_growth():
@@ -540,6 +556,32 @@ def test_non_incremental_session_has_no_answer_cache():
     assert session.answer_cache is None
     with pytest.raises(Exception):
         session.answer_cache_info()
+
+
+def test_incremental_strategy_needs_an_incremental_session():
+    # Regression: each run built a fresh answer cache, so every repeat was a
+    # miss plus a full materialisation.
+    from repro.api.session import SessionError
+
+    session = connect("equality", SCHEMA)
+    state = session.state(F=[(1, 2)])
+    for call in (
+        lambda: session.run("F(x, y)", state, strategy="incremental"),
+        lambda: session.plan("incremental"),
+    ):
+        with pytest.raises(SessionError, match="incremental=True"):
+            call()
+    assert session.run("F(x, y)", state).answer.rows() == ((1, 2),)
+
+
+def test_incremental_strategy_on_an_incremental_session_reuses_its_cache():
+    session = connect("equality", SCHEMA, incremental=True)
+    state = session.state(F=[(1, 2), (2, 3)])
+    for _ in range(3):
+        result = session.run("F(x, y)", state, strategy="incremental")
+        assert result.answer.method == "incremental"
+    info = session.answer_cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_apply_delta_noop_returns_same_state():

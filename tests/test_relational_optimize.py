@@ -1,16 +1,13 @@
 """Tests for the logical plan optimizer and its supporting machinery.
 
-Five layers:
+Four layers:
 
-* rewrite-shape tests: interleaved pad/filter, interval-join introduction on
-  ordered domains (and *not* on unordered ones), range reduction of
-  fully-projected interval joins, pad elimination, projection pushdown, and
-  the recorded optimizer notes surfaced through ``summary()``/``explain()``;
+* rewrite-shape tests: interleaved pad/filter, pad elimination, projection
+  pushdown, and the recorded optimizer notes surfaced through
+  ``summary()``/``explain()``;
 * property-style equivalence: optimized and unoptimized plans must agree
   with each other, with the vectorized executor, and with the tree-walking
   evaluator on randomized states — including empty and one-element adoms;
-* a deterministic blowup regression: the "strictly between two members"
-  query's peak intermediate row count must be O(answer), not O(|adom|^2);
 * the per-state columnar encode cache: hits on unchanged states, misses on
   changed ones, ``cache_info()``-style counters, LRU eviction, and the
   dictionary-codec key separation;
@@ -22,7 +19,6 @@ import random
 import pytest
 
 from repro import connect
-from repro.domains import get_domain
 from repro.domains.equality import EqualityDomain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
@@ -41,7 +37,7 @@ from repro.logic.parser import parse_formula
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.compile import compile_query
 from repro.relational.exec import (
-    AggBound,
+    AntiJoin,
     AttrRef,
     ConstRef,
     CrossPad,
@@ -50,14 +46,13 @@ from repro.relational.exec import (
     Join,
     Literal,
     Project,
-    RangeScan,
     Scan,
     Select,
-    plan_summary,
+    UnionAll,
     run_plan,
     walk_plan,
 )
-from repro.relational.optimize import domain_is_ordered, optimize_plan
+from repro.relational.optimize import next_pad_column, optimize_plan
 from repro.relational.state import DatabaseState
 from repro.safety.relative_safety import OrderedRelativeSafety
 
@@ -73,60 +68,26 @@ def _between_compiled(schema=None, optimize=True):
 
 
 # ---------------------------------------------------------------------------
-# the ordered-carrier capability and ordered-domain detection
+# capabilities read off the domain instance
 # ---------------------------------------------------------------------------
-
-
-def test_ordered_carriers_are_declared_on_the_domain():
-    ordered = {
-        name for name in ("nat<", "presburger", "integers", "zdiff", "eq",
-                          "qlinear", "shortlex", "cyclic", "succ", "traces")
-        if get_domain(name).ordered_carrier
-    }
-    assert ordered == {"nat<", "presburger", "integers", "zdiff"}
-
-
-def test_domain_is_ordered_reads_the_instance_attribute():
-    class Unregistered:
-        name = "no-such-domain"
-        ordered_carrier = True
-
-    assert domain_is_ordered(Unregistered())
-    assert not domain_is_ordered(object())
 
 
 def test_capabilities_follow_the_domain_not_its_registered_name():
     # Regression: capabilities used to be looked up by the domain's *name*
-    # in the registry, so a renamed (N, <) instance lost its ordered carrier
-    # and compiled to a pad-and-filter plan.
+    # in the registry, so a renamed (N, <) instance lost them.  Its
+    # compiled-algebra capability must still seed enumeration candidates.
     domain = NaturalOrderDomain()
     domain.name = "my-nat"
-    query = parse_formula("exists y. exists z. (S(y) & S(z) & y < x & x < z)")
-    compiled = compile_query(query, numeric_schema(), domain)
-    assert compiled.summary().startswith("2 scans, 1 range-scan;")
-    state = numeric_state([2, 5, 9])
-    relation = evaluate_query_active_domain(query, state, interpretation=domain)
-    assert relation.rows == {(5,)}
-    plan = connect(domain, numeric_schema()).plan("compiled")
-    plan.execute(query, state)
-    assert "range-scan" in plan.last_summary
+    plan = connect(domain, numeric_schema()).plan("auto")
+    answer = plan.execute(parse_formula("S(x) & 3 < x"), numeric_state([2, 5, 9]))
+    assert answer.rows() == ((5,), (9,))
+    assert "candidate generator 'compiled+dovetail'" in plan.explain()
+    assert "compiled superset of 2 row(s)" in plan.explain()
 
 
 # ---------------------------------------------------------------------------
 # rewrite shapes
 # ---------------------------------------------------------------------------
-
-
-def test_between_query_reduces_to_range_scan():
-    compiled = _between_compiled()
-    kinds = {type(node).__name__ for node in walk_plan(compiled.plan)}
-    assert "RangeScan" in kinds
-    assert "CrossPad" not in kinds
-    assert "Select" not in kinds
-    summary = compiled.summary()
-    assert "range-scan" in summary
-    assert "optimizer:" in summary
-    assert "interval join" in summary
 
 
 def test_unoptimized_plan_keeps_the_padded_shape():
@@ -135,46 +96,6 @@ def test_unoptimized_plan_keeps_the_padded_shape():
     assert "CrossPad" in kinds and "Select" in kinds
     assert compiled.notes == ()
     assert "optimizer:" not in compiled.summary()
-
-
-def test_no_interval_rewrite_on_unordered_domains():
-    # The equality domain has no order, so even a hand-built "<" condition
-    # must stay on the pointwise path.
-    plan = Select(
-        CrossPad(Literal(("y",), ((3,),)), ("x",), ("y", "x")),
-        (DomainCondition("<", (AttrRef("y"), AttrRef("x"))),),
-        ("y", "x"),
-    )
-    rewritten, notes = optimize_plan(plan, ordered=False)
-    kinds = {type(node).__name__ for node in walk_plan(rewritten)}
-    assert "IntervalJoin" not in kinds and "RangeScan" not in kinds
-    rewritten_ordered, notes_ordered = optimize_plan(plan, ordered=True)
-    kinds_ordered = {type(node).__name__ for node in walk_plan(rewritten_ordered)}
-    assert "IntervalJoin" in kinds_ordered
-    assert any("interval join" in note for note in notes_ordered)
-
-
-def test_constant_bounds_survive_as_range_bounds():
-    # above-seven: 7 < x over the adom — a constant lower bound.
-    compiled = compile_query(
-        parse_formula("7 < x"), numeric_state([]).schema, NAT
-    )
-    state = numeric_state([2, 5, 8, 11])
-    rows = run_plan(compiled.plan, state, compiled.universe(state), NAT)
-    assert rows == {(8,), (11,)}
-    kinds = {type(node).__name__ for node in walk_plan(compiled.plan)}
-    assert "IntervalJoin" in kinds or "RangeScan" in kinds
-
-
-def test_non_integer_constants_stay_pointwise():
-    plan = Select(
-        CrossPad(Literal((), ((),)), ("x",), ("x",)),
-        (DomainCondition("<", (ConstRef("seven"), AttrRef("x"))),),
-        ("x",),
-    )
-    rewritten, _notes = optimize_plan(plan, ordered=True)
-    kinds = {type(node).__name__ for node in walk_plan(rewritten)}
-    assert "IntervalJoin" not in kinds and "RangeScan" not in kinds
 
 
 def test_negated_comparison_flips_into_the_complement_bound():
@@ -215,25 +136,141 @@ def test_pad_elimination_keeps_empty_adom_semantics():
     assert run_plan(rewritten, state, [7], EQ) == {(1,)}
 
 
+def _lt(left, right):
+    return DomainCondition("<", (left, right))
+
+
+#: S(y) padded with x and w: the shape interleaving exists for
+_PADDED = CrossPad(Scan("S", ("y",), (), ("y",)), ("x", "w"), ("y", "x", "w"))
+
+
+def _same_rows(before, after, values=(1, 4, 6, 9)):
+    """``before`` and ``after`` agree on a small ordered state (and its adom)."""
+    state = numeric_state(list(values))
+    adom = sorted(values)
+    rows = run_plan(before, state, adom, NAT)
+    assert run_plan(after, state, adom, NAT) == rows
+    return rows
+
+
+def test_interleaving_fires_each_condition_after_its_columns_are_padded():
+    y, x, w = AttrRef("y"), AttrRef("x"), AttrRef("w")
+    plan = Select(_PADDED, (_lt(y, x), _lt(x, w)), _PADDED.attrs)
+    rewritten, notes = optimize_plan(plan)
+    assert notes == ("interleaved 1 condition(s) with adom pads",)
+    # y < x is applied between the two pads; x < w only after the second
+    assert isinstance(rewritten, Select) and rewritten.conditions == (_lt(x, w),)
+    inner = rewritten.source.source
+    assert isinstance(inner, Select) and inner.conditions == (_lt(y, x),)
+    assert inner.source.pad == ("x",)
+    assert _same_rows(plan, rewritten) == {(1, 4, 6), (1, 4, 9), (1, 6, 9), (4, 6, 9)}
+
+
+def test_interleaving_pads_the_enabling_column_first():
+    plan = Select(_PADDED, (_lt(AttrRef("y"), AttrRef("w")),), _PADDED.attrs)
+    rewritten, notes = optimize_plan(plan)
+    pads = [node.pad for node in walk_plan(rewritten) if isinstance(node, CrossPad)]
+    assert pads == [("x",), ("w",)]  # pre-order: the outer (last) pad first
+    assert rewritten.attrs == _PADDED.attrs
+    assert notes == ("interleaved 1 condition(s) with adom pads",)
+    _same_rows(plan, rewritten)
+
+
+def test_constant_only_conditions_fire_before_any_pad():
+    pad = CrossPad(Literal((), ((),)), ("x", "y"), ("x", "y"))
+    for truth, expected in ((_lt(ConstRef(3), ConstRef(5)), 6), (_lt(ConstRef(5), ConstRef(3)), 0)):
+        plan = Select(pad, (truth, _lt(AttrRef("x"), AttrRef("y"))), pad.attrs)
+        rewritten, _notes = optimize_plan(plan)
+        first = [node for node in walk_plan(rewritten) if isinstance(node, Select)][-1]
+        assert first.conditions == (truth,) and isinstance(first.source, Literal)
+        assert len(_same_rows(plan, rewritten)) == expected
+
+
+def test_nested_selects_fuse_before_interleaving():
+    y, x, w = AttrRef("y"), AttrRef("x"), AttrRef("w")
+    plan = Select(
+        Select(_PADDED, (_lt(y, x),), _PADDED.attrs), (_lt(x, w),), _PADDED.attrs
+    )
+    rewritten, notes = optimize_plan(plan)
+    selects = [node for node in walk_plan(rewritten) if isinstance(node, Select)]
+    assert [node.conditions for node in selects] == [(_lt(x, w),), (_lt(y, x),)]
+    assert notes == ("interleaved 1 condition(s) with adom pads",)
+    _same_rows(plan, rewritten)
+
+
+def test_select_without_a_pad_is_left_alone():
+    plan = Select(
+        Scan("S", ("y",), (), ("y",)), (_lt(AttrRef("y"), ConstRef(5)),), ("y",)
+    )
+    rewritten, notes = optimize_plan(plan)
+    assert rewritten == plan and notes == ()
+
+
+def test_next_pad_column_prefers_enabled_conditions_then_names():
+    assert next_pad_column(set(), ["b", "a"], []) == "a"
+    assert next_pad_column({"y"}, ["a", "b"], [{"y", "b"}]) == "b"
+    assert next_pad_column({"y"}, ["a", "b"], [{"a", "b"}, {"b"}]) == "b"
+    assert next_pad_column(set(), ["c", "b"], [{"b", "c"}]) == "b"
+
+
+def test_pad_elimination_keeps_the_projected_pad_columns():
+    plan = Project(_PADDED, ("y", "x"))
+    rewritten, notes = optimize_plan(plan)
+    pads = [node.pad for node in walk_plan(rewritten) if isinstance(node, CrossPad)]
+    assert pads == [("x",)]
+    assert notes == ("eliminated 1 adom pad column(s)",)
+    assert _same_rows(plan, rewritten) == {(y, x) for y in (1, 4, 6, 9) for x in (1, 4, 6, 9)}
+
+
+def test_nested_projections_collapse_without_a_note():
+    scan = Scan("F", ("x", "y"), (), ("x", "y"))
+    rewritten, notes = optimize_plan(Project(Project(scan, ("y", "x")), ("y",)))
+    assert rewritten == Project(scan, ("y",)) and notes == ()
+
+
+def test_projection_pushdown_keeps_shared_attributes():
+    plan = Project(
+        Join(
+            (Scan("F", ("x", "y"), (), ("x", "y")), Scan("F", ("y", "x"), (), ("y", "x"))),
+            ("x", "y"),
+        ),
+        ("x", "y"),
+    )
+    rewritten, notes = optimize_plan(plan)
+    assert rewritten == plan.source and notes == ()
+
+
+def test_optimizer_rewrites_inside_antijoins_and_unions():
+    y, x, w = AttrRef("y"), AttrRef("x"), AttrRef("w")
+    padded = Select(_PADDED, (_lt(y, x), _lt(x, w)), _PADDED.attrs)
+    anti = AntiJoin(padded, Scan("S", ("x",), (), ("x",)), _PADDED.attrs)
+    union = UnionAll((padded, Select(_PADDED, (_lt(w, x),), _PADDED.attrs)), _PADDED.attrs)
+    for plan in (anti, union):
+        rewritten, notes = optimize_plan(plan)
+        assert type(rewritten) is type(plan)
+        assert notes and notes[0].startswith("interleaved")
+        assert all(
+            len(node.pad) == 1 for node in walk_plan(rewritten) if isinstance(node, CrossPad)
+        )
+        _same_rows(plan, rewritten)
+
+
+@pytest.mark.parametrize("name,query,_finite", ordered_query_corpus())
+def test_optimizing_a_compiled_plan_again_changes_nothing(name, query, _finite):
+    compiled = compile_query(query, numeric_schema(), NAT)
+    assert optimize_plan(compiled.plan) == (compiled.plan, ())
+
+
 def test_optimizer_notes_reach_plan_explain():
     session = connect("nat<", numeric_state([]).schema)
     plan = session.plan("compiled")
-    # Active-domain semantics: only stored elements strictly between two
-    # other stored elements qualify.
-    state = numeric_state([1, 5, 9])
-    answer = plan.execute(BETWEEN, state)
-    assert answer.rows() == ((5,),)
-    assert "optimizer:" in plan.explain()
-    assert "interval join" in plan.explain()
-
-
-def test_plan_summary_counts_interval_operators():
-    plan = RangeScan(
-        (AggBound(Project(Scan("S", ("v",), (), ("v",)), ("v",)), "min"),),
-        (),
-        ("x",),
-    )
-    assert plan_summary(plan) == "1 scan, 1 range-scan, 1 project"
+    # The compiler interleaves pads and filters itself, so the note that
+    # reaches a compiled query is projection pushdown: the witness w is
+    # projected away before the join with S(x).
+    query = parse_formula("exists w. (S(x) & S(w))")
+    answer = plan.execute(query, numeric_state([1, 5, 9]))
+    assert answer.rows() == ((1,), (5,), (9,))
+    assert "optimizer: pushed 1 projection(s) into joins" in plan.explain()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +309,12 @@ def test_between_query_on_degenerate_adoms(values):
     _assert_all_substrates_agree(BETWEEN, numeric_state(values), NAT)
 
 
+def test_optimized_plans_equivalent_on_presburger_domain():
+    domain = PresburgerDomain()
+    for values in ([], [3], [3, 10, 20], [0, 1, 2, 40]):
+        _assert_all_substrates_agree(BETWEEN, numeric_state(values), domain)
+
+
 def test_optimized_plans_equivalent_on_equality_domain():
     rng = random.Random(7)
     for _ in range(6):
@@ -282,36 +325,9 @@ def test_optimized_plans_equivalent_on_equality_domain():
             _assert_all_substrates_agree(query, state, EQ)
 
 
-def test_presburger_domain_also_gets_interval_plans():
-    domain = PresburgerDomain()
-    compiled = compile_query(BETWEEN, numeric_state([]).schema, domain)
-    kinds = {type(node).__name__ for node in walk_plan(compiled.plan)}
-    assert "RangeScan" in kinds
-    _assert_all_substrates_agree(BETWEEN, numeric_state([3, 10, 20]), domain)
-
-
 # ---------------------------------------------------------------------------
-# the blowup regression
+# execution statistics
 # ---------------------------------------------------------------------------
-
-
-def test_between_query_peak_rows_stay_linear():
-    size = 40
-    state = numeric_state([2 * i + 1 for i in range(size)])
-    optimized = _between_compiled()
-    unoptimized = _between_compiled(optimize=False)
-    adom = optimized.universe(state)
-
-    opt_stats = ExecutionStats()
-    answer = run_plan(optimized.plan, state, adom, NAT, opt_stats)
-    naive_stats = ExecutionStats()
-    assert run_plan(unoptimized.plan, state, adom, NAT, naive_stats) == answer
-
-    # O(answer): every optimized operator output is bounded by the adom/answer
-    # size; the unoptimized plan materialises |S|^2 pairs and worse.
-    assert opt_stats.peak_rows <= 2 * (len(answer) + len(adom))
-    assert naive_stats.peak_rows >= size * size
-    assert opt_stats.peak_rows < naive_stats.peak_rows / 50
 
 
 def test_execution_stats_record_operator_outputs():
