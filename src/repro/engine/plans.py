@@ -131,13 +131,15 @@ def _finish(
     mentioning the probe element make the answer infinite (they become the
     witnesses), and otherwise the rows mentioning no fresh element are the
     exact finite answer.  Columnar results split on their codes, so an
-    infinite verdict decodes only its witness rows.
+    infinite verdict decodes only its witness rows.  Rung rows are tuples of
+    the plan's arity already, so the answer's relation takes them as they
+    are (:meth:`~repro.relational.state.Relation.unchecked`).
     """
     if probe is None:
         if isinstance(result, CodedRows):
             result = result.decode()
         if not isinstance(result, Relation):
-            result = Relation(arity, result)
+            result = Relation.unchecked(arity, result)
         return FiniteAnswer(result, method=method)
     if isinstance(result, CodedRows):
         witnesses, rows = result.split(probe.fresh)
@@ -152,7 +154,7 @@ def _finish(
             method=probe.method,
             witnesses=tuple(sorted(witnesses)),
         )
-    return FiniteAnswer(Relation(arity, rows), method=method)
+    return FiniteAnswer(Relation.unchecked(arity, rows), method=method)
 
 
 def _rejected(query: Formula, verdict: SafetyVerdict) -> InfiniteAnswer:

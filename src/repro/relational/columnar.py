@@ -53,7 +53,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Collection, Dict, Iterable, Optional, Sequence, Set, Tuple,
+)
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
@@ -80,7 +82,7 @@ from .exec import (
     ValueRef,
     walk_plan,
 )
-from .state import DatabaseState, Element, Row
+from .state import DatabaseState, Element, Row, int64_safe
 
 __all__ = [
     "HAVE_NUMPY",
@@ -103,9 +105,6 @@ HAVE_NUMPY = np is not None
 #: built-in numeric domains (``(N, <)``, Presburger) give these the standard
 #: integer semantics, which is exactly what the array comparison computes
 _NUMERIC_PREDICATES = ("<", "<=", ">", ">=")
-
-#: |values| beyond this magnitude leave int64 passthrough territory
-_INT64_LIMIT = 2 ** 62
 
 
 class VectorizationError(ValueError):
@@ -154,7 +153,8 @@ def vectorization_obstacle(plan: PlanNode) -> Optional[str]:
 class ElementCodec:
     """A bijection between domain elements and ``np.int64`` codes.
 
-    Two modes, chosen by :meth:`for_universe`:
+    Two modes, chosen by :meth:`for_universe` (and per state by
+    :meth:`EncodeCache.codec_for`):
 
     * **numeric passthrough** — every element is a machine-sized ``int``, so
       the code *is* the value and numeric domain predicates vectorize as
@@ -198,18 +198,23 @@ class ElementCodec:
         }
 
     @classmethod
-    def for_universe(cls, elements: Sequence[Element]) -> "ElementCodec":
+    def for_universe(cls, elements: Iterable[Element]) -> "ElementCodec":
         """The codec for a finite universe: passthrough if it is all
-        machine-sized ints, a dictionary otherwise."""
+        machine-sized ints (:func:`~repro.relational.state.int64_safe`), a
+        dictionary otherwise."""
         universe = set(elements)
-        if all(
-            isinstance(element, int) and -_INT64_LIMIT < element < _INT64_LIMIT
-            for element in universe
-        ):
-            return cls(numeric=True, table=())
-        return cls(numeric=False, table=tuple(sorted(universe, key=repr)))
+        if int64_safe(universe):
+            return _NUMERIC_CODEC
+        return cls.dictionary(universe)
 
-    def extend(self, elements: Sequence[Element]) -> "ElementCodec":
+    @classmethod
+    def dictionary(
+        cls, elements: Iterable[Element], *, growing: bool = False
+    ) -> "ElementCodec":
+        """The dictionary codec of ``elements``, in a deterministic order."""
+        return cls(False, tuple(sorted(set(elements), key=repr)), growing=growing)
+
+    def extend(self, elements: Iterable[Element]) -> "ElementCodec":
         """A codec that also covers ``elements``, preserving existing codes.
 
         New elements are appended after the current table (sorted among
@@ -252,6 +257,17 @@ class ElementCodec:
             return int(code)
         return self._table[code]
 
+    def encode_column(self, elements: Collection[Element]) -> "np.ndarray":
+        """The 1-D int64 codes of ``elements`` (distinct, in iteration order)."""
+        if self.numeric:
+            return np.fromiter(elements, dtype=np.int64, count=len(elements))
+        codes = self._codes
+        return np.fromiter(
+            (codes[element] for element in elements),
+            dtype=np.int64,
+            count=len(elements),
+        )
+
     def encode_rows(self, rows: Sequence[Row], arity: int) -> "np.ndarray":
         """A fresh ``(len(rows), arity)`` int64 code table for ``rows``."""
         if not rows:
@@ -278,6 +294,10 @@ class ElementCodec:
         if self.growing:
             return ("dictionary-growing",)
         return ("dictionary", self._table)
+
+
+#: the one passthrough codec: every numeric codec encodes identically
+_NUMERIC_CODEC = ElementCodec(numeric=True, table=())
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +381,36 @@ class EncodeCache:
             return len(self._entries)
 
     def codec_for(
-        self, state: DatabaseState, universe: Sequence[Element]
+        self, state: DatabaseState, elements: Iterable[Element]
     ) -> ElementCodec:
-        """The codec to encode ``universe`` against ``state``'s cached columns.
+        """The codec covering ``state``'s stored elements and ``elements``,
+        to encode against ``state``'s cached columns.
 
-        Numeric (passthrough) universes get the shared numeric codec.  For
-        dictionary carriers the cache keeps one *growing* codec per state:
-        a codec change (new constants outside the carrier) appends the new
-        elements to the existing table instead of rebuilding it, so every
-        column already encoded for the state stays valid — the codec-change
-        path hits the cache instead of re-encoding from scratch.
+        Whether the state's own elements are machine ints is memoised on the
+        state (:meth:`~repro.relational.state.DatabaseState.int64_safe`), so
+        a request checks in Python only the elements outside it — the query
+        constants and a probe's fresh elements.  A numeric (passthrough)
+        universe gets the shared numeric codec.  For dictionary carriers the
+        cache keeps one *growing* codec per state: a codec change (new
+        constants outside the carrier) appends the new elements to the
+        existing table instead of rebuilding it, so every column already
+        encoded for the state stays valid — the codec-change path hits the
+        cache instead of re-encoding from scratch.
         """
-        candidate = ElementCodec.for_universe(tuple(universe))
-        if candidate.numeric or self._maxsize == 0:
-            return candidate
+        stored = state.elements()
+        outside = frozenset(elements) - stored
+        if state.int64_safe() and int64_safe(outside):
+            return _NUMERIC_CODEC
+        if self._maxsize == 0:
+            return ElementCodec.dictionary(stored | outside)
         key = (state, ("dictionary-growing",))
         with self._lock:
             prior = self._codecs.get(key)
             if prior is None:
-                grown = ElementCodec(
-                    False, tuple(sorted(set(universe), key=repr)), growing=True
-                )
+                grown = ElementCodec.dictionary(stored | outside, growing=True)
             else:
-                grown = prior.extend(tuple(universe))
+                # The table already covers every stored element.
+                grown = prior.extend(outside)
                 if grown is not prior:
                     self._grown += 1
             self._codecs[key] = grown
@@ -490,12 +517,7 @@ class EncodeCache:
     ) -> Optional[ElementCodec]:
         """The codec to encode the inserted rows under one entry's key."""
         if codec_key == ("numeric",):
-            if all(
-                isinstance(value, int) and -_INT64_LIMIT < value < _INT64_LIMIT
-                for value in fresh_elements
-            ):
-                return ElementCodec(numeric=True, table=())
-            return None
+            return _NUMERIC_CODEC if int64_safe(fresh_elements) else None
         if codec_key == ("dictionary-growing",):
             prior = self._codecs.get(key)
             if prior is None:
@@ -586,7 +608,7 @@ class _ColumnarExecutor:
     def __init__(
         self,
         state: DatabaseState,
-        adom: Sequence[Element],
+        adom: Collection[Element],
         codec: ElementCodec,
         relation_columns: Optional[Dict[str, Any]] = None,
         deadline: "Optional[Deadline]" = None,
@@ -597,8 +619,8 @@ class _ColumnarExecutor:
         self._state = state
         self._codec = codec
         self._deadline = deadline
-        adom_rows = [(element,) for element in set(adom)]
-        self._adom = codec.encode_rows(adom_rows, 1)[:, 0]
+        #: the active domain's codes, one per (distinct) element
+        self._adom = codec.encode_column(adom)
         #: relation name → encoded code table; when the encode cache supplies
         #: this dict, encodings persist across executions of the same state
         self._relations: Dict[str, Any] = (
@@ -811,7 +833,9 @@ class CodedRows:
 
     :meth:`split` separates rows by the elements they mention *before*
     decoding, so a caller that needs only some of the rows (the rows
-    mentioning a fresh element, say) never decodes the rest.
+    mentioning a fresh element, say) never decodes the rest.  A numeric
+    (passthrough) table decodes without a per-cell call: ``tolist()``
+    already yields the Python ints.
 
     >>> codec = ElementCodec.for_universe(["a", "b", "z"])
     >>> coded = CodedRows(codec, codec.encode_rows([("a",), ("b",)], 1))
@@ -822,6 +846,21 @@ class CodedRows:
     (set(), [('a',), ('b',)])
     >>> coded.split(["b"])
     ({('b',)}, set())
+
+    The same on a numeric table, and on the zero-column table of a true
+    sentence, whose one row is ``()``:
+
+    >>> numeric = ElementCodec.for_universe([1, 2, 9])
+    >>> pairs = CodedRows(numeric, numeric.encode_rows([(1, 2), (2, 9)], 2))
+    >>> sorted(pairs.decode())
+    [(1, 2), (2, 9)]
+    >>> pairs.split([9])
+    ({(2, 9)}, set())
+    >>> pairs.split([7, 9])
+    (set(), {(1, 2)})
+    >>> true = CodedRows(numeric, np.empty((1, 0), dtype=np.int64))
+    >>> true.decode(), true.split([9])
+    ({()}, (set(), {()}))
     """
 
     def __init__(self, codec: ElementCodec, codes: Any):
@@ -831,8 +870,10 @@ class CodedRows:
 
     def decode(self, codes: Any = None) -> Set[Row]:
         """The decoded rows (of ``codes``, a slice of the table, if given)."""
-        decode = self.codec.decode
         codes = self.codes if codes is None else codes
+        if self.codec.numeric:
+            return set(map(tuple, codes.tolist()))
+        decode = self.codec.decode
         return {tuple(decode(code) for code in row) for row in codes.tolist()}
 
     def split(self, elements: Sequence[Element]) -> Tuple[Set[Row], Set[Row]]:
@@ -854,7 +895,7 @@ class CodedRows:
 def run_plan_vectorized(
     node: PlanNode,
     state: DatabaseState,
-    adom: Sequence[Element],
+    adom: Iterable[Element],
     domain: object = None,
     *,
     cache: Optional[EncodeCache] = None,
@@ -890,7 +931,7 @@ def run_plan_vectorized(
 def execute_vectorized(
     node: PlanNode,
     state: DatabaseState,
-    adom: Sequence[Element],
+    adom: Iterable[Element],
     *,
     cache: Optional[EncodeCache] = None,
     use_cache: bool = True,
@@ -900,18 +941,22 @@ def execute_vectorized(
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
         raise VectorizationError(obstacle)
-    universe = tuple(set(adom) | set(state.elements()) | _plan_constants(node))
+    elements = frozenset(adom)
+    stored = state.elements()
+    # The universe is the stored elements plus these; only they need a look
+    # per request (C-level set differences, no Python pass over the adom).
+    outside = (elements - stored) | (_plan_constants(node) - stored)
     store: Optional[Dict[str, Any]] = None
     if use_cache:
         shared = cache if cache is not None else _ENCODE_CACHE
         # The cache owns the codec choice: for dictionary carriers it hands
         # out the state's monotonically *growing* codec, so a codec change
         # (new constants) reuses the already-encoded columns.
-        codec = shared.codec_for(state, universe)
+        codec = shared.codec_for(state, outside)
         store = shared.columns_for(state, codec)
     else:
-        codec = ElementCodec.for_universe(universe)
-    table = _ColumnarExecutor(state, adom, codec, store, deadline).run(node)
+        codec = ElementCodec.for_universe(stored | outside)
+    table = _ColumnarExecutor(state, elements, codec, store, deadline).run(node)
     if deadline is not None:
         deadline.check("decode")
     return CodedRows(codec, table.codes)

@@ -40,7 +40,7 @@ vectorized columnar executor in :mod:`repro.relational.columnar`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..logic.analysis import free_variables, functions_of
 from ..logic.formulas import (
@@ -120,12 +120,12 @@ class CompiledQuery:
 
     def universe(
         self, state: DatabaseState, extra_elements: Iterable[Element] = ()
-    ) -> List[Element]:
+    ) -> FrozenSet[Element]:
         """The explicit active domain the plan quantifies over in ``state``:
-        stored elements + query constants + ``extra_elements``, in a
-        deterministic order shared by every execution substrate."""
-        universe = set(active_domain(state, self.formula)) | set(extra_elements)
-        return sorted(universe, key=repr)
+        stored elements + query constants + ``extra_elements``, as a set —
+        every execution substrate treats it as one, and its results are
+        sets of rows, so no order is imposed."""
+        return active_domain(state, self.formula) | frozenset(extra_elements)
 
     def execute(
         self,

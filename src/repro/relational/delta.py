@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from itertools import product
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+    TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, List, Optional, Set,
     Tuple,
 )
 
@@ -109,7 +109,7 @@ class _RecordingExecutor(_Executor):
     def __init__(
         self,
         state: DatabaseState,
-        adom: Sequence[Element],
+        adom: Collection[Element],
         domain,
         deadline: "Optional[Deadline]" = None,
     ) -> None:
@@ -137,7 +137,7 @@ class _PatchExecutor(_Executor):
     def __init__(
         self,
         state: DatabaseState,
-        adom: Sequence[Element],
+        adom: Collection[Element],
         domain,
         results: Dict[PlanNode, Set[Row]],
         deadline: "Optional[Deadline]" = None,
@@ -251,7 +251,7 @@ def _build_join_index(
 def materialize_plan(
     plan: PlanNode,
     state: DatabaseState,
-    adom: Sequence[Element],
+    adom: Collection[Element],
     domain,
     deadline: "Optional[Deadline]" = None,
 ) -> MaterializedPlan:
@@ -312,7 +312,7 @@ def maintain_plan(
     materialized: MaterializedPlan,
     delta: Delta,
     state: DatabaseState,
-    adom: Sequence[Element],
+    adom: Collection[Element],
     domain,
     stats: Optional[MaintenanceStats] = None,
     deadline: "Optional[Deadline]" = None,

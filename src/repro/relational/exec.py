@@ -29,7 +29,7 @@ Invariants shared with the other execution substrates (the tree walker in
 * **set semantics** — every operator returns a Python ``set`` of rows, so
   duplicates can never influence an answer;
 * **active-domain closure** — every element in any output row comes from the
-  state, the plan's embedded constants, or the explicit ``adom`` sequence;
+  state, the plan's embedded constants, or the explicit ``adom`` collection;
   the executor invents nothing outside that universe.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -284,7 +284,7 @@ class _Executor:
     def __init__(
         self,
         state: DatabaseState,
-        adom: Sequence[Element],
+        adom: Iterable[Element],
         domain,
         stats: Optional[ExecutionStats] = None,
         deadline: "Optional[Deadline]" = None,
@@ -501,7 +501,7 @@ def _hash_join(
 def run_plan(
     node: PlanNode,
     state: DatabaseState,
-    adom: Sequence[Element],
+    adom: Iterable[Element],
     domain,
     stats: Optional[ExecutionStats] = None,
     deadline: "Optional[Deadline]" = None,

@@ -19,11 +19,13 @@ materialised state to the current one and re-answer at O(Δ) cost
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple, Union,
+)
 
 from .schema import DatabaseSchema
 
-__all__ = ["Element", "Row", "Relation", "Delta", "DatabaseState"]
+__all__ = ["Element", "Row", "Relation", "Delta", "DatabaseState", "int64_safe"]
 
 Element = Union[int, str]
 Row = Tuple[Element, ...]
@@ -33,6 +35,22 @@ Row = Tuple[Element, ...]
 MAX_LINEAGE = 16
 
 _FP_MASK = (1 << 64) - 1
+
+#: ints strictly inside ±this bound are their own ``np.int64`` codes in the
+#: columnar executor (:mod:`repro.relational.columnar`)
+_INT64_LIMIT = 2 ** 62
+
+
+def int64_safe(elements: Iterable[Element]) -> bool:
+    """True iff every element is an ``int`` strictly inside ±2**62.
+
+    >>> int64_safe([0, -5, 2 ** 62 - 1]), int64_safe([2 ** 62]), int64_safe(["a"])
+    (True, False, False)
+    """
+    return all(
+        isinstance(element, int) and -_INT64_LIMIT < element < _INT64_LIMIT
+        for element in elements
+    )
 
 
 def _mix64(value: int) -> int:
@@ -70,6 +88,21 @@ class Relation:
                     f"row {row!r} has {len(row)} columns, expected {arity}"
                 )
         object.__setattr__(self, "rows", normalised)
+
+    @classmethod
+    def unchecked(cls, arity: int, rows: AbstractSet[Row]) -> "Relation":
+        """A relation over ``rows``, a set of ``arity``-tuples the caller
+        vouches for: one C-level ``frozenset`` copy, no per-row
+        normalisation or arity check (for executor output, whose plan
+        already fixes the arity).
+
+        >>> Relation.unchecked(2, {(1, 2)}) == Relation(2, [[1, 2]])
+        True
+        """
+        relation = cls.__new__(cls)
+        object.__setattr__(relation, "arity", arity)
+        object.__setattr__(relation, "rows", frozenset(rows))
+        return relation
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Element]]) -> "Relation":
@@ -275,6 +308,16 @@ class DatabaseState:
                 for value in row
             )
             object.__setattr__(self, "_elements", cached)
+        return cached
+
+    def int64_safe(self) -> bool:
+        """:func:`int64_safe` of the stored elements, memoised like
+        :meth:`elements` (and, unlike it, never inherited by :meth:`apply`:
+        a mutated state derives its own on first use)."""
+        cached = self.__dict__.get("_int64_safe")
+        if cached is None:
+            cached = int64_safe(self.elements())
+            object.__setattr__(self, "_int64_safe", cached)
         return cached
 
     def fingerprint(self) -> int:

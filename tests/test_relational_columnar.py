@@ -60,7 +60,9 @@ from repro.relational import kernels
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.columnar import (
     ElementCodec,
+    EncodeCache,
     VectorizationError,
+    execute_vectorized,
     run_plan_vectorized,
     vectorization_obstacle,
 )
@@ -74,7 +76,7 @@ from repro.relational.exec import (
     run_plan,
 )
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.state import DatabaseState
+from repro.relational.state import DatabaseState, Delta
 
 EQ = EqualityDomain()
 PRESBURGER = PresburgerDomain()
@@ -85,19 +87,22 @@ def _family(rows):
     return DatabaseState(family_schema(), {"F": rows})
 
 
-def _assert_three_way_equivalent(query, state, domain):
-    """Vectorized, set-at-a-time, and tree-walking answers must coincide."""
+def _assert_three_way_equivalent(query, state, domain, cache=None):
+    """Vectorized, set-at-a-time, and tree-walking answers must coincide;
+    returns the vectorized result, still coded."""
     expected = evaluate_query_active_domain(query, state, interpretation=domain)
     compiled = compile_query(query, state.schema, domain)
     set_rows = compiled.execute(state, domain).rows
-    vec_rows = run_plan_vectorized(
-        compiled.plan, state, compiled.universe(state), domain
+    coded = execute_vectorized(
+        compiled.plan, state, compiled.universe(state), cache=cache
     )
+    vec_rows = coded.decode()
     assert set_rows == expected.rows
     assert vec_rows == expected.rows, (
         f"vectorized {sorted(vec_rows)} != tree-walk {sorted(expected.rows)} "
         f"for {query} in {state}"
     )
+    return coded
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +231,103 @@ def test_vectorization_obstacle_flags_unvectorizable_predicates():
         ("x",),
     )
     assert "divides" in vectorization_obstacle(probe)
+
+
+# ---------------------------------------------------------------------------
+# Codec choice: decided once per state, checked per request only outside it
+# ---------------------------------------------------------------------------
+
+
+def _coded_three_way(text, state, cache):
+    return _assert_three_way_equivalent(parse_formula(text), state, EQ, cache)
+
+
+@pytest.mark.parametrize(
+    "constant,numeric",
+    [(2 ** 62 - 1, True), (2 ** 62, False)],
+    ids=["2^62-1", "2^62"],
+)
+def test_query_constant_at_the_int64_edge_picks_the_codec(constant, numeric):
+    state = family_state(generations=3)
+    coded = _coded_three_way(
+        f"F(x, y) | (x = {constant} & y = 1)", state, EncodeCache(maxsize=4)
+    )
+    assert coded.codec.numeric is numeric
+    assert state.int64_safe()  # the state's own verdict is not the query's
+
+
+def test_string_constant_over_an_int_state_is_dictionary_encoded():
+    state = family_state(generations=3)
+    cache = EncodeCache(maxsize=4)
+    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
+    coded = _coded_three_way('F(x, y) | (x = "adam" & y = 1)', state, cache)
+    assert not coded.codec.numeric and coded.codec.growing
+    # the next constant-free query is numeric again on the same state
+    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
+
+
+def test_an_applied_string_row_re_derives_the_state_verdict():
+    state = family_state(generations=3)
+    cache = EncodeCache(maxsize=8)
+    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
+    assert state.int64_safe()
+    # An insert-only delta inherits the parent's memoised element set; the
+    # int64 verdict must still be derived for the new state.
+    mutated = state.apply(Delta.insert("F", ("eve", 1)))
+    assert "_elements" in mutated.__dict__
+    assert not mutated.int64_safe()
+    coded = _coded_three_way("exists y. F(x, y)", mutated, cache)
+    assert not coded.codec.numeric
+    assert ("eve",) in coded.decode()
+    ints_only = state.apply(Delta.insert("F", (1, 99)))
+    assert ints_only.int64_safe()
+    assert _coded_three_way("exists y. F(x, y)", ints_only, cache).codec.numeric
+
+
+def test_dictionary_carriers_keep_the_growing_codec():
+    state = _family([("ann", "bob"), ("bob", "cal"), ("bob", "dee")])
+    assert not state.int64_safe()
+    cache = EncodeCache(maxsize=4)
+    first = _coded_three_way("exists y. F(x, y)", state, cache)
+    assert not first.codec.numeric and first.codec.growing
+    assert cache.info().grown == 0
+    # A constant outside the carrier grows the state's table append-only and
+    # the state's encoded columns are still served.
+    wider = _coded_three_way('exists y. (F(x, y) | x = "zed")', state, cache)
+    assert wider.codec.growing and wider.codec.encodable("zed")
+    assert wider.codec.encode("bob") == first.codec.encode("bob")
+    info = cache.info()
+    assert info.grown == 1 and info.hits >= 1 and info.size == 1
+
+
+def test_repeat_vectorized_runs_make_no_per_element_codec_pass(monkeypatch):
+    # On an unchanged numeric state the codec choice and the decoding cost
+    # no Python call per stored element or per answer cell.
+    session = connect("equality", family_schema())
+    state = family_state(generations=6)
+    queries = ("exists y. (F(x, y) & F(y, z))", "~F(x, y)")  # finite, infinite
+    first = [session.run(text, state).answer for text in queries]
+    calls = {"for_universe": 0, "decode": 0}
+    for_universe = ElementCodec.for_universe.__func__
+    decode = ElementCodec.decode
+
+    def counted_for_universe(cls, elements):
+        calls["for_universe"] += 1
+        return for_universe(cls, elements)
+
+    def counted_decode(self, code):
+        calls["decode"] += 1
+        return decode(self, code)
+
+    monkeypatch.setattr(ElementCodec, "for_universe", classmethod(counted_for_universe))
+    monkeypatch.setattr(ElementCodec, "decode", counted_decode)
+    again = [session.run(text, state).answer for text in queries]
+    assert [answer.method for answer in again] == [
+        "vectorized", "equality-fresh-element"
+    ]
+    assert again[0].rows() == first[0].rows() and again[0].rows()
+    assert again[1].witnesses == first[1].witnesses and again[1].witnesses
+    assert calls == {"for_universe": 0, "decode": 0}
 
 
 # ---------------------------------------------------------------------------
