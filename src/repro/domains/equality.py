@@ -55,6 +55,11 @@ class EqualityDomain(Domain):
 
     # -- carrier -------------------------------------------------------------
 
+    @property
+    def carrier(self) -> str:
+        """``"naturals"`` or ``"strings"``."""
+        return self._carrier
+
     def contains(self, element: Element) -> bool:
         if self._carrier == "naturals":
             return isinstance(element, int) and element >= 0

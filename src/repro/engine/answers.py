@@ -9,7 +9,9 @@ budget ran out before the question was settled.
 :class:`Answer` is the abstract base of the hierarchy.  Every answer exposes
 
 * ``rows()`` — the materialised rows (the full answer, a sample of an
-  infinite one, or the partial rows found before a budget expired);
+  infinite one, or the partial rows found before a budget expired), sorted
+  once on the first call and returned as the same tuple on every later one;
+* ``row_count`` — how many rows ``rows()`` holds, without sorting them;
 * ``is_finite`` — three-valued finiteness (``True`` / ``False`` / ``None``);
 * ``method`` — the evaluation method that produced it; and
 * ``explain()`` — a human-readable account of what the answer means.
@@ -40,8 +42,21 @@ class Answer(ABC):
         """``True`` / ``False`` when finiteness is settled, ``None`` otherwise."""
 
     @abstractmethod
+    def _materialised(self) -> Relation:
+        """The relation of the materialised rows, in no order."""
+
     def rows(self) -> Tuple[Row, ...]:
-        """The materialised rows, sorted."""
+        """The materialised rows, sorted.
+
+        The sort runs on the first call only: the answer keeps the tuple
+        (next to its fields, never inside the relation, which may be a
+        stored one) and returns the same object on every later call.
+        """
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = tuple(sorted(self._materialised().rows))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @abstractmethod
     def explain(self) -> str:
@@ -52,8 +67,8 @@ class Answer(ABC):
 
     @property
     def row_count(self) -> int:
-        """The number of materialised rows."""
-        return len(self.rows())
+        """The number of materialised rows (no sort needed to count them)."""
+        return len(self._materialised())
 
 
 @dataclass(frozen=True)
@@ -64,12 +79,28 @@ class FiniteAnswer(Answer):
     # The field satisfies the abstract read-only property of the base class.
     method: str = ""  # type: ignore
 
+    @classmethod
+    def of_sorted(
+        cls, arity: int, rows: Tuple[Row, ...], method: str = ""
+    ) -> "FiniteAnswer":
+        """The answer over ``rows``, distinct ``arity``-tuples the caller
+        already sorted: they are :meth:`rows` as they are, and the relation
+        is built from them (:meth:`Relation.unchecked`).
+
+        >>> answer = FiniteAnswer.of_sorted(1, ((1,), (2,)))
+        >>> answer.rows(), answer.relation == Relation(1, [(2,), (1,)])
+        (((1,), (2,)), True)
+        """
+        answer = cls(Relation.unchecked(arity, rows), method=method)
+        object.__setattr__(answer, "_rows", rows)
+        return answer
+
     @property
     def is_finite(self) -> Optional[bool]:
         return True
 
-    def rows(self) -> Tuple[Row, ...]:
-        return tuple(self.relation)
+    def _materialised(self) -> Relation:
+        return self.relation
 
     def explain(self) -> str:
         text = f"finite answer with {len(self.relation)} row(s)"
@@ -99,8 +130,8 @@ class InfiniteAnswer(Answer):
     def is_finite(self) -> Optional[bool]:
         return False
 
-    def rows(self) -> Tuple[Row, ...]:
-        return tuple(self.sample)
+    def _materialised(self) -> Relation:
+        return self.sample
 
     def explain(self) -> str:
         text = "the answer is infinite"
@@ -125,8 +156,8 @@ class UnknownAnswer(Answer):
     def is_finite(self) -> Optional[bool]:
         return None
 
-    def rows(self) -> Tuple[Row, ...]:
-        return tuple(self.partial)
+    def _materialised(self) -> Relation:
+        return self.partial
 
     def explain(self) -> str:
         text = (

@@ -37,7 +37,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import (
-    AbstractSet, Any, Callable, ClassVar, Dict, Optional, Tuple, Type, Union,
+    AbstractSet, Any, Callable, ClassVar, Collection, Dict, Optional, Tuple,
+    Type, Union,
 )
 
 from ..domains.base import Domain, TheoryUndecidableError
@@ -131,13 +132,15 @@ def _finish(
     mentioning the probe element make the answer infinite (they become the
     witnesses), and otherwise the rows mentioning no fresh element are the
     exact finite answer.  Columnar results split on their codes, so an
-    infinite verdict decodes only its witness rows.  Rung rows are tuples of
-    the plan's arity already, so the answer's relation takes them as they
-    are (:meth:`~repro.relational.state.Relation.unchecked`).
+    infinite verdict decodes only its witness rows; on a numeric codec they
+    decode already sorted (:meth:`CodedRows.rows`), and the answer takes
+    that tuple as its ``rows()``.  Rung rows are tuples of the plan's arity
+    already, so the answer's relation takes them as they are
+    (:meth:`~repro.relational.state.Relation.unchecked`).
     """
     if probe is None:
         if isinstance(result, CodedRows):
-            result = result.decode()
+            return _finite(arity, result.rows(), method)
         if not isinstance(result, Relation):
             result = Relation.unchecked(arity, result)
         return FiniteAnswer(result, method=method)
@@ -152,8 +155,21 @@ def _finish(
             Relation(arity, []),
             reason="rejected by the relative-safety guard: " + probe.INFINITE_DETAILS,
             method=probe.method,
-            witnesses=tuple(sorted(witnesses)),
+            witnesses=_sorted(witnesses),
         )
+    return _finite(arity, rows, method)
+
+
+def _sorted(rows: Collection[Row]) -> Tuple[Row, ...]:
+    """``rows`` in sorted order: a tuple from :meth:`CodedRows.rows` already
+    is, and any other collection is sorted here."""
+    return rows if isinstance(rows, tuple) else tuple(sorted(rows))
+
+
+def _finite(arity: int, rows: Collection[Row], method: str) -> FiniteAnswer:
+    """The finite answer over a rung's distinct rows."""
+    if isinstance(rows, tuple):
+        return FiniteAnswer.of_sorted(arity, rows, method)
     return FiniteAnswer(Relation.unchecked(arity, rows), method=method)
 
 

@@ -473,7 +473,13 @@ class EncodeCache:
         the arrays, so the old entries are invalidated instead.  Returns the
         number of entries migrated.
         """
-        inserts: Dict[str, Any] = dict(getattr(delta, "inserts", {}) or {})
+        # Rows the old state already stores are encoded already: appending
+        # them again would break the distinct rows every scan relies on.
+        inserts: Dict[str, Any] = {
+            name: [row for row in rows if row not in old_state[name].rows]
+            for name, rows in (getattr(delta, "inserts", {}) or {}).items()
+            if name in old_state
+        }
         insert_only = not getattr(delta, "deletes", None)
         with self._lock:
             if not insert_only or np is None:
@@ -619,8 +625,8 @@ class _ColumnarExecutor:
         self._state = state
         self._codec = codec
         self._deadline = deadline
-        #: the active domain's codes, one per (distinct) element
-        self._adom = codec.encode_column(adom)
+        self._adom_elements = adom
+        self._adom_codes: Any = None
         #: relation name → encoded code table; when the encode cache supplies
         #: this dict, encodings persist across executions of the same state
         self._relations: Dict[str, Any] = (
@@ -635,7 +641,7 @@ class _ColumnarExecutor:
         if isinstance(node, Scan):
             return self._scan(node)
         if isinstance(node, AdomScan):
-            return _Table(node.attrs, self._adom.reshape(-1, 1))
+            return _Table(node.attrs, self._adom().reshape(-1, 1))
         if isinstance(node, Literal):
             rows = tuple(set(node.rows))
             return _Table(node.attrs, self._codec.encode_rows(rows, len(node.attrs)))
@@ -656,6 +662,13 @@ class _ColumnarExecutor:
         raise TypeError(f"not a plan node: {node!r}")
 
     # -- leaves -------------------------------------------------------------
+
+    def _adom(self) -> Any:
+        """The active domain's codes, one per (distinct) element, encoded on
+        first use: only ``AdomScan`` and ``CrossPad`` read them."""
+        if self._adom_codes is None:
+            self._adom_codes = self._codec.encode_column(self._adom_elements)
+        return self._adom_codes
 
     def _relation_codes(self, name: str) -> Any:
         cached = self._relations.get(name)
@@ -682,7 +695,14 @@ class _ColumnarExecutor:
             else:
                 first_seen[name] = index
         output = [first_seen[name] for name in node.attrs]
-        return _Table(node.attrs, self._k.unique_rows(codes[mask][:, output]))
+        table = codes[mask][:, output]
+        if len(output) < len(first_seen):
+            table = self._k.unique_rows(table)
+        # Otherwise the scan keeps every distinct variable (the compiler
+        # always builds it so), and the columns it drops equal a constant or
+        # a kept column on every surviving row: distinct stored rows stay
+        # distinct, so there is nothing to dedupe.
+        return _Table(node.attrs, table)
 
     # -- filters ------------------------------------------------------------
 
@@ -798,7 +818,7 @@ class _ColumnarExecutor:
         table = self.run(node.source)
         codes = table.codes
         for _ in node.pad:
-            codes = self._k.cross_pad_arrays(codes, self._adom)
+            codes = self._k.cross_pad_arrays(codes, self._adom())
         return _Table(node.attrs, codes)
 
 
@@ -833,9 +853,15 @@ class CodedRows:
 
     :meth:`split` separates rows by the elements they mention *before*
     decoding, so a caller that needs only some of the rows (the rows
-    mentioning a fresh element, say) never decodes the rest.  A numeric
-    (passthrough) table decodes without a per-cell call: ``tolist()``
-    already yields the Python ints.
+    mentioning a fresh element, say) never decodes the rest.
+
+    On a numeric (passthrough) codec code order *is* element order, so
+    :meth:`rows` decodes the table once, column by column at C speed, into a
+    tuple already in sorted order: the kernels usually leave the final
+    table lexsorted, and a table that is not gets sorted as codes first
+    (:func:`~repro.relational.kernels.sorted_unique_rows`).  Dictionary
+    codes follow the codec's table, not the elements, so there the rows come
+    back as a set, as from :meth:`decode`.
 
     >>> codec = ElementCodec.for_universe(["a", "b", "z"])
     >>> coded = CodedRows(codec, codec.encode_rows([("a",), ("b",)], 1))
@@ -847,20 +873,21 @@ class CodedRows:
     >>> coded.split(["b"])
     ({('b',)}, set())
 
-    The same on a numeric table, and on the zero-column table of a true
+    The same on a numeric table, whose rows come back sorted whatever order
+    the table holds them in, and on the zero-column table of a true
     sentence, whose one row is ``()``:
 
     >>> numeric = ElementCodec.for_universe([1, 2, 9])
-    >>> pairs = CodedRows(numeric, numeric.encode_rows([(1, 2), (2, 9)], 2))
-    >>> sorted(pairs.decode())
-    [(1, 2), (2, 9)]
+    >>> pairs = CodedRows(numeric, numeric.encode_rows([(2, 9), (1, 2)], 2))
+    >>> pairs.rows()
+    ((1, 2), (2, 9))
     >>> pairs.split([9])
-    ({(2, 9)}, set())
+    (((2, 9),), ())
     >>> pairs.split([7, 9])
-    (set(), {(1, 2)})
+    ((), ((1, 2),))
     >>> true = CodedRows(numeric, np.empty((1, 0), dtype=np.int64))
-    >>> true.decode(), true.split([9])
-    ({()}, (set(), {()}))
+    >>> true.rows(), true.split([9])
+    (((),), ((), ((),)))
     """
 
     def __init__(self, codec: ElementCodec, codes: Any):
@@ -876,20 +903,36 @@ class CodedRows:
         decode = self.codec.decode
         return {tuple(decode(code) for code in row) for row in codes.tolist()}
 
-    def split(self, elements: Sequence[Element]) -> Tuple[Set[Row], Set[Row]]:
+    def rows(self, codes: Any = None) -> Collection[Row]:
+        """The decoded rows (of ``codes``, a slice of the table, if given):
+        distinct and sorted in a tuple on a numeric codec, a set otherwise."""
+        codes = self.codes if codes is None else codes
+        if not self.codec.numeric:
+            return self.decode(codes)
+        from .kernels import sorted_unique_rows
+
+        codes = sorted_unique_rows(codes)
+        if not codes.shape[1]:
+            return ((),) * codes.shape[0]
+        return tuple(zip(*codes.T.tolist()))
+
+    def split(
+        self, elements: Sequence[Element]
+    ) -> Tuple[Collection[Row], Collection[Row]]:
         """``(hits, rest)``: the decoded rows mentioning ``elements[0]`` —
         and, when there are none, the decoded rows mentioning no element of
-        ``elements`` (elements outside the codec mention no row)."""
+        ``elements`` (elements outside the codec mention no row); both as
+        :meth:`rows` decodes them."""
         codes = self.codes
         marks = [self.codec.encode(e) for e in elements if self.codec.encodable(e)]
         if not marks or not codes.size:
-            return set(), self.decode()
+            return self.rows(codes[:0]), self.rows()
         if self.codec.encodable(elements[0]):
             hits = (codes == marks[0]).any(axis=1)
             if hits.any():
-                return self.decode(codes[hits]), set()
+                return self.rows(codes[hits]), self.rows(codes[:0])
         clean = ~np.isin(codes, np.array(marks, dtype=np.int64)).any(axis=1)
-        return set(), self.decode(codes[clean])
+        return self.rows(codes[:0]), self.rows(codes[clean])
 
 
 def run_plan_vectorized(

@@ -18,9 +18,11 @@ materialised state to the current one and re-answer at O(Δ) cost
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple, Union,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping,
+    Sequence, Tuple, Union,
 )
 
 from .schema import DatabaseSchema
@@ -90,11 +92,11 @@ class Relation:
         object.__setattr__(self, "rows", normalised)
 
     @classmethod
-    def unchecked(cls, arity: int, rows: AbstractSet[Row]) -> "Relation":
-        """A relation over ``rows``, a set of ``arity``-tuples the caller
-        vouches for: one C-level ``frozenset`` copy, no per-row
-        normalisation or arity check (for executor output, whose plan
-        already fixes the arity).
+    def unchecked(cls, arity: int, rows: Iterable[Row]) -> "Relation":
+        """A relation over ``rows``, ``arity``-tuples the caller vouches
+        for: one C-level ``frozenset`` build, no per-row normalisation or
+        arity check (for executor output, whose plan already fixes the
+        arity).
 
         >>> Relation.unchecked(2, {(1, 2)}) == Relation(2, [[1, 2]])
         True
@@ -319,6 +321,42 @@ class DatabaseState:
             cached = int64_safe(self.elements())
             object.__setattr__(self, "_int64_safe", cached)
         return cached
+
+    def first_outside(
+        self,
+        carrier: Hashable,
+        enumerate_carrier: Callable[[], Iterable[Element]],
+        count: int,
+    ) -> Tuple[Element, ...]:
+        """The first ``count`` elements of ``enumerate_carrier()`` that the
+        state does not store.
+
+        Memoised per ``carrier`` key like :meth:`elements` (and, like
+        :meth:`int64_safe`, never inherited by :meth:`apply`), so the walk
+        of the carrier past the stored elements runs once per state and
+        carrier.  It runs again only for a larger ``count``, and then
+        derives at least twice as many elements as before.
+
+        >>> from repro.relational.schema import DatabaseSchema, RelationSchema
+        >>> import itertools
+        >>> state = DatabaseState(DatabaseSchema([RelationSchema("S", 1)]),
+        ...                       {"S": [(0,), (2,)]})
+        >>> state.first_outside("naturals", itertools.count, 3)
+        (1, 3, 4)
+        """
+        memo = self.__dict__.get("_outside")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_outside", memo)
+        known = memo.get(carrier, ())
+        if len(known) < count:
+            stored = self.elements()
+            known = tuple(itertools.islice(
+                (e for e in enumerate_carrier() if e not in stored),
+                max(count, 2 * len(known)),
+            ))
+            memo[carrier] = known
+        return known[:count]
 
     def fingerprint(self) -> int:
         """A stable content hash of the state, computed once and memoised.

@@ -34,7 +34,7 @@ from ..logic.builders import conj, disj, exists_many, forall_many, iff
 from ..logic.formulas import Atom, Equals, Exists, ForAll, Formula, Implies
 from ..logic.substitution import fresh_variables
 from ..logic.terms import Const, Var
-from ..relational.active_domain import active_domain
+from ..relational.active_domain import active_domain, active_domain_of_query
 from ..relational.state import DatabaseState, Element, Relation, Row
 from ..relational.translate import expand_database_atoms
 from ..turing.machine import run_machine
@@ -158,12 +158,24 @@ class EqualityRelativeSafety(RelativeSafetyDecider):
         extra_elements: Iterable[Element] = (),
     ) -> FreshElementProbe:
         """rank+1 carrier elements outside the active domain, the query
-        constants and ``extra_elements``."""
-        avoid = active_domain(state, query) | frozenset(extra_elements)
-        fresh = self._domain.fresh_elements(quantifier_depth(query) + 1, avoid=avoid)
+        constants and ``extra_elements``: the first ones of the carrier.
+
+        The carrier's first elements outside the stored ones are derived
+        once per state (:meth:`~repro.relational.state.DatabaseState.first_outside`),
+        so a request only skips its constants and extras among them, at
+        O(rank + |constants| + |extras|) cost.
+        """
+        avoid = active_domain_of_query(query) | frozenset(extra_elements)
+        count = quantifier_depth(query) + 1
+        outside = state.first_outside(
+            (self._domain.name, self._domain.carrier),
+            self._domain.enumerate_elements,
+            count + len(avoid),
+        )
+        fresh = tuple(e for e in outside if e not in avoid)[:count]
         if not fresh:
             raise RuntimeError("the carrier is too small to supply fresh elements")
-        return FreshElementProbe(tuple(fresh))
+        return FreshElementProbe(fresh)
 
     def decide(self, query: Formula, state: DatabaseState) -> SafetyVerdict:
         # Imported lazily — repro.engine imports this module at package-init

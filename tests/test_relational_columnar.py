@@ -158,6 +158,22 @@ def test_unique_rows_and_zero_column_tables():
     assert kernels.unique_rows(np.empty((0, 0), dtype=np.int64)).shape == (0, 0)
 
 
+def test_sorted_unique_rows_sorts_only_an_unsorted_table():
+    rng = np.random.default_rng(7)
+    for columns in (1, 2, 3):
+        table = rng.integers(-5, 5, size=(40, columns), dtype=np.int64)
+        expected = sorted(set(map(tuple, table.tolist())))
+        ordered = kernels.sorted_unique_rows(table)
+        assert list(map(tuple, ordered.tolist())) == expected
+        # An already ascending table comes back as it is, uncopied.
+        assert kernels.sorted_unique_rows(ordered) is ordered
+    # Adjacent equal rows are not "ascending": they are deduplicated.
+    twice = np.array([[1, 2], [1, 2], [3, 0]], dtype=np.int64)
+    assert kernels.sorted_unique_rows(twice).tolist() == [[1, 2], [3, 0]]
+    assert kernels.sorted_unique_rows(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
+    assert kernels.sorted_unique_rows(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+
+
 def test_cross_pad_arrays_broadcasts_every_value():
     table = np.array([[5]], dtype=np.int64)
     values = np.array([1, 2, 3], dtype=np.int64)
@@ -328,6 +344,65 @@ def test_repeat_vectorized_runs_make_no_per_element_codec_pass(monkeypatch):
     assert again[0].rows() == first[0].rows() and again[0].rows()
     assert again[1].witnesses == first[1].witnesses and again[1].witnesses
     assert calls == {"for_universe": 0, "decode": 0}
+
+
+def test_repeat_guarded_vectorized_runs_decode_once_in_order(monkeypatch):
+    # A repeat guarded request on an unchanged numeric state derives no fresh
+    # elements, dedupes no stored relation and makes no per-row decode: the
+    # answer is the kernels' table, decoded once, already in order.
+    from repro.relational.columnar import CodedRows, _ColumnarExecutor
+
+    session = connect("equality", family_schema())
+    state = family_state(generations=6)
+    queries = (
+        "F(x, y)", "exists z. (F(x, z) & F(z, y))",
+        "exists y. exists z. (F(x, y) & F(x, z) & ~(y = z))",
+        "~(exists y. F(x, y))", "x = x",
+    )
+    first = [session.run(text, state).answer for text in queries]
+    calls = {"fresh_elements": 0, "scan_unique_rows": 0, "decode": 0}
+    in_scan = []
+    fresh_elements = EqualityDomain.fresh_elements
+    unique_rows = kernels.unique_rows
+    scan = _ColumnarExecutor._scan
+    decode = CodedRows.decode
+
+    def counted_fresh_elements(self, count, avoid=()):
+        calls["fresh_elements"] += 1
+        return fresh_elements(self, count, avoid)
+
+    def counted_unique_rows(table):
+        if in_scan:
+            calls["scan_unique_rows"] += 1
+        return unique_rows(table)
+
+    def counted_scan(self, node):
+        in_scan.append(node)
+        try:
+            return scan(self, node)
+        finally:
+            in_scan.pop()
+
+    def counted_decode(self, codes=None):
+        calls["decode"] += 1
+        return decode(self, codes)
+
+    monkeypatch.setattr(EqualityDomain, "fresh_elements", counted_fresh_elements)
+    monkeypatch.setattr(kernels, "unique_rows", counted_unique_rows)
+    monkeypatch.setattr(_ColumnarExecutor, "_scan", counted_scan)
+    monkeypatch.setattr(CodedRows, "decode", counted_decode)
+    again = [session.run(text, state).answer for text in queries]
+    assert [answer.method for answer in again] == [
+        "vectorized", "vectorized", "vectorized",
+        "equality-fresh-element", "equality-fresh-element",
+    ]
+    for before, after in zip(first[:3], again[:3]):
+        assert after.rows() is after.rows()
+        assert after.rows() == before.rows() == tuple(sorted(after.relation.rows))
+        assert after.rows()
+    for before, after in zip(first[3:], again[3:]):
+        assert after.witnesses == before.witnesses and after.witnesses
+    assert calls == {"fresh_elements": 0, "scan_unique_rows": 0, "decode": 0}
 
 
 # ---------------------------------------------------------------------------
