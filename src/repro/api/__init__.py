@@ -21,7 +21,6 @@ from ..domains.packs import (
     register_pack,
     resolve_domain_name,
 )
-from ..engine.answer_cache import AnswerCache, AnswerCacheInfo
 from ..engine.answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from ..engine.budget import Budget, BudgetClock
 from ..engine.plan_cache import PlanCache, PlanCacheInfo
@@ -32,7 +31,6 @@ from ..engine.plans import (
     EnumerationPlan,
     GuardedOutcome,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     Plan,
 )
 from ..relational.state import Delta
@@ -44,10 +42,9 @@ __all__ = [
     "Planner", "PlanError",
     "Budget", "BudgetClock",
     "Plan", "ActiveDomainPlan", "CompiledAlgebraPlan", "EnumerationPlan",
-    "IncrementalAlgebraPlan",
     "GuardedPlan", "GuardedOutcome", "STRATEGIES",
     "PlanCache", "PlanCacheInfo",
-    "AnswerCache", "AnswerCacheInfo", "Delta",
+    "Delta",
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",
     "DomainPack", "UnknownDomainError", "register_pack", "get_domain",
     "get_pack", "resolve_domain_name", "available_domains", "domain_aliases",

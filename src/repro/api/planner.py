@@ -9,10 +9,10 @@ request into a concrete :class:`~repro.engine.plans.Plan`:
   (decidable theory) or by active-domain semantics (otherwise);
 * ``"guarded"`` — like ``"auto"`` but fails loudly when no guard exists
   (e.g. the trace domain, Theorems 3.1/3.3);
-* ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"incremental"``
-  / ``"enumeration"`` — force a bare strategy, bypassing the guards (useful
-  for studying budget exhaustion on infinite queries, or for benchmarking one
-  execution substrate directly).
+* ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"enumeration"``
+  — force a bare strategy, bypassing the guards (useful for studying budget
+  exhaustion on infinite queries, or for benchmarking one execution
+  substrate directly).
 
 Every returned plan answers :meth:`~repro.engine.plans.Plan.explain` with the
 reason for the choice.
@@ -24,7 +24,6 @@ from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..domains.base import Domain
-from ..engine.answer_cache import AnswerCache
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
 from ..engine.plans import PLAN_TABLE, STRATEGIES, GuardedPlan, Plan, build_plan
@@ -53,13 +52,11 @@ class Planner:
         syntax: Optional[EffectiveSyntax] = None,
         safety: Optional[RelativeSafetyDecider] = None,
         plan_cache: Optional[PlanCache] = None,
-        answer_cache: Optional[AnswerCache] = None,
     ):
         self._domain = domain
         self._syntax = syntax
         self._safety = safety
         self._plan_cache = plan_cache
-        self._answer_cache = answer_cache
 
     @property
     def domain(self) -> Domain:
@@ -96,7 +93,6 @@ class Planner:
             budget=budget if budget is not None else Budget(),
             extra_elements=extras,
             cache=self._plan_cache,
-            answer_cache=self._answer_cache,
             cancel_token=cancel_token,
         )
         if strategy in PLAN_TABLE:
@@ -118,10 +114,9 @@ class Planner:
             # (FreshElementProbe).  The same ladder is exact for domains
             # whose *carrier* is finite: the active domain is extended with
             # the whole carrier, so evaluation ranges over every element the
-            # semantics ranges over.  An incremental session's answer cache
-            # beats the columnar kernels on the repeat-query path, and the
-            # kernels beat the tree walker (the vectorized ladder steps down
-            # to the set executor on any obstacle).
+            # semantics ranges over.  The columnar kernels beat the tree
+            # walker (the vectorized ladder steps down to the set executor on
+            # any obstacle).
             if domain.finite_carrier:
                 options["extra_elements"] = extras + tuple(domain.carrier_elements())
                 basis = (
@@ -134,12 +129,10 @@ class Planner:
                     "over the active domain plus rank+1 fresh elements, minus "
                     "the rows that mention them"
                 )
-            if not domain.supports_compiled_algebra:
-                chosen = "active-domain"
-            elif self._answer_cache is not None:
-                chosen = "incremental"
-            else:
-                chosen = "vectorized"
+            chosen = (
+                "vectorized" if domain.supports_compiled_algebra
+                else "active-domain"
+            )
             inner = build_plan(
                 chosen,
                 f"{basis}, so guard-certified queries are answered exactly "

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import used only by annotations
 
 from ..domains.base import Domain
 from ..domains.packs import DomainPack, get_pack
-from ..engine.answer_cache import AnswerCache, AnswerCacheInfo
 from ..engine.answers import Answer
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache, PlanCacheInfo
@@ -122,8 +121,6 @@ class Session:
         restrict: bool = False,
         plan_cache_size: int = 128,
         plan_cache: Optional[PlanCache] = None,
-        incremental: bool = False,
-        answer_cache_size: int = 32,
     ):
         # The pack supplies the default guards; what the domain can do
         # (compiled algebra, finite carrier) is read off the
@@ -172,18 +169,11 @@ class Session:
         self._plan_cache = (
             plan_cache if plan_cache is not None else PlanCache(maxsize=plan_cache_size)
         )
-        # Incremental sessions additionally keep an *answer* cache: whole
-        # materialised executions, patched by ΔQ rules when the state mutates
-        # through :meth:`apply_delta` (or ``DatabaseState.apply`` directly).
-        # Unlike the plan cache it is never shared across sessions — the
-        # materialisations are mutated in place during maintenance.
-        self._answer_cache = AnswerCache(maxsize=answer_cache_size) if incremental else None
         self._planner = Planner(
             self._domain,
             syntax=self._syntax,
             safety=self._safety,
             plan_cache=self._plan_cache,
-            answer_cache=self._answer_cache,
         )
 
     # -- introspection -------------------------------------------------------
@@ -224,22 +214,9 @@ class Session:
 
     @property
     def incremental(self) -> bool:
-        """True iff the session maintains answers incrementally across deltas."""
-        return self._answer_cache is not None
-
-    @property
-    def answer_cache(self) -> Optional[AnswerCache]:
-        """The session's answer cache (``None`` unless ``incremental=True``)."""
-        return self._answer_cache
-
-    def answer_cache_info(self) -> AnswerCacheInfo:
-        """Hit/maintained/recompute counters for the answer cache."""
-        if self._answer_cache is None:
-            raise SessionError(
-                "the session was not opened with incremental=True, so it has "
-                "no answer cache"
-            )
-        return self._answer_cache.info()
+        """Always ``False``: every query is recomputed, and no session
+        maintains answers across deltas.  Kept for callers that read it."""
+        return False
 
     def encode_cache_info(self) -> "EncodeCacheInfo":
         """Counters for the per-state columnar encode cache.
@@ -346,13 +323,6 @@ class Session:
         ``cancel_token`` makes the execution cooperatively cancellable from
         another thread (used by the serving layer's ``/cancel``).
         """
-        if strategy == "incremental" and self._answer_cache is None:
-            # Without the session's answer cache every plan would get a fresh
-            # one, so each run would miss and materialise in full.
-            raise SessionError(
-                "strategy 'incremental' needs the session's answer cache; "
-                "open the session with incremental=True"
-            )
         return self._planner.plan(
             strategy,
             budget if budget is not None else self._budget,
@@ -460,16 +430,14 @@ class Session:
         the process-wide columnar encode cache coherent: on an insert-only
         delta the old state's encoded columns are *grown* in place of being
         re-encoded (appended codes, shared untouched arrays); any delete
-        invalidates them.  The returned state carries the lineage the
-        session's answer cache walks to re-answer at O(Δ) cost.
+        invalidates them.
         """
         new_state = state.apply(delta)
         if new_state is state:
             return state
         from ..relational.columnar import encode_cache
 
-        effective = new_state.lineage[-1][1] if new_state.lineage else delta
-        encode_cache().migrate(state, new_state, effective)
+        encode_cache().migrate(state, new_state, new_state.effective_delta)
         return new_state
 
 
@@ -485,7 +453,6 @@ def connect(
     :class:`~repro.domains.base.Domain` instance; ``schema`` defaults to the
     empty schema (pure domain queries).  Keyword options are forwarded to
     :class:`Session` (``budget``, ``syntax``, ``safety``, ``guard``,
-    ``restrict``, ``plan_cache_size``, ``plan_cache``, ``incremental``,
-    ``answer_cache_size``).
+    ``restrict``, ``plan_cache_size``, ``plan_cache``).
     """
     return Session(domain, schema, **options)

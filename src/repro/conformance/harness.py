@@ -28,14 +28,13 @@ runs seven families of checks — no per-domain test code required:
    negation or a universal quantifier somewhere.
 6. **delta-equivalence** — for packs with a compiled substrate, a sequence
    of randomized interleaved insert/delete deltas applied through
-   :meth:`~repro.relational.state.DatabaseState.apply` and answered by the
-   incremental substrate (:class:`~repro.engine.plans.IncrementalAlgebraPlan`)
-   matches a rebuilt-from-scratch evaluation after every mutation, and the
-   ΔQ maintenance path genuinely engages at least once.  Where ``auto`` in
-   an incremental session guards that substrate (a
-   :class:`~repro.engine.plans.GuardedPlan` over it), the session's verdicts
-   and rows across the same deltas also match a plain session's ``auto`` on
-   the rebuilt state, again with at least one delta-maintained answer.
+   :meth:`~repro.api.session.Session.apply_delta` (which grows or
+   invalidates the state's encoded columns) leaves every answer equal to
+   the one on a freshly built state: the vectorized rung's rows equal the
+   set executor's, and ``auto``'s verdict and rows equal the same guard
+   over the set executor (or, where ``auto`` reads its answer off a
+   quantifier-free form, a fresh session's ``auto``).  After an insert-only
+   delta the encode cache must grow encoded columns at least once.
 7. **bench-smoke** — all queries on a ``bench_size``-row random state finish
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..domains.base import Domain
@@ -480,13 +479,14 @@ def _random_delta(
 def _check_delta_equivalence(
     pack: DomainPack, domain: Domain, seeds: Sequence[str]
 ) -> CheckResult:
-    """Interleaved insert/delete deltas answered incrementally must match a
-    rebuilt-from-scratch evaluation after every mutation."""
+    """Interleaved insert/delete deltas applied through
+    :meth:`Session.apply_delta` must leave every answer equal to the set
+    executor's on a freshly built state."""
     if not domain.supports_compiled_algebra:
         return CheckResult(
             "delta-equivalence",
             True,
-            "skipped: no compiled substrate to maintain incrementally",
+            "skipped: no compiled substrate to compare against",
         )
     corpora = [c for c in pack.corpora() if c.state_factory is not None]
     if not corpora:
@@ -494,103 +494,93 @@ def _check_delta_equivalence(
             "delta-equivalence", True, "skipped: no state factory declared"
         )
     from ..api.session import Session
-    from ..engine.answer_cache import AnswerCache
-    from ..engine.plans import GuardedPlan, IncrementalAlgebraPlan
+    from ..relational.columnar import encode_cache_info
 
     extras = _carrier_extras(domain)
     problems: List[str] = []
     executions = 0
-    maintained = 0
-    cached_plans = 0
+    vectorized = 0
     insert_only_steps = 0
-    guarded_maintained: Optional[int] = None
+    grown_before = encode_cache_info().grown_columns
     for corpus in corpora:
-        auto = Session(pack.name, corpus.schema, incremental=True).plan()
-        guards_incremental = isinstance(auto, GuardedPlan) and isinstance(
-            auto.inner, IncrementalAlgebraPlan
-        )
         for seed in seeds:
             rng = random.Random(f"delta/{pack.name}/{corpus.name}/{seed}")
             state = corpus.state_factory(rng, 3)
             pool = corpus.state_factory(rng, 8)
-            cache = AnswerCache()
-            plan = IncrementalAlgebraPlan(
-                domain=domain,
-                budget=Budget(),
-                extra_elements=extras,
-                answer_cache=cache,
-            )
-            # (guarded incremental session, plain session), compared on
-            # every step when auto guards the incremental plan
-            sessions = (
-                Session(pack.name, corpus.schema, incremental=True),
-                Session(pack.name, corpus.schema),
-            ) if guards_incremental else None
+            session = Session(pack.name, corpus.schema)
+            auto = session.plan()
+            # The reference answers ``auto`` would give on a freshly built
+            # state: the same guard over the set executor when auto guards
+            # an algebra plan, and otherwise a fresh session's auto.
+            reference: Optional[GuardedPlan] = None
+            if isinstance(auto, GuardedPlan) and isinstance(
+                auto.inner, CompiledAlgebraPlan
+            ):
+                reference = replace(auto, inner=CompiledAlgebraPlan(
+                    domain=domain, extra_elements=auto.inner.extra_elements,
+                ))
             for step in range(5):
                 if step:
                     delta = _random_delta(
                         rng, state, pool, insert_only=step == 1
                     )
-                    mutated = state.apply(delta)
+                    mutated = session.apply_delta(state, delta)
                     if mutated is state:
                         continue
                     if step == 1:
                         insert_only_steps += 1
                     state = mutated
+                rebuilt = DatabaseState(state.schema, {
+                    name: list(relation.rows)
+                    for name, relation in state.relations.items()
+                })
+                fresh = Session(pack.name, corpus.schema)
                 for pq in corpus.queries:
-                    expected = _reference_rows(pq.query, state, domain, extras)
-                    answer = plan.execute(pq.query, state)
+                    where = f"{corpus.name}/{pq.name} seed={seed} step={step}"
+                    expected = frozenset(CompiledAlgebraPlan(
+                        domain=domain, extra_elements=extras,
+                    ).execute(pq.query, rebuilt).relation.rows)
+                    answer = session.run(
+                        pq.query, state, strategy="vectorized",
+                        extra_elements=extras,
+                    ).answer
                     executions += 1
+                    vectorized += answer.method == "vectorized"
                     got = frozenset(answer.relation.rows)
                     if got != expected:
                         problems.append(
-                            f"{corpus.name}/{pq.name} seed={seed} step={step}: "
-                            f"incremental answer {len(got)} row(s) != rebuilt "
-                            f"{len(expected)}"
+                            f"{where}: vectorized answer {len(got)} row(s) "
+                            f"!= the set executor's {len(expected)} on the "
+                            "rebuilt state"
                         )
-                    if sessions is not None:
-                        executions += 1
-                        guarded, plain = sessions
-                        rebuilt = DatabaseState(state.schema, dict(state.relations))
-                        mine = _verdict_and_rows(guarded.run(pq.query, state))
-                        theirs = _verdict_and_rows(plain.run(pq.query, rebuilt))
-                        if mine != theirs:
-                            problems.append(
-                                f"{corpus.name}/{pq.name} seed={seed} "
-                                f"step={step}: guarded incremental session "
-                                f"answered {mine[:2]} with {len(mine[2])} "
-                                f"row(s), plain session {theirs[:2]} with "
-                                f"{len(theirs[2])}"
-                            )
-            maintained += cache.info().maintained
-            cached_plans += len(cache)
-            if sessions is not None:
-                guarded_maintained = (
-                    guarded_maintained or 0
-                ) + sessions[0].answer_cache_info().maintained
-    # The ΔQ path must genuinely engage somewhere: with at least one
-    # effective insert-only delta and at least one compilable (cached) query,
-    # zero maintained answers means every repeat fell back to re-execution.
-    if insert_only_steps and cached_plans and not maintained:
+                    mine = _verdict_and_rows(session.run(pq.query, state))
+                    theirs = _verdict_and_rows(
+                        fresh.run(pq.query, rebuilt) if reference is None
+                        else reference.run(pq.query, rebuilt)
+                    )
+                    executions += 1
+                    if mine != theirs:
+                        problems.append(
+                            f"{where}: auto answered {mine[:2]} with "
+                            f"{len(mine[2])} row(s), the reference "
+                            f"{theirs[:2]} with {len(theirs[2])}"
+                        )
+    grown = encode_cache_info().grown_columns - grown_before
+    # The encode cache's grow path must genuinely engage: after an effective
+    # insert-only delta, columns the vectorized rung encoded must be grown,
+    # not re-encoded.
+    if insert_only_steps and vectorized and not grown:
         problems.append(
-            "no answer was ever delta-maintained "
-            "(every mutated repeat fell back to full re-execution)"
-        )
-    if insert_only_steps and guarded_maintained == 0:
-        problems.append(
-            "no guarded answer was ever delta-maintained "
-            "(every mutated repeat of the auto plan fell back to full "
-            "re-execution)"
+            "no encoded column was ever grown by an insert-only delta"
         )
     if problems:
         return CheckResult("delta-equivalence", False, "; ".join(problems[:8]))
-    detail = (
-        f"{executions} post-mutation execution(s) matched rebuilt states "
-        f"({maintained} delta-maintained"
+    return CheckResult(
+        "delta-equivalence",
+        True,
+        f"{executions} execution(s) across deltas matched rebuilt states "
+        f"({vectorized} vectorized, {grown} encoded column(s) grown)",
     )
-    if guarded_maintained is not None:
-        detail += f", {guarded_maintained} through the guarded auto plan"
-    return CheckResult("delta-equivalence", True, detail + ")")
 
 
 def _verdict_and_rows(result) -> Tuple[Optional[str], Optional[bool], frozenset]:

@@ -5,7 +5,6 @@ The front door is :func:`repro.connect` (see :mod:`repro.api`), whose
 :class:`~repro.engine.plans.Plan` classes defined here.
 """
 
-from .answer_cache import AnswerCache, AnswerCacheInfo
 from .answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from .budget import Budget, BudgetClock
 from .enumeration import answer_by_enumeration, enumerate_tuples
@@ -17,7 +16,6 @@ from .plans import (
     EnumerationPlan,
     GuardedOutcome,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     Plan,
     VectorizedAlgebraPlan,
 )
@@ -26,8 +24,7 @@ __all__ = [
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",
     "Budget", "BudgetClock",
     "Plan", "ActiveDomainPlan", "CompiledAlgebraPlan", "VectorizedAlgebraPlan",
-    "IncrementalAlgebraPlan", "EnumerationPlan",
-    "AnswerCache", "AnswerCacheInfo",
+    "EnumerationPlan",
     "GuardedPlan", "GuardedOutcome", "STRATEGIES",
     "PlanCache", "PlanCacheInfo",
     "answer_by_enumeration", "enumerate_tuples",

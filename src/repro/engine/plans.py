@@ -12,11 +12,9 @@ evaluation disciplines across three execution substrates:
   calculus→algebra compiler and the set-at-a-time executor (hash joins,
   antijoins, selection pushdown).  It owns the one fallback ladder every
   algebra plan runs: compile (or tree-walk when compilation bails), try the
-  accelerated rungs the class names, finish on the set executor;
+  vectorized rung when the class has it, finish on the set executor;
 * :class:`VectorizedAlgebraPlan` — the ladder with the ``"vectorized"``
   rung: the algebra plan lowered to NumPy column kernels;
-* :class:`IncrementalAlgebraPlan` — the ladder with the ``"answer-cache"``
-  rung: materialised answers patched by ΔQ rules across state mutations;
 * :class:`EnumerationPlan` — the Section 1.1 enumeration algorithm, complete
   for arbitrary finite queries over a domain with a decidable theory, bounded
   by a :class:`~repro.engine.budget.Budget`;
@@ -37,8 +35,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import (
-    AbstractSet, Any, Callable, ClassVar, Collection, Dict, Optional, Tuple,
-    Type, Union,
+    AbstractSet, Any, ClassVar, Collection, Dict, Optional, Tuple, Type, Union,
 )
 
 from ..domains.base import Domain, TheoryUndecidableError
@@ -63,7 +60,6 @@ from ..safety.relative_safety import (
     RelativeSafetyDecider,
     RelativeSafetyUndecidable,
 )
-from .answer_cache import AnswerCache
 from .answers import Answer, FiniteAnswer, InfiniteAnswer
 from .budget import Budget, CancelToken, Deadline, EvaluationInterrupted
 from .plan_cache import PlanCache
@@ -73,7 +69,6 @@ __all__ = [
     "ActiveDomainPlan",
     "CompiledAlgebraPlan",
     "VectorizedAlgebraPlan",
-    "IncrementalAlgebraPlan",
     "EnumerationPlan",
     "GuardedPlan",
     "GuardedOutcome",
@@ -184,8 +179,7 @@ def _rejected(query: Formula, verdict: SafetyVerdict) -> InfiniteAnswer:
 
 #: the strategy names understood by :meth:`repro.api.Planner.plan`
 STRATEGIES = (
-    "auto", "active-domain", "compiled", "vectorized", "incremental",
-    "enumeration", "guarded",
+    "auto", "active-domain", "compiled", "vectorized", "enumeration", "guarded",
 )
 
 
@@ -283,13 +277,12 @@ class CompiledAlgebraPlan(Plan):
 
     1. compile through the plan cache; a :class:`CompilationError` falls
        back to the tree-walking evaluator;
-    2. try each accelerated rung named in :attr:`rungs`, in order — a
-       static obstacle (:class:`VectorizationError`) or a fault steps down
-       to the next for this execution only;
+    2. when the class has the :attr:`vectorized` rung, try it — a static
+       obstacle (:class:`VectorizationError`) or a fault steps down for this
+       execution only;
     3. finish on the set-at-a-time executor.
 
-    Subclasses only name their rungs.  :meth:`explain` records why the last
-    execution stepped down, if it did.
+    :meth:`explain` records why the last execution stepped down, if it did.
     """
 
     domain: Domain
@@ -308,8 +301,8 @@ class CompiledAlgebraPlan(Plan):
     last_summary: Optional[str] = None
 
     strategy = "compiled-algebra"
-    #: the accelerated rungs tried, in order, above the set executor
-    rungs: ClassVar[Tuple[str, ...]] = ()
+    #: whether the NumPy column kernels are tried above the set executor
+    vectorized: ClassVar[bool] = False
 
     def execute(
         self,
@@ -351,16 +344,22 @@ class CompiledAlgebraPlan(Plan):
             return _finish(relation, relation.arity, "active-domain", probe)
         self.last_summary = compiled.summary()
         obstacle: Optional[str] = None
-        for rung in self.rungs:
+        if self.vectorized:
             try:
-                answer = _RUNGS[rung](self, query, compiled, state, deadline, probe)
+                # The kernels take the elements outside the state: the
+                # stored ones are encoded once per state (execute_vectorized).
+                coded = execute_vectorized(
+                    compiled.plan, state, compiled.constants | frozenset(extras),
+                    deadline=deadline,
+                )
+                answer = _finish(coded, len(compiled.output), "vectorized", probe)
             except VectorizationError as error:
                 obstacle = str(error)
             except EvaluationInterrupted:
                 raise
             except Exception as error:
                 obstacle = (
-                    f"the {rung} substrate faulted "
+                    "the vectorized substrate faulted "
                     f"({type(error).__name__}: {error})"
                 )
             else:
@@ -432,109 +431,13 @@ class VectorizedAlgebraPlan(CompiledAlgebraPlan):
     )
 
     strategy = "vectorized"
-    rungs: ClassVar[Tuple[str, ...]] = ("vectorized",)
+    vectorized: ClassVar[bool] = True
 
     def explain(self) -> str:
         text = super().explain()
         if HAVE_NUMPY:
             text += f"; encode cache {encode_cache_info()}"
         return text
-
-
-@dataclass(eq=False)
-class IncrementalAlgebraPlan(CompiledAlgebraPlan):
-    """Answer from a per-session answer cache, patched by state deltas.
-
-    The ladder with the ``"answer-cache"`` rung: the same compiled algebra
-    plan a :class:`CompiledAlgebraPlan` executes is *materialised* — every
-    operator's output retained — and stored in an
-    :class:`~repro.engine.answer_cache.AnswerCache` keyed by (query, schema,
-    domain, extras, whether a fresh-element probe enlarged the universe) and
-    stamped with the state fingerprint.  A repeat query
-    against the same state is O(answer); against a state mutated through
-    :meth:`~repro.relational.state.DatabaseState.apply` the materialisation
-    is patched by the ΔQ rules of :mod:`repro.relational.delta` at
-    O(Δ · answer) cost; everything else falls back to one full materialising
-    execution.  :meth:`explain` records which of the three happened (and
-    why) after every execution.
-
-    Plan compilation shares the other algebra plans' cache entries (the
-    algebra plan is identical); only the answer materialisation is new.
-    """
-
-    answer_cache: AnswerCache = field(default_factory=AnswerCache)
-    reason: str = (
-        "the session opted into incremental evaluation, so answers are "
-        "materialised once and patched by ΔQ rules when the state mutates"
-    )
-    #: the answer cache's own decision on its last run
-    _decision: Optional[str] = field(default=None, init=False, repr=False)
-
-    strategy = "incremental"
-    rungs: ClassVar[Tuple[str, ...]] = ("answer-cache",)
-
-    @property
-    def last_decision(self) -> Optional[str]:
-        """What the answer cache did on the last execution, and why."""
-        if self.fallback_reason is not None:
-            return "recomputed in full: " + self.fallback_reason
-        return self._decision
-
-    def explain(self) -> str:
-        text = super().explain()
-        text += f"; answer cache {self.answer_cache.info()}"
-        if self.last_decision:
-            text += f"; last answer: {self.last_decision}"
-        return text
-
-
-def _vectorized_rung(
-    plan: CompiledAlgebraPlan,
-    query: Formula,
-    compiled: CompiledQuery,
-    state: DatabaseState,
-    deadline: Optional[Deadline],
-    probe: Optional[FreshElementProbe],
-) -> Answer:
-    """The NumPy column kernels; raises :class:`VectorizationError` on a
-    plan or carrier they cannot run."""
-    universe = compiled.universe(state, _probed(plan.extra_elements, probe))
-    coded = execute_vectorized(compiled.plan, state, universe, deadline=deadline)
-    return _finish(coded, len(compiled.output), "vectorized", probe)
-
-
-def _answer_cache_rung(
-    plan: IncrementalAlgebraPlan,
-    query: Formula,
-    compiled: CompiledQuery,
-    state: DatabaseState,
-    deadline: Optional[Deadline],
-    probe: Optional[FreshElementProbe],
-) -> Answer:
-    """The answer cache: a hit, a ΔQ-maintained entry, or a materialising run.
-
-    A probed entry materialises the enlarged universe, so ΔQ maintains
-    verdict and answer together.  Its key leaves the fresh elements out: a
-    delta that stores a current fresh element makes the next probe keep the
-    others and add one, which only *grows* the universe — maintained like
-    any other active-domain growth.
-    """
-    key = (
-        query, state.schema, plan.domain.name, plan.extra_elements,
-        probe is not None,
-    )
-    rows, plan._decision = plan.answer_cache.answer(
-        key, compiled, state, _probed(plan.extra_elements, probe), plan.domain,
-        deadline,
-    )
-    return _finish(rows, len(compiled.output), "incremental", probe)
-
-
-#: the accelerated ladder rungs, by the names plans list in ``rungs``
-_RUNGS: Dict[str, Callable[..., Answer]] = {
-    "vectorized": _vectorized_rung,
-    "answer-cache": _answer_cache_rung,
-}
 
 
 @dataclass(eq=False)
@@ -712,11 +615,6 @@ PLAN_TABLE: Dict[str, Tuple[Type[Plan], str]] = {
     "vectorized": (
         VectorizedAlgebraPlan,
         "lowers the algebra plan to vectorized NumPy column kernels",
-    ),
-    "incremental": (
-        IncrementalAlgebraPlan,
-        "materialises answers and patches them by ΔQ rules when the state "
-        "mutates",
     ),
     "enumeration": (
         EnumerationPlan,

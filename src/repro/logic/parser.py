@@ -18,17 +18,28 @@ The grammar (lowest to highest precedence)::
     term      := sum
     sum       := product ( ('+'|'-') product )*
     product   := atomterm ( '*' atomterm )*
-    atomterm  := NUMBER | STRING | IDENT | IDENT '(' terms ')' | '(' term ')'
+    atomterm  := constant | STRING | IDENT | IDENT '(' terms ')' | '(' term ')'
+    constant  := [ '-' ] NUMBER [ '/' NUMBER ]
 
 Comparison operators other than ``=`` are parsed as binary atoms with the
 operator as the predicate name, e.g. ``x < y`` becomes ``Atom('<', (x, y))``,
 and ``+``/``-``/``*`` become ``Apply`` terms, matching the Presburger and
-ordered-naturals domains.
+ordered-naturals domains.  A constant is read as the printer writes it: a
+leading ``-`` makes it negative (``x = -3``; ``x - 3`` stays a subtraction),
+and ``p/q`` is the rational :class:`~fractions.Fraction` (``x = 1/2``).
+
+>>> parse_formula("x = -3") == Equals(Var("x"), Const(-3))
+True
+>>> parse_formula("x < -1/2") == Atom("<", (Var("x"), Const(Fraction(-1, 2))))
+True
+>>> parse_term("x - 3") == Apply("-", (Var("x"), Const(3)))
+True
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .formulas import (
@@ -58,7 +69,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<number>\d+)
   | (?P<string>'[^']*'|"[^"]*")
-  | (?P<op><->|->|!=|<=|>=|[()~&|.=<>+\-*,])
+  | (?P<op><->|->|!=|<=|>=|[()~&|.=<>+\-*,/])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
@@ -242,9 +253,10 @@ class _Parser:
 
     def _parse_atom_term(self) -> Term:
         token = self._peek()
-        if token[0] == "number":
-            self._advance()
-            return Const(int(token[1]))
+        if token[0] == "number" or (
+            token == ("op", "-") and self._tokens[self._index + 1][0] == "number"
+        ):
+            return self._parse_constant()
         if token[0] == "string":
             self._advance()
             return Const(token[1][1:-1])
@@ -260,6 +272,19 @@ class _Parser:
             self._expect("op", ")")
             return inner
         raise ParseError(f"expected a term, got {token[1]!r}")
+
+    def _parse_constant(self) -> Const:
+        """``[-] NUMBER [/ NUMBER]``: an ``int``, or a ``Fraction`` when the
+        denominator does not divide the numerator."""
+        sign = -1 if self._accept("op", "-") else 1
+        numerator = sign * int(self._expect("number")[1])
+        if not self._accept("op", "/"):
+            return Const(numerator)
+        denominator = int(self._expect("number")[1])
+        if denominator == 0:
+            raise ParseError(f"zero denominator in {numerator}/0")
+        value = Fraction(numerator, denominator)
+        return Const(value.numerator if value.denominator == 1 else value)
 
 
 def parse_formula(text: str) -> Formula:

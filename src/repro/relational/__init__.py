@@ -22,13 +22,6 @@ from .columnar import (
     vectorization_obstacle,
 )
 from .compile import CompilationError, CompiledQuery, compile_query
-from .delta import (
-    DeltaUnsupported,
-    MaintenanceStats,
-    MaterializedPlan,
-    maintain_plan,
-    materialize_plan,
-)
 from .exec import ExecutionStats, plan_summary, run_plan
 from .optimize import optimize_plan
 from .schema import DatabaseSchema, RelationSchema
@@ -51,6 +44,4 @@ __all__ = [
     "optimize_plan",
     "VectorizationError", "run_plan_vectorized", "vectorization_obstacle",
     "EncodeCache", "EncodeCacheInfo", "encode_cache", "encode_cache_info",
-    "DeltaUnsupported", "MaintenanceStats", "MaterializedPlan",
-    "materialize_plan", "maintain_plan",
 ]

@@ -20,7 +20,7 @@ Invariants (shared with the tree walker and the set executor):
 * **set semantics** — tables are deduplicated at every operator whose output
   could contain duplicates, so row multiplicity never leaks into answers;
 * **active-domain closure** — the executor only ever materialises codes for
-  elements of the explicit active domain passed to
+  the state's stored elements and the elements passed to
   :func:`run_plan_vectorized` (plus the constants embedded in the plan), the
   same universe the other substrates quantify over;
 * **exactness** — for every plan the decoded row set equals
@@ -100,6 +100,10 @@ __all__ = [
 
 #: True when numpy imported; without it every vectorized execution falls back
 HAVE_NUMPY = np is not None
+
+#: the encode-store key of the stored elements' adom code column (relation
+#: names are strings, so it names no relation)
+_STORED_ADOM = ("adom",)
 
 #: domain predicates with a vectorized kernel over *numeric* carriers; the
 #: built-in numeric domains (``(N, <)``, Presburger) give these the standard
@@ -361,7 +365,7 @@ class EncodeCache:
         if maxsize < 0:
             raise ValueError(f"maxsize must be non-negative, got {maxsize!r}")
         self._maxsize = maxsize
-        self._entries: "OrderedDict[Any, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Any, Dict[Any, Any]]" = OrderedDict()
         #: per-entry growing dictionary codecs, evicted together with entries
         self._codecs: Dict[Any, ElementCodec] = {}
         self._hits = 0
@@ -418,8 +422,9 @@ class EncodeCache:
 
     def columns_for(
         self, state: DatabaseState, codec: ElementCodec
-    ) -> Dict[str, Any]:
-        """The (shared, lazily filled) relation→codes store for ``state``."""
+    ) -> Dict[Any, Any]:
+        """The (shared, lazily filled) relation→codes store for ``state``,
+        which also holds the stored elements' adom column."""
         key = (state, codec.cache_key())
         with self._lock:
             entry = self._entries.get(key)
@@ -541,13 +546,15 @@ class EncodeCache:
 
     def _grow_entry(
         self,
-        entry: Dict[str, Any],
+        entry: Dict[Any, Any],
         codec: ElementCodec,
         inserts: Dict[str, Any],
-    ) -> Dict[str, Any]:
+    ) -> Dict[Any, Any]:
         """Append the inserted rows' codes to the touched relations' arrays."""
-        moved: Dict[str, Any] = {}
+        moved: Dict[Any, Any] = {}
         for name, codes in entry.items():
+            if name == _STORED_ADOM:
+                continue  # the new state's own column is encoded on first use
             rows = inserts.get(name)
             if not rows:
                 moved[name] = codes  # untouched: share the parent's array
@@ -614,9 +621,9 @@ class _ColumnarExecutor:
     def __init__(
         self,
         state: DatabaseState,
-        adom: Collection[Element],
+        outside: Collection[Element],
         codec: ElementCodec,
-        relation_columns: Optional[Dict[str, Any]] = None,
+        relation_columns: Optional[Dict[Any, Any]] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> None:
         from . import kernels
@@ -625,11 +632,13 @@ class _ColumnarExecutor:
         self._state = state
         self._codec = codec
         self._deadline = deadline
-        self._adom_elements = adom
+        #: the universe's elements the state does not store
+        self._outside = outside
         self._adom_codes: Any = None
-        #: relation name → encoded code table; when the encode cache supplies
-        #: this dict, encodings persist across executions of the same state
-        self._relations: Dict[str, Any] = (
+        #: relation name → encoded code table, plus the stored elements' adom
+        #: column; when the encode cache supplies this dict, encodings persist
+        #: across executions of the same state
+        self._relations: Dict[Any, Any] = (
             relation_columns if relation_columns is not None else {}
         )
 
@@ -664,10 +673,20 @@ class _ColumnarExecutor:
     # -- leaves -------------------------------------------------------------
 
     def _adom(self) -> Any:
-        """The active domain's codes, one per (distinct) element, encoded on
-        first use: only ``AdomScan`` and ``CrossPad`` read them."""
+        """The universe's codes, one per (distinct) element, built on first
+        use: only ``AdomScan`` and ``CrossPad`` read them.  The stored
+        elements' column is encoded once per state and codec, in the encode
+        store; an execution encodes only the elements outside the state."""
         if self._adom_codes is None:
-            self._adom_codes = self._codec.encode_column(self._adom_elements)
+            stored = self._relations.get(_STORED_ADOM)
+            if stored is None:
+                stored = self._codec.encode_column(self._state.elements())
+                self._relations[_STORED_ADOM] = stored
+            if self._outside:
+                stored = np.concatenate(
+                    [stored, self._codec.encode_column(self._outside)]
+                )
+            self._adom_codes = stored
         return self._adom_codes
 
     def _relation_codes(self, name: str) -> Any:
@@ -947,11 +966,14 @@ def run_plan_vectorized(
 ) -> Set[Row]:
     """Evaluate a compiled plan on NumPy code tables.
 
-    The contract is identical to :func:`repro.relational.exec.run_plan` —
-    same plan IR, same explicit active domain, same set-of-rows result — and
-    the two executors always agree.  ``domain`` is accepted for signature
-    parity but unused: every domain predicate that vectorizes does so by its
-    standard integer semantics.  Raises :class:`VectorizationError` when the
+    The contract is that of :func:`repro.relational.exec.run_plan` — same
+    plan IR, same set-of-rows result — over the universe of the state's
+    stored elements plus ``adom``, which equals ``run_plan``'s explicit
+    active domain whenever that holds the stored elements (a compiled
+    query's :meth:`~repro.relational.compile.CompiledQuery.universe`
+    always does), and then the two executors agree.  ``domain`` is accepted
+    for signature parity but unused: every domain predicate that vectorizes
+    does so by its standard integer semantics.  Raises :class:`VectorizationError` when the
     plan, the carrier, or the environment cannot be vectorized; callers fall
     back to the set executor.
 
@@ -974,32 +996,38 @@ def run_plan_vectorized(
 def execute_vectorized(
     node: PlanNode,
     state: DatabaseState,
-    adom: Iterable[Element],
+    outside: Iterable[Element] = (),
     *,
     cache: Optional[EncodeCache] = None,
     use_cache: bool = True,
     deadline: "Optional[Deadline]" = None,
 ) -> CodedRows:
-    """:func:`run_plan_vectorized`, stopping short of decoding the result."""
+    """:func:`run_plan_vectorized`, stopping short of decoding the result.
+
+    The universe is the state's stored elements plus ``outside``: a caller
+    passes only the elements the state may not store (query constants,
+    extra and fresh elements), and a call looks only at those — the stored
+    elements' codes come from the encode store, once per state and codec.
+    """
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
         raise VectorizationError(obstacle)
-    elements = frozenset(adom)
     stored = state.elements()
-    # The universe is the stored elements plus these; only they need a look
-    # per request (C-level set differences, no Python pass over the adom).
-    outside = (elements - stored) | (_plan_constants(node) - stored)
-    store: Optional[Dict[str, Any]] = None
+    # C-level set differences over the small operands only: no Python pass
+    # over the active domain per call.
+    extra = frozenset(outside) - stored
+    codec_extra = extra | (_plan_constants(node) - stored)
+    store: Optional[Dict[Any, Any]] = None
     if use_cache:
         shared = cache if cache is not None else _ENCODE_CACHE
         # The cache owns the codec choice: for dictionary carriers it hands
         # out the state's monotonically *growing* codec, so a codec change
         # (new constants) reuses the already-encoded columns.
-        codec = shared.codec_for(state, outside)
+        codec = shared.codec_for(state, codec_extra)
         store = shared.columns_for(state, codec)
     else:
-        codec = ElementCodec.for_universe(stored | outside)
-    table = _ColumnarExecutor(state, elements, codec, store, deadline).run(node)
+        codec = ElementCodec.for_universe(stored | codec_extra)
+    table = _ColumnarExecutor(state, extra, codec, store, deadline).run(node)
     if deadline is not None:
         deadline.check("decode")
     return CodedRows(codec, table.codes)

@@ -60,7 +60,7 @@ from ..logic.formulas import (
 )
 from ..logic.substitution import rename_bound_variables
 from ..logic.terms import Const, Term, Var
-from .active_domain import active_domain
+from .active_domain import active_domain_of_query
 from .exec import (
     AdomScan,
     AntiJoin,
@@ -118,14 +118,27 @@ class CompiledQuery:
     #: compiled with ``optimize=False`` or nothing rewrote)
     notes: Tuple[str, ...] = ()
 
+    @property
+    def constants(self) -> FrozenSet[Element]:
+        """The query's constants, which the active domain holds in every
+        state (memoised: the formula never changes)."""
+        cached = self.__dict__.get("_constants")
+        if cached is None:
+            cached = active_domain_of_query(self.formula)
+            object.__setattr__(self, "_constants", cached)
+        return cached
+
     def universe(
         self, state: DatabaseState, extra_elements: Iterable[Element] = ()
     ) -> FrozenSet[Element]:
         """The explicit active domain the plan quantifies over in ``state``:
         stored elements + query constants + ``extra_elements``, as a set —
         every execution substrate treats it as one, and its results are
-        sets of rows, so no order is imposed."""
-        return active_domain(state, self.formula) | frozenset(extra_elements)
+        sets of rows, so no order is imposed.  The set executor reads it;
+        the vectorized rung takes only the elements outside the state
+        (:attr:`constants` and the extras) and encodes the stored ones once
+        per state."""
+        return state.elements() | self.constants | frozenset(extra_elements)
 
     def execute(
         self,

@@ -9,11 +9,9 @@ States stay immutable value objects; *mutation* is expressed by
 :meth:`DatabaseState.apply` taking a :class:`Delta` (row inserts/deletes per
 relation) and producing a new state that structurally shares every untouched
 :class:`Relation` and *patches* the content fingerprint in O(Δ) instead of
-re-hashing every stored row.  Each applied delta also extends the state's
-:attr:`~DatabaseState.lineage` — a bounded chain of (parent fingerprint,
-effective delta) links that lets answer caches walk from a previously
-materialised state to the current one and re-answer at O(Δ) cost
-(:mod:`repro.relational.delta`).
+re-hashing every stored row.  The new state records the *effective* delta
+that produced it (:attr:`~DatabaseState.effective_delta`), which is what
+the columnar encode cache reads to grow its encoded columns.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ __all__ = ["Element", "Row", "Relation", "Delta", "DatabaseState", "int64_safe"]
 
 Element = Union[int, str]
 Row = Tuple[Element, ...]
-
-#: how many (parent fingerprint, delta) links a state remembers; answer
-#: caches older than this many mutations re-materialise instead of chaining
-MAX_LINEAGE = 16
 
 _FP_MASK = (1 << 64) - 1
 
@@ -208,31 +202,6 @@ class Delta:
             len(rows) for rows in self.deletes.values()
         )
 
-    def then(self, other: "Delta") -> "Delta":
-        """The composition: applying ``self`` then ``other``, as one delta.
-
-        For *effective* deltas (every insert genuinely new, every delete
-        genuinely present — what :meth:`DatabaseState.apply` records in the
-        lineage) the composition is again effective with respect to the
-        original base state: a row inserted and later deleted (or deleted
-        and later re-inserted) is a net no-op and is dropped from both
-        sides.
-        """
-        inserts: Dict[str, FrozenSet[Row]] = {}
-        deletes: Dict[str, FrozenSet[Row]] = {}
-        for name in set(self.changed_relations()) | set(other.changed_relations()):
-            i1 = self.inserts.get(name, frozenset())
-            d1 = self.deletes.get(name, frozenset())
-            i2 = other.inserts.get(name, frozenset())
-            d2 = other.deletes.get(name, frozenset())
-            net_ins = (i1 - d2) | (i2 - d1)
-            net_del = (d1 - i2) | (d2 - i1)
-            if net_ins:
-                inserts[name] = net_ins
-            if net_del:
-                deletes[name] = net_del
-        return Delta(inserts, deletes)
-
     def __hash__(self) -> int:
         return hash((
             tuple(sorted(self.inserts.items())),
@@ -387,23 +356,16 @@ class DatabaseState:
         """How many effective mutations separate this state from its root.
 
         Freshly constructed states are version 0; each :meth:`apply` that
-        actually changes something increments it.  Together with
-        :meth:`fingerprint` this is what keys per-session answer caches.
+        actually changes something increments it.
         """
         return self.__dict__.get("_version", 0)
 
     @property
-    def lineage(self) -> Tuple[Tuple[int, Delta], ...]:
-        """The last ≤ ``MAX_LINEAGE`` (parent fingerprint, effective delta)
-        links, oldest first.
-
-        ``lineage[i]`` says: the state whose fingerprint is ``lineage[i][0]``
-        becomes (the next link's parent, or this state) by applying
-        ``lineage[i][1]``.  Answer caches use it to locate a previously
-        materialised ancestor and compose the deltas separating it from this
-        state (:meth:`Delta.then`).
-        """
-        return self.__dict__.get("_lineage", ())
+    def effective_delta(self) -> Delta:
+        """The delta :meth:`apply` actually made to reach this state from
+        its parent (inserts already present and deletes already absent
+        dropped); empty for a state that no :meth:`apply` produced."""
+        return self.__dict__.get("_effective_delta") or Delta()
 
     def apply(self, delta: Delta) -> "DatabaseState":
         """The state after a batch mutation (deletes first, then inserts).
@@ -412,8 +374,8 @@ class DatabaseState:
         does not touch, inherits a fingerprint *patched* with the changed
         rows' tokens (never re-hashing untouched rows), and records the
         *effective* delta — inserts already present and deletes already
-        absent are dropped — in its :attr:`lineage`.  Applying a delta with
-        no effective change returns ``self`` unchanged.
+        absent are dropped — as its :attr:`effective_delta`.  Applying a
+        delta with no effective change returns ``self`` unchanged.
 
         >>> from repro.relational.schema import DatabaseSchema, RelationSchema
         >>> schema = DatabaseSchema([RelationSchema("F", 2)])
@@ -421,6 +383,8 @@ class DatabaseState:
         >>> grown = state.apply(Delta.insert("F", (1, 2)))
         >>> sorted(grown["F"].rows), grown.version
         ([(0, 1), (1, 2)], 1)
+        >>> state.apply(Delta.insert("F", (0, 1), (1, 2))).effective_delta
+        Delta(inserts={'F': frozenset({(1, 2)})}, deletes={})
         >>> grown.fingerprint() == DatabaseState(schema,
         ...     {"F": [(0, 1), (1, 2)]}).fingerprint()
         True
@@ -464,10 +428,7 @@ class DatabaseState:
                 patched ^= _row_token(name, row)
         object.__setattr__(state, "_fingerprint", patched)
         object.__setattr__(state, "_version", self.version + 1)
-        lineage = self.lineage[-(MAX_LINEAGE - 1):] if MAX_LINEAGE > 1 else ()
-        object.__setattr__(
-            state, "_lineage", lineage + ((self.fingerprint(), effective),)
-        )
+        object.__setattr__(state, "_effective_delta", effective)
         # Insert-only deltas can also patch the memoised element set (if the
         # parent ever computed it); deletes cannot, since an element may have
         # other occurrences.

@@ -58,13 +58,6 @@ class ServerPolicy:
     #: entries in the process-wide shared plan cache
     plan_cache_size: int = 1024
 
-    # -- incremental evaluation ---------------------------------------------
-    #: open sessions with ``incremental=True`` so repeat queries after a
-    #: ``/mutate`` are answered by ΔQ maintenance instead of re-execution
-    incremental: bool = True
-    #: materialised answers kept per session (the answer cache's LRU size)
-    answer_cache_size: int = 64
-
     # -- HTTP/SSE ------------------------------------------------------------
     #: rows per SSE ``rows`` event when streaming large answers
     sse_chunk_rows: int = 256
@@ -79,7 +72,7 @@ class ServerPolicy:
 
     def __post_init__(self) -> None:
         for name in ("max_sessions", "burst", "max_inflight", "workers",
-                     "plan_cache_size", "sse_chunk_rows", "answer_cache_size"):
+                     "plan_cache_size", "sse_chunk_rows"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -11,8 +11,7 @@ expose four JSON endpoints —
   Events (``"stream": true``) chunking large answers;
 * ``POST /explain`` — the analysis + plan the session would use, unexecuted;
 * ``POST /mutate`` — apply an insert/delete delta to the session's default
-  state; repeat queries are then delta-maintained at O(Δ) cost instead of
-  re-executed (see :mod:`repro.relational.delta`);
+  state; the next query recomputes its answer on the new state;
 * ``GET /stats`` — sessions, shared plan cache, encode cache, admission
   counters, policy;
 * ``POST /cancel`` — trip the cancel tokens of a session's in-flight
@@ -41,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
 from ..api.session import SessionError
@@ -113,6 +113,18 @@ def _schema_from_json(spec: Any) -> DatabaseSchema:
         except (KeyError, TypeError, ValueError) as error:
             raise _HttpError(400, f"bad schema entry for {name!r}: {error}")
     return DatabaseSchema(tuple(relations))
+
+
+def _json_element(value: Any) -> str:
+    """The JSON form of an answer element JSON has no type for: a rational
+    is its ``p/q`` text, the form the query parser reads as a constant."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+#: every response body is encoded by this one encoder (C-accelerated)
+_dumps = json.JSONEncoder(default=_json_element).encode
 
 
 def _state_from_json(schema: DatabaseSchema, spec: Any) -> Optional[DatabaseState]:
@@ -318,7 +330,7 @@ class QueryServer:
         *,
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
-        blob = json.dumps(payload).encode("utf-8")
+        blob = _dumps(payload).encode("utf-8")
         headers = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             "Content-Type: application/json",
@@ -460,11 +472,13 @@ class QueryServer:
             raise _HttpError(400, str(error))
         finally:
             ticket.release()
-        rows = [list(row) for row in result.answer.rows()]
+        # The answer's sorted row tuple goes to the encoder as it is: tuples
+        # encode as JSON arrays, so the body is the same without a copy.
+        rows = result.answer.rows()
         meta = {
             "method": result.answer.method,
             "is_finite": result.answer.is_finite,
-            "row_count": len(rows),
+            "row_count": result.answer.row_count,
             "elapsed_ms": round(result.elapsed * 1000, 3),
             "plan": result.plan.explain(),
             "rewritten": result.rewritten,
@@ -491,7 +505,7 @@ class QueryServer:
         writer.write("\r\n".join(headers).encode("latin-1") + b"\r\n\r\n")
 
         def event(name: str, payload: Any) -> bytes:
-            return f"event: {name}\ndata: {json.dumps(payload)}\n\n".encode("utf-8")
+            return f"event: {name}\ndata: {_dumps(payload)}\n\n".encode("utf-8")
 
         writer.write(event("meta", meta))
         chunk = self._policy.sse_chunk_rows

@@ -96,7 +96,6 @@ class ManagedSession:
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,
             "state_version": None if self.state is None else self.state.version,
-            "incremental": self.session.incremental,
             "idle_seconds": None,  # filled by the manager, which owns the clock
         }
 
@@ -181,8 +180,6 @@ class SessionManager:
             raise ServerDraining("the server is shutting down; not accepting sessions")
         options.pop("plan_cache", None)
         options.pop("plan_cache_size", None)
-        options.setdefault("incremental", self._policy.incremental)
-        options.setdefault("answer_cache_size", self._policy.answer_cache_size)
         session = Session(domain, schema, plan_cache=self._plan_cache, **options)
         now = self._clock()
         with self._lock:
@@ -355,8 +352,8 @@ class SessionManager:
         queries), replaces the managed default state with the one
         :meth:`Session.apply_delta <repro.api.session.Session.apply_delta>`
         returns — structurally sharing untouched relations, growing encoded
-        columns on insert-only deltas — and leaves the lineage in place for
-        the answer cache to re-answer at O(Δ) cost.
+        columns on insert-only deltas.  The next query recomputes its answer
+        on the new state.
         """
         if self._draining:
             raise ServerDraining("the server is shutting down; not accepting mutations")
@@ -368,11 +365,7 @@ class SessionManager:
             if new_state is not base:
                 managed.state = new_state
                 managed.mutations_applied += 1
-                changed = (
-                    new_state.lineage[-1][1].row_count()
-                    if new_state.lineage
-                    else delta.row_count()
-                )
+                changed = new_state.effective_delta.row_count()
             receipt = {
                 "session_id": session_id,
                 "applied": new_state is not base,

@@ -1,6 +1,6 @@
 """Answers come back sorted, once, and equal to the tree walker's.
 
-* every rung — compiled, vectorized, incremental — and ``Session`` auto,
+* every rung — compiled and vectorized — and ``Session`` auto,
   plain and guarded, over every pack corpus: ``answer.rows()`` is
   ``tuple(sorted(answer.relation.rows))``, the same object on every call,
   and its rows are the tree walker's;
@@ -87,12 +87,12 @@ def _spanning_prefix(domain, state, query, cap=64, margin=8):
 def test_algebra_rungs_answer_sorted_tree_walker_rows(pack_name):
     pack = get_pack(pack_name)
     for corpus in pack.corpora():
-        session = connect(pack_name, corpus.schema, guard=False, incremental=True)
+        session = connect(pack_name, corpus.schema, guard=False)
         extras = _carrier_extras(session.domain)
         state = corpus.canonical_state
         for query in corpus.queries:
             expected = _walker_rows(query.query, state, session.domain, extras)
-            for strategy in ("compiled", "vectorized", "incremental"):
+            for strategy in ("compiled", "vectorized"):
                 answer = session.run(
                     query.query, state, strategy=strategy, extra_elements=extras
                 ).answer
@@ -142,12 +142,12 @@ def _all_strategies_agree(session, text, state, domain):
     query = parse_formula(text)
     expected = _walker_rows(query, state, domain)
     results = []
-    for strategy in ("compiled", "vectorized", "incremental"):
+    for strategy in ("compiled", "vectorized"):
         answer = session.run(text, state, strategy=strategy).answer
         assert answer.method == {"compiled": "compiled-algebra"}.get(strategy, strategy)
         assert set(_assert_sorted_once(answer)) == expected
         results.append(answer.rows())
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     return results[1]
 
 
@@ -158,7 +158,7 @@ def _all_strategies_agree(session, text, state, domain):
 )
 def test_zero_column_and_empty_answers(text, rows):
     schema, state = _unary(3, 1)
-    session = connect("equality", schema, guard=False, incremental=True)
+    session = connect("equality", schema, guard=False)
     assert _all_strategies_agree(session, text, state, EQ) == rows
     guarded = connect("equality", schema).run(text, state).answer
     assert _assert_sorted_once(guarded) == rows
@@ -171,7 +171,7 @@ def test_zero_column_and_empty_answers(text, rows):
 )
 def test_numeric_decode_orders_negative_and_edge_integers(values):
     schema, state = _unary(*values)
-    session = connect("integers", schema, guard=False, incremental=True)
+    session = connect("integers", schema, guard=False)
     domain = session.domain
     assert _all_strategies_agree(session, "S(x)", state, domain) == tuple(
         (v,) for v in sorted(values)
@@ -188,7 +188,7 @@ def test_numeric_decode_orders_negative_and_edge_integers(values):
 def test_dictionary_carriers_sort_their_decoded_rows(values):
     schema, state = _unary(*values)
     state = state.with_relation("T", list(zip(values, reversed(values))))
-    session = connect("equality", schema, guard=False, incremental=True)
+    session = connect("equality", schema, guard=False)
     for text in ("S(x)", "exists y. (T(x, y) & S(y))", "T(x, y) & T(y, z)"):
         _all_strategies_agree(session, text, state, EQ)
     guarded = connect("equality", schema).run("T(x, y)", state).answer
@@ -205,7 +205,7 @@ def test_join_outputs_out_of_order_are_sorted_once():
     coded = execute_vectorized(compiled.plan, state, compiled.universe(state))
     raw = list(map(tuple, coded.codes.tolist()))
     assert raw != sorted(raw)
-    session = connect("equality", family_schema(), guard=False, incremental=True)
+    session = connect("equality", family_schema(), guard=False)
     joined = _all_strategies_agree(session, text, state, EQ)
     assert joined == tuple(sorted(joined)) and len(joined) == 4
     guarded = connect("equality", family_schema()).run(text, state).answer

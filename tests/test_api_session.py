@@ -410,24 +410,20 @@ def test_planner_rejects_unknown_strategy_names():
 # ---------------------------------------------------------------------------
 
 
-#: pack → (auto plan, its inner plan) in a plain and an incremental session
+#: pack → the shape of its auto plan (the plan and its inner plan)
 _AUTO_PLANS = {
-    "equality": (
-        "GuardedPlan[VectorizedAlgebraPlan]", "GuardedPlan[IncrementalAlgebraPlan]"
-    ),
-    "cyclic_successor": (
-        "GuardedPlan[VectorizedAlgebraPlan]", "GuardedPlan[IncrementalAlgebraPlan]"
-    ),
+    "equality": "GuardedPlan[VectorizedAlgebraPlan]",
+    "cyclic_successor": "GuardedPlan[VectorizedAlgebraPlan]",
     **{
-        name: ("GuardedPlan[EnumerationPlan]",) * 2
+        name: "GuardedPlan[EnumerationPlan]"
         for name in (
             "naturals_with_order", "presburger_naturals", "presburger_integers",
             "integer_differences", "naturals_with_successor",
             "rationals_with_order", "shortlex_strings",
         )
     },
-    "traces": ("EnumerationPlan",) * 2,
-    "reach_traces": ("EnumerationPlan",) * 2,
+    "traces": "EnumerationPlan",
+    "reach_traces": "EnumerationPlan",
 }
 
 
@@ -442,27 +438,23 @@ def test_plan_choice_table_covers_every_pack():
     assert set(_AUTO_PLANS) == set(available_domains())
 
 
-@pytest.mark.parametrize("incremental", [False, True], ids=["plain", "incremental"])
 @pytest.mark.parametrize("name", sorted(_AUTO_PLANS))
-def test_auto_plan_choice_per_pack(name, incremental):
-    plan = connect(name, incremental=incremental).plan()
-    assert _plan_shape(plan) == _AUTO_PLANS[name][incremental]
+def test_auto_plan_choice_per_pack(name):
+    plan = connect(name).plan()
+    assert _plan_shape(plan) == _AUTO_PLANS[name]
 
 
 #: the packs whose auto plan reads the verdict and the rows off one
 #: quantifier-free form (ARCHITECTURE.md "QE once")
 _READ_OFF_PACKS = sorted(
     name
-    for name, shapes in _AUTO_PLANS.items()
-    if shapes[0] == "GuardedPlan[EnumerationPlan]"
+    for name, shape in _AUTO_PLANS.items()
+    if shape == "GuardedPlan[EnumerationPlan]"
 )
 
 
-@pytest.mark.parametrize("incremental", [False, True], ids=["plain", "incremental"])
 @pytest.mark.parametrize("name", _READ_OFF_PACKS)
-def test_auto_never_walks_or_enumerates_on_read_off_packs(
-    name, incremental, monkeypatch
-):
+def test_auto_never_walks_or_enumerates_on_read_off_packs(name, monkeypatch):
     # The default path answers from the guard's quantifier-free form: the
     # tree walker and the Section 1.1 enumeration must never run under auto.
     import repro.engine.enumeration as enumeration
@@ -488,7 +480,7 @@ def test_auto_never_walks_or_enumerates_on_read_off_packs(
                 )
                 for size in (0, 1, 3, 6)
             ]
-        session = connect(name, corpus.schema, incremental=incremental)
+        session = connect(name, corpus.schema)
         for state in states:
             for pack_query in corpus.queries:
                 session.run(pack_query.query, state)

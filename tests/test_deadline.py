@@ -23,7 +23,7 @@ from repro.engine.budget import (
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 #: every non-enumeration strategy (the classes that used to ignore the limit)
-STRATEGIES = ("active-domain", "compiled", "vectorized", "incremental")
+STRATEGIES = ("active-domain", "compiled", "vectorized")
 
 #: a state large enough that a 4-way self-join cannot finish in 10 ms
 BIG_ROWS = 20_000
@@ -33,9 +33,9 @@ BIG_QUERY = (
 )
 
 
-def nat_session(incremental=False):
+def nat_session():
     schema = DatabaseSchema((RelationSchema("F", 2),))
-    return Session("nat<", schema, incremental=incremental)
+    return Session("nat<", schema)
 
 
 def big_state(session):
@@ -96,7 +96,7 @@ def test_interruption_payload_is_json_ready():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_time_limit_interrupts_every_strategy(strategy):
-    session = nat_session(incremental=strategy == "incremental")
+    session = nat_session()
     state = big_state(session)
     started = time.perf_counter()
     with pytest.raises(DeadlineExceeded) as excinfo:
@@ -111,7 +111,7 @@ def test_time_limit_interrupts_every_strategy(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_generous_time_limit_does_not_interrupt(strategy):
-    session = nat_session(incremental=strategy == "incremental")
+    session = nat_session()
     state = session.state(F=[(1, 2), (2, 3)])
     result = session.run(
         "F(x, y)", state, strategy=strategy, budget=Budget(time_limit=60.0)

@@ -7,8 +7,8 @@ injected by wrapping the two hot-path entry points with ``monkeypatch``:
 
 * ``_ColumnarExecutor.run`` — the vectorized executor, before each
   operator's kernel dispatch;
-* ``_MaintenanceEngine.visit`` — the ΔQ maintenance engine, before each
-  node's maintenance rule.
+* ``CodedRows.rows`` — the vectorized rung's decode of its code table,
+  after the kernels have run.
 
 A fault either raises or sleeps 20 ms, once, at a fixed hit of its entry
 point.  Whatever it does, every execution must return exactly the tree
@@ -25,23 +25,17 @@ import pytest
 from repro import Budget
 from repro.conformance.harness import _carrier_extras, _random_delta, _reference_rows
 from repro.domains import available_domains, get_pack
-from repro.engine.answer_cache import AnswerCache
 from repro.engine.plan_cache import PlanCache
-from repro.engine.plans import (
-    CompiledAlgebraPlan,
-    IncrementalAlgebraPlan,
-    VectorizedAlgebraPlan,
-)
+from repro.engine.plans import CompiledAlgebraPlan, VectorizedAlgebraPlan
 from repro.logic.parser import parse_formula
-from repro.relational.columnar import HAVE_NUMPY, _ColumnarExecutor
-from repro.relational.delta import _MaintenanceEngine
+from repro.relational.columnar import HAVE_NUMPY, CodedRows, _ColumnarExecutor
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
 
 #: the wrapped entry points, by the name test ids carry
 POINTS = {
     "kernel-entry": (_ColumnarExecutor, "run"),
-    "maintenance-rule": (_MaintenanceEngine, "visit"),
+    "decode-entry": (CodedRows, "rows"),
 }
 
 #: seconds one injected-fault case may run before it counts as hung
@@ -100,18 +94,16 @@ def _scenarios(pack, domain, extras):
 
 
 def _run_ladders(domain, extras, scenarios):
-    """Compiled, vectorized and incremental plans through every scenario;
-    the executions whose rows differ from the tree walker's."""
+    """Compiled and vectorized plans through every scenario; the executions
+    whose rows differ from the tree walker's."""
     problems = []
     cache = PlanCache(maxsize=64)
     for corpus, steps in scenarios:
-        plans = [CompiledAlgebraPlan, IncrementalAlgebraPlan]
+        plans = [CompiledAlgebraPlan]
         if HAVE_NUMPY:
             plans.append(VectorizedAlgebraPlan)
         for cls in plans:
             plan = cls(domain=domain, extra_elements=extras, cache=cache)
-            # canonical → mutated, so the incremental plan's second step
-            # runs the maintenance rules
             for step, (state, expected) in enumerate(steps):
                 for pq in corpus.queries:
                     got = frozenset(plan.execute(pq.query, state).relation.rows)
@@ -159,8 +151,8 @@ def test_every_ladder_answers_the_walkers_rows_under_a_fault(
 def test_each_injection_point_fires_on_some_pack(monkeypatch, point):
     # Guards the test above against vacuity: the wrapped method must really
     # be on the path the ladders take.
-    if point == "kernel-entry" and not HAVE_NUMPY:
-        pytest.skip("kernel-entry lives in the columnar executor")
+    if not HAVE_NUMPY:
+        pytest.skip(f"{point} lives in the columnar executor")
     for pack_name in available_domains():
         with monkeypatch.context() as patch:
             _, fired = _run_faulted(patch, pack_name, point, "raise", 0)
@@ -198,6 +190,22 @@ def test_injected_kernel_fault_falls_back_to_the_set_executor(monkeypatch):
     )
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="decode-entry lives in the columnar executor")
+def test_injected_decode_fault_falls_back_to_the_set_executor(monkeypatch):
+    # The decode belongs to the rung: a fault after the kernels ran still
+    # steps down for this execution only.
+    domain, state = nat_fixture()
+    plan = VectorizedAlgebraPlan(domain=domain, budget=Budget())
+    inject(monkeypatch, "decode-entry", "raise", 0)
+    answer = plan.execute(parse_formula("F(x, y)"), state)
+    assert frozenset(answer.relation.rows) == FAMILY
+    assert answer.method == "compiled-algebra"
+    assert plan.fallback_reason.startswith(
+        "the vectorized substrate faulted (RungFault: injected at 'decode-entry'"
+    )
+    assert plan.execute(parse_formula("F(x, y)"), state).method == "vectorized"
+
+
 @pytest.mark.skipif(not HAVE_NUMPY, reason="kernel-entry lives in the columnar executor")
 def test_faults_never_demote_the_rung_for_later_executions(monkeypatch):
     domain, state = nat_fixture()
@@ -222,19 +230,3 @@ def test_faults_never_demote_the_rung_for_later_executions(monkeypatch):
         assert each.fallback_reason is None
         assert "faulted" not in each.explain()
         assert frozenset(answer.relation.rows) == FAMILY
-
-
-def test_answer_cache_faults_step_down_like_any_rung(monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("cache exploded")
-
-    domain, state = nat_fixture()
-    plan = IncrementalAlgebraPlan(domain=domain)
-    monkeypatch.setattr(AnswerCache, "answer", broken)
-    answer = plan.execute(parse_formula("F(x, y)"), state)
-    assert frozenset(answer.relation.rows) == FAMILY
-    assert answer.method == "compiled-algebra"
-    assert plan.last_decision.startswith("recomputed in full: the answer-cache")
-    assert "answer-cache substrate faulted (RuntimeError: cache exploded)" in (
-        plan.explain()
-    )

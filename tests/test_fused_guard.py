@@ -7,12 +7,12 @@ are the exact answer.  These tests pin that down:
 
 * a finite query whose answer needs an element *outside* the active domain
   (adom-only evaluation gets it wrong; the fused path does not), through a
-  plain session, an incremental session and ``POST /query``;
+  session, a session across ``apply_delta`` and ``POST /query``;
 * the fused verdict equals ``EqualityRelativeSafety.decide`` and the fused
   rows equal the tree walker over adom ∪ fresh minus the fresh rows, on every
   rung of the ladder, over both carriers and states of sizes 0, 1, 3 and 6;
-* incremental sessions stay exact when a delta stores a current fresh
-  element (the next probe re-picks, and the cache never serves a stale hit).
+* sessions stay exact when a delta stores a current fresh element (the next
+  probe re-picks, and the encode cache never serves a stale adom column).
 """
 
 import http.client
@@ -24,12 +24,10 @@ import pytest
 from repro.api import Session
 from repro.domains.equality import EqualityDomain
 from repro.domains.packs import get_pack
-from repro.engine.answer_cache import AnswerCache
 from repro.engine.plans import (
     ActiveDomainPlan,
     CompiledAlgebraPlan,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     VectorizedAlgebraPlan,
 )
 from repro.experiments.corpora import family_schema, family_state
@@ -77,14 +75,17 @@ def test_outsider_query_is_answered_exactly_in_a_plain_session():
     assert session.run(OUTSIDER_QUERY, state, strategy="compiled").answer.rows() == ()
 
 
-def test_outsider_query_is_answered_exactly_in_an_incremental_session():
-    session = Session("equality", family_schema(), incremental=True)
+def test_outsider_query_is_answered_exactly_across_apply_delta():
+    session = Session("equality", family_schema())
     state = family_state(generations=2, sons_per_father=2)
-    for _ in range(2):  # a miss, then an answer-cache hit
+    for _ in range(2):  # the same state twice, the encode cache warm
         result = session.run(OUTSIDER_QUERY, state)
         assert result.answer.is_finite is True
         assert list(result.answer.rows()) == _family_rows()
-    assert session.answer_cache_info().hits == 1
+    grown = session.apply_delta(state, Delta.insert("F", (6, 7)))
+    result = session.run(OUTSIDER_QUERY, grown)
+    assert result.answer.method == "vectorized"
+    assert list(result.answer.rows()) == sorted(grown.relations["F"].rows)
 
 
 def _post(port, path, payload):
@@ -125,9 +126,6 @@ def _ladders(domain):
         "active-domain": lambda: ActiveDomainPlan(domain=domain),
         "compiled": lambda: CompiledAlgebraPlan(domain=domain),
         "vectorized": lambda: VectorizedAlgebraPlan(domain=domain),
-        "incremental": lambda: IncrementalAlgebraPlan(
-            domain=domain, answer_cache=AnswerCache()
-        ),
     }
 
 
@@ -197,7 +195,7 @@ def test_columnar_rungs_split_before_decoding():
 
 
 # ---------------------------------------------------------------------------
-# Incremental sessions: fresh-element collisions
+# Mutated states: fresh-element collisions
 # ---------------------------------------------------------------------------
 
 
@@ -207,41 +205,41 @@ def test_columnar_rungs_split_before_decoding():
 def test_delta_storing_the_probe_element_is_never_a_stale_hit(text):
     by_name = {pq.name: pq.query for pq in CORPUS.queries}
     query = by_name.get(text) or parse_formula(text)
-    session = Session("equality", family_schema(), incremental=True)
+    session = Session("equality", family_schema())
     state = session.state(F=[(1, 2), (2, 3), (2, 5)])
     session.run(query, state)
     probe = session.safety.probe(query, state)
-    before = session.answer_cache_info()
 
     mutated = session.apply_delta(state, Delta.insert("F", (3, probe.fresh[0])))
     result = session.run(query, mutated)
 
-    reference = Session("equality", family_schema()).run(query, mutated)
+    # the same guard over the set executor, which reads no encoded column
+    reference = GuardedPlan(
+        inner=CompiledAlgebraPlan(domain=session.domain),
+        safety=EqualityRelativeSafety(session.domain),
+    ).run(query, mutated)
+    assert result.answer.method in ("vectorized", "equality-fresh-element")
     assert result.verdict == reference.verdict
     assert result.answer.is_finite == reference.answer.is_finite
     assert set(result.answer.rows()) == set(reference.answer.rows())
     assert session.safety.probe(query, mutated).fresh[0] != probe.fresh[0]
-    after = session.answer_cache_info()
-    assert after.hits == before.hits, "served a stale cached answer"
-    assert (after.maintained + after.misses + after.rematerialized) == (
-        before.maintained + before.misses + before.rematerialized + 1
-    )
 
 
-def test_incremental_guarded_sessions_track_random_deltas():
-    # Interleaved inserts (many naming current fresh elements) and deletes:
-    # the incremental session must agree with a plain one after every step.
+def test_guarded_sessions_track_random_deltas():
+    # Interleaved inserts (many naming current fresh elements) and deletes
+    # through apply_delta: the session must agree, after every step, with the
+    # same guard over the set executor on a freshly built state (which reads
+    # no encoded column).
     queries = [pq.query for pq in CORPUS.queries] + [parse_formula(OUTSIDER_QUERY)]
-    maintained = 0
+    vectorized = 0
     for seed in range(4):
         rng = random.Random(f"fused-delta/{seed}")
-        incremental = Session("equality", family_schema(), incremental=True)
-        plain = Session("equality", family_schema())
+        mutating = Session("equality", family_schema())
         state = CORPUS.state_factory(rng, 6)
         for step in range(6):
             if step:
                 live = sorted(state.relations["F"].rows)
-                fresh = incremental.safety.probe(queries[1], state).fresh
+                fresh = mutating.safety.probe(queries[1], state).fresh
                 if live and rng.random() < 0.3:
                     delta = Delta.delete("F", rng.choice(live))
                 else:
@@ -249,13 +247,18 @@ def test_incremental_guarded_sessions_track_random_deltas():
                         "F", (rng.choice(fresh), rng.randrange(12)),
                         (rng.randrange(12), rng.randrange(12)),
                     )
-                state = incremental.apply_delta(state, delta)
+                state = mutating.apply_delta(state, delta)
+            rebuilt = DatabaseState(family_schema(), {"F": list(state["F"].rows)})
+            reference = GuardedPlan(
+                inner=CompiledAlgebraPlan(domain=mutating.domain),
+                safety=EqualityRelativeSafety(mutating.domain),
+            )
             for query in queries:
-                got = incremental.run(query, state)
-                want = plain.run(query, state)
+                got = mutating.run(query, state)
+                want = reference.run(query, rebuilt)
+                vectorized += got.answer.method == "vectorized"
                 assert got.verdict == want.verdict, (seed, step, query)
                 assert set(got.answer.rows()) == set(want.answer.rows()), (
                     seed, step, query,
                 )
-        maintained += incremental.answer_cache_info().maintained
-    assert maintained > 0, "the ΔQ path never engaged on the guarded path"
+    assert vectorized > 0, "the vectorized rung never answered on the guarded path"

@@ -140,3 +140,47 @@ def test_print_parse_round_trip_property(formula):
 @given(terms())
 def test_print_parse_term_round_trip_property(term):
     assert parse_term(print_term(term)) == term
+
+
+# ---------------------------------------------------------------------------
+# The constants the printer writes: negative integers and p/q rationals
+# ---------------------------------------------------------------------------
+
+
+def test_parse_negative_integer_constants():
+    assert parse_formula("x = -3") == Equals(Var("x"), Const(-3))
+    assert parse_formula("-3 < x") == Atom("<", (Const(-3), Var("x")))
+    assert parse_term("f(-1, 2)") == Apply("f", (Const(-1), Const(2)))
+    # binary minus is unchanged, also before a negative constant
+    assert parse_term("x - 3") == Apply("-", (Var("x"), Const(3)))
+    assert parse_term("x - -3") == Apply("-", (Var("x"), Const(-3)))
+
+
+def test_parse_rational_constants():
+    from fractions import Fraction
+
+    assert parse_formula("x = 1/2") == Equals(Var("x"), Const(Fraction(1, 2)))
+    assert parse_term("-7/2") == Const(Fraction(-7, 2))
+    # a whole ratio is the integer, as the printer would write it
+    assert parse_term("4/2") == Const(2)
+    assert isinstance(parse_term("4/2").value, int)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_term("1/0")
+    with pytest.raises(ParseError):
+        parse_term("x/2")
+
+
+def _corpus_queries():
+    from repro.domains import available_domains, get_pack
+
+    return [
+        pytest.param(pq.query, id=f"{name}/{corpus.name}/{pq.name}")
+        for name in available_domains()
+        for corpus in get_pack(name).corpora()
+        for pq in corpus.queries
+    ]
+
+
+@pytest.mark.parametrize("query", _corpus_queries())
+def test_every_pack_corpus_query_round_trips(query):
+    assert parse_formula(print_formula(query)) == query

@@ -15,8 +15,8 @@ Four layers:
 * planner/session integration: strategy ``"vectorized"`` selection, the
   shared plan-cache entry, and the recorded fallback ladder
   (vectorized → set executor → tree walker);
-* the one ladder every algebra plan runs (compiled, vectorized,
-  incremental): the tree walker on a compile error, tiny and
+* the one ladder every algebra plan runs (compiled, vectorized): the tree
+  walker on a compile error, tiny and
   dictionary-encoded states, and identical answers across repeated runs.
 """
 
@@ -40,7 +40,6 @@ from repro.engine.plans import (
     STRATEGIES,
     CompiledAlgebraPlan,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     VectorizedAlgebraPlan,
 )
 from repro.experiments.corpora import (
@@ -405,6 +404,76 @@ def test_repeat_guarded_vectorized_runs_decode_once_in_order(monkeypatch):
     assert calls == {"fresh_elements": 0, "scan_unique_rows": 0, "decode": 0}
 
 
+
+# ---------------------------------------------------------------------------
+# The universe: stored elements encoded once per state, the rest per request
+# ---------------------------------------------------------------------------
+
+#: finite, and true only because someone outside the family exists: its
+#: plan pads with the universe, so the adom column is read
+OUTSIDER_QUERY = "F(x, y) & exists z. ~(exists w. (F(z, w) | F(w, z)))"
+
+
+def test_repeat_guarded_run_encodes_only_the_elements_outside_the_state(
+    monkeypatch,
+):
+    from repro.relational.compile import CompiledQuery
+
+    session = connect("equality", family_schema())
+    state = family_state(generations=4)
+    first = session.run(OUTSIDER_QUERY, state)
+    assert first.answer.method == "vectorized"
+
+    universes, encoded = [], []
+    universe = CompiledQuery.universe
+    encode_column = ElementCodec.encode_column
+
+    def counting_universe(self, *args, **kwargs):
+        universes.append(self)
+        return universe(self, *args, **kwargs)
+
+    def recording_encode_column(self, elements):
+        encoded.append(frozenset(elements))
+        return encode_column(self, elements)
+
+    monkeypatch.setattr(CompiledQuery, "universe", counting_universe)
+    monkeypatch.setattr(ElementCodec, "encode_column", recording_encode_column)
+    again = session.run(OUTSIDER_QUERY, state)
+
+    assert again.answer.method == "vectorized"
+    assert again.answer.rows() == first.answer.rows()
+    assert universes == []
+    probe = session.safety.probe(parse_formula(OUTSIDER_QUERY), state)
+    assert encoded == [frozenset(probe.fresh)]
+    assert frozenset(probe.fresh).isdisjoint(state.elements())
+
+
+def test_stored_adom_column_is_not_carried_across_a_delta():
+    # The insert brings new elements; a grown state must encode its own
+    # stored adom column, never the parent's.
+    cache = EncodeCache(maxsize=4)
+    state = family_state(generations=2)
+    compiled = compile_query(parse_formula("~F(x, y)"), state.schema, EQ)
+    execute_vectorized(compiled.plan, state, cache=cache)
+    grown = state.apply(Delta.insert("F", (100, 101)))
+    cache.migrate(state, grown, grown.effective_delta)
+    coded = execute_vectorized(compiled.plan, grown, cache=cache)
+    assert coded.decode() == compiled.execute(grown, EQ).rows
+    assert (101, 100) in coded.decode()
+    assert cache.info().grown_columns == 1
+
+
+def test_vectorized_universe_is_the_stored_elements_plus_the_outside_ones():
+    state = family_state(generations=2)
+    compiled = compile_query(parse_formula("~F(x, y)"), state.schema, EQ)
+    # Passing a whole universe (stored elements included) or only the
+    # elements outside the state gives the same answer.
+    whole = execute_vectorized(compiled.plan, state, compiled.universe(state, (50,)))
+    outside = execute_vectorized(compiled.plan, state, (50,))
+    assert whole.decode() == outside.decode() == compiled.execute(
+        state, EQ, (50,)
+    ).rows
+
 # ---------------------------------------------------------------------------
 # Property-style equivalence over the experiment query corpora
 # ---------------------------------------------------------------------------
@@ -550,12 +619,12 @@ def test_explicit_vectorized_strategy_reports_and_answers():
 
 
 def test_algebra_plans_share_one_plan_cache_entry():
-    session = connect("eq", family_schema(), incremental=True)
+    session = connect("eq", family_schema())
     state = family_state(generations=1)
-    for strategy in ("vectorized", "compiled", "incremental", "vectorized"):
+    for strategy in ("vectorized", "compiled", "vectorized"):
         session.query("F(x, y)", state, strategy=strategy)
     info = session.plan_cache_info()
-    assert (info.size, info.misses, info.hits) == (1, 1, 3)
+    assert (info.size, info.misses, info.hits) == (1, 1, 2)
 
 
 def test_traces_fallback_is_recorded_in_explain():
@@ -611,7 +680,6 @@ def test_vectorized_plan_respects_extra_elements():
 _ALGEBRA_PLANS = {
     "compiled": (CompiledAlgebraPlan, "compiled-algebra"),
     "vectorized": (VectorizedAlgebraPlan, "vectorized"),
-    "incremental": (IncrementalAlgebraPlan, "incremental"),
 }
 
 _LADDER_STATES = {
@@ -673,9 +741,9 @@ def test_algebra_plans_share_one_cached_compile_failure():
     cache = PlanCache()
     query = parse_formula("exists y. (S(y) & x = succ(y))")
     state = numeric_state([2, 3])
-    for strategy in ("compiled", "vectorized", "incremental"):
+    for strategy in ("compiled", "vectorized"):
         plan = _algebra_plan(strategy, SUCCESSOR, cache=cache)
         assert plan.execute(query, state).method == "active-domain"
         assert "tree-walking" in plan.fallback_reason
     info = cache.info()
-    assert (info.size, info.misses, info.hits) == (1, 1, 2)
+    assert (info.size, info.misses, info.hits) == (1, 1, 1)
