@@ -182,11 +182,7 @@ def test_perf_vectorized_four_way(benchmark, size):
     state = numeric_state([3 * i + 1 for i in range(size)])
     corpus = {name: query for name, query, _finite in ordered_query_corpus()}
     queries = [corpus["members"], corpus["below-member"]]
-    # Pin the *unoptimized* plans: this benchmark compares the two
-    # executors' kernels on identical pad/filter-shaped plans.
-    compiled = [
-        compile_query(q, state.schema, domain, optimize=False) for q in queries
-    ]
+    compiled = [compile_query(q, state.schema, domain) for q in queries]
 
     def run_vectorized():
         return [

@@ -1,7 +1,6 @@
 """Serving-workload benchmarks: zipfian query mix, tail latency, deadlines.
 
-Not in the paper — these gate the :mod:`repro.serve` subsystem the way the
-blowup guards gate the optimizer:
+Not in the paper — these gate the :mod:`repro.serve` subsystem:
 
 * **zipfian plan-cache hit rate** — a realistic serving mix (few hot
   queries, a long tail) over several sessions sharing one plan cache must

@@ -14,7 +14,7 @@ Two gates:
   machine-dependent, so this gate is noisy across runner generations.
 * **speedup ratios** — benchmarks that record dimensionless speedups in
   ``extra_info`` (keys starting with ``speedup``, e.g. compiled-vs-treewalk,
-  vectorized-vs-set, optimized-vs-unoptimized) are additionally gated on the
+  vectorized-vs-set) are additionally gated on the
   *ratio*: it regresses when it falls below the baseline ratio divided by
   ``ratio_tolerance`` (default 1.5, env ``BENCH_RATIO_TOLERANCE``).  Both
   sides of a ratio move with the machine, so this gate is portable across

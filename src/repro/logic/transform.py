@@ -9,7 +9,8 @@ generic parts of that recipe live here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from itertools import product
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from .builders import conj, disj, neg
 from .formulas import (
@@ -30,8 +31,7 @@ from .formulas import (
     is_quantifier_free,
 )
 from .substitution import rename_bound_variables
-from .terms import Var
-from .analysis import free_variables
+from .terms import Apply, Term, Var
 
 if TYPE_CHECKING:  # repro.engine imports the logic package
     from ..engine.budget import Deadline
@@ -69,17 +69,52 @@ def simplify(formula: Formula) -> Formula:
         body = simplify(formula.body)
         if isinstance(body, (Top, Bottom)):
             return body
-        if Var(formula.var) not in free_variables(body):
+        if not _occurs_free(Var(formula.var), body):
             return body
         return Exists(formula.var, body)
     if isinstance(formula, ForAll):
         body = simplify(formula.body)
         if isinstance(body, (Top, Bottom)):
             return body
-        if Var(formula.var) not in free_variables(body):
+        if not _occurs_free(Var(formula.var), body):
             return body
         return ForAll(formula.var, body)
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def _occurs_free(var: Var, formula: Formula) -> bool:
+    """Whether ``var`` occurs free in ``formula``.
+
+    Equivalent to ``var in free_variables(formula)``, but it stops at the
+    first occurrence and builds no sets: :func:`simplify` asks this of every
+    quantifier's body, and on a state-expanded formula those bodies hold
+    one equality per stored row.
+    """
+    if isinstance(formula, Atom):
+        return any(_term_mentions(var, arg) for arg in formula.args)
+    if isinstance(formula, Equals):
+        return _term_mentions(var, formula.left) or _term_mentions(var, formula.right)
+    if isinstance(formula, Not):
+        return _occurs_free(var, formula.body)
+    if isinstance(formula, And):
+        return any(_occurs_free(var, c) for c in formula.conjuncts)
+    if isinstance(formula, Or):
+        return any(_occurs_free(var, d) for d in formula.disjuncts)
+    if isinstance(formula, Implies):
+        return _occurs_free(var, formula.antecedent) or _occurs_free(var, formula.consequent)
+    if isinstance(formula, Iff):
+        return _occurs_free(var, formula.left) or _occurs_free(var, formula.right)
+    if isinstance(formula, (Exists, ForAll)):
+        return formula.var != var.name and _occurs_free(var, formula.body)
+    if isinstance(formula, (Top, Bottom)):
+        return False
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _term_mentions(var: Var, term: Term) -> bool:
+    if isinstance(term, Apply):
+        return any(_term_mentions(var, arg) for arg in term.args)
+    return term == var
 
 
 def to_nnf(formula: Formula) -> Formula:
@@ -216,6 +251,21 @@ def dnf_clauses(formula: Formula) -> List[List[Formula]]:
     return clauses
 
 
+def _product_clauses(conjuncts: List[Formula]) -> Iterator[List[Formula]]:
+    """The clauses of ``dnf_clauses(conj(*conjuncts))``, one at a time, for
+    conjuncts as ``conj`` leaves them (flattened and distinct).
+
+    Each conjunct is put into DNF on its own and the clauses of the product
+    are built as they are consumed, so a caller that checks a deadline per
+    clause never waits on the whole product (the clause sets of nested
+    quantifiers over stored relations multiply).  A clause may repeat; the
+    caller's ``disj`` removes the duplicate results.
+    """
+    for combination in product(*(dnf_clauses(c) for c in conjuncts)):
+        # DNF literals are never constants, so ``conj`` would only drop repeats
+        yield list(dict.fromkeys(literal for part in combination for literal in part))
+
+
 def eliminate_quantifiers(
     formula: Formula,
     eliminate_exists_clause: Callable[[str, List[Formula]], Formula],
@@ -240,12 +290,12 @@ def eliminate_quantifiers(
         if isinstance(body, Or):
             return disj(*(exists(var, d) for d in body.disjuncts))
         conjuncts = body.conjuncts if isinstance(body, And) else (body,)
-        scoped = [c for c in conjuncts if Var(var) in free_variables(c)]
+        scoped = [c for c in conjuncts if _occurs_free(Var(var), c)]
         if not scoped:
             return body
-        inert = [c for c in conjuncts if Var(var) not in free_variables(c)]
+        inert = [c for c in conjuncts if not _occurs_free(Var(var), c)]
         eliminated: List[Formula] = []
-        for clause in dnf_clauses(conj(*scoped)):
+        for clause in _product_clauses(scoped):
             if deadline is not None:
                 deadline.check("quantifier elimination")
             eliminated.append(eliminate_exists_clause(var, clause))

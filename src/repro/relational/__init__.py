@@ -23,7 +23,6 @@ from .columnar import (
 )
 from .compile import CompilationError, CompiledQuery, compile_query
 from .exec import ExecutionStats, plan_summary, run_plan
-from .optimize import optimize_plan
 from .schema import DatabaseSchema, RelationSchema
 from .state import DatabaseState, Delta, Element, Relation, Row
 from .translate import (
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate_query_active_domain",
     "CompilationError", "CompiledQuery", "compile_query",
     "run_plan", "plan_summary", "ExecutionStats",
-    "optimize_plan",
     "VectorizationError", "run_plan_vectorized", "vectorization_obstacle",
     "EncodeCache", "EncodeCacheInfo", "encode_cache", "encode_cache_info",
 ]

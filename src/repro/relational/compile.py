@@ -39,6 +39,7 @@ vectorized columnar executor in :mod:`repro.relational.columnar`):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -81,7 +82,6 @@ from .exec import (
     plan_summary,
     run_plan,
 )
-from .optimize import next_pad_column, optimize_plan
 from .schema import DatabaseSchema
 from .state import DatabaseState, Element, Relation
 
@@ -114,9 +114,6 @@ class CompiledQuery:
     #: column order the tree-walking evaluator uses)
     output: Tuple[str, ...]
     plan: PlanNode
-    #: human-readable notes from the plan optimizer (empty when the plan was
-    #: compiled with ``optimize=False`` or nothing rewrote)
-    notes: Tuple[str, ...] = ()
 
     @property
     def constants(self) -> FrozenSet[Element]:
@@ -162,19 +159,14 @@ class CompiledQuery:
         return Relation(len(self.output), rows)
 
     def summary(self) -> str:
-        """A compact census of the plan's operators, plus optimizer notes."""
-        census = plan_summary(self.plan)
-        if self.notes:
-            census += "; optimizer: " + ", ".join(self.notes)
-        return census
+        """A compact census of the plan's operators."""
+        return plan_summary(self.plan)
 
 
 def compile_query(
     formula: Formula,
     schema: DatabaseSchema,
     domain,
-    *,
-    optimize: bool = True,
 ) -> CompiledQuery:
     """Compile ``formula`` into an algebra plan over ``schema``.
 
@@ -183,10 +175,9 @@ def compile_query(
     :class:`CompilationError` when the formula uses function symbols or
     predicates that are neither database relations nor domain predicates.
 
-    The emitted plan is rewritten by the logical optimizer
-    (:mod:`repro.relational.optimize`) unless ``optimize=False`` — the
-    unoptimized plan is kept reachable for benchmarking and differential
-    testing, since both must compute the same answer.
+    The emitted plan is final: conditions fire between one-column pads as
+    soon as their attributes are bound, and every projection is simplified
+    as it is built (see :func:`_align`), so no rewrite pass follows.
 
     >>> from repro.domains.equality import EqualityDomain
     >>> from repro.experiments.corpora import family_schema
@@ -215,11 +206,7 @@ def compile_query(
     compiler = _Compiler(schema)
     root = compiler.compile(rename_bound_variables(formula))
     output = tuple(sorted(v.name for v in free_variables(formula)))
-    plan = _align(root, output)
-    notes: Tuple[str, ...] = ()
-    if optimize:
-        plan, notes = optimize_plan(plan)
-    return CompiledQuery(formula, output, plan, notes)
+    return CompiledQuery(formula, output, _align(root, output))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +219,62 @@ def _fv(formula: Formula) -> Set[str]:
 
 
 def _align(node: PlanNode, attrs: Sequence[str]) -> PlanNode:
+    """``node`` projected onto ``attrs``, simplified as it is built.
+
+    Under set semantics a column nobody reads only multiplies rows, so:
+    a ``Project`` over a ``Project`` collapses; projected-away pad columns
+    are dropped (a pad with none left becomes the non-empty-adom witness);
+    and a join part holding an attribute that neither the output nor
+    another part needs is projected before the join.  Pushing into the
+    parts recurses, so nested pads shrink too.
+    """
     attrs = tuple(attrs)
+    if node.attrs == attrs:
+        return node
+    while isinstance(node, Project):
+        node = node.source
+    if isinstance(node, CrossPad):
+        dropped = [column for column in node.pad if column not in attrs]
+        kept = tuple(column for column in node.pad if column in attrs)
+        if not kept:
+            node = _witnessed(node.source, dropped[0])
+        elif dropped:
+            node = CrossPad(node.source, kept, node.source.attrs + kept)
+    if isinstance(node, Join):
+        counts = Counter(attr for part in node.parts for attr in set(part.attrs))
+        needed = set(attrs) | {attr for attr, n in counts.items() if n > 1}
+        parts = tuple(
+            _align(part, [attr for attr in part.attrs if attr in needed])
+            for part in node.parts
+        )
+        if any(new is not old for new, old in zip(parts, node.parts)):
+            node = Join(parts, _union_attrs(parts))
     return node if node.attrs == attrs else Project(node, attrs)
+
+
+def _witnessed(node: PlanNode, var: str) -> PlanNode:
+    """``node`` guarded by a witness for ``var``: under active-domain
+    semantics a quantifier over an empty universe is false."""
+    return Join((node, Project(AdomScan((var,)), ())), node.attrs)
+
+
+def _union_attrs(parts: Sequence[PlanNode]) -> Tuple[str, ...]:
+    """The parts' attributes in first-seen order."""
+    return tuple(dict.fromkeys(attr for part in parts for attr in part.attrs))
+
+
+def _next_pad_column(
+    bound_attrs: Set[str],
+    candidates: Sequence[str],
+    pending_needs: Sequence[Set[str]],
+) -> str:
+    """The pad column enabling the most pending conditions (ties by name)."""
+
+    def enabled(column: str) -> int:
+        with_column = bound_attrs | {column}
+        return sum(1 for needed in pending_needs if needed <= with_column)
+
+    return min(candidates, key=lambda column: (-enabled(column), column))
 
 
 def _term_ref(term: Term) -> ValueRef:
@@ -272,13 +313,8 @@ class _Compiler:
     def _exists(self, formula: Exists) -> PlanNode:
         inner = self.compile(formula.body)
         if formula.var in inner.attrs:
-            return Project(
-                inner, tuple(a for a in inner.attrs if a != formula.var)
-            )
-        # Vacuous quantifier: under active-domain semantics it still requires
-        # a witness, so an empty universe makes the formula false.
-        witness = Project(AdomScan((formula.var,)), ())
-        return Join((inner, witness), inner.attrs)
+            return _align(inner, [a for a in inner.attrs if a != formula.var])
+        return _witnessed(inner, formula.var)
 
     def _disjunction(self, formula: Or) -> PlanNode:
         target = tuple(sorted(_fv(formula)))
@@ -334,12 +370,7 @@ class _Compiler:
         elif len(generators) == 1:
             current = generators[0]
         else:
-            seen: List[str] = []
-            for generator in generators:
-                for attr in generator.attrs:
-                    if attr not in seen:
-                        seen.append(attr)
-            current = Join(tuple(generators), tuple(seen))
+            current = Join(tuple(generators), _union_attrs(generators))
 
         missing: Set[str] = set(required)
         for _, needed in leftover:
@@ -365,7 +396,7 @@ class _Compiler:
 
         attach_ready()
         while missing:
-            column = next_pad_column(
+            column = _next_pad_column(
                 set(current.attrs),
                 sorted(missing),
                 [needed for _, needed in pending],

@@ -258,10 +258,11 @@ class ExecutionStats:
     """Row counts observed while running one plan.
 
     ``peak_rows`` is the largest single operator output the execution
-    materialised — the number the pad-before-filter blowup inflates to
-    ``|adom|^k`` and the optimizer's pad/filter interleaving keeps down.  The
-    blowup-regression tests assert on it because it is deterministic where
-    wall-clock time is noisy.
+    materialised — the number a pad-before-filter plan inflates to
+    ``|adom|^k`` and the compiler keeps down by firing each condition
+    between one-column pads and projecting unused columns before joins.
+    The conformance bench smoke and the compiler tests assert on it because
+    it is deterministic where wall-clock time is noisy.
     """
 
     #: largest row set materialised by any single operator (or pairwise join)

@@ -20,6 +20,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.terms import Const, Var
 from repro.logic.transform import (
+    _product_clauses,
     dnf_clauses,
     matrix_and_prefix,
     simplify,
@@ -159,3 +160,24 @@ def test_dnf_preserves_semantics_of_quantifier_free(formula):
     if not is_quantifier_free(formula):
         return
     assert _equivalent(formula, to_dnf(formula))
+
+
+def test_product_clauses_of_constants():
+    from repro.logic.formulas import BOTTOM, TOP
+
+    p, q = atom("P", var("x")), atom("Q", var("x"))
+    assert list(_product_clauses([])) == [[]]
+    assert list(_product_clauses([TOP, disj(p, q)])) == [[p], [q]]
+    assert list(_product_clauses([disj(p, q), BOTTOM])) == []
+    assert list(_product_clauses([disj(p, q), p])) == [[p], [q, p]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_formulas(depth=2), min_size=1, max_size=3))
+def test_product_clauses_are_the_clauses_of_the_conjunction(parts):
+    # The elimination driver draws a quantifier's clauses one at a time from
+    # the conjuncts ``conj`` leaves: flattened and distinct.
+    conjuncts = [p for p in dict.fromkeys(parts) if is_quantifier_free(p)]
+    conjuncts = [c for c in conjuncts if not isinstance(c, And)]
+    lazy = list(dict.fromkeys(tuple(c) for c in _product_clauses(conjuncts)))
+    assert lazy == [tuple(c) for c in dnf_clauses(conj(*conjuncts))]

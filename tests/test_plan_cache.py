@@ -9,6 +9,7 @@ import pytest
 from repro import Budget, connect
 from repro.api import Planner
 from repro.domains.equality import EqualityDomain
+from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
@@ -19,7 +20,12 @@ from repro.engine.plans import (
     VectorizedAlgebraPlan,
 )
 from repro.domains import get_domain
-from repro.experiments.corpora import family_schema, family_state, numeric_state
+from repro.experiments.corpora import (
+    family_schema,
+    family_state,
+    numeric_schema,
+    numeric_state,
+)
 from repro.logic.parser import parse_formula
 from repro.relational.compile import CompilationError
 
@@ -340,3 +346,16 @@ def test_cache_counters_stay_consistent_under_concurrent_use():
     assert info.size == 4 <= info.misses
     # a racing double miss replaces its key instead of evicting another
     assert info.evictions <= info.misses - info.size
+
+
+def test_capabilities_follow_the_domain_not_its_registered_name():
+    # Regression: capabilities used to be looked up by the domain's *name*
+    # in the registry, so a renamed (N, <) instance lost them.  Its
+    # compiled-algebra capability must still seed enumeration candidates.
+    domain = NaturalOrderDomain()
+    domain.name = "my-nat"
+    plan = connect(domain, numeric_schema()).plan("auto")
+    answer = plan.execute(parse_formula("S(x) & 3 < x"), numeric_state([2, 5, 9]))
+    assert answer.rows() == ((5,), (9,))
+    assert "candidate generator 'compiled+dovetail'" in plan.explain()
+    assert "compiled superset of 2 row(s)" in plan.explain()

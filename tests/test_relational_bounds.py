@@ -119,3 +119,15 @@ def test_both_sided_witness_from_one_row():
     state = span_state([3, 5, 12], [(1, 9)])
     assert _rows(text, state) == {(3,), (5,)}
     assert _rows(text, span_state([3, 5, 12], [])) == set()
+
+
+def test_negated_comparison_flips_into_the_complement_bound():
+    # not (x < y) ⟺ x >= y: a lower inclusive bound on x.
+    query = parse_formula("exists y. (S(y) & ~(x < y))")
+    schema = numeric_state([]).schema
+    compiled = compile_query(query, schema, NAT)
+    state = numeric_state([4, 9])
+    rows = run_plan(compiled.plan, state, compiled.universe(state), NAT)
+    assert rows == {(4,), (9,)}
+    tree = evaluate_query_active_domain(query, state, interpretation=NAT)
+    assert rows == tree.rows

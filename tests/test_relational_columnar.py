@@ -1,6 +1,6 @@
 """Tests for the vectorized NumPy columnar executor.
 
-Four layers:
+Six layers:
 
 * kernel-level tests for :mod:`repro.relational.kernels` (sort-based join
   indices, membership masks, broadcast padding, zero-column tables);
@@ -17,7 +17,9 @@ Four layers:
   (vectorized → set executor → tree walker);
 * the one ladder every algebra plan runs (compiled, vectorized): the tree
   walker on a compile error, tiny and
-  dictionary-encoded states, and identical answers across repeated runs.
+  dictionary-encoded states, and identical answers across repeated runs;
+* the per-state encode cache: hits on unchanged states, misses on changed
+  ones, LRU eviction, codec key separation and dictionary growth.
 """
 
 import random
@@ -33,6 +35,7 @@ from repro import connect
 from repro.api import Planner
 from repro.domains import available_domains, get_pack
 from repro.domains.equality import EqualityDomain
+from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plan_cache import PlanCache
@@ -71,6 +74,7 @@ from repro.relational.exec import (
     AttrRef,
     DomainCondition,
     Literal,
+    Scan,
     Select,
     run_plan,
 )
@@ -78,6 +82,7 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState, Delta
 
 EQ = EqualityDomain()
+NAT = NaturalOrderDomain()
 PRESBURGER = PresburgerDomain()
 SUCCESSOR = SuccessorDomain()
 
@@ -747,3 +752,142 @@ def test_algebra_plans_share_one_cached_compile_failure():
         assert "tree-walking" in plan.fallback_reason
     info = cache.info()
     assert (info.size, info.misses, info.hits) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the per-state encode cache
+# ---------------------------------------------------------------------------
+
+
+def test_encode_cache_hits_on_unchanged_state():
+    cache = EncodeCache(maxsize=4)
+    state = numeric_state([1, 5, 9])
+    compiled = compile_query(
+        parse_formula("S(x)"), state.schema, NAT
+    )
+    adom = compiled.universe(state)
+    first = run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
+    info = cache.info()
+    assert (info.hits, info.misses) == (0, 1)
+    second = run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
+    assert first == second == {(1,), (5,), (9,)}
+    info = cache.info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert str(info).startswith("hits=1 misses=1")
+
+
+def test_encode_cache_misses_on_changed_state():
+    cache = EncodeCache(maxsize=4)
+    compiled = compile_query(
+        parse_formula("S(x)"), numeric_state([]).schema, NAT
+    )
+    for values in ([1, 2], [1, 2, 3], [1, 2]):
+        state = numeric_state(values)
+        run_plan_vectorized(
+            compiled.plan, state, compiled.universe(state), NAT, cache=cache
+        )
+    info = cache.info()
+    # the third state equals the first by value, so it hits its entry
+    assert info.misses == 2 and info.hits == 1
+
+
+def test_encode_cache_evicts_lru():
+    cache = EncodeCache(maxsize=2)
+    compiled = compile_query(
+        parse_formula("S(x)"), numeric_state([]).schema, NAT
+    )
+    for values in ([1], [2], [3]):
+        state = numeric_state(values)
+        run_plan_vectorized(
+            compiled.plan, state, compiled.universe(state), NAT, cache=cache
+        )
+    info = cache.info()
+    assert info.evictions == 1 and info.size == 2
+
+
+def test_encode_cache_separates_codecs_by_key():
+    numeric = ElementCodec.for_universe([1, 2])
+    named = ElementCodec.for_universe(["a", "b"])
+    assert numeric.cache_key() == ("numeric",)
+    assert named.cache_key()[0] == "dictionary"
+    cache = EncodeCache(maxsize=4)
+    state = numeric_state([1, 2])
+    assert cache.columns_for(state, numeric) is cache.columns_for(state, numeric)
+    assert cache.columns_for(state, numeric) is not cache.columns_for(state, named)
+
+
+def test_encode_cache_reuses_relation_arrays():
+    cache = EncodeCache(maxsize=4)
+    state = numeric_state([4, 8])
+    compiled = compile_query(
+        parse_formula("S(x)"), state.schema, NAT
+    )
+    adom = compiled.universe(state)
+    run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
+    codec = ElementCodec.for_universe([4, 8])
+    store = cache.columns_for(state, codec)
+    assert "S" in store  # filled lazily by the first execution
+    array = store["S"]
+    run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
+    assert cache.columns_for(state, codec)["S"] is array
+
+
+def test_session_exposes_encode_cache_info():
+    session = connect("nat<", numeric_state([]).schema)
+    info = session.encode_cache_info()
+    assert hasattr(info, "hits") and hasattr(info, "misses")
+    assert "encode cache" in session.plan("vectorized").explain()
+
+
+def test_codec_extend_preserves_existing_codes():
+    base = ElementCodec.for_universe(["eve", "adam"])
+    grown = base.extend(["cain", "eve"])
+    assert grown is not base
+    for element in ("eve", "adam"):
+        assert grown.encode(element) == base.encode(element)
+    assert grown.decode(grown.encode("cain")) == "cain"
+    assert base.extend(["eve"]) is base  # nothing new: same codec
+    numeric = ElementCodec.for_universe([1, 2])
+    assert numeric.extend([99]) is numeric  # passthrough never grows
+
+
+def test_encode_cache_grows_dictionary_codec_without_reencoding():
+    from repro.relational.schema import DatabaseSchema, RelationSchema
+
+    schema = DatabaseSchema((RelationSchema("N", 1, ("name",)),))
+    state = DatabaseState(schema, {"N": [("eve",), ("adam",)]})
+    plan = Scan("N", ("x",), (), ("x",))
+    cache = EncodeCache(maxsize=4)
+    first = run_plan_vectorized(plan, state, ["eve", "adam"], EQ, cache=cache)
+    assert first == {("eve",), ("adam",)}
+    # A wider universe (a new constant outside the carrier) changes the
+    # codec — the dictionary table must grow, not rebuild, so the cached
+    # relation columns keep serving.
+    second = run_plan_vectorized(
+        plan, state, ["eve", "adam", "cain"], EQ, cache=cache
+    )
+    assert second == first
+    info = cache.info()
+    assert info.misses == 1 and info.hits == 1
+    assert info.grown == 1
+    assert "grown=1" in str(info)
+
+
+def test_encode_cache_grown_columns_stay_valid():
+    from repro.relational.schema import DatabaseSchema, RelationSchema
+
+    schema = DatabaseSchema((RelationSchema("N", 1, ("name",)),))
+    state = DatabaseState(schema, {"N": [("b",), ("d",)]})
+    plan = Scan("N", ("x",), (), ("x",))
+    cache = EncodeCache(maxsize=4)
+    run_plan_vectorized(plan, state, ["b", "d"], EQ, cache=cache)
+    codec = cache.codec_for(state, ["b", "d"])
+    store = cache.columns_for(state, codec)
+    array = store["N"]
+    # growing by an element that would sort *before* the existing table must
+    # not invalidate the cached encoding (append-only, not re-sorted)
+    wider = run_plan_vectorized(plan, state, ["a", "b", "d"], EQ, cache=cache)
+    assert wider == {("b",), ("d",)}
+    grown = cache.codec_for(state, ["a", "b", "d"])
+    assert cache.columns_for(state, grown)["N"] is array
+    assert grown.encode("b") == codec.encode("b")

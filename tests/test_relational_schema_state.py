@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.corpora import numeric_state
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState, Relation
 
@@ -81,3 +82,16 @@ def test_database_state_with_relation_and_equality():
     assert state != updated
     assert len(updated["R"]) == 2
     assert hash(state) == hash(DatabaseState(schema, {"R": [(1,)]}))
+
+
+def test_state_fingerprint_is_stable_and_memoised():
+    state = numeric_state([3, 1])
+    twin = numeric_state([1, 3])
+    other = numeric_state([1, 4])
+    # The fingerprint is a full 64-bit XOR of per-row tokens (so Delta
+    # application can patch it); __hash__ derives from it, but Python's
+    # hash() reduces big ints, so the two are equal only as hash keys.
+    assert state.fingerprint() == twin.fingerprint()
+    assert hash(state) == hash(twin)
+    assert state.fingerprint() != other.fingerprint() or state != other
+    assert state.elements() is state.elements()  # memoised frozenset

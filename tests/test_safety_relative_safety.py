@@ -18,6 +18,7 @@ from repro.experiments.exp01_intro_queries import (
     unsafe_disjunction_query,
     unsafe_negation_query,
 )
+from repro.logic.parser import parse_formula
 from repro.safety.reductions import halting_reduction
 from repro.safety.relative_safety import (
     EqualityRelativeSafety,
@@ -103,3 +104,33 @@ def test_trace_relative_safety_with_oracle_matches_halting():
         query, state = halting_reduction(case.word, word)
         verdict = decider.decide_with_oracle(query, state, oracle)
         assert verdict.is_finite is halts, (case.name, word)
+
+
+def test_ordered_relative_safety_memoises_per_formula_and_state():
+    # The memo holds the quantifier-free form ψ with its verdict, so the
+    # work it saves is the elimination: count those.
+    domain = PresburgerDomain()
+    calls = {"n": 0}
+    original = domain.quantifier_free
+
+    def counting_quantifier_free(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    domain.quantifier_free = counting_quantifier_free
+    safety = OrderedRelativeSafety(domain)
+    query = parse_formula("S(x)")
+    state = numeric_state([1, 2])
+
+    first = safety.decide(query, state)
+    assert calls["n"] == 1
+    second = safety.decide(query, state)
+    assert calls["n"] == 1  # served from the memo
+    assert first is second
+    assert safety.memo_info().hits == 1
+
+    # an equal-by-value state also hits; a different state recomputes
+    safety.decide(query, numeric_state([1, 2]))
+    assert calls["n"] == 1
+    safety.decide(query, numeric_state([1, 2, 3]))
+    assert calls["n"] == 2
