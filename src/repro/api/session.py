@@ -26,6 +26,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple, Union
@@ -52,6 +53,11 @@ from .planner import Planner
 __all__ = ["Session", "SessionError", "QueryAnalysis", "QueryResult", "connect"]
 
 QueryLike = Union[str, Formula]
+
+#: parsed query texts, shared by every session: formulas are immutable
+#: values, and a serving loop sends the same few texts over and over.  A
+#: text that fails to parse is not cached, so it raises the same error again.
+_parse = functools.lru_cache(maxsize=512)(parse_formula)
 
 
 class SessionError(ValueError):
@@ -239,10 +245,11 @@ class Session:
     # -- pipeline stage 1: compile ------------------------------------------
 
     def compile(self, query: QueryLike) -> Formula:
-        """Parse (if text) and validate a query against schema and signature."""
+        """Parse (if text: once per distinct text, process-wide) and validate
+        a query against schema and signature (on every call)."""
         if isinstance(query, str):
             try:
-                formula = parse_formula(query)
+                formula = _parse(query)
             except ParseError as error:
                 raise SessionError(f"cannot parse query {query!r}: {error}") from error
         elif isinstance(query, Formula):
@@ -429,7 +436,7 @@ class Session:
         <repro.relational.state.DatabaseState.apply>` that additionally keeps
         the process-wide columnar encode cache coherent: on an insert-only
         delta the old state's encoded columns are *grown* in place of being
-        re-encoded (appended codes, shared untouched arrays); any delete
+        re-encoded (merged codes, shared untouched arrays); any delete
         invalidates them.
         """
         new_state = state.apply(delta)

@@ -8,12 +8,15 @@ that :mod:`repro.relational.exec` interprets set-at-a-time:
   (:class:`ElementCodec`) whenever elements are not machine-sized integers
   (strings, mixed carriers, bignums);
 * scans, selections, and equality filters run as **array masks**;
-* joins are **sort-based** (:func:`repro.relational.kernels.join_indices`,
-  built on ``np.unique`` + ``np.searchsorted``), antijoins are membership
-  masks, and active-domain padding is an array broadcast;
+* joins are **sort-based** (:func:`repro.relational.kernels.join_indices`:
+  each row's key packed into one ``np.int64``, then ``np.searchsorted``),
+  antijoins are membership masks, and active-domain padding is an array
+  broadcast;
 * relation encoding is amortised by a **per-state encode cache**
   (:class:`EncodeCache`): repeated executions against an unchanged state
-  reuse the already-encoded column arrays and pay only kernel time.
+  reuse the already-encoded column arrays and pay only kernel time.  Each
+  stored code table is kept lexsorted, so scans, and the joins over them,
+  come out in order and the decode need not sort.
 
 Invariants (shared with the tree walker and the set executor):
 
@@ -323,8 +326,9 @@ class EncodeCacheInfo:
     #: entries dropped eagerly because their state was superseded or
     #: explicitly invalidated (as opposed to LRU-pressure evictions)
     invalidated: int = 0
-    #: column arrays migrated append-only to a mutated state (insert-only
-    #: deltas extend the encoded arrays instead of re-encoding the relation)
+    #: column arrays migrated to a mutated state (insert-only deltas merge
+    #: the new rows' codes into the encoded arrays instead of re-encoding
+    #: the relation)
     grown_columns: int = 0
 
     def __str__(self) -> str:
@@ -470,18 +474,17 @@ class EncodeCache:
         """Move ``old_state``'s entries to ``new_state`` after a mutation.
 
         For an **insert-only** effective delta the encoded column arrays are
-        grown append-only: untouched relations share the parent's arrays,
-        touched ones get the inserted rows' codes concatenated after the
-        existing block (growing the state's dictionary codec first when the
-        new rows bring new elements).  Anything else — deletes, or an entry
-        whose fixed-table codec cannot encode a new element — cannot reuse
-        the arrays, so the old entries are invalidated instead.  Returns the
-        number of entries migrated.
+        grown: untouched relations share the parent's arrays, touched ones
+        get the inserted rows' codes merged into their lexsorted block
+        (:func:`~repro.relational.kernels.insert_rows`: O(rows) array
+        passes, no Python pass over the stored rows), growing the state's
+        dictionary codec first when the new rows bring new elements.
+        Anything else — deletes, or an entry whose fixed-table codec cannot
+        encode a new element — cannot reuse the arrays, so the old entries
+        are invalidated instead.  Returns the number of entries migrated.
         """
-        # Rows the old state already stores are encoded already: appending
-        # them again would break the distinct rows every scan relies on.
         inserts: Dict[str, Any] = {
-            name: [row for row in rows if row not in old_state[name].rows]
+            name: rows
             for name, rows in (getattr(delta, "inserts", {}) or {}).items()
             if name in old_state
         }
@@ -550,7 +553,11 @@ class EncodeCache:
         codec: ElementCodec,
         inserts: Dict[str, Any],
     ) -> Dict[Any, Any]:
-        """Append the inserted rows' codes to the touched relations' arrays."""
+        """Merge the inserted rows' codes into the touched relations'
+        lexsorted arrays; a row an array already holds (a requested delta
+        may re-insert one) is dropped, keeping the arrays distinct."""
+        from .kernels import insert_rows
+
         moved: Dict[Any, Any] = {}
         for name, codes in entry.items():
             if name == _STORED_ADOM:
@@ -559,9 +566,7 @@ class EncodeCache:
             if not rows:
                 moved[name] = codes  # untouched: share the parent's array
                 continue
-            ordered = tuple(rows)
-            appended = codec.encode_rows(ordered, codes.shape[1])
-            moved[name] = np.concatenate([codes, appended], axis=0)
+            moved[name] = insert_rows(codes, codec.encode_rows(rows, codes.shape[1]))
             self._grown_columns += 1
         return moved
 
@@ -690,10 +695,14 @@ class _ColumnarExecutor:
         return self._adom_codes
 
     def _relation_codes(self, name: str) -> Any:
+        """The stored relation's code table, lexsorted (encoded and sorted
+        once per state and codec), so scans come out in order."""
         cached = self._relations.get(name)
         if cached is None:
             relation = self._state[name]
-            cached = self._codec.encode_rows(tuple(relation.rows), relation.arity)
+            cached = self._k.unique_rows(
+                self._codec.encode_rows(tuple(relation.rows), relation.arity)
+            )
             self._relations[name] = cached
         return cached
 
@@ -876,11 +885,11 @@ class CodedRows:
 
     On a numeric (passthrough) codec code order *is* element order, so
     :meth:`rows` decodes the table once, column by column at C speed, into a
-    tuple already in sorted order: the kernels usually leave the final
-    table lexsorted, and a table that is not gets sorted as codes first
-    (:func:`~repro.relational.kernels.sorted_unique_rows`).  Dictionary
-    codes follow the codec's table, not the elements, so there the rows come
-    back as a set, as from :meth:`decode`.
+    tuple already in sorted order: stored code tables are lexsorted and the
+    kernels keep that order, and a table that is not in order gets sorted
+    as codes first (:func:`~repro.relational.kernels.sorted_unique_rows`).
+    Dictionary codes follow the codec's table, not the elements, so there
+    the rows come back as a set, as from :meth:`decode`.
 
     >>> codec = ElementCodec.for_universe(["a", "b", "z"])
     >>> coded = CodedRows(codec, codec.encode_rows([("a",), ("b",)], 1))

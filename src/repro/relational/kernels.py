@@ -18,6 +18,17 @@ Invariants shared with the set-at-a-time executor
   of input row order, so the columnar executor can sort freely for
   ``np.searchsorted``-based joins.
 
+Every dedupe and key sort runs on **one packed key per row**
+(:func:`_row_keys`): each column, less its minimum, is shifted by the bit
+widths of the columns after it, so one ``np.int64`` orders the rows like a
+lexsort and a plain ``argsort`` plus an adjacent compare replaces
+``np.lexsort`` and ``np.unique`` (classical sort-based duplicate
+elimination).  Only tables whose column widths sum to more than 62 bits —
+codes near ±2**62 in two or more columns — fall back to ``np.lexsort``.
+Sorted inputs stay sorted: :func:`unique_rows` returns its rows in
+lexicographic order, and a natural join of a lexsorted left table keeps
+the left table's order.
+
 Doctest — a sort-based join of two small key columns:
 
 >>> import numpy as np
@@ -30,13 +41,14 @@ Doctest — a sort-based join of two small key columns:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "unique_rows",
     "sorted_unique_rows",
+    "insert_rows",
     "key_codes",
     "join_indices",
     "membership_mask",
@@ -47,15 +59,84 @@ __all__ = [
 #: the dtype every column of a code table uses
 CODE_DTYPE = np.int64
 
+#: the most bits a packed row key (:func:`_row_keys`) may span: keys stay
+#: non-negative int64 values
+_KEY_BITS = 62
 
-def unique_rows(table: "np.ndarray") -> "np.ndarray":
-    """Distinct rows of a code table (the set-semantics dedupe kernel).
 
-    Zero-column tables are handled explicitly: all their rows are equal, so
-    the result is at most one row.
+def _row_keys(*tables: "np.ndarray") -> "Optional[np.ndarray]":
+    """One ``np.int64`` key per row of ``tables`` (concatenated), ordered
+    like the rows, or ``None`` when the rows are too wide to pack.
+
+    The tables share one column count of at least one.  A single column
+    (or an empty table's first) is its own key.  Wider rows pack into one
+    integer: each column, less its minimum over every table, is shifted
+    left by the bit widths of the columns after it, so comparing keys
+    compares rows lexicographically.  When the widths sum to more than
+    :data:`_KEY_BITS` the rows are left to the caller's ``np.lexsort``
+    fallback.
 
     >>> import numpy as np
-    >>> t = np.array([[1, 2], [1, 2], [3, 4]], dtype=np.int64)
+    >>> t = np.array([[2, -1], [1, 3], [2, 0]], dtype=np.int64)
+    >>> _row_keys(t).tolist()
+    [8, 4, 9]
+    >>> _row_keys(np.array([[0, 0], [2 ** 62, 2 ** 62]], dtype=np.int64)) is None
+    True
+    """
+    stacked = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=0)
+    if stacked.shape[1] == 1 or stacked.shape[0] == 0:
+        return stacked[:, 0]
+    lows = stacked.min(axis=0)
+    # Python ints: a span of two int64 codes may not fit in an int64.
+    widths = [
+        (high - low).bit_length()
+        for low, high in zip(lows.tolist(), stacked.max(axis=0).tolist())
+    ]
+    if sum(widths) > _KEY_BITS:
+        return None
+    keys = np.zeros(stacked.shape[0], dtype=CODE_DTYPE)
+    for column, width in enumerate(widths):
+        keys <<= width
+        keys |= stacked[:, column] - lows[column]
+    return keys
+
+
+def _fresh(ordered: "np.ndarray") -> "np.ndarray":
+    """Mask of the entries of a sorted key column (or lexsorted table) that
+    differ from the one before them: the first row of each run of equals."""
+    fresh = np.empty(ordered.shape[0], dtype=bool)
+    fresh[:1] = True
+    if ordered.ndim == 1:
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    else:
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
+    return fresh
+
+
+def _sort_distinct(table: "np.ndarray", keys: "Optional[np.ndarray]") -> "np.ndarray":
+    """The distinct rows of a table of at least one column, lexsorted:
+    one argsort of the packed ``keys``, or ``np.lexsort`` without them."""
+    if keys is None:
+        order = np.lexsort(table.T[::-1])
+        return table[order[_fresh(table[order])]]
+    if table.shape[1] == 1:
+        ordered = np.sort(keys)
+        return ordered[_fresh(ordered)].reshape(-1, 1)
+    order = np.argsort(keys)
+    return table[order[_fresh(keys[order])]]
+
+
+def unique_rows(table: "np.ndarray") -> "np.ndarray":
+    """Distinct rows of a code table (the set-semantics dedupe kernel), in
+    lexicographic order.
+
+    Rows are sorted on their packed keys and deduped on adjacent runs
+    (classical sort-based duplicate elimination).  Zero-column tables are
+    handled explicitly: all their rows are equal, so the result is at most
+    one row.
+
+    >>> import numpy as np
+    >>> t = np.array([[3, 4], [1, 2], [3, 4]], dtype=np.int64)
     >>> unique_rows(t).tolist()
     [[1, 2], [3, 4]]
     >>> unique_rows(np.empty((5, 0), dtype=np.int64)).shape
@@ -65,24 +146,16 @@ def unique_rows(table: "np.ndarray") -> "np.ndarray":
         return table[:1]
     if table.shape[0] <= 1:
         return table
-    if table.shape[1] == 1:
-        return np.unique(table[:, 0]).reshape(-1, 1)
-    # np.unique(axis=0) sorts a void view, which is an order of magnitude
-    # slower than a plain integer lexsort; dedupe on sorted runs instead.
-    order = np.lexsort(table.T[::-1])
-    table = table[order]
-    keep = np.ones(table.shape[0], dtype=bool)
-    np.any(table[1:] != table[:-1], axis=1, out=keep[1:])
-    return table[keep]
+    return _sort_distinct(table, _row_keys(table))
 
 
 def sorted_unique_rows(table: "np.ndarray") -> "np.ndarray":
     """The distinct rows of a code table in lexicographic order.
 
     :func:`unique_rows` leaves its output in this order, so a table that
-    comes out of one usually already is: one vectorised comparison of
-    adjacent rows finds that, and the table comes back as it is, unsorted
-    and uncopied.  Any other table goes through :func:`unique_rows`.
+    comes out of one usually already is: one comparison of adjacent packed
+    keys finds that, and the table comes back as it is, unsorted and
+    uncopied.  Any other table, and any too wide to pack, is sorted.
 
     >>> import numpy as np
     >>> t = np.array([[1, 5], [2, 0], [2, 3]], dtype=np.int64)
@@ -93,32 +166,48 @@ def sorted_unique_rows(table: "np.ndarray") -> "np.ndarray":
     >>> sorted_unique_rows(np.array([[4], [4]], dtype=np.int64)).tolist()
     [[4]]
     """
-    if table.shape[0] > 1 and table.shape[1] and _strictly_ascending(table):
+    if table.shape[1] == 0 or table.shape[0] <= 1:
+        return unique_rows(table)
+    keys = _row_keys(table)
+    if keys is not None and bool((keys[1:] > keys[:-1]).all()):
         return table
-    return unique_rows(table)
+    return _sort_distinct(table, keys)
 
 
-def _strictly_ascending(table: "np.ndarray") -> bool:
-    """True iff every row of ``table`` is lexicographically greater than the
-    row before it (so the rows are also distinct)."""
-    previous, following = table[:-1], table[1:]
-    if table.shape[1] == 1:
-        return bool((following[:, 0] > previous[:, 0]).all())
-    differ = previous != following
-    first = differ.argmax(axis=1)  # the first column where each pair differs
-    pairs = np.arange(first.shape[0])
-    return bool(
-        differ[pairs, first].all()
-        and (following[pairs, first] > previous[pairs, first]).all()
+def insert_rows(table: "np.ndarray", rows: "np.ndarray") -> "np.ndarray":
+    """The distinct rows of ``table`` and ``rows``, in lexicographic order,
+    for a ``table`` that already is sorted and distinct.
+
+    The new rows are sorted among themselves and then merged in by binary
+    search, so the stored table is read only by O(rows) array passes;
+    rows ``table`` already holds are dropped.
+
+    >>> import numpy as np
+    >>> t = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    >>> insert_rows(t, np.array([[5, 0], [1, 2], [0, 9]], dtype=np.int64)).tolist()
+    [[0, 9], [1, 2], [3, 4], [5, 0]]
+    """
+    keys = _row_keys(table, rows) if table.shape[1] and table.shape[0] else None
+    if keys is None:
+        return unique_rows(np.concatenate([table, rows], axis=0))
+    stored, added = keys[: table.shape[0]], keys[table.shape[0]:]
+    order = np.argsort(added)
+    added = added[order]
+    keep = _fresh(added)
+    keep &= ~_found(stored, added)
+    return np.insert(
+        table, np.searchsorted(stored, added[keep]), rows[order[keep]], axis=0
     )
 
 
 def key_codes(left: "np.ndarray", right: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """Dense single-column codes for two multi-column key tables.
+    """Comparable single-column keys for two multi-column key tables.
 
-    Rows that are equal across the two tables get the same code, which turns
-    any multi-column join/membership problem into a single-column one.  Both
-    inputs must have the same number of columns.
+    Rows that are equal across the two tables get equal keys, and unequal
+    rows unequal ones, which turns any multi-column join/membership problem
+    into a single-column one.  Both inputs must have the same number of
+    columns.  A one-column key comes back as it is; wider ones are packed
+    (:func:`_row_keys`), or densified along a lexsort when too wide to pack.
 
     >>> import numpy as np
     >>> l = np.array([[1, 2], [3, 4]], dtype=np.int64)
@@ -127,22 +216,17 @@ def key_codes(left: "np.ndarray", right: "np.ndarray") -> Tuple["np.ndarray", "n
     >>> bool(lc[1] == rc[0]), bool(lc[0] == rc[1])
     (True, False)
     """
-    stacked = np.concatenate([left, right], axis=0)
-    if stacked.shape[1] == 0:
-        codes = np.zeros(stacked.shape[0], dtype=CODE_DTYPE)
-    elif stacked.shape[1] == 1:
-        _, codes = np.unique(stacked[:, 0], return_inverse=True)
-        codes = codes.reshape(-1)  # numpy >= 2.1 keeps the input shape
-    else:
-        # Group identical rows along sorted runs (see unique_rows for why
-        # this beats np.unique(axis=0)).
+    if left.shape[1] == 0:
+        return (
+            np.zeros(left.shape[0], dtype=CODE_DTYPE),
+            np.zeros(right.shape[0], dtype=CODE_DTYPE),
+        )
+    codes = _row_keys(left, right)
+    if codes is None:
+        stacked = np.concatenate([left, right], axis=0)
         order = np.lexsort(stacked.T[::-1])
-        ordered = stacked[order]
-        fresh = np.empty(ordered.shape[0], dtype=bool)
-        fresh[0] = True
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
-        codes = np.empty(ordered.shape[0], dtype=CODE_DTYPE)
-        codes[order] = np.cumsum(fresh) - 1
+        codes = np.empty(stacked.shape[0], dtype=CODE_DTYPE)
+        codes[order] = np.cumsum(_fresh(stacked[order])) - 1
     return codes[: left.shape[0]], codes[left.shape[0]:]
 
 
@@ -211,7 +295,14 @@ def membership_mask(left_keys: "np.ndarray", right_keys: "np.ndarray") -> "np.nd
     if right_keys.shape[0] == 0:
         return np.zeros(left_keys.shape[0], dtype=bool)
     left_codes, right_codes = key_codes(left_keys, right_keys)
-    return np.isin(left_codes, right_codes)
+    return _found(np.sort(right_codes), left_codes)
+
+
+def _found(ordered: "np.ndarray", keys: "np.ndarray") -> "np.ndarray":
+    """Mask of the ``keys`` present in the non-empty sorted key column
+    ``ordered``: one binary search per key."""
+    at = np.searchsorted(ordered, keys)
+    return ordered[np.minimum(at, ordered.shape[0] - 1)] == keys
 
 
 def cross_pad_arrays(table: "np.ndarray", values: "np.ndarray") -> "np.ndarray":

@@ -283,8 +283,9 @@ class DatabaseState:
 
     def int64_safe(self) -> bool:
         """:func:`int64_safe` of the stored elements, memoised like
-        :meth:`elements` (and, unlike it, never inherited by :meth:`apply`:
-        a mutated state derives its own on first use)."""
+        :meth:`elements`.  :meth:`apply` hands a ``True`` parent's verdict
+        down as that of the inserted values (deletes add no element); a
+        mutated state derives any other verdict on first use."""
         cached = self.__dict__.get("_int64_safe")
         if cached is None:
             cached = int64_safe(self.elements())
@@ -300,8 +301,8 @@ class DatabaseState:
         """The first ``count`` elements of ``enumerate_carrier()`` that the
         state does not store.
 
-        Memoised per ``carrier`` key like :meth:`elements` (and, like
-        :meth:`int64_safe`, never inherited by :meth:`apply`), so the walk
+        Memoised per ``carrier`` key like :meth:`elements` (and never
+        inherited by :meth:`apply`: a mutated state walks anew), so the walk
         of the carrier past the stored elements runs once per state and
         carrier.  It runs again only for a larger ``count``, and then
         derives at least twice as many elements as before.
@@ -412,7 +413,7 @@ class DatabaseState:
                 continue
             effective_ins[name] = ins if ins else frozenset()
             effective_del[name] = dels if dels else frozenset()
-            relations[name] = Relation(
+            relations[name] = Relation.unchecked(
                 relation.arity, (relation.rows - dels) | ins
             )
         effective = Delta(effective_ins, effective_del)
@@ -429,18 +430,20 @@ class DatabaseState:
         object.__setattr__(state, "_fingerprint", patched)
         object.__setattr__(state, "_version", self.version + 1)
         object.__setattr__(state, "_effective_delta", effective)
+        fresh = frozenset(
+            value for rows in effective.inserts.values() for row in rows for value in row
+        )
         # Insert-only deltas can also patch the memoised element set (if the
         # parent ever computed it); deletes cannot, since an element may have
         # other occurrences.
         parent_elements = self.__dict__.get("_elements")
         if parent_elements is not None and effective.insert_only():
-            fresh = frozenset(
-                value
-                for rows in effective.inserts.values()
-                for row in rows
-                for value in row
-            )
             object.__setattr__(state, "_elements", parent_elements | fresh)
+        # Deletes add no element, so a safe parent's verdict is that of the
+        # inserted values; an unsafe parent may have lost its last unsafe
+        # element, so it leaves the verdict to the new state.
+        if self.__dict__.get("_int64_safe"):
+            object.__setattr__(state, "_int64_safe", int64_safe(fresh))
         return state
 
     def with_relation(

@@ -196,13 +196,20 @@ def test_dictionary_carriers_sort_their_decoded_rows(values):
 
 
 def test_join_outputs_out_of_order_are_sorted_once():
-    # The natural join keeps the left table's row order, so the rows pairing
-    # a large x with a small z come out first; the decode sorts them.
+    # The natural join keeps the left table's row order.  Stored code tables
+    # are encoded lexsorted, so a join of scans comes out in order; over a
+    # code table held in the rows' given order instead, the rows pairing a
+    # large x with a small z come out first, and the decode sorts them.
     rows = [(9, 1), (1, 5), (5, 0), (0, 8), (8, 2)]
     state = DatabaseState(family_schema(), {"F": rows})
     text = "F(x, y) & F(y, z)"
     compiled = compile_query(parse_formula(text), state.schema, EQ)
-    coded = execute_vectorized(compiled.plan, state, compiled.universe(state))
+    cache = EncodeCache()
+    codec = cache.codec_for(state, ())
+    cache.columns_for(state, codec)["F"] = codec.encode_rows(rows, 2)
+    coded = execute_vectorized(
+        compiled.plan, state, compiled.universe(state), cache=cache
+    )
     raw = list(map(tuple, coded.codes.tolist()))
     assert raw != sorted(raw)
     session = connect("equality", family_schema(), guard=False)

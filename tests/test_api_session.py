@@ -187,6 +187,36 @@ def test_compile_rejects_unknown_functions_and_bad_text():
         session.compile(42)
 
 
+def test_compile_parses_each_text_once_and_validates_per_session():
+    from repro.api.session import _parse
+
+    def parses(run):
+        before = _parse.cache_info().misses
+        run()
+        return _parse.cache_info().misses - before
+
+    unary, binary = connect("eq", _UNARY_S), connect("eq", family_schema())
+    text = "S(x) & ~S(y) & ~(x = y)"
+    compiled = []
+    assert parses(lambda: compiled.extend(unary.compile(text) for _ in range(3))) <= 1
+    assert compiled[0] is compiled[1] is compiled[2]
+    # The shared parse is still validated against each session's schema.
+    with pytest.raises(SessionError) as excinfo:
+        binary.compile(text)
+    assert "unknown predicate(s) 'S'" in str(excinfo.value)
+    # A text that does not parse is not cached: it fails alike every time.
+    messages = []
+
+    def fail_twice():
+        for _ in range(2):
+            with pytest.raises(SessionError) as excinfo:
+                unary.compile("S(x) &&& S(y)")
+            messages.append(str(excinfo.value))
+
+    assert parses(fail_twice) == 2
+    assert messages[0] == messages[1] and "cannot parse" in messages[0]
+
+
 def test_compile_rejects_arity_mismatches():
     session = connect("eq", _UNARY_S)
     with pytest.raises(SessionError) as excinfo:

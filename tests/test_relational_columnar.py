@@ -25,6 +25,7 @@ Six layers:
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 # numpy is the library's optional accelerator: without it the vectorized
 # executor falls back (covered by test_missing_numpy_falls_back_to_set_executor
@@ -202,6 +203,80 @@ def test_expand_ranges_with_no_rows_is_an_empty_code_column():
         starts = np.zeros(counts.shape[0], dtype=np.int64)
         out = kernels.expand_ranges(starts, counts)
         assert out.shape == (0,) and out.dtype == np.int64
+
+
+def _rows(table):
+    return list(map(tuple, table.tolist()))
+
+
+#: codes whose spans overflow a packed row key, forcing the lexsort fallback
+_WIDE_CODES = (-(2 ** 63), -(2 ** 62) + 1, 2 ** 62, 2 ** 63 - 1)
+
+
+@st.composite
+def _code_tables(draw, count):
+    """``count`` code tables of one column count (0-3) and 0-12 rows each:
+    small codes (so rows repeat) or, in wide tables, small codes mixed with
+    ones spanning more than 62 bits; small tables may be offset apart so
+    their code ranges are disjoint."""
+    columns = draw(st.integers(0, 3))
+    wide = draw(st.booleans())
+    values = st.integers(-3, 3)
+    if wide:
+        values = st.one_of(values, st.sampled_from(_WIDE_CODES))
+    tables = []
+    for _ in range(count):
+        offset = 0 if wide else draw(st.sampled_from([0, 0, 1000, -(2 ** 40)]))
+        rows = draw(st.lists(
+            st.lists(values, min_size=columns, max_size=columns), max_size=12
+        ))
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), columns)
+        tables.append(table + offset)
+    return tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(_code_tables(1))
+@example([np.array([[2 ** 62, 0], [-(2 ** 62), 1], [2 ** 62, 0]], dtype=np.int64)])
+def test_property_dedupe_kernels_sort_the_distinct_rows(tables):
+    (table,) = tables
+    want = sorted(set(_rows(table)))
+    for kernel in (kernels.unique_rows, kernels.sorted_unique_rows):
+        got = kernel(table)
+        assert got.shape[1] == table.shape[1] and _rows(got) == want
+    assert _rows(kernels.sorted_unique_rows(kernels.unique_rows(table))) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_code_tables(2))
+@example([
+    np.array([[2 ** 62, 0], [-(2 ** 62), 1]], dtype=np.int64),
+    np.array([[-(2 ** 62), 1], [5, 5]], dtype=np.int64),
+])
+def test_property_join_and_membership_kernels_match_nested_loops(tables):
+    left, right = tables
+    left_rows, right_rows = _rows(left), _rows(right)
+    li, ri = kernels.join_indices(left, right)
+    assert sorted(zip(li.tolist(), ri.tolist())) == [
+        (i, j)
+        for i, row in enumerate(left_rows)
+        for j, other in enumerate(right_rows)
+        if row == other
+    ]
+    left_keys, right_keys = kernels.key_codes(left, right)
+    keys = left_keys.tolist() + right_keys.tolist()
+    rows = left_rows + right_rows
+    assert all(
+        (keys[a] == keys[b]) == (rows[a] == rows[b])
+        for a in range(len(rows))
+        for b in range(len(rows))
+    )
+    stored = set(right_rows)
+    assert kernels.membership_mask(left, right).tolist() == [
+        row in stored for row in left_rows
+    ]
+    merged = kernels.insert_rows(kernels.unique_rows(left), right)
+    assert _rows(merged) == sorted(set(left_rows) | stored)
 
 
 # ---------------------------------------------------------------------------
@@ -891,3 +966,37 @@ def test_encode_cache_grown_columns_stay_valid():
     grown = cache.codec_for(state, ["a", "b", "d"])
     assert cache.columns_for(state, grown)["N"] is array
     assert grown.encode("b") == codec.encode("b")
+
+
+@pytest.mark.parametrize("rows, inserts", [
+    ([(9, 1), (1, 5), (5, 0), (0, 8), (8, 2)], [(3, 4), (-2, 7), (0, 8)]),
+    ([("k", "b"), ("b", "z"), ("z", "a")], [("a", "m"), ("b", "z")]),
+])
+def test_stored_code_tables_stay_lexsorted_and_distinct(rows, inserts):
+    # Scans read the stored code tables as they are, so the tables must be
+    # sorted and distinct after the first encode, after an insert-only delta
+    # migrates them (re-inserting a stored row among the new ones), and
+    # after a delete forces a re-encode.
+    from repro.relational.columnar import encode_cache, encode_cache_info
+
+    def stored_table(state):
+        cache = encode_cache()
+        return cache.columns_for(state, cache.codec_for(state, ()))["F"]
+
+    def assert_sorted_and_distinct(state):
+        table = _rows(stored_table(state))
+        assert table == sorted(set(table)) and len(table) == len(state["F"])
+
+    session = connect("equality", family_schema(), guard=False)
+    state = _family(rows)
+    session.run("F(x, y)", state, strategy="vectorized")
+    assert_sorted_and_distinct(state)
+    before = encode_cache_info().grown_columns
+    grown = session.apply_delta(state, Delta(inserts={"F": inserts}))
+    assert encode_cache_info().grown_columns == before + 1
+    assert_sorted_and_distinct(grown)
+    shrunk = session.apply_delta(grown, Delta.delete("F", rows[0]))
+    answer = session.run("F(x, y)", shrunk, strategy="vectorized").answer
+    assert answer.method == "vectorized"
+    assert set(answer.rows()) == set(shrunk["F"].rows)
+    assert_sorted_and_distinct(shrunk)

@@ -123,6 +123,34 @@ def test_apply_noop_returns_self():
     assert state.apply(Delta.delete("F", (7, 7))) is state  # never present
 
 
+def test_apply_inherits_the_int64_verdict_without_walking_the_state(monkeypatch):
+    from repro.relational import state as state_module
+
+    state = _state([(1, 2), (2, 3)], [(1,), (2,)])
+    assert state.int64_safe()
+    checked = []
+    int64_safe = state_module.int64_safe
+
+    def recording_int64_safe(elements):
+        elements = list(elements)
+        checked.append(sorted(elements))
+        return int64_safe(elements)
+
+    monkeypatch.setattr(state_module, "int64_safe", recording_int64_safe)
+    grown = state.apply(Delta(inserts={"F": [(3, 4)]}, deletes={"P": [(2,)]}))
+    shrunk = grown.apply(Delta.delete("F", (1, 2)))
+    assert grown.int64_safe() and shrunk.int64_safe()
+    # Only the inserted values were checked, never the stored elements.
+    assert checked == [[3, 4], []]
+    named = shrunk.apply(Delta.insert("P", ("eve",)))
+    assert not named.int64_safe()
+    assert checked[-1] == ["eve"]
+    # An unsafe parent may lose its last unsafe element: no verdict is
+    # handed down, the new state derives its own.
+    assert named.apply(Delta.delete("P", ("eve",))).int64_safe()
+    assert checked[-1] == [1, 2, 3, 4]
+
+
 def test_apply_rejects_unknown_relation_and_bad_arity():
     state = _state([(1, 2)])
     with pytest.raises(ValueError):
