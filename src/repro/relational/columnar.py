@@ -6,11 +6,18 @@ that :mod:`repro.relational.exec` interprets set-at-a-time:
 * relations are encoded as **column stores** — one ``np.int64`` code per
   attribute value, with a dictionary-encoded carrier
   (:class:`ElementCodec`) whenever elements are not machine-sized integers
-  (strings, mixed carriers, bignums);
-* scans, selections, and equality filters run as **array masks**;
-* joins are **sort-based** (:func:`repro.relational.kernels.join_indices`:
-  each row's key packed into one ``np.int64``, then ``np.searchsorted``),
-  antijoins are membership masks, and active-domain padding is an array
+  (strings, mixed carriers, bignums).  Every code table, stored or
+  intermediate, is a :class:`~repro.relational.kernels.CodeTable`: a tuple
+  of contiguous 1-D columns plus a row count (nullary tables have no
+  columns), so masks and gathers run one column at a time and a
+  projection or permutation picks columns without copying them;
+* scans, selections, and equality filters run as **array masks**, and a
+  scan with no filter returns the stored columns as they are;
+* joins (:func:`repro.relational.kernels.join_indices`: each row's key
+  packed into one ``np.int64``) **address dense keys directly** — a key
+  span within twice the rows of both sides is counted with ``bincount`` —
+  and sort sparser ones for ``np.searchsorted``; antijoins are membership
+  masks chosen the same way, and active-domain padding is an array
   broadcast;
 * relation encoding is amortised by a **per-state encode cache**
   (:class:`EncodeCache`): repeated executions against an unchanged state
@@ -62,6 +69,9 @@ from typing import (
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
+
+    from . import kernels
+    from .kernels import CodeTable
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
@@ -275,15 +285,20 @@ class ElementCodec:
             count=len(elements),
         )
 
-    def encode_rows(self, rows: Sequence[Row], arity: int) -> "np.ndarray":
-        """A fresh ``(len(rows), arity)`` int64 code table for ``rows``."""
+    def encode_rows(self, rows: Sequence[Row], arity: int) -> "CodeTable":
+        """A fresh code table for ``rows``: one contiguous int64 column per
+        attribute."""
         if not rows:
-            return np.empty((0, arity), dtype=np.int64)
+            return CodeTable.empty(arity)
         if self.numeric:
-            return np.array(list(rows), dtype=np.int64).reshape(len(rows), arity)
-        codes = self._codes
-        flat = [codes[value] for row in rows for value in row]
-        return np.array(flat, dtype=np.int64).reshape(len(rows), arity)
+            flat = np.array(list(rows), dtype=np.int64)
+        else:
+            codes = self._codes
+            flat = np.array(
+                [codes[value] for row in rows for value in row], dtype=np.int64
+            )
+        # One transposing copy: each row of the result is one column.
+        return CodeTable(tuple(flat.reshape(len(rows), arity).T.copy()), len(rows))
 
     def cache_key(self) -> Tuple[Any, ...]:
         """A hashable token identifying the element→code mapping.
@@ -556,8 +571,6 @@ class EncodeCache:
         """Merge the inserted rows' codes into the touched relations'
         lexsorted arrays; a row an array already holds (a requested delta
         may re-insert one) is dropped, keeping the arrays distinct."""
-        from .kernels import insert_rows
-
         moved: Dict[Any, Any] = {}
         for name, codes in entry.items():
             if name == _STORED_ADOM:
@@ -566,7 +579,9 @@ class EncodeCache:
             if not rows:
                 moved[name] = codes  # untouched: share the parent's array
                 continue
-            moved[name] = insert_rows(codes, codec.encode_rows(rows, codes.shape[1]))
+            moved[name] = kernels.insert_rows(
+                codes, codec.encode_rows(rows, len(codes.columns))
+            )
             self._grown_columns += 1
         return moved
 
@@ -614,14 +629,16 @@ class _Table:
     """An intermediate result: attribute names plus a deduplicated code table."""
 
     attrs: Tuple[str, ...]
-    codes: Any  # np.ndarray of shape (rows, len(attrs))
+    codes: "CodeTable"  # one column per attribute, in ``attrs`` order
 
 
 class _ColumnarExecutor:
     """Evaluate plan nodes bottom-up on int64 code tables.
 
     Every method keeps the invariant that its output table is deduplicated,
-    so joins never have to re-dedupe (a natural join of sets is a set)."""
+    so joins never have to re-dedupe (a natural join of sets is a set).
+    Tables are column tuples: masks and gathers run one column at a time,
+    and a permutation or projection picks columns without copying them."""
 
     def __init__(
         self,
@@ -631,9 +648,6 @@ class _ColumnarExecutor:
         relation_columns: Optional[Dict[Any, Any]] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> None:
-        from . import kernels
-
-        self._k = kernels
         self._state = state
         self._codec = codec
         self._deadline = deadline
@@ -655,7 +669,7 @@ class _ColumnarExecutor:
         if isinstance(node, Scan):
             return self._scan(node)
         if isinstance(node, AdomScan):
-            return _Table(node.attrs, self._adom().reshape(-1, 1))
+            return _Table(node.attrs, CodeTable.of(self._adom()))
         if isinstance(node, Literal):
             rows = tuple(set(node.rows))
             return _Table(node.attrs, self._codec.encode_rows(rows, len(node.attrs)))
@@ -671,8 +685,9 @@ class _ColumnarExecutor:
             return self._cross_pad(node)
         if isinstance(node, UnionAll):
             parts = [self.run(part).codes for part in node.parts]
-            stacked = np.concatenate(parts, axis=0) if parts else np.empty((0, 0))
-            return _Table(node.attrs, self._k.unique_rows(stacked))
+            if not parts:
+                return _Table(node.attrs, CodeTable.empty(len(node.attrs)))
+            return _Table(node.attrs, kernels.unique_rows(kernels.concat_rows(parts)))
         raise TypeError(f"not a plan node: {node!r}")
 
     # -- leaves -------------------------------------------------------------
@@ -694,42 +709,48 @@ class _ColumnarExecutor:
             self._adom_codes = stored
         return self._adom_codes
 
-    def _relation_codes(self, name: str) -> Any:
+    def _relation_codes(self, name: str) -> "CodeTable":
         """The stored relation's code table, lexsorted (encoded and sorted
         once per state and codec), so scans come out in order."""
         cached = self._relations.get(name)
         if cached is None:
             relation = self._state[name]
-            cached = self._k.unique_rows(
+            cached = kernels.unique_rows(
                 self._codec.encode_rows(tuple(relation.rows), relation.arity)
             )
             self._relations[name] = cached
         return cached
 
     def _scan(self, node: Scan) -> _Table:
-        codes = self._relation_codes(node.relation)
-        mask = np.ones(codes.shape[0], dtype=bool)
+        stored = self._relation_codes(node.relation)
+        columns = stored.columns
+        mask: Any = None
         for index, value in node.constants:
             if self._codec.encodable(value):
-                mask &= codes[:, index] == self._codec.encode(value)
+                hits = columns[index] == self._codec.encode(value)
             else:
-                mask &= False
+                hits = np.zeros(stored.rows, dtype=bool)
+            mask = hits if mask is None else mask & hits
         first_seen: Dict[str, int] = {}
         for index, name in enumerate(node.columns):
             if name is None:
                 continue
             if name in first_seen:
-                mask &= codes[:, index] == codes[:, first_seen[name]]
+                hits = columns[index] == columns[first_seen[name]]
+                mask = hits if mask is None else mask & hits
             else:
                 first_seen[name] = index
         output = [first_seen[name] for name in node.attrs]
-        table = codes[mask][:, output]
+        table = stored.pick(output)
+        if mask is not None:
+            table = table.take(mask)
         if len(output) < len(first_seen):
-            table = self._k.unique_rows(table)
+            table = kernels.unique_rows(table)
         # Otherwise the scan keeps every distinct variable (the compiler
         # always builds it so), and the columns it drops equal a constant or
         # a kept column on every surviving row: distinct stored rows stay
-        # distinct, so there is nothing to dedupe.
+        # distinct, so there is nothing to dedupe.  With no filter either,
+        # the stored columns come back as they are.
         return _Table(node.attrs, table)
 
     # -- filters ------------------------------------------------------------
@@ -740,15 +761,15 @@ class _ColumnarExecutor:
                 # A constant outside the universe can never equal any encoded
                 # value; representing it as an impossible code keeps equality
                 # masks correct (inequality masks become all-True).
-                return np.full(table.codes.shape[0], -1, dtype=np.int64)
+                return np.full(table.codes.rows, -1, dtype=np.int64)
             return np.full(
-                table.codes.shape[0], self._codec.encode(ref.value), dtype=np.int64
+                table.codes.rows, self._codec.encode(ref.value), dtype=np.int64
             )
-        return table.codes[:, table.attrs.index(ref.name)]
+        return table.codes.columns[table.attrs.index(ref.name)]
 
     def _select(self, node: Select) -> _Table:
         table = self.run(node.source)
-        mask = np.ones(table.codes.shape[0], dtype=bool)
+        mask = np.ones(table.codes.rows, dtype=bool)
         for condition in node.conditions:
             if isinstance(condition, Comparison):
                 hits = self._column(table, condition.left) == self._column(
@@ -757,8 +778,7 @@ class _ColumnarExecutor:
             else:
                 hits = self._domain_mask(table, condition)
             mask &= ~hits if condition.negated else hits
-        result = _Table(table.attrs, table.codes[mask])
-        return self._permute(result, node.attrs)
+        return _Table(node.attrs, self._pick(table, node.attrs).take(mask))
 
     def _domain_mask(self, table: _Table, condition: DomainCondition) -> Any:
         if not self._codec.numeric:
@@ -782,14 +802,14 @@ class _ColumnarExecutor:
 
     def _project(self, node: Project) -> _Table:
         table = self.run(node.source)
-        columns = [table.attrs.index(name) for name in node.attrs]
-        return _Table(node.attrs, self._k.unique_rows(table.codes[:, columns]))
+        return _Table(node.attrs, kernels.unique_rows(self._pick(table, node.attrs)))
 
-    def _permute(self, table: _Table, attrs: Tuple[str, ...]) -> _Table:
-        if table.attrs == attrs:
-            return table
-        columns = [table.attrs.index(name) for name in attrs]
-        return _Table(attrs, table.codes[:, columns])
+    @staticmethod
+    def _pick(table: _Table, attrs: Sequence[str]) -> "CodeTable":
+        """The columns of ``attrs``, in that order, uncopied."""
+        if table.attrs == tuple(attrs):
+            return table.codes
+        return table.codes.pick([table.attrs.index(name) for name in attrs])
 
     # -- joins --------------------------------------------------------------
 
@@ -803,50 +823,45 @@ class _ColumnarExecutor:
                     shares = bool(set(pending[i].attrs) & set(pending[j].attrs))
                     cost = (
                         not shares,
-                        pending[i].codes.shape[0] * pending[j].codes.shape[0],
+                        pending[i].codes.rows * pending[j].codes.rows,
                     )
                     if best_cost is None or cost < best_cost:
                         best, best_cost = (i, j), cost
             i, j = best
             left, right = pending[i], pending.pop(j)
             pending[i] = self._pairwise_join(left, right)
-        return self._permute(pending[0], node.attrs)
+        return _Table(node.attrs, self._pick(pending[0], node.attrs))
 
     def _pairwise_join(self, left: _Table, right: _Table) -> _Table:
         shared = [name for name in left.attrs if name in right.attrs]
         right_only = [name for name in right.attrs if name not in shared]
-        left_key = [left.attrs.index(name) for name in shared]
-        right_key = [right.attrs.index(name) for name in shared]
-        rest = [right.attrs.index(name) for name in right_only]
-        li, ri = self._k.join_indices(
-            left.codes[:, left_key], right.codes[:, right_key]
+        li, ri = kernels.join_indices(
+            self._pick(left, shared), self._pick(right, shared)
         )
-        joined = np.concatenate([left.codes[li], right.codes[ri][:, rest]], axis=1)
+        kept = left.codes.take(li).columns + self._pick(right, right_only).take(ri).columns
         # A natural join of deduplicated tables is itself duplicate-free.
-        return _Table(left.attrs + tuple(right_only), joined)
+        return _Table(left.attrs + tuple(right_only), CodeTable(kept, li.shape[0]))
 
     def _antijoin(self, node: AntiJoin) -> _Table:
         left = self.run(node.left)
-        if left.codes.shape[0] == 0:
+        if left.codes.rows == 0:
             return left
         right = self.run(node.right)
         shared = [name for name in left.attrs if name in right.attrs]
         if not shared:
-            if right.codes.shape[0]:
-                return _Table(left.attrs, left.codes[:0])
+            if right.codes.rows:
+                return _Table(left.attrs, CodeTable.empty(len(left.attrs)))
             return left
-        left_key = [left.attrs.index(name) for name in shared]
-        right_key = [right.attrs.index(name) for name in shared]
-        mask = self._k.membership_mask(
-            left.codes[:, left_key], right.codes[:, right_key]
+        mask = kernels.membership_mask(
+            self._pick(left, shared), self._pick(right, shared)
         )
-        return _Table(left.attrs, left.codes[~mask])
+        return _Table(left.attrs, left.codes.take(~mask))
 
     def _cross_pad(self, node: CrossPad) -> _Table:
         table = self.run(node.source)
         codes = table.codes
         for _ in node.pad:
-            codes = self._k.cross_pad_arrays(codes, self._adom())
+            codes = kernels.cross_pad_arrays(codes, self._adom())
         return _Table(node.attrs, codes)
 
 
@@ -913,36 +928,37 @@ class CodedRows:
     (((2, 9),), ())
     >>> pairs.split([7, 9])
     ((), ((1, 2),))
-    >>> true = CodedRows(numeric, np.empty((1, 0), dtype=np.int64))
+    >>> true = CodedRows(numeric, CodeTable((), 1))
     >>> true.rows(), true.split([9])
     (((),), ((), ((),)))
     """
 
-    def __init__(self, codec: ElementCodec, codes: Any):
+    def __init__(self, codec: ElementCodec, codes: "CodeTable"):
         self.codec = codec
-        #: the deduplicated ``(rows, arity)`` int64 code table
+        #: the deduplicated code table
         self.codes = codes
 
-    def decode(self, codes: Any = None) -> Set[Row]:
+    def decode(self, codes: "Optional[CodeTable]" = None) -> Set[Row]:
         """The decoded rows (of ``codes``, a slice of the table, if given)."""
         codes = self.codes if codes is None else codes
-        if self.codec.numeric:
-            return set(map(tuple, codes.tolist()))
-        decode = self.codec.decode
-        return {tuple(decode(code) for code in row) for row in codes.tolist()}
+        if not codes.columns:
+            return {()} if codes.rows else set()
+        columns = [column.tolist() for column in codes.columns]
+        if not self.codec.numeric:
+            decode = self.codec.decode
+            columns = [[decode(code) for code in column] for column in columns]
+        return set(zip(*columns))
 
-    def rows(self, codes: Any = None) -> Collection[Row]:
+    def rows(self, codes: "Optional[CodeTable]" = None) -> Collection[Row]:
         """The decoded rows (of ``codes``, a slice of the table, if given):
         distinct and sorted in a tuple on a numeric codec, a set otherwise."""
         codes = self.codes if codes is None else codes
         if not self.codec.numeric:
             return self.decode(codes)
-        from .kernels import sorted_unique_rows
-
-        codes = sorted_unique_rows(codes)
-        if not codes.shape[1]:
-            return ((),) * codes.shape[0]
-        return tuple(zip(*codes.T.tolist()))
+        codes = kernels.sorted_unique_rows(codes)
+        if not codes.columns:
+            return ((),) * codes.rows
+        return tuple(zip(*(column.tolist() for column in codes.columns)))
 
     def split(
         self, elements: Sequence[Element]
@@ -950,17 +966,32 @@ class CodedRows:
         """``(hits, rest)``: the decoded rows mentioning ``elements[0]`` —
         and, when there are none, the decoded rows mentioning no element of
         ``elements`` (elements outside the codec mention no row); both as
-        :meth:`rows` decodes them."""
+        :meth:`rows` decodes them.
+
+        Rows are marked with one ``==`` per code and column.  When no row
+        mentions any of the elements the rest is the table itself,
+        uncopied."""
         codes = self.codes
+        none = CodeTable.empty(len(codes.columns))
         marks = [self.codec.encode(e) for e in elements if self.codec.encodable(e)]
-        if not marks or not codes.size:
-            return self.rows(codes[:0]), self.rows()
+        if not marks or not codes.rows or not codes.columns:
+            return self.rows(none), self.rows()
         if self.codec.encodable(elements[0]):
-            hits = (codes == marks[0]).any(axis=1)
+            hits = self._mentions(marks[:1])
             if hits.any():
-                return self.rows(codes[hits]), self.rows(codes[:0])
-        clean = ~np.isin(codes, np.array(marks, dtype=np.int64)).any(axis=1)
-        return self.rows(codes[:0]), self.rows(codes[clean])
+                return self.rows(codes.take(hits)), self.rows(none)
+        mentioned = self._mentions(marks)
+        if not mentioned.any():
+            return self.rows(none), self.rows()
+        return self.rows(none), self.rows(codes.take(~mentioned))
+
+    def _mentions(self, marks: Sequence[int]) -> Any:
+        """Mask of the rows holding any of the codes ``marks`` in any column."""
+        mask = np.zeros(self.codes.rows, dtype=bool)
+        for column in self.codes.columns:
+            for mark in marks:
+                mask |= column == mark
+        return mask
 
 
 def run_plan_vectorized(

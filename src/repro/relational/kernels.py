@@ -3,10 +3,13 @@
 This module is the lowest layer of the vectorized execution substrate
 (:mod:`repro.relational.columnar`): every function here operates on plain
 ``np.int64`` arrays and knows nothing about plans, formulas, domains, or
-dictionary encodings.  A relation is a 2-D code table of shape
-``(rows, columns)``; zero-column tables are meaningful (they are the nullary
-relations that encode sentences: one row means *true*, no rows means
-*false*).
+dictionary encodings.  A relation is a :class:`CodeTable`: a tuple of
+contiguous 1-D ``np.int64`` columns (:data:`Columns`) plus a row count.
+The row count is what a zero-column table holds: such tables are the
+nullary relations that encode sentences (one row means *true*, no rows
+means *false*).  Column-major storage keeps every reduction, mask and
+gather a pass over one contiguous array; picking or permuting columns
+copies nothing.
 
 Invariants shared with the set-at-a-time executor
 (:mod:`repro.relational.exec`):
@@ -15,8 +18,7 @@ Invariants shared with the set-at-a-time executor
   boundaries; kernels themselves may produce duplicate rows (e.g. a join of
   bags) but never drop a distinct row;
 * **order independence** — every kernel's *set* of output rows is independent
-  of input row order, so the columnar executor can sort freely for
-  ``np.searchsorted``-based joins.
+  of input row order, so the columnar executor can sort freely.
 
 Every dedupe and key sort runs on **one packed key per row**
 (:func:`_row_keys`): each column, less its minimum, is shifted by the bit
@@ -29,11 +31,19 @@ Sorted inputs stay sorted: :func:`unique_rows` returns its rows in
 lexicographic order, and a natural join of a lexsorted left table keeps
 the left table's order.
 
-Doctest — a sort-based join of two small key columns:
+Joins and membership tests choose between **direct addressing** and
+**sorting** by the span of their keys (max − min + 1 over both sides).  A
+span of at most :data:`_DENSE_SPAN` times the two sides' row count is dense:
+:func:`np.bincount` counts each key, a ``cumsum`` gives each key's run start,
+and every left key indexes its run directly.  Wider spans sort the right
+side and locate each left key's run with :func:`np.searchsorted`.  Like the
+62-bit key fallback, the choice follows from the data alone.
+
+Doctest — a join of two small key columns:
 
 >>> import numpy as np
->>> left = np.array([[1], [2], [2], [9]], dtype=np.int64)
->>> right = np.array([[2], [2], [1]], dtype=np.int64)
+>>> left = CodeTable.of(np.array([1, 2, 2, 9]))
+>>> right = CodeTable.of(np.array([2, 2, 1]))
 >>> li, ri = join_indices(left, right)
 >>> sorted(zip(li.tolist(), ri.tolist()))
 [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
@@ -41,11 +51,14 @@ Doctest — a sort-based join of two small key columns:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "Columns",
+    "CodeTable",
+    "concat_rows",
     "unique_rows",
     "sorted_unique_rows",
     "insert_rows",
@@ -63,8 +76,79 @@ CODE_DTYPE = np.int64
 #: non-negative int64 values
 _KEY_BITS = 62
 
+#: a join or membership test addresses its keys directly when their span is
+#: at most this many times the rows of both sides (:func:`_dense_span`)
+_DENSE_SPAN = 2
 
-def _row_keys(*tables: "np.ndarray") -> "Optional[np.ndarray]":
+#: a code table's columns: contiguous 1-D ``np.int64`` arrays, one per
+#: attribute, all of one length
+Columns = Tuple[np.ndarray, ...]
+
+
+class CodeTable(NamedTuple):
+    """A code table: its :data:`Columns` and its row count.
+
+    The row count is redundant for a table with columns, but it is all a
+    zero-column (nullary) table holds.
+
+    >>> import numpy as np
+    >>> table = CodeTable.of(np.array([3, 1, 2]), np.array([7, 8, 9]))
+    >>> table.rows
+    3
+    >>> table.pick([1]).columns[0] is table.columns[1]
+    True
+    >>> [column.tolist() for column in table.take(np.array([2, 0])).columns]
+    [[2, 3], [9, 7]]
+    >>> picked = table.take(np.array([True, False, True]))
+    >>> picked.rows, [column.tolist() for column in picked.columns]
+    (2, [[3, 2], [7, 9]])
+    """
+
+    columns: Columns
+    rows: int
+
+    @classmethod
+    def of(cls, *columns: Any) -> "CodeTable":
+        """The table of one or more equally long 1-D columns."""
+        columns = tuple(np.ascontiguousarray(c, dtype=CODE_DTYPE) for c in columns)
+        return cls(columns, columns[0].shape[0])
+
+    @classmethod
+    def empty(cls, arity: int) -> "CodeTable":
+        """The table of ``arity`` columns and no rows."""
+        return cls(tuple(np.empty(0, dtype=CODE_DTYPE) for _ in range(arity)), 0)
+
+    def pick(self, positions: Sequence[int]) -> "CodeTable":
+        """The columns at ``positions``, in that order, uncopied."""
+        return CodeTable(tuple(self.columns[p] for p in positions), self.rows)
+
+    def take(self, index: "np.ndarray") -> "CodeTable":
+        """The rows an integer ``index`` or a boolean mask selects,
+        gathered one column at a time."""
+        rows = (
+            int(np.count_nonzero(index)) if index.dtype == np.bool_
+            else index.shape[0]
+        )
+        return CodeTable(tuple(column[index] for column in self.columns), rows)
+
+
+def concat_rows(tables: Sequence[CodeTable]) -> CodeTable:
+    """The rows of one or more tables of one column count, one after another.
+
+    >>> import numpy as np
+    >>> parts = [CodeTable.of(np.array([1])), CodeTable.of(np.array([0, 1]))]
+    >>> concat_rows(parts)
+    CodeTable(columns=(array([1, 0, 1]),), rows=3)
+    """
+    if len(tables) == 1:
+        return tables[0]
+    return CodeTable(
+        tuple(np.concatenate(parts) for parts in zip(*(t.columns for t in tables))),
+        sum(t.rows for t in tables),
+    )
+
+
+def _row_keys(*tables: Columns) -> "Optional[np.ndarray]":
     """One ``np.int64`` key per row of ``tables`` (concatenated), ordered
     like the rows, or ``None`` when the rows are too wide to pack.
 
@@ -77,56 +161,56 @@ def _row_keys(*tables: "np.ndarray") -> "Optional[np.ndarray]":
     fallback.
 
     >>> import numpy as np
-    >>> t = np.array([[2, -1], [1, 3], [2, 0]], dtype=np.int64)
-    >>> _row_keys(t).tolist()
+    >>> _row_keys((np.array([2, 1, 2]), np.array([-1, 3, 0]))).tolist()
     [8, 4, 9]
-    >>> _row_keys(np.array([[0, 0], [2 ** 62, 2 ** 62]], dtype=np.int64)) is None
+    >>> _row_keys((np.array([0, 2 ** 62]), np.array([0, 2 ** 62]))) is None
     True
     """
-    stacked = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=0)
-    if stacked.shape[1] == 1 or stacked.shape[0] == 0:
-        return stacked[:, 0]
-    lows = stacked.min(axis=0)
+    columns = tables[0] if len(tables) == 1 else tuple(
+        np.concatenate(parts) for parts in zip(*tables)
+    )
+    if len(columns) == 1 or columns[0].shape[0] == 0:
+        return columns[0]
     # Python ints: a span of two int64 codes may not fit in an int64.
+    lows = [int(column.min()) for column in columns]
     widths = [
-        (high - low).bit_length()
-        for low, high in zip(lows.tolist(), stacked.max(axis=0).tolist())
+        (int(column.max()) - low).bit_length() for column, low in zip(columns, lows)
     ]
     if sum(widths) > _KEY_BITS:
         return None
-    keys = np.zeros(stacked.shape[0], dtype=CODE_DTYPE)
-    for column, width in enumerate(widths):
+    keys = columns[0] - lows[0]
+    for column, low, width in zip(columns[1:], lows[1:], widths[1:]):
         keys <<= width
-        keys |= stacked[:, column] - lows[column]
+        keys |= column - low
     return keys
 
 
-def _fresh(ordered: "np.ndarray") -> "np.ndarray":
-    """Mask of the entries of a sorted key column (or lexsorted table) that
-    differ from the one before them: the first row of each run of equals."""
-    fresh = np.empty(ordered.shape[0], dtype=bool)
+def _fresh(*ordered: "np.ndarray") -> "np.ndarray":
+    """Mask of the rows of a sorted key column (or of lexsorted columns)
+    that differ from the row before them: the first row of each run of
+    equals."""
+    fresh = np.empty(ordered[0].shape[0], dtype=bool)
     fresh[:1] = True
-    if ordered.ndim == 1:
-        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    else:
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=fresh[1:])
+    for column in ordered[1:]:
+        fresh[1:] |= column[1:] != column[:-1]
     return fresh
 
 
-def _sort_distinct(table: "np.ndarray", keys: "Optional[np.ndarray]") -> "np.ndarray":
+def _sort_distinct(table: CodeTable, keys: "Optional[np.ndarray]") -> CodeTable:
     """The distinct rows of a table of at least one column, lexsorted:
     one argsort of the packed ``keys``, or ``np.lexsort`` without them."""
     if keys is None:
-        order = np.lexsort(table.T[::-1])
-        return table[order[_fresh(table[order])]]
-    if table.shape[1] == 1:
+        ordered = table.take(np.lexsort(table.columns[::-1]))
+        return ordered.take(_fresh(*ordered.columns))
+    if len(table.columns) == 1:
         ordered = np.sort(keys)
-        return ordered[_fresh(ordered)].reshape(-1, 1)
+        return CodeTable.of(ordered[_fresh(ordered)])
     order = np.argsort(keys)
-    return table[order[_fresh(keys[order])]]
+    return table.take(order[_fresh(keys[order])])
 
 
-def unique_rows(table: "np.ndarray") -> "np.ndarray":
+def unique_rows(table: CodeTable) -> CodeTable:
     """Distinct rows of a code table (the set-semantics dedupe kernel), in
     lexicographic order.
 
@@ -136,20 +220,20 @@ def unique_rows(table: "np.ndarray") -> "np.ndarray":
     one row.
 
     >>> import numpy as np
-    >>> t = np.array([[3, 4], [1, 2], [3, 4]], dtype=np.int64)
-    >>> unique_rows(t).tolist()
-    [[1, 2], [3, 4]]
-    >>> unique_rows(np.empty((5, 0), dtype=np.int64)).shape
-    (1, 0)
+    >>> t = CodeTable.of(np.array([3, 1, 3]), np.array([4, 2, 4]))
+    >>> unique_rows(t)
+    CodeTable(columns=(array([1, 3]), array([2, 4])), rows=2)
+    >>> unique_rows(CodeTable((), 5)).rows
+    1
     """
-    if table.shape[1] == 0:
-        return table[:1]
-    if table.shape[0] <= 1:
+    if not table.columns:
+        return CodeTable((), min(table.rows, 1))
+    if table.rows <= 1:
         return table
-    return _sort_distinct(table, _row_keys(table))
+    return _sort_distinct(table, _row_keys(table.columns))
 
 
-def sorted_unique_rows(table: "np.ndarray") -> "np.ndarray":
+def sorted_unique_rows(table: CodeTable) -> CodeTable:
     """The distinct rows of a code table in lexicographic order.
 
     :func:`unique_rows` leaves its output in this order, so a table that
@@ -158,49 +242,59 @@ def sorted_unique_rows(table: "np.ndarray") -> "np.ndarray":
     uncopied.  Any other table, and any too wide to pack, is sorted.
 
     >>> import numpy as np
-    >>> t = np.array([[1, 5], [2, 0], [2, 3]], dtype=np.int64)
+    >>> t = CodeTable.of(np.array([1, 2, 2]), np.array([5, 0, 3]))
     >>> sorted_unique_rows(t) is t
     True
-    >>> sorted_unique_rows(t[::-1]).tolist()
-    [[1, 5], [2, 0], [2, 3]]
-    >>> sorted_unique_rows(np.array([[4], [4]], dtype=np.int64)).tolist()
-    [[4]]
+    >>> sorted_unique_rows(t.take(np.array([2, 1, 0])))
+    CodeTable(columns=(array([1, 2, 2]), array([5, 0, 3])), rows=3)
+    >>> sorted_unique_rows(CodeTable.of(np.array([4, 4])))
+    CodeTable(columns=(array([4]),), rows=1)
     """
-    if table.shape[1] == 0 or table.shape[0] <= 1:
+    if not table.columns or table.rows <= 1:
         return unique_rows(table)
-    keys = _row_keys(table)
+    keys = _row_keys(table.columns)
     if keys is not None and bool((keys[1:] > keys[:-1]).all()):
         return table
     return _sort_distinct(table, keys)
 
 
-def insert_rows(table: "np.ndarray", rows: "np.ndarray") -> "np.ndarray":
-    """The distinct rows of ``table`` and ``rows``, in lexicographic order,
-    for a ``table`` that already is sorted and distinct.
+def insert_rows(table: CodeTable, added: CodeTable) -> CodeTable:
+    """The distinct rows of ``table`` and ``added``, in lexicographic
+    order, for a ``table`` that already is sorted and distinct.
 
     The new rows are sorted among themselves and then merged in by binary
-    search, so the stored table is read only by O(rows) array passes;
-    rows ``table`` already holds are dropped.
+    search, one column at a time, so the stored table is read only by
+    O(rows) array passes; rows ``table`` already holds are dropped.
 
     >>> import numpy as np
-    >>> t = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    >>> insert_rows(t, np.array([[5, 0], [1, 2], [0, 9]], dtype=np.int64)).tolist()
-    [[0, 9], [1, 2], [3, 4], [5, 0]]
+    >>> t = CodeTable.of(np.array([1, 3]), np.array([2, 4]))
+    >>> new = CodeTable.of(np.array([5, 1, 0]), np.array([0, 2, 9]))
+    >>> insert_rows(t, new)
+    CodeTable(columns=(array([0, 1, 3, 5]), array([9, 2, 4, 0])), rows=4)
     """
-    keys = _row_keys(table, rows) if table.shape[1] and table.shape[0] else None
+    keys = (
+        _row_keys(table.columns, added.columns)
+        if table.columns and table.rows else None
+    )
     if keys is None:
-        return unique_rows(np.concatenate([table, rows], axis=0))
-    stored, added = keys[: table.shape[0]], keys[table.shape[0]:]
-    order = np.argsort(added)
-    added = added[order]
-    keep = _fresh(added)
-    keep &= ~_found(stored, added)
-    return np.insert(
-        table, np.searchsorted(stored, added[keep]), rows[order[keep]], axis=0
+        return unique_rows(concat_rows([table, added]))
+    stored, new = keys[: table.rows], keys[table.rows:]
+    order = np.argsort(new)
+    new = new[order]
+    keep = _fresh(new)
+    keep &= ~_found(stored, new)
+    at = np.searchsorted(stored, new[keep])
+    picked = order[keep]
+    return CodeTable(
+        tuple(
+            np.insert(column, at, more[picked])
+            for column, more in zip(table.columns, added.columns)
+        ),
+        table.rows + at.shape[0],
     )
 
 
-def key_codes(left: "np.ndarray", right: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+def key_codes(left: CodeTable, right: CodeTable) -> Tuple["np.ndarray", "np.ndarray"]:
     """Comparable single-column keys for two multi-column key tables.
 
     Rows that are equal across the two tables get equal keys, and unequal
@@ -210,92 +304,124 @@ def key_codes(left: "np.ndarray", right: "np.ndarray") -> Tuple["np.ndarray", "n
     (:func:`_row_keys`), or densified along a lexsort when too wide to pack.
 
     >>> import numpy as np
-    >>> l = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    >>> r = np.array([[3, 4], [5, 6]], dtype=np.int64)
+    >>> l = CodeTable.of(np.array([1, 3]), np.array([2, 4]))
+    >>> r = CodeTable.of(np.array([3, 5]), np.array([4, 6]))
     >>> lc, rc = key_codes(l, r)
     >>> bool(lc[1] == rc[0]), bool(lc[0] == rc[1])
     (True, False)
     """
-    if left.shape[1] == 0:
+    if not left.columns:
         return (
-            np.zeros(left.shape[0], dtype=CODE_DTYPE),
-            np.zeros(right.shape[0], dtype=CODE_DTYPE),
+            np.zeros(left.rows, dtype=CODE_DTYPE),
+            np.zeros(right.rows, dtype=CODE_DTYPE),
         )
-    codes = _row_keys(left, right)
+    codes = _row_keys(left.columns, right.columns)
     if codes is None:
-        stacked = np.concatenate([left, right], axis=0)
-        order = np.lexsort(stacked.T[::-1])
-        codes = np.empty(stacked.shape[0], dtype=CODE_DTYPE)
-        codes[order] = np.cumsum(_fresh(stacked[order])) - 1
-    return codes[: left.shape[0]], codes[left.shape[0]:]
+        both = concat_rows([left, right])
+        order = np.lexsort(both.columns[::-1])
+        codes = np.empty(both.rows, dtype=CODE_DTYPE)
+        codes[order] = np.cumsum(_fresh(*(c[order] for c in both.columns))) - 1
+    return codes[: left.rows], codes[left.rows:]
 
 
-def expand_ranges(starts: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
-    """Concatenate ``arange(starts[i], starts[i] + counts[i])`` for every i.
+def expand_ranges(
+    starts: "np.ndarray", counts: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(group, positions)``: ``positions`` concatenates ``arange(starts[i],
+    starts[i] + counts[i])`` for every i, and ``group`` names the i each
+    position came from.
 
     >>> import numpy as np
-    >>> expand_ranges(np.array([4, 0, 9]), np.array([2, 0, 3])).tolist()
-    [4, 5, 9, 10, 11]
+    >>> group, positions = expand_ranges(np.array([4, 0, 9]), np.array([2, 0, 3]))
+    >>> positions.tolist(), group.tolist()
+    ([4, 5, 9, 10, 11], [0, 0, 2, 2, 2])
     """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=CODE_DTYPE)
-    # For each output slot, subtract the cumulative offset of its group so the
-    # global arange restarts at every group boundary.
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     group = np.repeat(np.arange(starts.shape[0]), counts)
-    return np.arange(total) - offsets[group] + starts[group]
+    # Each position is its global index less the slots of the ranges before
+    # its own, plus its range's start.
+    shift = starts - np.cumsum(counts) + counts
+    return group, np.arange(group.shape[0]) + shift[group]
 
 
-def join_indices(
-    left_keys: "np.ndarray", right_keys: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray"]:
+def _dense_span(left: "np.ndarray", right: "np.ndarray") -> Optional[Tuple[int, int]]:
+    """``(low, span)`` of two non-empty key columns — their least key and
+    max − min + 1 — when the span is at most :data:`_DENSE_SPAN` times their
+    total length, so the keys less ``low`` address a table directly;
+    otherwise ``None``."""
+    low = min(int(left.min()), int(right.min()))
+    span = max(int(left.max()), int(right.max())) - low + 1
+    if span <= _DENSE_SPAN * (left.shape[0] + right.shape[0]):
+        return low, span
+    return None
+
+
+def _ascending(keys: "np.ndarray") -> bool:
+    """True iff a key column is in non-decreasing order."""
+    return bool((keys[1:] >= keys[:-1]).all())
+
+
+def join_indices(left: CodeTable, right: CodeTable) -> Tuple["np.ndarray", "np.ndarray"]:
     """Row-index pairs of the natural join of two key tables.
 
-    Returns ``(li, ri)`` such that ``left_keys[li[k]] == right_keys[ri[k]]``
-    row-wise for every ``k``, covering exactly the matching pairs.  With
-    zero-column keys this is the full cross product.  The join is sort-based:
-    the right side is sorted by key code and each left code locates its
-    matching run with :func:`np.searchsorted`.
+    Returns ``(li, ri)`` such that row ``li[k]`` of ``left`` equals row
+    ``ri[k]`` of ``right`` for every ``k``, covering exactly the matching
+    pairs, in the left table's row order and, within one left row, in the
+    right table's.  With zero-column keys this is the full cross product.
+    Dense keys (:func:`_dense_span`) find each left row's run of matches by
+    direct addressing: a ``bincount`` of the right keys gives each key's
+    run length and its ``cumsum`` the run start.  Sparse keys locate the
+    runs by :func:`np.searchsorted`.  Either way the right side is grouped
+    by key with a stable sort, skipped when its keys already ascend.
     """
-    n, m = left_keys.shape[0], right_keys.shape[0]
+    n, m = left.rows, right.rows
     if n == 0 or m == 0:
         return np.empty(0, dtype=CODE_DTYPE), np.empty(0, dtype=CODE_DTYPE)
-    if left_keys.shape[1] == 0:
-        return (
-            np.repeat(np.arange(n), m),
-            np.tile(np.arange(m), n),
-        )
-    left_codes, right_codes = key_codes(left_keys, right_keys)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    starts = np.searchsorted(sorted_codes, left_codes, side="left")
-    ends = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = ends - starts
-    li = np.repeat(np.arange(n), counts)
-    ri = order[expand_ranges(starts, counts)]
-    return li, ri
+    if not left.columns:
+        return np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    left_codes, right_codes = key_codes(left, right)
+    dense = _dense_span(left_codes, right_codes)
+    if dense is not None:
+        low, span = dense
+        left_codes, right_codes = left_codes - low, right_codes - low
+    order = None if _ascending(right_codes) else np.argsort(right_codes, kind="stable")
+    if dense is not None:
+        runs = np.bincount(right_codes, minlength=span)
+        counts = runs[left_codes]
+        starts = (np.cumsum(runs) - runs)[left_codes]
+    else:
+        ordered = right_codes if order is None else right_codes[order]
+        starts = np.searchsorted(ordered, left_codes, side="left")
+        counts = np.searchsorted(ordered, left_codes, side="right") - starts
+    li, ri = expand_ranges(starts, counts)
+    return li, (ri if order is None else order[ri])
 
 
-def membership_mask(left_keys: "np.ndarray", right_keys: "np.ndarray") -> "np.ndarray":
-    """Boolean mask: which rows of ``left_keys`` appear in ``right_keys``.
+def membership_mask(left: CodeTable, right: CodeTable) -> "np.ndarray":
+    """Boolean mask: which rows of ``left`` appear in ``right``.
 
     This is the antijoin/semijoin kernel — an antijoin keeps the rows where
     the mask is ``False``.  Zero-column keys degenerate to "is the right side
-    non-empty".
+    non-empty".  Dense keys (:func:`_dense_span`) mark the right keys in a
+    direct-address table; sparse ones binary-search the sorted right keys.
 
     >>> import numpy as np
-    >>> l = np.array([[1], [2], [3]], dtype=np.int64)
-    >>> r = np.array([[2], [9]], dtype=np.int64)
+    >>> l = CodeTable.of(np.array([1, 2, 3]))
+    >>> r = CodeTable.of(np.array([2, 9]))
     >>> membership_mask(l, r).tolist()
     [False, True, False]
     """
-    if left_keys.shape[1] == 0:
-        return np.full(left_keys.shape[0], right_keys.shape[0] > 0)
-    if right_keys.shape[0] == 0:
-        return np.zeros(left_keys.shape[0], dtype=bool)
-    left_codes, right_codes = key_codes(left_keys, right_keys)
-    return _found(np.sort(right_codes), left_codes)
+    if not left.columns:
+        return np.full(left.rows, right.rows > 0)
+    if right.rows == 0 or left.rows == 0:
+        return np.zeros(left.rows, dtype=bool)
+    left_codes, right_codes = key_codes(left, right)
+    dense = _dense_span(left_codes, right_codes)
+    if dense is None:
+        return _found(np.sort(right_codes), left_codes)
+    low, span = dense
+    present = np.zeros(span, dtype=bool)
+    present[right_codes - low] = True
+    return present[left_codes - low]
 
 
 def _found(ordered: "np.ndarray", keys: "np.ndarray") -> "np.ndarray":
@@ -305,7 +431,7 @@ def _found(ordered: "np.ndarray", keys: "np.ndarray") -> "np.ndarray":
     return ordered[np.minimum(at, ordered.shape[0] - 1)] == keys
 
 
-def cross_pad_arrays(table: "np.ndarray", values: "np.ndarray") -> "np.ndarray":
+def cross_pad_arrays(table: CodeTable, values: "np.ndarray") -> CodeTable:
     """Cross product with one extra column ranging over ``values``.
 
     Every row of ``table`` is repeated once per value; the pad column is
@@ -313,11 +439,10 @@ def cross_pad_arrays(table: "np.ndarray", values: "np.ndarray") -> "np.ndarray":
     operator (adom padding as a broadcast instead of a nested Python loop).
 
     >>> import numpy as np
-    >>> t = np.array([[7], [8]], dtype=np.int64)
-    >>> cross_pad_arrays(t, np.array([1, 2], dtype=np.int64)).tolist()
-    [[7, 1], [7, 2], [8, 1], [8, 2]]
+    >>> t = CodeTable.of(np.array([7, 8]))
+    >>> cross_pad_arrays(t, np.array([1, 2], dtype=np.int64))
+    CodeTable(columns=(array([7, 7, 8, 8]), array([1, 2, 1, 2])), rows=4)
     """
-    n, m = table.shape[0], values.shape[0]
-    repeated = np.repeat(table, m, axis=0)
-    tiled = np.tile(values, n).reshape(-1, 1)
-    return np.concatenate([repeated, tiled], axis=1)
+    n, m = table.rows, values.shape[0]
+    repeated = tuple(np.repeat(column, m) for column in table.columns)
+    return CodeTable(repeated + (np.tile(values, n),), n * m)

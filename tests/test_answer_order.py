@@ -210,7 +210,7 @@ def test_join_outputs_out_of_order_are_sorted_once():
     coded = execute_vectorized(
         compiled.plan, state, compiled.universe(state), cache=cache
     )
-    raw = list(map(tuple, coded.codes.tolist()))
+    raw = list(zip(*(column.tolist() for column in coded.codes.columns)))
     assert raw != sorted(raw)
     session = connect("equality", family_schema(), guard=False)
     joined = _all_strategies_agree(session, text, state, EQ)

@@ -62,6 +62,7 @@ from repro.logic.parser import parse_formula
 from repro.relational import kernels
 from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.columnar import (
+    CodedRows,
     ElementCodec,
     EncodeCache,
     VectorizationError,
@@ -70,6 +71,7 @@ from repro.relational.columnar import (
     vectorization_obstacle,
 )
 from repro.relational.compile import CompilationError, compile_query
+from repro.relational.kernels import CodeTable
 from repro.relational.exec import (
     AdomScan,
     AttrRef,
@@ -115,6 +117,19 @@ def _assert_three_way_equivalent(query, state, domain, cache=None):
 # ---------------------------------------------------------------------------
 
 
+def _table(array):
+    """The code table of a 2-D array: one contiguous column per array column."""
+    array = np.asarray(array, dtype=np.int64)
+    return CodeTable(tuple(np.ascontiguousarray(array.T)), array.shape[0])
+
+
+def _rows(table):
+    """The rows of a code table, as tuples of Python ints, in table order."""
+    if not table.columns:
+        return [()] * table.rows
+    return list(zip(*(column.tolist() for column in table.columns)))
+
+
 def test_join_indices_matches_nested_loop_join():
     rng = random.Random(5)
     for _ in range(20):
@@ -126,7 +141,7 @@ def test_join_indices_matches_nested_loop_join():
             [[rng.randrange(4), rng.randrange(4)] for _ in range(rng.randrange(0, 9))],
             dtype=np.int64,
         ).reshape(-1, 2)
-        li, ri = kernels.join_indices(left, right)
+        li, ri = kernels.join_indices(_table(left), _table(right))
         got = sorted(zip(li.tolist(), ri.tolist()))
         want = sorted(
             (i, j)
@@ -138,8 +153,8 @@ def test_join_indices_matches_nested_loop_join():
 
 
 def test_join_indices_zero_column_keys_are_a_cross_product():
-    left = np.zeros((3, 0), dtype=np.int64)
-    right = np.zeros((2, 0), dtype=np.int64)
+    left = CodeTable((), 3)
+    right = CodeTable((), 2)
     li, ri = kernels.join_indices(left, right)
     assert sorted(zip(li.tolist(), ri.tolist())) == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1),
@@ -147,44 +162,45 @@ def test_join_indices_zero_column_keys_are_a_cross_product():
 
 
 def test_membership_mask_matches_python_membership():
-    left = np.array([[1, 2], [3, 4], [1, 9]], dtype=np.int64)
-    right = np.array([[1, 2], [7, 7]], dtype=np.int64)
+    left = _table([[1, 2], [3, 4], [1, 9]])
+    right = _table([[1, 2], [7, 7]])
     assert kernels.membership_mask(left, right).tolist() == [True, False, False]
-    empty = np.empty((0, 2), dtype=np.int64)
+    empty = CodeTable.empty(2)
     assert kernels.membership_mask(left, empty).tolist() == [False, False, False]
     assert kernels.membership_mask(empty, right).tolist() == []
 
 
 def test_unique_rows_and_zero_column_tables():
-    table = np.array([[1, 2], [1, 2], [0, 0]], dtype=np.int64)
-    assert kernels.unique_rows(table).tolist() == [[0, 0], [1, 2]]
-    unit = np.zeros((4, 0), dtype=np.int64)
-    assert kernels.unique_rows(unit).shape == (1, 0)
-    assert kernels.unique_rows(np.empty((0, 0), dtype=np.int64)).shape == (0, 0)
+    table = _table([[1, 2], [1, 2], [0, 0]])
+    assert _rows(kernels.unique_rows(table)) == [(0, 0), (1, 2)]
+    unit = CodeTable((), 4)
+    assert kernels.unique_rows(unit) == CodeTable((), 1)
+    assert kernels.unique_rows(CodeTable((), 0)) == CodeTable((), 0)
 
 
 def test_sorted_unique_rows_sorts_only_an_unsorted_table():
     rng = np.random.default_rng(7)
     for columns in (1, 2, 3):
-        table = rng.integers(-5, 5, size=(40, columns), dtype=np.int64)
-        expected = sorted(set(map(tuple, table.tolist())))
+        table = _table(rng.integers(-5, 5, size=(40, columns), dtype=np.int64))
+        expected = sorted(set(_rows(table)))
         ordered = kernels.sorted_unique_rows(table)
-        assert list(map(tuple, ordered.tolist())) == expected
+        assert _rows(ordered) == expected
         # An already ascending table comes back as it is, uncopied.
         assert kernels.sorted_unique_rows(ordered) is ordered
     # Adjacent equal rows are not "ascending": they are deduplicated.
-    twice = np.array([[1, 2], [1, 2], [3, 0]], dtype=np.int64)
-    assert kernels.sorted_unique_rows(twice).tolist() == [[1, 2], [3, 0]]
-    assert kernels.sorted_unique_rows(np.zeros((3, 0), dtype=np.int64)).shape == (1, 0)
-    assert kernels.sorted_unique_rows(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+    twice = _table([[1, 2], [1, 2], [3, 0]])
+    assert _rows(kernels.sorted_unique_rows(twice)) == [(1, 2), (3, 0)]
+    assert kernels.sorted_unique_rows(CodeTable((), 3)) == CodeTable((), 1)
+    none = kernels.sorted_unique_rows(CodeTable.empty(2))
+    assert none.rows == 0 and len(none.columns) == 2
 
 
 def test_cross_pad_arrays_broadcasts_every_value():
-    table = np.array([[5]], dtype=np.int64)
+    table = _table([[5]])
     values = np.array([1, 2, 3], dtype=np.int64)
-    assert kernels.cross_pad_arrays(table, values).tolist() == [[5, 1], [5, 2], [5, 3]]
-    none = kernels.cross_pad_arrays(np.empty((0, 1), dtype=np.int64), values)
-    assert none.shape == (0, 2)
+    assert _rows(kernels.cross_pad_arrays(table, values)) == [(5, 1), (5, 2), (5, 3)]
+    none = kernels.cross_pad_arrays(CodeTable.empty(1), values)
+    assert none.rows == 0 and len(none.columns) == 2
 
 
 def test_expand_ranges_concatenates_one_arange_per_group():
@@ -194,19 +210,17 @@ def test_expand_ranges_concatenates_one_arange_per_group():
         i for start, count in zip(starts.tolist(), counts.tolist())
         for i in range(start, start + count)
     ]
-    assert kernels.expand_ranges(starts, counts).tolist() == expected == [4, 5, 9, 10, 11, 2]
+    group, positions = kernels.expand_ranges(starts, counts)
+    assert positions.tolist() == expected == [4, 5, 9, 10, 11, 2]
+    assert group.tolist() == [0, 0, 2, 2, 2, 3]
 
 
 def test_expand_ranges_with_no_rows_is_an_empty_code_column():
     for counts in ([0, 0], []):
         counts = np.array(counts, dtype=np.int64)
         starts = np.zeros(counts.shape[0], dtype=np.int64)
-        out = kernels.expand_ranges(starts, counts)
+        _, out = kernels.expand_ranges(starts, counts)
         assert out.shape == (0,) and out.dtype == np.int64
-
-
-def _rows(table):
-    return list(map(tuple, table.tolist()))
 
 
 #: codes whose spans overflow a packed row key, forcing the lexsort fallback
@@ -231,33 +245,74 @@ def _code_tables(draw, count):
             st.lists(values, min_size=columns, max_size=columns), max_size=12
         ))
         table = np.array(rows, dtype=np.int64).reshape(len(rows), columns)
-        tables.append(table + offset)
+        tables.append(_table(table + offset))
     return tables
 
 
 @settings(max_examples=200, deadline=None)
 @given(_code_tables(1))
-@example([np.array([[2 ** 62, 0], [-(2 ** 62), 1], [2 ** 62, 0]], dtype=np.int64)])
+@example([_table([[2 ** 62, 0], [-(2 ** 62), 1], [2 ** 62, 0]])])
 def test_property_dedupe_kernels_sort_the_distinct_rows(tables):
     (table,) = tables
     want = sorted(set(_rows(table)))
     for kernel in (kernels.unique_rows, kernels.sorted_unique_rows):
         got = kernel(table)
-        assert got.shape[1] == table.shape[1] and _rows(got) == want
+        assert len(got.columns) == len(table.columns) and _rows(got) == want
     assert _rows(kernels.sorted_unique_rows(kernels.unique_rows(table))) == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(_code_tables(2))
+#: how the codes of one pair of key tables are drawn: dense (a span within
+#: twice the rows), sparse (far-apart codes), negative, wider than a packed
+#: key, or two dense ranges far apart
+_KEY_KINDS = ("dense", "sparse", "negative", "wide", "disjoint")
+
+
+@st.composite
+def _key_tables(draw):
+    """Two code tables of one column count (0-3), 0-10 rows each, whose
+    codes follow one of :data:`_KEY_KINDS`."""
+    kind = draw(st.sampled_from(_KEY_KINDS))
+    columns = draw(st.integers(0, 3))
+    codes = {
+        "dense": st.integers(0, 3),
+        "sparse": st.sampled_from([0, 1000, 10 ** 6, 10 ** 9]),
+        "negative": st.integers(-(2 ** 40) - 3, -(2 ** 40)),
+        "wide": st.sampled_from(_WIDE_CODES + (0, 1)),
+        "disjoint": st.integers(0, 2),
+    }[kind]
+    tables = []
+    for offset in (0, 10 ** 7 if kind == "disjoint" else 0):
+        rows = draw(st.lists(
+            st.lists(codes, min_size=columns, max_size=columns), max_size=10
+        ))
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), columns)
+        tables.append(_table(table + offset))
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_tables())
 @example([
-    np.array([[2 ** 62, 0], [-(2 ** 62), 1]], dtype=np.int64),
-    np.array([[-(2 ** 62), 1], [5, 5]], dtype=np.int64),
+    _table([[2 ** 62, 0], [-(2 ** 62), 1]]),
+    _table([[-(2 ** 62), 1], [5, 5]]),
+])
+@example([_table([[0], [7]]), _table([[5]])])        # left key past the right's
+@example([_table([[5]]), _table([[0], [9]])])        # right key past the left's
+@example([_table([[0], [9]]), _table([[9], [0], [9]])])  # span 10 > 2·5: sorted
+@example([_table([[0], [5]]), _table([[5], [0], [5]])])  # span 6 <= 2·5: direct
+@example([_table([[2 ** 62, 1], [0, 0]]), _table([[0, 0], [2 ** 62, 1]])])
+@example([CodeTable((), 2), CodeTable((), 3)])
+@example([CodeTable.empty(2), _table([[1, 2]])])
+@example([  # dense keys wider than a byte, in no order
+    _table(np.random.default_rng(2).integers(0, 600, (300, 1))),
+    _table(np.random.default_rng(3).integers(0, 600, (300, 1))),
 ])
 def test_property_join_and_membership_kernels_match_nested_loops(tables):
     left, right = tables
     left_rows, right_rows = _rows(left), _rows(right)
     li, ri = kernels.join_indices(left, right)
-    assert sorted(zip(li.tolist(), ri.tolist())) == [
+    # Exactly the matching pairs, in left order and then right order.
+    assert list(zip(li.tolist(), ri.tolist())) == [
         (i, j)
         for i, row in enumerate(left_rows)
         for j, other in enumerate(right_rows)
@@ -280,6 +335,147 @@ def test_property_join_and_membership_kernels_match_nested_loops(tables):
 
 
 # ---------------------------------------------------------------------------
+# Column kernels: direct addressing against sorting, split, insert
+# ---------------------------------------------------------------------------
+
+def _kernel_sides(left, right):
+    """Which side of the span rule a join of ``left`` and ``right`` takes:
+    ``"dense"``, ``"sparse"``, or ``None`` when no key is compared."""
+    if not (left.columns and left.rows and right.rows):
+        return None
+    dense = kernels._dense_span(*kernels.key_codes(left, right))
+    return "sparse" if dense is None else "dense"
+
+
+def test_span_rule_addresses_up_to_twice_the_rows_directly():
+    # Two rows a side: a span of 2·(2 + 2) = 8 codes is dense, 9 is not.
+    def side(high):
+        codes = np.array([0, high], dtype=np.int64)
+        return _kernel_sides(CodeTable.of(codes), CodeTable.of(codes[::-1]))
+
+    assert side(7) == "dense" and side(8) == "sparse"
+    assert kernels._dense_span(np.array([-5, -2]), np.array([-4])) == (-5, 4)
+    # Every kind of key the properties draw reaches the side it is meant to.
+    negative = _table([[-(2 ** 40) - 3], [-(2 ** 40)]])
+    assert _kernel_sides(negative, negative) == "dense"
+    # Rows too wide to pack are densified along a lexsort: dense keys.
+    wide = _table([[2 ** 62, 1], [0, 0]])
+    assert _kernel_sides(wide, _table([[0, 0], [-(2 ** 62), 5]])) == "dense"
+    assert _kernel_sides(_table([[0], [1]]), _table([[10 ** 7]])) == "sparse"
+    assert _kernel_sides(_table([[0], [10 ** 9]]), _table([[1000]])) == "sparse"
+    # The random 4096-row graph's keys span 12,288 codes: addressed directly.
+    rng = np.random.default_rng(1)
+    graph = CodeTable.of(rng.integers(0, 3 * 4096, 4096))
+    assert _kernel_sides(graph, graph) == "dense"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    st.booleans(),
+)
+@example([(1, 2), (3, 4)], [5], False)           # a fresh code in no row
+@example([(1, 6), (6, 2)], [6], False)           # in every row, either column
+@example([(1, 2), (3, 4)], [4, 1], True)         # the second code only
+@example([(1, 2), (3, 4)], [9, 2], True)         # the first outside the codec
+def test_property_split_matches_python(rows, fresh, named):
+    elements = (lambda value: f"e{value}") if named else (lambda value: value)
+    rows = [tuple(map(elements, row)) for row in dict.fromkeys(rows)]
+    # The codec covers codes 0-6: a fresh 7 (or e7) is outside it.
+    codec = ElementCodec.for_universe([elements(v) for v in range(7)])
+    fresh = [elements(value) for value in fresh]
+    coded = CodedRows(codec, codec.encode_rows(rows, 2))
+    hits = [row for row in rows if fresh[0] in row]
+    rest = [] if hits else [row for row in rows if not set(row) & set(fresh)]
+    got_hits, got_rest = coded.split(fresh)
+    assert sorted(got_hits) == sorted(hits) and sorted(got_rest) == sorted(rest)
+    if codec.numeric:
+        assert got_hits == tuple(sorted(hits)) and got_rest == tuple(sorted(rest))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=10),
+    st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), min_size=1, max_size=6),
+    st.booleans(),
+)
+@example([(1, 2), (3, 4)], [(1, 2), (0, 9)], False)  # re-inserts a stored row
+@example([(1, 2), (3, 4)], [(9, 9), (-1, 0)], True)
+def test_property_insert_only_delta_keeps_stored_columns_sorted(rows, inserts, named):
+    from repro.relational.columnar import encode_cache
+
+    def stored(state):
+        cache = encode_cache()
+        return cache.columns_for(state, cache.codec_for(state, ()))["F"]
+
+    if named:
+        rows = [(f"p{a}", f"p{b}") for a, b in rows]
+        inserts = [(f"p{a}", f"p{b}") for a, b in inserts]
+    session = connect("equality", family_schema(), guard=False)
+    state = _family(rows)
+    session.run("F(x, y)", state, strategy="vectorized")
+    grown = session.apply_delta(state, Delta(inserts={"F": inserts}))
+    table = stored(grown)
+    codec = encode_cache().codec_for(grown, ())
+    decoded = [tuple(codec.decode(code) for code in row) for row in _rows(table)]
+    assert set(decoded) == set(rows) | set(inserts) == grown["F"].rows
+    assert len(decoded) == len(grown["F"])
+    assert _rows(table) == sorted(set(_rows(table)))
+    assert all(column.flags.c_contiguous for column in table.columns)
+
+
+def test_guarded_run_on_the_tree_calls_no_isin(monkeypatch):
+    session = connect("equality", family_schema())
+    state = family_state(generations=11)
+    assert len(state["F"]) == 4094
+    first = session.run("F(x, y)", state).answer
+    calls = []
+    isin = np.isin
+
+    def counted_isin(*args, **kwargs):
+        calls.append(args)
+        return isin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isin", counted_isin)
+    again = session.run("F(x, y)", state).answer
+    assert again.method == "vectorized" and again.rows() == first.rows()
+    assert len(again.rows()) == 4094
+    assert calls == []
+
+
+def test_unfiltered_scan_and_clean_split_hand_back_the_stored_columns(
+    monkeypatch,
+):
+    from repro.relational.columnar import encode_cache
+
+    session = connect("equality", family_schema())
+    state = family_state(generations=11)
+    session.run("F(x, y)", state)
+    cache = encode_cache()
+    stored = cache.columns_for(state, cache.codec_for(state, ()))["F"]
+    compiled = compile_query(parse_formula("F(x, y)"), state.schema, EQ)
+    scanned = execute_vectorized(compiled.plan, state).codes
+    assert all(a is b for a, b in zip(scanned.columns, stored.columns))
+
+    decoded = []
+    rows = CodedRows.rows
+
+    def recorded_rows(self, codes=None):
+        decoded.append(self.codes if codes is None else codes)
+        return rows(self, codes)
+
+    monkeypatch.setattr(CodedRows, "rows", recorded_rows)
+    answer = session.run("F(x, y)", state).answer
+    assert answer.method == "vectorized" and len(answer.rows()) == 4094
+    (rest,) = [table for table in decoded if table.rows]
+    assert len(rest.columns) == len(stored.columns) == 2
+    assert all(
+        np.shares_memory(a, b) for a, b in zip(rest.columns, stored.columns)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Element codec
 # ---------------------------------------------------------------------------
 
@@ -288,7 +484,7 @@ def test_codec_is_passthrough_for_machine_integers():
     codec = ElementCodec.for_universe([0, 5, -3])
     assert codec.numeric
     assert codec.encode(5) == 5 and codec.decode(-3) == -3
-    assert codec.encode_rows([(0, 5)], 2).tolist() == [[0, 5]]
+    assert _rows(codec.encode_rows([(0, 5)], 2)) == [(0, 5)]
 
 
 def test_codec_dictionary_encodes_strings_and_mixed_carriers():

@@ -175,18 +175,20 @@ def test_delete_then_insert_same_row_survives():
 def test_encode_cache_grows_columns_on_insert_only_delta():
     import numpy as np
 
+    from repro.relational.kernels import CodeTable
+
     cache = EncodeCache(maxsize=8)
     state = _state([(1, 2), (2, 3)], [(1,)])
     codec = cache.codec_for(state, (1, 2, 3))
     entry = cache.columns_for(state, codec)
-    entry["F"] = np.asarray([[1, 2], [2, 3]], dtype=np.int64)
-    entry["P"] = np.asarray([[1]], dtype=np.int64)
+    entry["F"] = CodeTable.of(np.array([1, 2]), np.array([2, 3]))
+    entry["P"] = CodeTable.of(np.array([1]))
 
     delta = Delta.insert("F", (3, 4))
     mutated = state.apply(delta)
     assert cache.migrate(state, mutated, delta) == 1
     new_entry = cache.columns_for(mutated, cache.codec_for(mutated, (1, 2, 3, 4)))
-    assert new_entry["F"].shape == (3, 2)
+    assert new_entry["F"].rows == 3 and len(new_entry["F"].columns) == 2
     assert new_entry["P"] is entry["P"]  # untouched relation: shared array
     info = cache.info()
     assert info.grown_columns == 1
@@ -197,10 +199,12 @@ def test_encode_cache_grows_columns_on_insert_only_delta():
 def test_encode_cache_invalidates_on_delete():
     import numpy as np
 
+    from repro.relational.kernels import CodeTable
+
     cache = EncodeCache(maxsize=8)
     state = _state([(1, 2)])
     entry = cache.columns_for(state, cache.codec_for(state, (1, 2)))
-    entry["F"] = np.asarray([[1, 2]], dtype=np.int64)
+    entry["F"] = CodeTable.of(np.array([1]), np.array([2]))
     delta = Delta.delete("F", (1, 2))
     mutated = state.apply(delta)
     assert cache.migrate(state, mutated, delta) == 0
@@ -211,10 +215,12 @@ def test_encode_cache_invalidates_on_delete():
 def test_encode_cache_explicit_invalidate_counts():
     import numpy as np
 
+    from repro.relational.kernels import CodeTable
+
     cache = EncodeCache(maxsize=8)
     state = _state([(1, 2)])
     entry = cache.columns_for(state, cache.codec_for(state, (1, 2)))
-    entry["F"] = np.asarray([[1, 2]], dtype=np.int64)
+    entry["F"] = CodeTable.of(np.array([1]), np.array([2]))
     assert cache.invalidate(state) == 1
     assert cache.invalidate(state) == 0  # idempotent
     info = cache.info()
