@@ -25,7 +25,6 @@ from repro.experiments.corpora import (
     span_state,
 )
 from repro.logic.parser import parse_formula
-from repro.relational.columnar import encode_cache
 from repro.serve.policy import ServerPolicy
 from repro.serve.sessions import SessionManager
 
@@ -72,14 +71,18 @@ SESSIONS = 8
 def test_serve_zipfian_plan_cache_hit_rate(benchmark):
     """A zipfian mix over 8 sessions keeps the shared-plan-cache hit rate ≥ 0.9."""
     pool = query_pool()
-    numeric = numeric_state([3, 5, 9, 14, 21])
-    span = span_state([2, 6, 11, 17], [(1, 5), (8, 12), (15, 19)])
-    states = {numeric_schema(): numeric, span_schema(): span}
     rng = random.Random(20260808)
     picks = zipf_indices(rng, len(pool), REQUESTS)
 
     def run_workload():
-        encode_cache().clear()
+        # Fresh states every round: their encoded columns live on them, so
+        # each round starts cold.
+        states = {
+            numeric_schema(): numeric_state([3, 5, 9, 14, 21]),
+            span_schema(): span_state(
+                [2, 6, 11, 17], [(1, 5), (8, 12), (15, 19)]
+            ),
+        }
         # 8 client slots × one session per schema flavour = 16 live sessions
         manager = SessionManager(ServerPolicy(max_sessions=2 * SESSIONS))
         latencies = []

@@ -225,11 +225,10 @@ class Session:
         return False
 
     def encode_cache_info(self) -> "EncodeCacheInfo":
-        """Counters for the per-state columnar encode cache.
+        """Counters for the per-state columnar encode stores.
 
-        Unlike the plan cache, the encode cache is process-wide (encoded
-        columns are a property of the state, not of the session), so these
-        counters aggregate across sessions.
+        Encoded columns are a property of the state, not of the session,
+        so these counters are process-wide and aggregate across sessions.
         """
         from ..relational.columnar import encode_cache_info
 
@@ -433,19 +432,16 @@ class Session:
         """Mutate ``state`` by ``delta``; return the new state.
 
         A convenience over :meth:`DatabaseState.apply
-        <repro.relational.state.DatabaseState.apply>` that additionally keeps
-        the process-wide columnar encode cache coherent: on an insert-only
-        delta the old state's encoded columns are *grown* in place of being
-        re-encoded (merged codes, shared untouched arrays); any delete
-        invalidates them.
+        <repro.relational.state.DatabaseState.apply>` that also hands the old
+        state's encoded columns to the new one
+        (:func:`repro.relational.columnar.apply_delta`): after an
+        insert-only delta they are *grown* instead of re-encoded (merged
+        codes, shared untouched arrays); after a delete the new state
+        encodes its own on first use.
         """
-        new_state = state.apply(delta)
-        if new_state is state:
-            return state
-        from ..relational.columnar import encode_cache
+        from ..relational.columnar import apply_delta
 
-        encode_cache().migrate(state, new_state, new_state.effective_delta)
-        return new_state
+        return apply_delta(state, delta)
 
 
 def connect(

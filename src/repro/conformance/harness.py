@@ -28,13 +28,13 @@ runs seven families of checks — no per-domain test code required:
    negation or a universal quantifier somewhere.
 6. **delta-equivalence** — for packs with a compiled substrate, a sequence
    of randomized interleaved insert/delete deltas applied through
-   :meth:`~repro.api.session.Session.apply_delta` (which grows or
-   invalidates the state's encoded columns) leaves every answer equal to
+   :meth:`~repro.api.session.Session.apply_delta` (which grows the state's
+   encoded columns or leaves them behind) leaves every answer equal to
    the one on a freshly built state: the vectorized rung's rows equal the
    set executor's, and ``auto``'s verdict and rows equal the same guard
    over the set executor (or, where ``auto`` reads its answer off a
    quantifier-free form, a fresh session's ``auto``).  After an insert-only
-   delta the encode cache must grow encoded columns at least once.
+   delta the state's encoded columns must be grown at least once.
 7. **bench-smoke** — all queries on a ``bench_size``-row random state finish
    inside the pack's wall-clock budget, with compiled executions staying
    under the pack's peak-intermediate-rows ceiling (the blowup guard).
@@ -566,7 +566,7 @@ def _check_delta_equivalence(
                             f"{theirs[:2]} with {len(theirs[2])}"
                         )
     grown = encode_cache_info().grown_columns - grown_before
-    # The encode cache's grow path must genuinely engage: after an effective
+    # The columns' grow path must genuinely engage: after an effective
     # insert-only delta, columns the vectorized rung encoded must be grown,
     # not re-encoded.
     if insert_only_steps and vectorized and not grown:

@@ -316,7 +316,12 @@ class CompiledAlgebraPlan(Plan):
         self.last_interruption = None
         deadline = self._start_deadline()
         try:
-            return self._execute_with(query, state, deadline, probe)
+            answer = self._execute_with(query, state, deadline, probe)
+            if deadline is not None:
+                # Decoding the answer follows the last operator checkpoint;
+                # a run it pushed past the limit is refused all the same.
+                deadline.check("decode")
+            return answer
         except EvaluationInterrupted as error:
             self._record_interruption(error)
             raise

@@ -252,14 +252,18 @@ def dnf_clauses(formula: Formula) -> List[List[Formula]]:
 
 
 def _product_clauses(conjuncts: List[Formula]) -> Iterator[List[Formula]]:
-    """The clauses of ``dnf_clauses(conj(*conjuncts))``, one at a time, for
+    """Clauses whose disjunction is equivalent to ``conj(*conjuncts)`` —
+    and so to that of ``dnf_clauses(conj(*conjuncts))`` — one at a time, for
     conjuncts as ``conj`` leaves them (flattened and distinct).
 
     Each conjunct is put into DNF on its own and the clauses of the product
     are built as they are consumed, so a caller that checks a deadline per
     clause never waits on the whole product (the clause sets of nested
-    quantifiers over stored relations multiply).  A clause may repeat; the
-    caller's ``disj`` removes the duplicate results.
+    quantifiers over stored relations multiply).  The clauses need not be
+    those of the whole-formula DNF, which simplification shrinks (it drops
+    contradictory and absorbed clauses, and conjuncts that normalise alike
+    count once) where the raw product here keeps them all.  A clause may
+    repeat; the caller's ``disj`` removes the duplicate results.
     """
     for combination in product(*(dnf_clauses(c) for c in conjuncts)):
         # DNF literals are never constants, so ``conj`` would only drop repeats

@@ -13,10 +13,8 @@ from .calculus import (
     evaluate_term,
 )
 from .columnar import (
-    EncodeCache,
     EncodeCacheInfo,
     VectorizationError,
-    encode_cache,
     encode_cache_info,
     run_plan_vectorized,
     vectorization_obstacle,
@@ -41,5 +39,5 @@ __all__ = [
     "CompilationError", "CompiledQuery", "compile_query",
     "run_plan", "plan_summary", "ExecutionStats",
     "VectorizationError", "run_plan_vectorized", "vectorization_obstacle",
-    "EncodeCache", "EncodeCacheInfo", "encode_cache", "encode_cache_info",
+    "EncodeCacheInfo", "encode_cache_info",
 ]

@@ -19,11 +19,14 @@ that :mod:`repro.relational.exec` interprets set-at-a-time:
   and sort sparser ones for ``np.searchsorted``; antijoins are membership
   masks chosen the same way, and active-domain padding is an array
   broadcast;
-* relation encoding is amortised by a **per-state encode cache**
-  (:class:`EncodeCache`): repeated executions against an unchanged state
-  reuse the already-encoded column arrays and pay only kernel time.  Each
-  stored code table is kept lexsorted, so scans, and the joins over them,
-  come out in order and the decode need not sort.
+* relation encoding is amortised by **per-state encode stores**, memoised
+  on the :class:`~repro.relational.state.DatabaseState` like its
+  ``elements()``: repeated executions against the same state reuse the
+  already-encoded column arrays and pay only kernel time, and the columns
+  are freed along with the state.  :func:`apply_delta` hands them to the
+  successor of an insert-only delta.  Each stored code table is kept
+  lexsorted, so scans, and the joins over them, come out in order and the
+  decode need not sort.
 
 Invariants (shared with the tree walker and the set executor):
 
@@ -60,8 +63,6 @@ Doctest — a vectorized scan-and-join, equal to the set executor's answer:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Collection, Dict, Iterable, Optional, Sequence, Set, Tuple,
@@ -95,16 +96,15 @@ from .exec import (
     ValueRef,
     walk_plan,
 )
-from .state import DatabaseState, Element, Row, int64_safe
+from .state import DatabaseState, Delta, Element, Row, int64_safe
 
 __all__ = [
     "HAVE_NUMPY",
     "VectorizationError",
     "ElementCodec",
-    "EncodeCache",
     "EncodeCacheInfo",
-    "encode_cache",
     "encode_cache_info",
+    "apply_delta",
     "vectorization_obstacle",
     "CodedRows",
     "execute_vectorized",
@@ -170,8 +170,8 @@ def vectorization_obstacle(plan: PlanNode) -> Optional[str]:
 class ElementCodec:
     """A bijection between domain elements and ``np.int64`` codes.
 
-    Two modes, chosen by :meth:`for_universe` (and per state by
-    :meth:`EncodeCache.codec_for`):
+    Two modes, chosen by :meth:`for_universe` (and per state by the
+    executor's encode store):
 
     * **numeric passthrough** — every element is a machine-sized ``int``, so
       the code *is* the value and numeric domain predicates vectorize as
@@ -183,7 +183,7 @@ class ElementCodec:
 
     Dictionary tables can *grow monotonically*: :meth:`extend` appends the
     new elements after the existing ones, so every previously assigned code
-    stays valid — which is what lets the encode cache keep serving a state's
+    stays valid — which is what lets a state keep serving its
     already-encoded columns across codec changes (new query constants
     outside the carrier) instead of re-encoding from scratch.
 
@@ -198,17 +198,8 @@ class ElementCodec:
     (True, 'cain')
     """
 
-    def __init__(
-        self,
-        numeric: bool,
-        table: Tuple[Element, ...],
-        *,
-        growing: bool = False,
-    ):
+    def __init__(self, numeric: bool, table: Tuple[Element, ...]):
         self.numeric = numeric
-        #: True for cache-managed dictionary codecs whose table only ever
-        #: grows (append-only), making their encoded columns reusable
-        self.growing = growing
         self._table = table
         self._codes: Dict[Element, int] = {
             element: code for code, element in enumerate(table)
@@ -225,11 +216,9 @@ class ElementCodec:
         return cls.dictionary(universe)
 
     @classmethod
-    def dictionary(
-        cls, elements: Iterable[Element], *, growing: bool = False
-    ) -> "ElementCodec":
+    def dictionary(cls, elements: Iterable[Element]) -> "ElementCodec":
         """The dictionary codec of ``elements``, in a deterministic order."""
-        return cls(False, tuple(sorted(set(elements), key=repr)), growing=growing)
+        return cls(False, tuple(sorted(set(elements), key=repr)))
 
     def extend(self, elements: Iterable[Element]) -> "ElementCodec":
         """A codec that also covers ``elements``, preserving existing codes.
@@ -247,9 +236,7 @@ class ElementCodec:
         )
         if not fresh:
             return self
-        return ElementCodec(
-            False, self._table + tuple(fresh), growing=self.growing
-        )
+        return ElementCodec(False, self._table + tuple(fresh))
 
     def encode(self, element: Element) -> int:
         """The code of one element (raises on elements outside the universe)."""
@@ -300,323 +287,158 @@ class ElementCodec:
         # One transposing copy: each row of the result is one column.
         return CodeTable(tuple(flat.reshape(len(rows), arity).T.copy()), len(rows))
 
-    def cache_key(self) -> Tuple[Any, ...]:
-        """A hashable token identifying the element→code mapping.
-
-        All numeric (passthrough) codecs encode identically; dictionary
-        codecs encode identically iff their tables agree.  The encode cache
-        keys entries by this, so plans with different constants can share one
-        state's encoded columns whenever their codecs agree.  Cache-managed
-        *growing* dictionary codecs share one stable key: their table only
-        ever appends, so columns encoded under an earlier table version stay
-        valid under every later one.
-        """
-        if self.numeric:
-            return ("numeric",)
-        if self.growing:
-            return ("dictionary-growing",)
-        return ("dictionary", self._table)
-
 
 #: the one passthrough codec: every numeric codec encodes identically
 _NUMERIC_CODEC = ElementCodec(numeric=True, table=())
 
 
 # ---------------------------------------------------------------------------
-# The per-state encode cache
+# Per-state encode stores
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EncodeCacheInfo:
-    """A point-in-time snapshot of encode-cache effectiveness."""
+    """A point-in-time snapshot of the process-wide encode counters."""
 
+    #: executions served by a state's existing store
     hits: int
+    #: executions that made a state's store (its first under a codec kind)
     misses: int
-    evictions: int
-    size: int
-    maxsize: int
     #: dictionary-table growth events (codec changes served without re-encode)
     grown: int = 0
-    #: entries dropped eagerly because their state was superseded or
-    #: explicitly invalidated (as opposed to LRU-pressure evictions)
+    #: stores a mutated state did not inherit (a delete, or an inserted
+    #: element the passthrough codec cannot hold)
     invalidated: int = 0
-    #: column arrays migrated to a mutated state (insert-only deltas merge
-    #: the new rows' codes into the encoded arrays instead of re-encoding
-    #: the relation)
+    #: code tables grown for a mutated state (insert-only deltas merge the
+    #: new rows' codes into the encoded arrays instead of re-encoding the
+    #: relation)
     grown_columns: int = 0
 
     def __str__(self) -> str:
         return (
-            f"hits={self.hits} misses={self.misses} evictions={self.evictions} "
-            f"size={self.size}/{self.maxsize} grown={self.grown} "
+            f"hits={self.hits} misses={self.misses} grown={self.grown} "
             f"invalidated={self.invalidated} grown_columns={self.grown_columns}"
         )
 
 
-class EncodeCache:
-    """An LRU cache of encoded relation columns, keyed per database state.
-
-    Encoding a state's relations into int64 code tables is the O(rows)
-    prologue every vectorized execution used to pay; for a serving workload
-    over a slowly-changing state it dominates the (kernel) work that actually
-    answers the query.  This cache keys the encoded columns by the pair
-    *(state, codec key)* — states are immutable value objects with a cached
-    fingerprint hash, so an unchanged state hits and a changed one can never
-    serve stale columns.  Entries are filled lazily, one relation at a time,
-    by the executor.
-
-    The module-level instance (:func:`encode_cache`) is shared process-wide,
-    mirroring how compiled plans are shared through the session plan cache;
-    :func:`encode_cache_info` gives ``cache_info()``-style counters.
-
-    The cache is **thread-safe**: concurrent serving sessions
-    (:mod:`repro.serve`) querying states with equal ``fingerprint()`` share
-    one instance, so LRU bookkeeping and codec growth happen under an
-    internal lock.  The column dicts handed out by :meth:`columns_for` are
-    filled *outside* the lock by the executor — that is safe because fills
-    are idempotent (re-encoding the same relation of the same state yields
-    equal code arrays) and single dict writes are atomic under the GIL, so a
-    race at worst duplicates one relation's encode work.
-    """
-
-    def __init__(self, maxsize: int = 32):
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be non-negative, got {maxsize!r}")
-        self._maxsize = maxsize
-        self._entries: "OrderedDict[Any, Dict[Any, Any]]" = OrderedDict()
-        #: per-entry growing dictionary codecs, evicted together with entries
-        self._codecs: Dict[Any, ElementCodec] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._grown = 0
-        self._invalidated = 0
-        self._grown_columns = 0
-        self._lock = threading.Lock()
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def codec_for(
-        self, state: DatabaseState, elements: Iterable[Element]
-    ) -> ElementCodec:
-        """The codec covering ``state``'s stored elements and ``elements``,
-        to encode against ``state``'s cached columns.
-
-        Whether the state's own elements are machine ints is memoised on the
-        state (:meth:`~repro.relational.state.DatabaseState.int64_safe`), so
-        a request checks in Python only the elements outside it — the query
-        constants and a probe's fresh elements.  A numeric (passthrough)
-        universe gets the shared numeric codec.  For dictionary carriers the
-        cache keeps one *growing* codec per state: a codec change (new
-        constants outside the carrier) appends the new elements to the
-        existing table instead of rebuilding it, so every column already
-        encoded for the state stays valid — the codec-change path hits the
-        cache instead of re-encoding from scratch.
-        """
-        stored = state.elements()
-        outside = frozenset(elements) - stored
-        if state.int64_safe() and int64_safe(outside):
-            return _NUMERIC_CODEC
-        if self._maxsize == 0:
-            return ElementCodec.dictionary(stored | outside)
-        key = (state, ("dictionary-growing",))
-        with self._lock:
-            prior = self._codecs.get(key)
-            if prior is None:
-                grown = ElementCodec.dictionary(stored | outside, growing=True)
-            else:
-                # The table already covers every stored element.
-                grown = prior.extend(outside)
-                if grown is not prior:
-                    self._grown += 1
-            self._codecs[key] = grown
-            return grown
-
-    def columns_for(
-        self, state: DatabaseState, codec: ElementCodec
-    ) -> Dict[Any, Any]:
-        """The (shared, lazily filled) relation→codes store for ``state``,
-        which also holds the stored elements' adom column."""
-        key = (state, codec.cache_key())
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry
-            self._misses += 1
-            entry = {}
-            if self._maxsize == 0:
-                return entry
-            self._entries[key] = entry
-            while len(self._entries) > self._maxsize:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._codecs.pop(evicted_key, None)
-                self._evictions += 1
-            return entry
-
-    def invalidate(self, state: DatabaseState) -> int:
-        """Eagerly drop every entry (and growing codec) keyed by ``state``.
-
-        Superseded states' entries are *correct* (states are immutable) but
-        useless once a mutation produces a successor; without this they
-        linger until LRU pressure evicts them.  Returns the number of entries
-        dropped; the drops are counted as ``invalidated``, not ``evictions``.
-        """
-        with self._lock:
-            return self._invalidate_locked(state)
-
-    def _invalidate_locked(self, state: DatabaseState) -> int:
-        stale = [key for key in self._entries if key[0] is state or key[0] == state]
-        for key in stale:
-            del self._entries[key]
-            self._codecs.pop(key, None)
-            self._invalidated += 1
-        for key in [k for k in self._codecs if k[0] is state or k[0] == state]:
-            del self._codecs[key]
-        return len(stale)
-
-    def migrate(
-        self, old_state: DatabaseState, new_state: DatabaseState, delta: Any
-    ) -> int:
-        """Move ``old_state``'s entries to ``new_state`` after a mutation.
-
-        For an **insert-only** effective delta the encoded column arrays are
-        grown: untouched relations share the parent's arrays, touched ones
-        get the inserted rows' codes merged into their lexsorted block
-        (:func:`~repro.relational.kernels.insert_rows`: O(rows) array
-        passes, no Python pass over the stored rows), growing the state's
-        dictionary codec first when the new rows bring new elements.
-        Anything else — deletes, or an entry whose fixed-table codec cannot
-        encode a new element — cannot reuse the arrays, so the old entries
-        are invalidated instead.  Returns the number of entries migrated.
-        """
-        inserts: Dict[str, Any] = {
-            name: rows
-            for name, rows in (getattr(delta, "inserts", {}) or {}).items()
-            if name in old_state
-        }
-        insert_only = not getattr(delta, "deletes", None)
-        with self._lock:
-            if not insert_only or np is None:
-                self._invalidate_locked(old_state)
-                return 0
-            fresh_elements = tuple(
-                value for rows in inserts.values() for row in rows for value in row
-            )
-            migrated = 0
-            for key in list(self._entries):
-                if not (key[0] is old_state or key[0] == old_state):
-                    continue
-                entry = self._entries.pop(key)
-                codec_key = key[1]
-                codec = self._pick_codec(key, codec_key, fresh_elements)
-                if codec is None:
-                    self._invalidated += 1
-                    continue
-                try:
-                    moved = self._grow_entry(entry, codec, inserts)
-                except VectorizationError:
-                    self._invalidated += 1
-                    continue
-                new_key = (new_state, codec_key)
-                self._entries[new_key] = moved
-                self._entries.move_to_end(new_key)
-                if codec_key == ("dictionary-growing",):
-                    self._codecs[new_key] = codec
-                self._codecs.pop(key, None)
-                migrated += 1
-            # Any growing codec without a column entry still moves forward so
-            # later encodes against the new state keep their code assignments.
-            old_codec_key = (old_state, ("dictionary-growing",))
-            if old_codec_key in self._codecs:
-                codec = self._codecs.pop(old_codec_key).extend(fresh_elements)
-                self._codecs.setdefault((new_state, ("dictionary-growing",)), codec)
-            return migrated
-
-    def _pick_codec(
-        self, key: Any, codec_key: Any, fresh_elements: Sequence[Element]
-    ) -> Optional[ElementCodec]:
-        """The codec to encode the inserted rows under one entry's key."""
-        if codec_key == ("numeric",):
-            return _NUMERIC_CODEC if int64_safe(fresh_elements) else None
-        if codec_key == ("dictionary-growing",):
-            prior = self._codecs.get(key)
-            if prior is None:
-                return None
-            grown = prior.extend(tuple(fresh_elements))
-            if grown is not prior:
-                self._grown += 1
-            return grown
-        # Fixed-table dictionary codecs cannot learn new elements; migrate
-        # only when every inserted element is already encodable.
-        prior = ElementCodec(False, codec_key[1]) if codec_key[0] == "dictionary" else None
-        if prior is not None and all(prior.encodable(v) for v in fresh_elements):
-            return prior
-        return None
-
-    def _grow_entry(
-        self,
-        entry: Dict[Any, Any],
-        codec: ElementCodec,
-        inserts: Dict[str, Any],
-    ) -> Dict[Any, Any]:
-        """Merge the inserted rows' codes into the touched relations'
-        lexsorted arrays; a row an array already holds (a requested delta
-        may re-insert one) is dropped, keeping the arrays distinct."""
-        moved: Dict[Any, Any] = {}
-        for name, codes in entry.items():
-            if name == _STORED_ADOM:
-                continue  # the new state's own column is encoded on first use
-            rows = inserts.get(name)
-            if not rows:
-                moved[name] = codes  # untouched: share the parent's array
-                continue
-            moved[name] = kernels.insert_rows(
-                codes, codec.encode_rows(rows, len(codes.columns))
-            )
-            self._grown_columns += 1
-        return moved
-
-    def clear(self) -> None:
-        """Drop every entry (the counters survive)."""
-        with self._lock:
-            self._entries.clear()
-            self._codecs.clear()
-
-    def info(self) -> EncodeCacheInfo:
-        """Hit/miss/eviction counters and current occupancy."""
-        with self._lock:
-            return EncodeCacheInfo(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                maxsize=self._maxsize,
-                grown=self._grown,
-                invalidated=self._invalidated,
-                grown_columns=self._grown_columns,
-            )
-
-
-_ENCODE_CACHE = EncodeCache()
-
-
-def encode_cache() -> EncodeCache:
-    """The process-wide encode cache used by :func:`run_plan_vectorized`."""
-    return _ENCODE_CACHE
+#: the process-wide counters behind :func:`encode_cache_info`; unlocked, so
+#: concurrent executions may drop an increment (they are diagnostics only)
+_COUNTS: Dict[str, int] = dict.fromkeys(
+    ("hits", "misses", "grown", "invalidated", "grown_columns"), 0
+)
 
 
 def encode_cache_info() -> EncodeCacheInfo:
-    """Counters for the process-wide encode cache."""
-    return _ENCODE_CACHE.info()
+    """The process-wide counters of the per-state encode stores."""
+    return EncodeCacheInfo(**_COUNTS)
+
+
+class _Store:
+    """One state's encoded columns under one codec kind.
+
+    ``columns`` maps relation names to lexsorted code tables, and
+    :data:`_STORED_ADOM` to the stored elements' code column; the executor
+    fills it lazily, one relation at a time.  ``codec`` is the passthrough
+    codec, or the state's append-only dictionary codec.  Fills are
+    idempotent and stored columns hold only the codes of stored elements,
+    which no growth of the dictionary changes, so concurrent executions
+    share a store without a lock: a race at worst encodes one relation
+    twice, or keeps one of two grown codecs that differ only on elements
+    outside the state."""
+
+    __slots__ = ("codec", "columns")
+
+    def __init__(self, codec: ElementCodec, columns: Dict[Any, Any]):
+        self.codec = codec
+        self.columns = columns
+
+
+def _store_for(
+    state: DatabaseState, extra: Collection[Element]
+) -> Tuple[ElementCodec, Dict[Any, Any]]:
+    """The codec and the columns of ``state``'s store for a universe that
+    adds ``extra`` (elements the state does not store) to its stored
+    elements; the store's codec first grows to cover ``extra``.
+
+    A state keeps at most two stores, memoised on the state like
+    :meth:`~repro.relational.state.DatabaseState.elements`: one for a
+    machine-int universe (numeric passthrough) and one for every other
+    universe (dictionary), whose codec only ever appends — a codec change
+    (new constants outside the carrier) leaves every encoded column valid.
+    """
+    numeric = state.int64_safe() and int64_safe(extra)
+    stores = state.__dict__.get("_encoded")
+    if stores is None:
+        stores = state.__dict__.setdefault("_encoded", {})
+    store = stores.get(numeric)
+    if store is None:
+        _COUNTS["misses"] += 1
+        codec = (
+            _NUMERIC_CODEC if numeric
+            else ElementCodec.dictionary(state.elements() | frozenset(extra))
+        )
+        # A racing first fill may have stored its own; use whichever won.
+        store = stores.setdefault(numeric, _Store(codec, {}))
+    else:
+        _COUNTS["hits"] += 1
+    # The codec this execution encodes with: a racing growth may replace
+    # ``store.codec`` with one that lacks ``extra``.
+    codec = store.codec.extend(extra)
+    if codec is not store.codec:
+        _COUNTS["grown"] += 1
+        store.codec = codec
+    return codec, store.columns
+
+
+def apply_delta(state: DatabaseState, delta: Delta) -> DatabaseState:
+    """``state.apply(delta)``, handing ``state``'s encoded columns to the
+    new state.
+
+    After an **insert-only** effective delta the touched relations get the
+    inserted rows' codes merged into their lexsorted block
+    (:func:`~repro.relational.kernels.insert_rows`: O(rows) array passes,
+    no Python pass over the stored rows), untouched ones share the parent's
+    arrays, and the dictionary codec first grows by the new elements.  The
+    stored adom column is not carried: the new state encodes its own on
+    first use.  A delta with a delete carries nothing, and neither does a
+    passthrough store whose inserted elements are not machine ints; the new
+    state then encodes on first use.
+    """
+    new = state.apply(delta)
+    stores = state.__dict__.get("_encoded")
+    if new is state or not stores:
+        return new
+    effective = new.effective_delta
+    if not effective.insert_only():
+        _COUNTS["invalidated"] += len(stores)
+        return new
+    fresh = tuple(
+        value for rows in effective.inserts.values() for row in rows for value in row
+    )
+    carried: Dict[bool, _Store] = {}
+    for numeric, store in list(stores.items()):
+        if numeric and not new.int64_safe():
+            _COUNTS["invalidated"] += 1
+            continue
+        codec = store.codec.extend(fresh)
+        if codec is not store.codec:
+            _COUNTS["grown"] += 1
+        columns: Dict[Any, Any] = {}
+        for name, codes in list(store.columns.items()):
+            if name == _STORED_ADOM:
+                continue
+            rows = effective.inserts.get(name)
+            if not rows:
+                columns[name] = codes  # untouched: share the parent's arrays
+                continue
+            columns[name] = kernels.insert_rows(
+                codes, codec.encode_rows(tuple(rows), len(codes.columns))
+            )
+            _COUNTS["grown_columns"] += 1
+        carried[numeric] = _Store(codec, columns)
+    object.__setattr__(new, "_encoded", carried)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +467,7 @@ class _ColumnarExecutor:
         state: DatabaseState,
         outside: Collection[Element],
         codec: ElementCodec,
-        relation_columns: Optional[Dict[Any, Any]] = None,
+        relation_columns: Dict[Any, Any],
         deadline: "Optional[Deadline]" = None,
     ) -> None:
         self._state = state
@@ -655,11 +477,9 @@ class _ColumnarExecutor:
         self._outside = outside
         self._adom_codes: Any = None
         #: relation name → encoded code table, plus the stored elements' adom
-        #: column; when the encode cache supplies this dict, encodings persist
-        #: across executions of the same state
-        self._relations: Dict[Any, Any] = (
-            relation_columns if relation_columns is not None else {}
-        )
+        #: column: the state's encode store, so encodings persist across
+        #: executions of the same state
+        self._relations = relation_columns
 
     def run(self, node: PlanNode) -> _Table:
         if self._deadline is not None:
@@ -1000,8 +820,6 @@ def run_plan_vectorized(
     adom: Iterable[Element],
     domain: object = None,
     *,
-    cache: Optional[EncodeCache] = None,
-    use_cache: bool = True,
     deadline: "Optional[Deadline]" = None,
 ) -> Set[Row]:
     """Evaluate a compiled plan on NumPy code tables.
@@ -1017,10 +835,9 @@ def run_plan_vectorized(
     plan, the carrier, or the environment cannot be vectorized; callers fall
     back to the set executor.
 
-    Relation encoding is amortised through the per-state encode cache (the
-    module-wide one, or ``cache``): repeated executions against an unchanged
-    state skip the O(rows) re-encode and pay only kernel time.  Pass
-    ``use_cache=False`` to force a fresh encode.
+    Relation encoding is amortised through the state's own encode store:
+    repeated executions against the same state object skip the O(rows)
+    re-encode and pay only kernel time.
 
     >>> from repro.relational.exec import AdomScan
     >>> from repro.relational.schema import DatabaseSchema
@@ -1028,9 +845,7 @@ def run_plan_vectorized(
     >>> sorted(run_plan_vectorized(AdomScan(("x",)), state, ["b", "a"]))
     [('a',), ('b',)]
     """
-    return execute_vectorized(
-        node, state, adom, cache=cache, use_cache=use_cache, deadline=deadline
-    ).decode()
+    return execute_vectorized(node, state, adom, deadline=deadline).decode()
 
 
 def execute_vectorized(
@@ -1038,8 +853,6 @@ def execute_vectorized(
     state: DatabaseState,
     outside: Iterable[Element] = (),
     *,
-    cache: Optional[EncodeCache] = None,
-    use_cache: bool = True,
     deadline: "Optional[Deadline]" = None,
 ) -> CodedRows:
     """:func:`run_plan_vectorized`, stopping short of decoding the result.
@@ -1047,7 +860,8 @@ def execute_vectorized(
     The universe is the state's stored elements plus ``outside``: a caller
     passes only the elements the state may not store (query constants,
     extra and fresh elements), and a call looks only at those — the stored
-    elements' codes come from the encode store, once per state and codec.
+    elements' codes come from the state's encode store, once per state and
+    codec kind.
     """
     obstacle = vectorization_obstacle(node)
     if obstacle is not None:
@@ -1056,18 +870,11 @@ def execute_vectorized(
     # C-level set differences over the small operands only: no Python pass
     # over the active domain per call.
     extra = frozenset(outside) - stored
-    codec_extra = extra | (_plan_constants(node) - stored)
-    store: Optional[Dict[Any, Any]] = None
-    if use_cache:
-        shared = cache if cache is not None else _ENCODE_CACHE
-        # The cache owns the codec choice: for dictionary carriers it hands
-        # out the state's monotonically *growing* codec, so a codec change
-        # (new constants) reuses the already-encoded columns.
-        codec = shared.codec_for(state, codec_extra)
-        store = shared.columns_for(state, codec)
-    else:
-        codec = ElementCodec.for_universe(stored | codec_extra)
-    table = _ColumnarExecutor(state, extra, codec, store, deadline).run(node)
+    # The store owns the codec choice: for dictionary carriers it hands out
+    # the state's append-only codec, so a codec change (new constants)
+    # reuses the already-encoded columns.
+    codec, columns = _store_for(state, extra | (_plan_constants(node) - stored))
+    table = _ColumnarExecutor(state, extra, codec, columns, deadline).run(node)
     if deadline is not None:
         deadline.check("decode")
     return CodedRows(codec, table.codes)

@@ -11,7 +11,8 @@ relation) and producing a new state that structurally shares every untouched
 :class:`Relation` and *patches* the content fingerprint in O(Δ) instead of
 re-hashing every stored row.  The new state records the *effective* delta
 that produced it (:attr:`~DatabaseState.effective_delta`), which is what
-the columnar encode cache reads to grow its encoded columns.
+:func:`repro.relational.columnar.apply_delta` reads to grow the parent's
+encoded columns for it.
 """
 
 from __future__ import annotations
@@ -333,9 +334,8 @@ class DatabaseState:
 
         States are immutable value objects, so the fingerprint never goes
         stale; it is what makes states cheap dictionary keys for the
-        per-state caches (the columnar encode cache, the memoised
-        relative-safety verdicts) — without it every lookup would re-hash
-        every stored row.
+        per-state caches (the memoised relative-safety verdicts) — without
+        it every lookup would re-hash every stored row.
 
         The hash is the XOR of one splitmix64-mixed token per stored
         ``(relation name, row)`` pair (plus a schema token).  XOR is

@@ -10,7 +10,7 @@ lock:
 
 * **isolation** — each session has its own domain, schema, guards, and
   default state; nothing a session does can corrupt another (the only
-  shared structures are the thread-safe plan/encode caches);
+  shared structure is the thread-safe plan cache);
 * **serialization per session** — a session's queries run under its
   ``lock``, so one client's requests execute in order even when sent
   concurrently; *distinct* sessions run genuinely concurrently on the
@@ -20,10 +20,10 @@ lock:
   exceeded the least recently used session is evicted early;
 * **shared caches** — every session is created with the manager's
   process-wide :class:`~repro.engine.plan_cache.PlanCache`, so any
-  session's compile warms every other session; the columnar
-  :class:`~repro.relational.columnar.EncodeCache` is already process-wide
-  and keyed by state fingerprint, so sessions querying equal states share
-  encoded columns automatically.
+  session's compile warms every other session.  Encoded columns live on
+  the :class:`~repro.relational.state.DatabaseState` they encode, so
+  sessions querying the same state object share them, and a mutation
+  hands them to the new state (:func:`repro.relational.columnar.apply_delta`).
 """
 
 from __future__ import annotations
@@ -438,9 +438,6 @@ class SessionManager:
             "encode_cache": {
                 "hits": encode_info.hits,
                 "misses": encode_info.misses,
-                "evictions": encode_info.evictions,
-                "size": encode_info.size,
-                "maxsize": encode_info.maxsize,
                 "grown": encode_info.grown,
                 "invalidated": encode_info.invalidated,
                 "grown_columns": encode_info.grown_columns,

@@ -32,7 +32,7 @@ from repro.experiments.corpora import family_schema, family_state
 from repro.logic.parser import parse_formula
 from repro.relational.active_domain import active_domain
 from repro.relational.calculus import evaluate_query_active_domain
-from repro.relational.columnar import EncodeCache, execute_vectorized
+from repro.relational.columnar import _store_for, encode_cache_info, execute_vectorized
 from repro.relational.compile import compile_query
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState, Delta, Relation
@@ -204,12 +204,9 @@ def test_join_outputs_out_of_order_are_sorted_once():
     state = DatabaseState(family_schema(), {"F": rows})
     text = "F(x, y) & F(y, z)"
     compiled = compile_query(parse_formula(text), state.schema, EQ)
-    cache = EncodeCache()
-    codec = cache.codec_for(state, ())
-    cache.columns_for(state, codec)["F"] = codec.encode_rows(rows, 2)
-    coded = execute_vectorized(
-        compiled.plan, state, compiled.universe(state), cache=cache
-    )
+    codec, columns = _store_for(state, ())
+    columns["F"] = codec.encode_rows(rows, 2)
+    coded = execute_vectorized(compiled.plan, state, compiled.universe(state))
     raw = list(zip(*(column.tolist() for column in coded.codes.columns)))
     assert raw != sorted(raw)
     session = connect("equality", family_schema(), guard=False)
@@ -333,18 +330,16 @@ def test_scans_stay_duplicate_free_after_insert_only_deltas():
         )
 
 
-def test_migrating_a_delta_of_stored_rows_appends_no_duplicates():
-    cache = EncodeCache()
+def test_carrying_a_delta_of_stored_rows_appends_no_duplicates():
+    session = connect("equality", family_schema(), guard=False)
     state = DatabaseState(family_schema(), {"F": [(0, 1), (1, 2)]})
     compiled = compile_query(parse_formula("F(x, y)"), state.schema, EQ)
-    execute_vectorized(compiled.plan, state, compiled.universe(state), cache=cache)
-    grown = state.apply(Delta.insert("F", (2, 3)))
+    execute_vectorized(compiled.plan, state, compiled.universe(state))
+    before = encode_cache_info()
     # The delta names a row the old state already stores, as a caller's
     # requested (not effective) delta may.
-    cache.migrate(state, grown, Delta.insert("F", (0, 1), (2, 3)))
-    assert cache.info().grown_columns == 1
-    coded = execute_vectorized(
-        compiled.plan, grown, compiled.universe(grown), cache=cache
-    )
-    assert cache.info().hits == 1
+    grown = session.apply_delta(state, Delta.insert("F", (0, 1), (2, 3)))
+    assert encode_cache_info().grown_columns == before.grown_columns + 1
+    coded = execute_vectorized(compiled.plan, grown, compiled.universe(grown))
+    assert encode_cache_info().hits == before.hits + 1
     assert coded.rows() == ((0, 1), (1, 2), (2, 3))

@@ -142,6 +142,27 @@ def test_equality_guard_honours_the_time_limit():
     assert elapsed < 0.25, f"the guarded query took {elapsed:.2f}s to notice"
 
 
+def test_a_decode_past_the_limit_raises(monkeypatch):
+    # Every operator checkpoint of a warm run passes well inside the limit;
+    # the answer's decode, after the last of them, overruns it.
+    from repro.experiments.corpora import family_schema, family_state
+    from repro.relational.columnar import CodedRows
+
+    session = Session("equality", family_schema())
+    state = family_state(generations=3)
+    assert session.run("F(x, y)", state).answer.method == "vectorized"
+    rows = CodedRows.rows
+
+    def slow_rows(self, codes=None):
+        time.sleep(0.05)
+        return rows(self, codes)
+
+    monkeypatch.setattr(CodedRows, "rows", slow_rows)
+    with pytest.raises(DeadlineExceeded) as raised:
+        session.run("F(x, y)", state, budget=Budget(time_limit=0.02))
+    assert raised.value.operator == "decode"
+
+
 # ---------------------------------------------------------------------------
 # Cancellation through the session API
 # ---------------------------------------------------------------------------

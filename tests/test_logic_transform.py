@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.logic.analysis import free_variables
 from repro.logic.builders import atom, conj, disj, eq, exists, forall, neg, var
@@ -172,12 +172,37 @@ def test_product_clauses_of_constants():
     assert list(_product_clauses([disj(p, q), p])) == [[p], [q, p]]
 
 
+def _agree_everywhere(left, right):
+    """True iff ``left`` and ``right`` agree under every assignment of their
+    free variables over the tiny universe."""
+    variables = sorted(
+        free_variables(left) | free_variables(right), key=lambda v: v.name
+    )
+    for values in itertools.product(UNIVERSE, repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if evaluate_formula(
+            left, UNIVERSE, assignment, interpretation=INTERP
+        ) != evaluate_formula(right, UNIVERSE, assignment, interpretation=INTERP):
+            return False
+    return True
+
+
+_X, _Y = Var("x"), Var("y")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_formulas(depth=2), min_size=1, max_size=3))
+@example([  # two spellings of one DNF: 9 product clauses against 3
+    Or((Not(Equals(_X, _X)), Equals(_X, _X), Atom("R", (_X, _Y)))),
+    Implies(Equals(_X, _X), Or((Equals(_X, _X), Atom("R", (_X, _Y))))),
+])
 def test_product_clauses_are_the_clauses_of_the_conjunction(parts):
     # The elimination driver draws a quantifier's clauses one at a time from
-    # the conjuncts ``conj`` leaves: flattened and distinct.
+    # the conjuncts ``conj`` leaves (flattened and distinct); their
+    # disjunction must be equivalent to the DNF of the whole conjunction.
     conjuncts = [p for p in dict.fromkeys(parts) if is_quantifier_free(p)]
     conjuncts = [c for c in conjuncts if not isinstance(c, And)]
-    lazy = list(dict.fromkeys(tuple(c) for c in _product_clauses(conjuncts)))
-    assert lazy == [tuple(c) for c in dnf_clauses(conj(*conjuncts))]
+    lazy = disj(*(conj(*clause) for clause in _product_clauses(conjuncts)))
+    whole = disj(*(conj(*clause) for clause in dnf_clauses(conj(*conjuncts))))
+    assert _agree_everywhere(lazy, whole)
+    assert _agree_everywhere(lazy, conj(*conjuncts))

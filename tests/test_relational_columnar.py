@@ -18,11 +18,14 @@ Six layers:
 * the one ladder every algebra plan runs (compiled, vectorized): the tree
   walker on a compile error, tiny and
   dictionary-encoded states, and identical answers across repeated runs;
-* the per-state encode cache: hits on unchanged states, misses on changed
-  ones, LRU eviction, codec key separation and dictionary growth.
+* the per-state encode stores: hits on the same state object, misses on
+  other ones (equal or not), numeric/dictionary separation, dictionary
+  growth, no state comparison per request, and columns freed with the state.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,8 +67,10 @@ from repro.relational.calculus import evaluate_query_active_domain
 from repro.relational.columnar import (
     CodedRows,
     ElementCodec,
-    EncodeCache,
     VectorizationError,
+    _store_for,
+    apply_delta,
+    encode_cache_info,
     execute_vectorized,
     run_plan_vectorized,
     vectorization_obstacle,
@@ -94,15 +99,13 @@ def _family(rows):
     return DatabaseState(family_schema(), {"F": rows})
 
 
-def _assert_three_way_equivalent(query, state, domain, cache=None):
+def _assert_three_way_equivalent(query, state, domain):
     """Vectorized, set-at-a-time, and tree-walking answers must coincide;
     returns the vectorized result, still coded."""
     expected = evaluate_query_active_domain(query, state, interpretation=domain)
     compiled = compile_query(query, state.schema, domain)
     set_rows = compiled.execute(state, domain).rows
-    coded = execute_vectorized(
-        compiled.plan, state, compiled.universe(state), cache=cache
-    )
+    coded = execute_vectorized(compiled.plan, state, compiled.universe(state))
     vec_rows = coded.decode()
     assert set_rows == expected.rows
     assert vec_rows == expected.rows, (
@@ -403,12 +406,6 @@ def test_property_split_matches_python(rows, fresh, named):
 @example([(1, 2), (3, 4)], [(1, 2), (0, 9)], False)  # re-inserts a stored row
 @example([(1, 2), (3, 4)], [(9, 9), (-1, 0)], True)
 def test_property_insert_only_delta_keeps_stored_columns_sorted(rows, inserts, named):
-    from repro.relational.columnar import encode_cache
-
-    def stored(state):
-        cache = encode_cache()
-        return cache.columns_for(state, cache.codec_for(state, ()))["F"]
-
     if named:
         rows = [(f"p{a}", f"p{b}") for a, b in rows]
         inserts = [(f"p{a}", f"p{b}") for a, b in inserts]
@@ -416,8 +413,8 @@ def test_property_insert_only_delta_keeps_stored_columns_sorted(rows, inserts, n
     state = _family(rows)
     session.run("F(x, y)", state, strategy="vectorized")
     grown = session.apply_delta(state, Delta(inserts={"F": inserts}))
-    table = stored(grown)
-    codec = encode_cache().codec_for(grown, ())
+    codec, columns = _store_for(grown, ())
+    table = columns["F"]
     decoded = [tuple(codec.decode(code) for code in row) for row in _rows(table)]
     assert set(decoded) == set(rows) | set(inserts) == grown["F"].rows
     assert len(decoded) == len(grown["F"])
@@ -447,13 +444,10 @@ def test_guarded_run_on_the_tree_calls_no_isin(monkeypatch):
 def test_unfiltered_scan_and_clean_split_hand_back_the_stored_columns(
     monkeypatch,
 ):
-    from repro.relational.columnar import encode_cache
-
     session = connect("equality", family_schema())
     state = family_state(generations=11)
     session.run("F(x, y)", state)
-    cache = encode_cache()
-    stored = cache.columns_for(state, cache.codec_for(state, ()))["F"]
+    stored = _store_for(state, ())[1]["F"]
     compiled = compile_query(parse_formula("F(x, y)"), state.schema, EQ)
     scanned = execute_vectorized(compiled.plan, state).codes
     assert all(a is b for a, b in zip(scanned.columns, stored.columns))
@@ -529,8 +523,8 @@ def test_vectorization_obstacle_flags_unvectorizable_predicates():
 # ---------------------------------------------------------------------------
 
 
-def _coded_three_way(text, state, cache):
-    return _assert_three_way_equivalent(parse_formula(text), state, EQ, cache)
+def _coded_three_way(text, state):
+    return _assert_three_way_equivalent(parse_formula(text), state, EQ)
 
 
 @pytest.mark.parametrize(
@@ -540,55 +534,56 @@ def _coded_three_way(text, state, cache):
 )
 def test_query_constant_at_the_int64_edge_picks_the_codec(constant, numeric):
     state = family_state(generations=3)
-    coded = _coded_three_way(
-        f"F(x, y) | (x = {constant} & y = 1)", state, EncodeCache(maxsize=4)
-    )
+    coded = _coded_three_way(f"F(x, y) | (x = {constant} & y = 1)", state)
     assert coded.codec.numeric is numeric
     assert state.int64_safe()  # the state's own verdict is not the query's
 
 
 def test_string_constant_over_an_int_state_is_dictionary_encoded():
     state = family_state(generations=3)
-    cache = EncodeCache(maxsize=4)
-    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
-    coded = _coded_three_way('F(x, y) | (x = "adam" & y = 1)', state, cache)
-    assert not coded.codec.numeric and coded.codec.growing
+    assert _coded_three_way("exists y. F(x, y)", state).codec.numeric
+    coded = _coded_three_way('F(x, y) | (x = "adam" & y = 1)', state)
+    assert not coded.codec.numeric
+    # the state keeps the dictionary codec in its own store
+    assert _store_for(state, ("adam",))[0] is coded.codec
     # the next constant-free query is numeric again on the same state
-    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
+    assert _coded_three_way("exists y. F(x, y)", state).codec.numeric
 
 
 def test_an_applied_string_row_re_derives_the_state_verdict():
     state = family_state(generations=3)
-    cache = EncodeCache(maxsize=8)
-    assert _coded_three_way("exists y. F(x, y)", state, cache).codec.numeric
+    assert _coded_three_way("exists y. F(x, y)", state).codec.numeric
     assert state.int64_safe()
     # An insert-only delta inherits the parent's memoised element set; the
     # int64 verdict must still be derived for the new state.
     mutated = state.apply(Delta.insert("F", ("eve", 1)))
     assert "_elements" in mutated.__dict__
     assert not mutated.int64_safe()
-    coded = _coded_three_way("exists y. F(x, y)", mutated, cache)
+    coded = _coded_three_way("exists y. F(x, y)", mutated)
     assert not coded.codec.numeric
     assert ("eve",) in coded.decode()
     ints_only = state.apply(Delta.insert("F", (1, 99)))
     assert ints_only.int64_safe()
-    assert _coded_three_way("exists y. F(x, y)", ints_only, cache).codec.numeric
+    assert _coded_three_way("exists y. F(x, y)", ints_only).codec.numeric
 
 
 def test_dictionary_carriers_keep_the_growing_codec():
     state = _family([("ann", "bob"), ("bob", "cal"), ("bob", "dee")])
     assert not state.int64_safe()
-    cache = EncodeCache(maxsize=4)
-    first = _coded_three_way("exists y. F(x, y)", state, cache)
-    assert not first.codec.numeric and first.codec.growing
-    assert cache.info().grown == 0
+    before = encode_cache_info()
+    first = _coded_three_way("exists y. F(x, y)", state)
+    assert not first.codec.numeric
+    assert encode_cache_info().grown == before.grown
     # A constant outside the carrier grows the state's table append-only and
     # the state's encoded columns are still served.
-    wider = _coded_three_way('exists y. (F(x, y) | x = "zed")', state, cache)
-    assert wider.codec.growing and wider.codec.encodable("zed")
+    wider = _coded_three_way('exists y. (F(x, y) | x = "zed")', state)
+    assert wider.codec.encodable("zed")
     assert wider.codec.encode("bob") == first.codec.encode("bob")
-    info = cache.info()
-    assert info.grown == 1 and info.hits >= 1 and info.size == 1
+    info = encode_cache_info()
+    assert info.grown == before.grown + 1 and info.hits >= before.hits + 1
+    assert (info.misses, set(state.__dict__["_encoded"])) == (
+        before.misses + 1, {False}
+    )
 
 
 def test_repeat_vectorized_runs_make_no_per_element_codec_pass(monkeypatch):
@@ -727,16 +722,17 @@ def test_repeat_guarded_run_encodes_only_the_elements_outside_the_state(
 def test_stored_adom_column_is_not_carried_across_a_delta():
     # The insert brings new elements; a grown state must encode its own
     # stored adom column, never the parent's.
-    cache = EncodeCache(maxsize=4)
     state = family_state(generations=2)
     compiled = compile_query(parse_formula("~F(x, y)"), state.schema, EQ)
-    execute_vectorized(compiled.plan, state, cache=cache)
-    grown = state.apply(Delta.insert("F", (100, 101)))
-    cache.migrate(state, grown, grown.effective_delta)
-    coded = execute_vectorized(compiled.plan, grown, cache=cache)
+    execute_vectorized(compiled.plan, state)
+    before = encode_cache_info()
+    grown = apply_delta(state, Delta.insert("F", (100, 101)))
+    assert ("adom",) in _store_for(state, ())[1]
+    assert ("adom",) not in _store_for(grown, ())[1]
+    coded = execute_vectorized(compiled.plan, grown)
     assert coded.decode() == compiled.execute(grown, EQ).rows
     assert (101, 100) in coded.decode()
-    assert cache.info().grown_columns == 1
+    assert encode_cache_info().grown_columns == before.grown_columns + 1
 
 
 def test_vectorized_universe_is_the_stored_elements_plus_the_outside_ones():
@@ -1026,81 +1022,102 @@ def test_algebra_plans_share_one_cached_compile_failure():
 
 
 # ---------------------------------------------------------------------------
-# the per-state encode cache
+# the per-state encode stores
 # ---------------------------------------------------------------------------
 
 
 def test_encode_cache_hits_on_unchanged_state():
-    cache = EncodeCache(maxsize=4)
     state = numeric_state([1, 5, 9])
     compiled = compile_query(
         parse_formula("S(x)"), state.schema, NAT
     )
     adom = compiled.universe(state)
-    first = run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
-    info = cache.info()
-    assert (info.hits, info.misses) == (0, 1)
-    second = run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
+    before = encode_cache_info()
+    first = run_plan_vectorized(compiled.plan, state, adom, NAT)
+    info = encode_cache_info()
+    assert (info.hits - before.hits, info.misses - before.misses) == (0, 1)
+    second = run_plan_vectorized(compiled.plan, state, adom, NAT)
     assert first == second == {(1,), (5,), (9,)}
-    info = cache.info()
-    assert (info.hits, info.misses) == (1, 1)
-    assert str(info).startswith("hits=1 misses=1")
+    info = encode_cache_info()
+    assert (info.hits - before.hits, info.misses - before.misses) == (1, 1)
+    assert str(info).startswith(f"hits={info.hits} misses={info.misses} ")
 
 
 def test_encode_cache_misses_on_changed_state():
-    cache = EncodeCache(maxsize=4)
     compiled = compile_query(
         parse_formula("S(x)"), numeric_state([]).schema, NAT
     )
+    before = encode_cache_info()
     for values in ([1, 2], [1, 2, 3], [1, 2]):
         state = numeric_state(values)
-        run_plan_vectorized(
-            compiled.plan, state, compiled.universe(state), NAT, cache=cache
-        )
-    info = cache.info()
-    # the third state equals the first by value, so it hits its entry
-    assert info.misses == 2 and info.hits == 1
-
-
-def test_encode_cache_evicts_lru():
-    cache = EncodeCache(maxsize=2)
-    compiled = compile_query(
-        parse_formula("S(x)"), numeric_state([]).schema, NAT
-    )
-    for values in ([1], [2], [3]):
-        state = numeric_state(values)
-        run_plan_vectorized(
-            compiled.plan, state, compiled.universe(state), NAT, cache=cache
-        )
-    info = cache.info()
-    assert info.evictions == 1 and info.size == 2
+        run_plan_vectorized(compiled.plan, state, compiled.universe(state), NAT)
+    info = encode_cache_info()
+    # the third state equals the first by value, but it is another object:
+    # its columns live on it, so it encodes its own
+    assert info.misses - before.misses == 3 and info.hits == before.hits
+    run_plan_vectorized(compiled.plan, state, compiled.universe(state), NAT)
+    assert encode_cache_info().hits == before.hits + 1
 
 
 def test_encode_cache_separates_codecs_by_key():
-    numeric = ElementCodec.for_universe([1, 2])
-    named = ElementCodec.for_universe(["a", "b"])
-    assert numeric.cache_key() == ("numeric",)
-    assert named.cache_key()[0] == "dictionary"
-    cache = EncodeCache(maxsize=4)
+    # One store per codec kind: the passthrough one for machine-int
+    # universes, the dictionary one for every other universe.
     state = numeric_state([1, 2])
-    assert cache.columns_for(state, numeric) is cache.columns_for(state, numeric)
-    assert cache.columns_for(state, numeric) is not cache.columns_for(state, named)
+    numeric, columns = _store_for(state, ())
+    assert numeric.numeric and _store_for(state, (7,)) == (numeric, columns)
+    named, named_columns = _store_for(state, ("a",))
+    assert not named.numeric and named_columns is not columns
+    assert _store_for(state, ("b",))[1] is named_columns
 
 
 def test_encode_cache_reuses_relation_arrays():
-    cache = EncodeCache(maxsize=4)
     state = numeric_state([4, 8])
     compiled = compile_query(
         parse_formula("S(x)"), state.schema, NAT
     )
     adom = compiled.universe(state)
-    run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
-    codec = ElementCodec.for_universe([4, 8])
-    store = cache.columns_for(state, codec)
+    run_plan_vectorized(compiled.plan, state, adom, NAT)
+    _, store = _store_for(state, ())
     assert "S" in store  # filled lazily by the first execution
     array = store["S"]
-    run_plan_vectorized(compiled.plan, state, adom, NAT, cache=cache)
-    assert cache.columns_for(state, codec)["S"] is array
+    run_plan_vectorized(compiled.plan, state, adom, NAT)
+    assert _store_for(state, ())[1]["S"] is array
+
+
+def test_repeat_run_on_an_equal_state_compares_no_states(monkeypatch):
+    # Columns are found on the state object itself: a request on a state
+    # that equals an already-encoded one (a rebuild from the same rows)
+    # makes no row-by-row state comparison.
+    session = connect("equality", family_schema())
+    encoded, rebuilt = family_state(generations=6), family_state(generations=6)
+    assert encoded == rebuilt and encoded is not rebuilt
+    query = "exists y. (F(x, y) & F(y, z))"
+    first = session.run(query, encoded).answer
+    session.run(query, rebuilt)
+    calls = []
+    eq = DatabaseState.__eq__
+
+    def counted_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(DatabaseState, "__eq__", counted_eq)
+    for _ in range(3):
+        again = session.run(query, rebuilt).answer
+        assert again.method == "vectorized" and again.rows() == first.rows()
+    assert calls == []
+
+
+def test_a_queried_state_is_freed_with_its_columns():
+    # Rows no other test stores, so no equal state was encoded before.
+    session = connect("equality", family_schema())
+    state = _family([(n, n + 1) for n in range(7000, 7100)])
+    assert session.run("F(x, y)", state).answer.method == "vectorized"
+    assert "F" in _store_for(state, ())[1]
+    freed = weakref.ref(state)
+    del state
+    gc.collect()
+    assert freed() is None
 
 
 def test_session_exposes_encode_cache_info():
@@ -1128,20 +1145,18 @@ def test_encode_cache_grows_dictionary_codec_without_reencoding():
     schema = DatabaseSchema((RelationSchema("N", 1, ("name",)),))
     state = DatabaseState(schema, {"N": [("eve",), ("adam",)]})
     plan = Scan("N", ("x",), (), ("x",))
-    cache = EncodeCache(maxsize=4)
-    first = run_plan_vectorized(plan, state, ["eve", "adam"], EQ, cache=cache)
+    before = encode_cache_info()
+    first = run_plan_vectorized(plan, state, ["eve", "adam"], EQ)
     assert first == {("eve",), ("adam",)}
     # A wider universe (a new constant outside the carrier) changes the
-    # codec — the dictionary table must grow, not rebuild, so the cached
+    # codec — the dictionary table must grow, not rebuild, so the stored
     # relation columns keep serving.
-    second = run_plan_vectorized(
-        plan, state, ["eve", "adam", "cain"], EQ, cache=cache
-    )
+    second = run_plan_vectorized(plan, state, ["eve", "adam", "cain"], EQ)
     assert second == first
-    info = cache.info()
-    assert info.misses == 1 and info.hits == 1
-    assert info.grown == 1
-    assert "grown=1" in str(info)
+    info = encode_cache_info()
+    assert info.misses == before.misses + 1 and info.hits == before.hits + 1
+    assert info.grown == before.grown + 1
+    assert f"grown={info.grown}" in str(info)
 
 
 def test_encode_cache_grown_columns_stay_valid():
@@ -1150,17 +1165,15 @@ def test_encode_cache_grown_columns_stay_valid():
     schema = DatabaseSchema((RelationSchema("N", 1, ("name",)),))
     state = DatabaseState(schema, {"N": [("b",), ("d",)]})
     plan = Scan("N", ("x",), (), ("x",))
-    cache = EncodeCache(maxsize=4)
-    run_plan_vectorized(plan, state, ["b", "d"], EQ, cache=cache)
-    codec = cache.codec_for(state, ["b", "d"])
-    store = cache.columns_for(state, codec)
-    array = store["N"]
+    run_plan_vectorized(plan, state, ["b", "d"], EQ)
+    codec, columns = _store_for(state, ())
+    array = columns["N"]
     # growing by an element that would sort *before* the existing table must
-    # not invalidate the cached encoding (append-only, not re-sorted)
-    wider = run_plan_vectorized(plan, state, ["a", "b", "d"], EQ, cache=cache)
+    # leave the stored encoding valid (append-only, not re-sorted)
+    wider = run_plan_vectorized(plan, state, ["a", "b", "d"], EQ)
     assert wider == {("b",), ("d",)}
-    grown = cache.codec_for(state, ["a", "b", "d"])
-    assert cache.columns_for(state, grown)["N"] is array
+    grown, columns = _store_for(state, ())
+    assert columns["N"] is array and grown.encodable("a")
     assert grown.encode("b") == codec.encode("b")
 
 
@@ -1171,16 +1184,10 @@ def test_encode_cache_grown_columns_stay_valid():
 def test_stored_code_tables_stay_lexsorted_and_distinct(rows, inserts):
     # Scans read the stored code tables as they are, so the tables must be
     # sorted and distinct after the first encode, after an insert-only delta
-    # migrates them (re-inserting a stored row among the new ones), and
+    # grows them (re-inserting a stored row among the new ones), and
     # after a delete forces a re-encode.
-    from repro.relational.columnar import encode_cache, encode_cache_info
-
-    def stored_table(state):
-        cache = encode_cache()
-        return cache.columns_for(state, cache.codec_for(state, ()))["F"]
-
     def assert_sorted_and_distinct(state):
-        table = _rows(stored_table(state))
+        table = _rows(_store_for(state, ())[1]["F"])
         assert table == sorted(set(table)) and len(table) == len(state["F"])
 
     session = connect("equality", family_schema(), guard=False)

@@ -1,8 +1,8 @@
 """Concurrent execution equals serial execution, with every cache shared.
 
 The serving layer's correctness claim: N worker threads running M sessions'
-queries concurrently — all sessions sharing one plan cache and the
-process-wide encode cache — produce exactly the answers a single-threaded
+queries concurrently — all sessions sharing one plan cache and the encoded
+columns of the states they query — produce exactly the answers a single-threaded
 run produces.  The corpora are the experiment query corpora over their usual
 states, so these are the same queries the rest of the suite already pins
 ground truth for.
@@ -101,7 +101,7 @@ def test_concurrent_sessions_match_serial_answers(threads, sessions):
         manager.shutdown()
 
 
-def test_concurrent_runs_share_the_encode_cache():
+def test_concurrent_runs_share_the_encoded_columns():
     from repro.relational.columnar import HAVE_NUMPY, encode_cache_info
 
     if not HAVE_NUMPY:
@@ -122,8 +122,8 @@ def test_concurrent_runs_share_the_encode_cache():
             assert future.result(timeout=120).answer.rows() == (
                 (1,), (2,), (3,), (4,), (5,))
         after = encode_cache_info()
-        # 12 vectorized runs over one state fingerprint: at most a couple of
-        # misses (racy first fills), everything else hits the shared columns
+        # 12 vectorized runs over one state object: at most a couple of
+        # misses (racy first fills), everything else hits the state's columns
         assert after.hits - before.hits >= 8
     finally:
         manager.shutdown()

@@ -1,15 +1,15 @@
 """Tests for state mutation: deltas, encoded-column growth, recomputed answers.
 
 Every query is recomputed on the state it names; a mutation only changes the
-state and keeps the columnar encode cache coherent.  Five layers:
+state and hands its encoded columns on.  Five layers:
 
 * :class:`repro.relational.state.Delta` value semantics (normalisation,
   hashing) and :meth:`DatabaseState.apply` (structural sharing, O(Δ)
   fingerprint patching, version and effective-delta bookkeeping);
-* the columnar :class:`~repro.relational.columnar.EncodeCache` mutation
-  protocol — append-only column growth on insert-only deltas, invalidation
-  for deletes, and the counters;
-* vectorized answers after a migrated delta, per operator shape: joins,
+* the columnar :func:`~repro.relational.columnar.apply_delta` — append-only
+  column growth on insert-only deltas, nothing carried across deletes, and
+  the counters;
+* vectorized answers after a carried delta, per operator shape: joins,
   antijoins, pads and an active domain that grows or shrinks, each equal to
   the set executor on the mutated state;
 * randomized property tests — interleaved insert/delete sequences applied
@@ -36,7 +36,13 @@ from repro.engine.plans import (
 )
 from repro.logic.parser import parse_formula
 from repro.relational.calculus import evaluate_query_active_domain
-from repro.relational.columnar import HAVE_NUMPY, EncodeCache, execute_vectorized
+from repro.relational.columnar import (
+    HAVE_NUMPY,
+    _store_for,
+    apply_delta,
+    encode_cache_info,
+    execute_vectorized,
+)
 from repro.relational.compile import compile_query
 from repro.relational.exec import run_plan
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -167,91 +173,67 @@ def test_delete_then_insert_same_row_survives():
 
 
 # ---------------------------------------------------------------------------
-# EncodeCache growth and invalidation
+# Encoded-column growth, and nothing carried across a delete
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar cache needs numpy")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar stores need numpy")
 def test_encode_cache_grows_columns_on_insert_only_delta():
     import numpy as np
 
     from repro.relational.kernels import CodeTable
 
-    cache = EncodeCache(maxsize=8)
     state = _state([(1, 2), (2, 3)], [(1,)])
-    codec = cache.codec_for(state, (1, 2, 3))
-    entry = cache.columns_for(state, codec)
+    _, entry = _store_for(state, ())
     entry["F"] = CodeTable.of(np.array([1, 2]), np.array([2, 3]))
     entry["P"] = CodeTable.of(np.array([1]))
 
-    delta = Delta.insert("F", (3, 4))
-    mutated = state.apply(delta)
-    assert cache.migrate(state, mutated, delta) == 1
-    new_entry = cache.columns_for(mutated, cache.codec_for(mutated, (1, 2, 3, 4)))
+    before = encode_cache_info()
+    mutated = apply_delta(state, Delta.insert("F", (3, 4)))
+    info = encode_cache_info()
+    assert info.grown_columns == before.grown_columns + 1
+    assert info.invalidated == before.invalidated
+    _, new_entry = _store_for(mutated, ())
     assert new_entry["F"].rows == 3 and len(new_entry["F"].columns) == 2
     assert new_entry["P"] is entry["P"]  # untouched relation: shared array
-    info = cache.info()
-    assert info.grown_columns == 1
-    assert info.invalidated == 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar cache needs numpy")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar stores need numpy")
 def test_encode_cache_invalidates_on_delete():
     import numpy as np
 
     from repro.relational.kernels import CodeTable
 
-    cache = EncodeCache(maxsize=8)
     state = _state([(1, 2)])
-    entry = cache.columns_for(state, cache.codec_for(state, (1, 2)))
+    _, entry = _store_for(state, ())
     entry["F"] = CodeTable.of(np.array([1]), np.array([2]))
-    delta = Delta.delete("F", (1, 2))
-    mutated = state.apply(delta)
-    assert cache.migrate(state, mutated, delta) == 0
-    assert cache.info().invalidated == 1
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar cache needs numpy")
-def test_encode_cache_explicit_invalidate_counts():
-    import numpy as np
-
-    from repro.relational.kernels import CodeTable
-
-    cache = EncodeCache(maxsize=8)
-    state = _state([(1, 2)])
-    entry = cache.columns_for(state, cache.codec_for(state, (1, 2)))
-    entry["F"] = CodeTable.of(np.array([1]), np.array([2]))
-    assert cache.invalidate(state) == 1
-    assert cache.invalidate(state) == 0  # idempotent
-    info = cache.info()
-    assert info.invalidated == 1
-    assert "invalidated=1" in str(info)
+    before = encode_cache_info()
+    mutated = apply_delta(state, Delta.delete("F", (1, 2)))
+    info = encode_cache_info()
+    assert info.invalidated == before.invalidated + 1
+    assert f"invalidated={info.invalidated}" in str(info)
+    assert _store_for(mutated, ())[1] == {}
 
 
 # ---------------------------------------------------------------------------
-# Vectorized answers after a migrated delta, per operator shape
+# Vectorized answers after a carried delta, per operator shape
 # ---------------------------------------------------------------------------
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="columnar cache needs numpy")
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="columnar stores need numpy")
 
 
 def _vectorized_after_delta_equals_recomputed(
     query_text, rows_before, delta, domain=EQ, schema=SCHEMA, state_table=None,
-    cache=None,
 ):
     """Run the query vectorized on the old state (filling the encode store,
-    adom column included), migrate the store across ``delta``, and compare
+    adom column included), carry the store across ``delta``, and compare
     the answer on the mutated state with the set executor's."""
     query = parse_formula(query_text)
     state = DatabaseState(schema, state_table or {"F": rows_before})
     compiled = compile_query(query, schema, domain)
-    cache = cache if cache is not None else EncodeCache()
-    execute_vectorized(compiled.plan, state, compiled.constants, cache=cache)
-    mutated = state.apply(delta)
-    cache.migrate(state, mutated, mutated.effective_delta)
-    rows = execute_vectorized(
-        compiled.plan, mutated, compiled.constants, cache=cache
-    ).decode()
+    execute_vectorized(compiled.plan, state, compiled.constants)
+    mutated = apply_delta(state, delta)
+    rows = execute_vectorized(compiled.plan, mutated, compiled.constants).decode()
     expected = run_plan(compiled.plan, mutated, compiled.universe(mutated), domain)
     assert rows == expected
     return rows
@@ -312,17 +294,20 @@ def test_two_sided_witness_bounds_after_an_insert():
 def test_crosspad_after_an_insert_and_a_delete():
     # Every element of the insert and the delete is already (and still) in
     # the active domain; the insert grows the stored columns, the delete
-    # invalidates them.
+    # leaves the new state to encode its own.
     for delta, grown, invalidated in (
         (Delta.insert("F", (3, 3)), 1, 0),
         (Delta.delete("F", (1, 2)), 0, 1),
     ):
-        cache = EncodeCache()
+        before = encode_cache_info()
         _vectorized_after_delta_equals_recomputed(
-            "F(x, y) & z = z", [(1, 2), (2, 3), (3, 1)], delta, cache=cache
+            "F(x, y) & z = z", [(1, 2), (2, 3), (3, 1)], delta
         )
-        info = cache.info()
-        assert (info.grown_columns, info.invalidated) == (grown, invalidated)
+        info = encode_cache_info()
+        assert (
+            info.grown_columns - before.grown_columns,
+            info.invalidated - before.invalidated,
+        ) == (grown, invalidated)
 
 
 @needs_numpy
@@ -345,26 +330,23 @@ def test_adom_shrink_is_answered_over_the_smaller_universe():
 
 
 @needs_numpy
-def test_answers_stay_exact_across_many_migrated_deltas():
+def test_answers_stay_exact_across_many_carried_deltas():
     query = parse_formula("exists y. (F(x, y) & F(y, z))")
     state = _state([(1, 2)])
     compiled = compile_query(query, SCHEMA, EQ)
-    cache = EncodeCache()
-    execute_vectorized(compiled.plan, state, cache=cache)
+    execute_vectorized(compiled.plan, state)
+    before = encode_cache_info()
     for delta in (
         Delta.insert("F", (2, 3)),
         Delta.insert("F", (3, 4)),
         Delta(inserts={"F": [(4, 5)]}, deletes={"F": [(2, 3)]}),
     ):
-        mutated = state.apply(delta)
-        cache.migrate(state, mutated, mutated.effective_delta)
-        assert execute_vectorized(
-            compiled.plan, mutated, cache=cache
-        ).decode() == run_plan(
+        mutated = apply_delta(state, delta)
+        assert execute_vectorized(compiled.plan, mutated).decode() == run_plan(
             compiled.plan, mutated, compiled.universe(mutated), EQ
         )
         state = mutated
-    assert cache.info().grown_columns == 2
+    assert encode_cache_info().grown_columns == before.grown_columns + 2
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +378,8 @@ def _random_delta(rng, state, pool, insert_only=False):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("pack_name", _substrate_pack_names())
 def test_property_interleaved_deltas_equal_rebuilt(pack_name, seed):
-    """Every substrate's answer after ``Session.apply_delta`` (which grows or
-    invalidates the encoded columns) equals the tree walker's, across
+    """Every substrate's answer after ``Session.apply_delta`` (which grows the
+    encoded columns or leaves them behind) equals the tree walker's, across
     randomized insert/delete interleavings."""
     pack = get_pack(pack_name)
     domain = pack.factory()
