@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import used only by annotations
 
 from ..domains.base import Domain
 from ..domains.packs import DomainPack, get_pack
+from ..domains.signature import Signature
 from ..engine.answers import Answer
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache, PlanCacheInfo
@@ -62,6 +63,39 @@ _parse = functools.lru_cache(maxsize=512)(parse_formula)
 
 class SessionError(ValueError):
     """Raised when a query cannot be compiled against the session."""
+
+
+def _validate(schema: DatabaseSchema, signature: Signature, formula: Formula) -> None:
+    """Check the predicates, functions and arities of ``formula`` against
+    ``schema`` and the domain ``signature``; raise :class:`SessionError`."""
+    known_predicates = set(schema.names) | set(signature.predicates)
+    unknown = sorted(predicates_of(formula) - known_predicates)
+    if unknown:
+        raise SessionError(
+            f"unknown predicate(s) {', '.join(map(repr, unknown))}; known "
+            f"relations: {sorted(schema.names)!r}, domain predicates: "
+            f"{sorted(signature.predicates)!r}"
+        )
+    unknown_functions = sorted(functions_of(formula) - set(signature.functions))
+    if unknown_functions:
+        raise SessionError(
+            f"unknown function(s) {', '.join(map(repr, unknown_functions))}; "
+            f"domain functions: {sorted(signature.functions)!r}"
+        )
+    for sub in walk_formulas(formula):
+        if not isinstance(sub, Atom):
+            continue
+        if sub.predicate in schema:
+            expected = schema.arity(sub.predicate)
+        elif signature.has_predicate(sub.predicate):
+            expected = signature.predicate_arity(sub.predicate)
+        else:
+            continue
+        if len(sub.args) != expected:
+            raise SessionError(
+                f"predicate {sub.predicate!r} expects {expected} "
+                f"argument(s), got {len(sub.args)} in {sub}"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,6 +215,11 @@ class Session:
             safety=self._safety,
             plan_cache=self._plan_cache,
         )
+        # lru_cache keeps no call that raised, so only valid formulas are
+        # remembered; the partial holds no reference back to the session.
+        self._validate = functools.lru_cache(maxsize=self._plan_cache.maxsize)(
+            functools.partial(_validate, self._schema, self._domain.signature)
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -245,7 +284,14 @@ class Session:
 
     def compile(self, query: QueryLike) -> Formula:
         """Parse (if text: once per distinct text, process-wide) and validate
-        a query against schema and signature (on every call)."""
+        a query against schema and signature (once per distinct formula and
+        session).
+
+        Neither the schema nor the signature changes, so a formula that
+        passed once passes again; the session remembers as many as its plan
+        cache holds.  A formula that fails is not remembered, and raises
+        :class:`SessionError` on every call, as unparsable text does.
+        """
         if isinstance(query, str):
             try:
                 formula = _parse(query)
@@ -257,36 +303,7 @@ class Session:
             raise SessionError(
                 f"expected calculus text or a Formula, got {type(query).__name__}"
             )
-        known_predicates = set(self._schema.names) | set(self._domain.signature.predicates)
-        unknown = sorted(predicates_of(formula) - known_predicates)
-        if unknown:
-            raise SessionError(
-                f"unknown predicate(s) {', '.join(map(repr, unknown))}; known "
-                f"relations: {sorted(self._schema.names)!r}, domain predicates: "
-                f"{sorted(self._domain.signature.predicates)!r}"
-            )
-        unknown_functions = sorted(
-            functions_of(formula) - set(self._domain.signature.functions)
-        )
-        if unknown_functions:
-            raise SessionError(
-                f"unknown function(s) {', '.join(map(repr, unknown_functions))}; "
-                f"domain functions: {sorted(self._domain.signature.functions)!r}"
-            )
-        for sub in walk_formulas(formula):
-            if not isinstance(sub, Atom):
-                continue
-            if sub.predicate in self._schema:
-                expected = self._schema.arity(sub.predicate)
-            elif self._domain.signature.has_predicate(sub.predicate):
-                expected = self._domain.signature.predicate_arity(sub.predicate)
-            else:
-                continue
-            if len(sub.args) != expected:
-                raise SessionError(
-                    f"predicate {sub.predicate!r} expects {expected} "
-                    f"argument(s), got {len(sub.args)} in {sub}"
-                )
+        self._validate(formula)
         return formula
 
     # -- pipeline stage 2: analyze ------------------------------------------

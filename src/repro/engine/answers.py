@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from ..relational.state import Relation, Row
 
@@ -73,7 +73,13 @@ class Answer(ABC):
 
 @dataclass(frozen=True)
 class FiniteAnswer(Answer):
-    """A completely materialised finite answer."""
+    """A completely materialised finite answer.
+
+    An answer built by :meth:`of_sorted` holds its sorted rows only: its
+    :attr:`relation` is built on first access (by ``==``, ``hash`` or
+    ``repr`` too), and :attr:`row_count`, ``len()`` and :meth:`explain`
+    count the rows without it.
+    """
 
     relation: Relation
     # The field satisfies the abstract read-only property of the base class.
@@ -85,15 +91,33 @@ class FiniteAnswer(Answer):
     ) -> "FiniteAnswer":
         """The answer over ``rows``, distinct ``arity``-tuples the caller
         already sorted: they are :meth:`rows` as they are, and the relation
-        is built from them (:meth:`Relation.unchecked`).
+        is built from them (:meth:`Relation.unchecked`) when first read.
 
         >>> answer = FiniteAnswer.of_sorted(1, ((1,), (2,)))
-        >>> answer.rows(), answer.relation == Relation(1, [(2,), (1,)])
-        (((1,), (2,)), True)
+        >>> answer.rows(), answer.row_count, "relation" in vars(answer)
+        (((1,), (2,)), 2, False)
+        >>> answer.relation == Relation(1, [(2,), (1,)])
+        True
+        >>> answer == FiniteAnswer(Relation(1, [(1,), (2,)]))
+        True
         """
-        answer = cls(Relation.unchecked(arity, rows), method=method)
+        answer = cls.__new__(cls)
+        object.__setattr__(answer, "method", method)
+        object.__setattr__(answer, "_arity", arity)
         object.__setattr__(answer, "_rows", rows)
         return answer
+
+    if not TYPE_CHECKING:  # hidden from mypy, which would type every name
+
+        def __getattr__(self, name: str) -> Relation:
+            # Reached only while the instance holds no ``relation``: an
+            # of_sorted answer whose relation nobody has read yet.
+            rows = self.__dict__.get("_rows")
+            if name != "relation" or rows is None:
+                raise AttributeError(name)
+            relation = Relation.unchecked(self.__dict__["_arity"], rows)
+            object.__setattr__(self, "relation", relation)
+            return relation
 
     @property
     def is_finite(self) -> Optional[bool]:
@@ -102,14 +126,19 @@ class FiniteAnswer(Answer):
     def _materialised(self) -> Relation:
         return self.relation
 
+    @property
+    def row_count(self) -> int:
+        rows = self.__dict__.get("_rows")
+        return len(self.relation) if rows is None else len(rows)
+
     def explain(self) -> str:
-        text = f"finite answer with {len(self.relation)} row(s)"
+        text = f"finite answer with {self.row_count} row(s)"
         if self.method:
             text += f", computed by {self.method}"
         return text
 
     def __len__(self) -> int:
-        return len(self.relation)
+        return self.row_count
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,12 @@ request), so the choice is auditable rather than buried in a string flag.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import (
-    AbstractSet, Any, ClassVar, Collection, Dict, Optional, Tuple, Type, Union,
+    AbstractSet, Any, ClassVar, Collection, Dict, FrozenSet, Optional, Tuple, Type,
+    Union,
 )
 
 from ..domains.base import Domain, TheoryUndecidableError
@@ -352,9 +354,10 @@ class CompiledAlgebraPlan(Plan):
         if self.vectorized:
             try:
                 # The kernels take the elements outside the state: the
-                # stored ones are encoded once per state (execute_vectorized).
+                # stored ones are encoded once per state (execute_vectorized),
+                # and the plan's static facts once per compiled query.
                 coded = execute_vectorized(
-                    compiled.plan, state, compiled.constants | frozenset(extras),
+                    compiled, state, compiled.constants | frozenset(extras),
                     deadline=deadline,
                 )
                 answer = _finish(coded, len(compiled.output), "vectorized", probe)
@@ -629,14 +632,21 @@ PLAN_TABLE: Dict[str, Tuple[Type[Plan], str]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _init_fields(cls: Any) -> FrozenSet[str]:
+    """The names of the fields ``cls.__init__`` takes, read once per class."""
+    return frozenset(f.name for f in fields(cls) if f.init)
+
+
 def build_plan(strategy: str, reason: str, **options: Any) -> Plan:
     """Construct the :data:`PLAN_TABLE` plan class of ``strategy``.
 
     Each option the class declares is passed on; the rest are dropped, and
-    ``None`` keeps the class default.
+    ``None`` keeps the class default.  The plan is new on every call: it
+    records its last execution (``last_*``, ``fallback_reason``).
     """
     cls: Any = PLAN_TABLE[strategy][0]
-    names = {f.name for f in fields(cls) if f.init}
+    names = _init_fields(cls)
     return cls(reason=reason, **{
         name: value for name, value in options.items()
         if name in names and value is not None

@@ -65,7 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Collection, Dict, Iterable, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Collection, Dict, FrozenSet, Iterable, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 try:  # pragma: no cover - exercised only on numpy-less installs
@@ -96,6 +97,7 @@ from .exec import (
     ValueRef,
     walk_plan,
 )
+from .compile import CompiledQuery
 from .state import DatabaseState, Delta, Element, Row, int64_safe
 
 __all__ = [
@@ -690,7 +692,7 @@ class _ColumnarExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _plan_constants(plan: PlanNode) -> Set[Element]:
+def _plan_constants(plan: PlanNode) -> FrozenSet[Element]:
     """Every constant embedded in the plan (scan filters, literals, refs)."""
     constants: Set[Element] = set()
     for node in walk_plan(plan):
@@ -708,7 +710,7 @@ def _plan_constants(plan: PlanNode) -> Set[Element]:
                 constants.update(
                     ref.value for ref in refs if isinstance(ref, ConstRef)
                 )
-    return constants
+    return frozenset(constants)
 
 
 class CodedRows:
@@ -849,7 +851,7 @@ def run_plan_vectorized(
 
 
 def execute_vectorized(
-    node: PlanNode,
+    node: Union[PlanNode, CompiledQuery],
     state: DatabaseState,
     outside: Iterable[Element] = (),
     *,
@@ -857,13 +859,26 @@ def execute_vectorized(
 ) -> CodedRows:
     """:func:`run_plan_vectorized`, stopping short of decoding the result.
 
+    ``node`` is a plan, or a compiled query whose plan runs: the plan's
+    static facts (its vectorization obstacle and its constants) are then
+    read off the query, derived once per query
+    (:meth:`~repro.relational.compile.CompiledQuery.fact`), instead of
+    walking the plan on every call.
+
     The universe is the state's stored elements plus ``outside``: a caller
     passes only the elements the state may not store (query constants,
     extra and fresh elements), and a call looks only at those — the stored
     elements' codes come from the state's encode store, once per state and
     codec kind.
     """
-    obstacle = vectorization_obstacle(node)
+    if isinstance(node, CompiledQuery):
+        plan = node.plan
+        obstacle = node.fact(vectorization_obstacle)
+        constants = node.fact(_plan_constants)
+    else:
+        plan = node
+        obstacle = vectorization_obstacle(plan)
+        constants = _plan_constants(plan)
     if obstacle is not None:
         raise VectorizationError(obstacle)
     stored = state.elements()
@@ -873,8 +888,8 @@ def execute_vectorized(
     # The store owns the codec choice: for dictionary carriers it hands out
     # the state's append-only codec, so a codec change (new constants)
     # reuses the already-encoded columns.
-    codec, columns = _store_for(state, extra | (_plan_constants(node) - stored))
-    table = _ColumnarExecutor(state, extra, codec, columns, deadline).run(node)
+    codec, columns = _store_for(state, extra | (constants - stored))
+    table = _ColumnarExecutor(state, extra, codec, columns, deadline).run(plan)
     if deadline is not None:
         deadline.check("decode")
     return CodedRows(codec, table.codes)

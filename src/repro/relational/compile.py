@@ -41,7 +41,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 from ..logic.analysis import free_variables, functions_of
 from ..logic.formulas import (
@@ -89,6 +91,8 @@ __all__ = ["CompilationError", "CompiledQuery", "compile_query"]
 
 _UNIT = Literal((), ((),))
 
+_Fact = TypeVar("_Fact")
+
 
 class CompilationError(ValueError):
     """Raised when a query has no algebra translation; callers fall back."""
@@ -125,6 +129,27 @@ class CompiledQuery:
             object.__setattr__(self, "_constants", cached)
         return cached
 
+    def fact(self, of_plan: Callable[[PlanNode], _Fact]) -> _Fact:
+        """``of_plan(self.plan)``, computed once per compiled query: the plan
+        never changes, so neither does a fact read off it alone (its
+        operator census, its vectorization obstacle, its constants).  A
+        cached query is executed many times; its facts are derived once.
+
+        >>> from repro.domains.equality import EqualityDomain
+        >>> from repro.experiments.corpora import family_schema
+        >>> from repro.logic.parser import parse_formula
+        >>> compiled = compile_query(parse_formula("F(x, y)"), family_schema(),
+        ...                          EqualityDomain())
+        >>> compiled.fact(plan_summary), compiled.summary()
+        ('1 scan', '1 scan')
+        """
+        facts = self.__dict__.setdefault("_facts", {})
+        try:
+            return facts[of_plan]
+        except KeyError:
+            value = facts[of_plan] = of_plan(self.plan)
+            return value
+
     def universe(
         self, state: DatabaseState, extra_elements: Iterable[Element] = ()
     ) -> FrozenSet[Element]:
@@ -159,8 +184,8 @@ class CompiledQuery:
         return Relation(len(self.output), rows)
 
     def summary(self) -> str:
-        """A compact census of the plan's operators."""
-        return plan_summary(self.plan)
+        """A compact census of the plan's operators (a :meth:`fact`)."""
+        return self.fact(plan_summary)
 
 
 def compile_query(
